@@ -9,8 +9,9 @@ Conventions used throughout the package:
   the first vanishes), making ket equality testable componentwise;
 * a density operator is rho = (I + r.sigma)/2 with |r| <= 1.
 
-Batch helpers operate on float arrays of shape (n, 3) and are what the Monte
-Carlo drivers use; the scalar types are the reference API.
+The scalar types validate single states and carry the state algebra. All
+sampling goes through the batch helpers, which operate on float arrays of
+shape (n, 3); a single draw is a batch of one.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class BlochVector:
 
     def __post_init__(self):
         n2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(n2 - 1.0) > ALGEBRA_TOL:
+        if not abs(n2 - 1.0) <= ALGEBRA_TOL:
             raise InvalidDirectionError(f"direction must be unit length, got |v|^2={n2!r}")
 
     @classmethod
@@ -224,14 +225,6 @@ def overlap2(a: BlochVector, b: BlochVector) -> float:
 def angle_between(a: BlochVector, b: BlochVector) -> float:
     """Angle in [0, pi] between two unit vectors."""
     return math.acos(min(1.0, max(-1.0, a.dot(b))))
-
-
-def random_direction(rng: np.random.Generator) -> BlochVector:
-    """One point uniform on the sphere: z uniform in [-1, 1], azimuth uniform."""
-    z = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    s = math.sqrt(max(0.0, 1.0 - z * z))
-    return BlochVector.normalized(s * math.cos(phi), s * math.sin(phi), z)
 
 
 # ---------------------------------------------------------------------------

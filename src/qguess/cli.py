@@ -21,7 +21,6 @@ import math
 
 import click
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
 
 from .errors import QGuessError
 from .estimator import (
@@ -165,6 +164,8 @@ def fidelity(strategy, a_frac, trials, seed, workers, out):
 @guarded
 def density(strategy, a_frac, trials, seed, workers, bins, out):
     """Empirical vs analytic outcome-angle density, with a chi-square summary."""
+    from scipy.special import gammaincinv
+
     est = build_strategy(strategy, a_frac)
     hist = collect_histogram(est, trials=trials, bins=bins, seed=seed, workers=workers)
     probs = est.bin_probabilities(hist.theta_edges)
@@ -180,7 +181,7 @@ def density(strategy, a_frac, trials, seed, workers, bins, out):
         f"# workers={workers}",
         f"# chi2={chi2_val!r}",
         f"# dof={dof}",
-        f"# chi2_threshold_999={float(chi2_dist.ppf(0.999, dof))!r}",
+        f"# chi2_threshold_999={float(2.0 * gammaincinv(dof / 2.0, 0.999))!r}",
     ]
     emit(text + "\n".join(lines) + "\n", out)
 

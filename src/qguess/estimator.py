@@ -20,6 +20,7 @@ reported per steradian.
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -33,8 +34,6 @@ from .bloch import (
     angles_between,
     directions_at_angle,
     dots,
-    overlap2,
-    random_direction,
     random_directions,
 )
 from .errors import InvalidFormError
@@ -54,16 +53,17 @@ class GuessingForm:
     """The (A, B) pair of the two-parameter guessing density.
 
     A and B are probability densities per steradian (the values at t = 0 and
-    t = pi); they must be non-negative. Normalization, 2pi(A + B) = 1, is
-    required only where the form is used as a density and is checked there.
+    t = pi); they must be finite and non-negative. Normalization,
+    2pi(A + B) = 1, is required only where the form is used as a density and
+    is checked there.
     """
 
     A: float
     B: float
 
     def __post_init__(self):
-        if self.A < 0.0 or self.B < 0.0:
-            raise InvalidFormError(f"A and B must be non-negative, got ({self.A}, {self.B})")
+        if not (0.0 <= self.A < math.inf and 0.0 <= self.B < math.inf):
+            raise InvalidFormError(f"A and B must be finite and non-negative, got ({self.A}, {self.B})")
 
     @property
     def alpha(self) -> float:
@@ -136,41 +136,6 @@ def _ab_inverse_cdf(form: GuessingForm, u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementary measurements
-
-def stern_gerlach(input: BlochVector, axis: BlochVector, rng: np.random.Generator) -> BlochVector:
-    """Two-outcome measurement along `axis`: returns axis with the Born-rule
-    probability cos^2(t/2), its antipode otherwise. Consumes one uniform."""
-    if rng.random() < overlap2(axis, input):
-        return axis
-    return axis.antipode()
-
-
-def estimate_massar_popescu(input: BlochVector, rng: np.random.Generator) -> BlochVector:
-    """Measure along a uniformly random axis and report the observed eigendirection.
-
-    Outcome density over the sphere is (1/2pi) cos^2(t/2) in the angle t to
-    the input. Consumes three uniforms (axis z, axis azimuth, Born draw).
-    """
-    axis = random_direction(rng)
-    return stern_gerlach(input, axis, rng)
-
-
-def sample_from_form(
-    form: GuessingForm, input: BlochVector, rng: np.random.Generator
-) -> BlochVector:
-    """One direction with density A cos^2(t/2) + B sin^2(t/2) about `input`.
-
-    Inverse-CDF in cos t plus a uniform azimuth; consumes two uniforms.
-    """
-    form.require_normalized()
-    t = _ab_inverse_cdf(form, np.array([rng.random()]))
-    phi = np.array([rng.uniform(0.0, TWO_PI)])
-    out = directions_at_angle(input.as_array()[None, :], t, phi)[0]
-    return BlochVector.normalized(*out)
-
-
-# ---------------------------------------------------------------------------
 # strategies
 
 class EstimatorStrategy(ABC):
@@ -187,6 +152,7 @@ class EstimatorStrategy(ABC):
         """Guess directions for an (n, 3) array of inputs; fixed draw order."""
 
     def sample(self, input: BlochVector, rng: np.random.Generator) -> BlochVector:
+        """One guess: sample_batch at n = 1, with the same draws."""
         return BlochVector.normalized(*self.sample_batch(input.as_array()[None, :], rng)[0])
 
     def bin_probabilities(self, theta_edges: np.ndarray) -> np.ndarray:
@@ -195,7 +161,11 @@ class EstimatorStrategy(ABC):
 
 
 class MassarPopescuStrategy(EstimatorStrategy):
-    """Random-axis two-outcome measurement; density (1/2pi) cos^2(t/2)."""
+    """Measure along a uniformly random axis and report the observed eigendirection.
+
+    Outcome density (1/2pi) cos^2(t/2); consumes three uniforms per guess
+    (axis z, axis azimuth, Born draw).
+    """
 
     label = "massar-popescu"
     form = MASSAR_POPESCU_FORM
@@ -209,15 +179,15 @@ class MassarPopescuStrategy(EstimatorStrategy):
         keep = born < (1.0 + dots(axes, inputs)) / 2.0
         return np.where(keep[:, None], axes, -axes)
 
-    def sample(self, input: BlochVector, rng: np.random.Generator) -> BlochVector:
-        return estimate_massar_popescu(input, rng)
-
     def bin_probabilities(self, theta_edges: np.ndarray) -> np.ndarray:
         return ab_bin_probabilities(self.form, theta_edges)
 
 
 class ABFormStrategy(EstimatorStrategy):
-    """Direct sampler of a normalized two-parameter guessing density."""
+    """Direct sampler of a normalized two-parameter guessing density.
+
+    Inverse CDF in cos t plus a uniform azimuth; consumes two uniforms per guess.
+    """
 
     def __init__(self, form: GuessingForm):
         self.form = form.require_normalized()
@@ -230,9 +200,6 @@ class ABFormStrategy(EstimatorStrategy):
         t = _ab_inverse_cdf(self.form, rng.random(len(inputs)))
         phi = rng.uniform(0.0, TWO_PI, size=len(inputs))
         return directions_at_angle(inputs, t, phi)
-
-    def sample(self, input: BlochVector, rng: np.random.Generator) -> BlochVector:
-        return sample_from_form(self.form, input, rng)
 
     def bin_probabilities(self, theta_edges: np.ndarray) -> np.ndarray:
         return ab_bin_probabilities(self.form, theta_edges)
@@ -255,10 +222,10 @@ class TabulatedStrategy(EstimatorStrategy):
         values = np.asarray(values, dtype=float)
         if thetas.ndim != 1 or thetas.shape != values.shape or len(thetas) < 2:
             raise InvalidFormError("need matching 1-d theta and value grids with >= 2 nodes")
-        if thetas[0] != 0.0 or abs(thetas[-1] - math.pi) > 1e-12 or np.any(np.diff(thetas) <= 0):
+        if thetas[0] != 0.0 or abs(thetas[-1] - math.pi) > 1e-12 or not np.all(np.diff(thetas) > 0):
             raise InvalidFormError("theta grid must increase strictly from 0 to pi")
-        if values.min() < 0.0:
-            raise InvalidFormError("tabulated densities must be non-negative")
+        if not np.all(np.isfinite(values)) or values.min() < 0.0:
+            raise InvalidFormError("tabulated densities must be finite and non-negative")
         self.thetas = thetas
         self.values = values
         self.label = label
@@ -269,7 +236,7 @@ class TabulatedStrategy(EstimatorStrategy):
         self._node_density = dens
         self._cdf = np.concatenate([[0.0], np.cumsum(_linear_cells_sphere_mass(nodes, dens))])
         self.sphere_integral = float(self._cdf[-1])
-        if abs(self.sphere_integral - 1.0) > TABULATED_NORM_TOL:
+        if not abs(self.sphere_integral - 1.0) <= TABULATED_NORM_TOL:
             raise InvalidFormError(
                 f"tabulated density must integrate to 1 over the sphere, got {self.sphere_integral}"
             )
@@ -300,15 +267,28 @@ class TabulatedStrategy(EstimatorStrategy):
         """Sphere average of a vectorized angle score under the sampled
         (renormalized) density, by 5-point Gauss-Legendre per refinement cell
         (the density is linear within a cell, so only the score limits accuracy)."""
-        x, w = np.polynomial.legendre.leggauss(5)
-        t0, t1 = self._nodes[:-1, None], self._nodes[1:, None]
-        half = (t1 - t0) / 2.0
-        s = (t0 + t1) / 2.0 + half * x
-        d0, d1 = self._node_density[:-1, None], self._node_density[1:, None]
-        dens = d0 + (d1 - d0) * (x + 1.0) / 2.0
-        y = dens * np.reshape(score(s.ravel()), s.shape) * np.sin(s)
-        total = TWO_PI * float(np.sum(half * y * w))
-        return total / self.sphere_integral
+        theta, weights = composite_gauss_legendre(self._nodes, 5)
+        y = self.density(theta) * score(theta) * np.sin(theta)
+        return TWO_PI * float(np.sum(y * weights)) / self.sphere_integral
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)
+
+
+def composite_gauss_legendre(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (nodes, weights) of the `order`-point Gauss-Legendre rule on each
+    panel [edges[i], edges[i+1]]; the Legendre table is computed once per order.
+
+    Exact for polynomials of degree < 2 * order on every panel, so panel edges
+    belong at the kinks of a piecewise integrand.
+    """
+    x, w = _legendre_rule(order)
+    edges = np.asarray(edges, dtype=float)
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    half = (edges[1:] - edges[:-1]) / 2.0
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
 def _linear_cells_sphere_mass(nodes: np.ndarray, dens: np.ndarray) -> np.ndarray:

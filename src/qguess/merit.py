@@ -7,9 +7,10 @@ over the normalized family 2pi(A+B) = 1 every monotone merit is maximized at
 an endpoint; for the fidelity score cos^2(t/2) the average has the closed
 form (2pi/3)(2A + B), peaking at 2/3 when B = 0.
 
-Averages are computed by adaptive quadrature (with the merit's tabulation
-nodes as breakpoints when it has them) so the closed form and the optimizer
-scan stay independent checks of each other rather than one construction.
+Averages are computed by composite Gauss-Legendre quadrature (panels split at
+the merit's tabulation nodes when it has them) so the closed form and the
+optimizer scan stay independent checks of each other rather than one
+construction.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import streams
 from .bloch import dots, random_directions
@@ -29,6 +29,7 @@ from .estimator import (
     EstimatorStrategy,
     GuessingForm,
     TWO_PI,
+    composite_gauss_legendre,
     guessing_density,
 )
 
@@ -43,8 +44,9 @@ class MeritFunction(ABC):
         """Vectorized score at angle(s) theta in [0, pi]."""
 
     def quad_points(self):
-        """Breakpoints for adaptive quadrature, or None when smooth."""
-        return None
+        """Interior kinks of the score in (0, pi), used as quadrature panel
+        edges; empty when the score is smooth."""
+        return ()
 
 
 class FidelityMerit(MeritFunction):
@@ -69,9 +71,9 @@ class MonotoneTabulatedMerit(MeritFunction):
         scores = np.asarray(scores, dtype=float)
         if thetas.ndim != 1 or thetas.shape != scores.shape or len(thetas) < 2:
             raise QGuessError("need matching 1-d theta and score grids with >= 2 nodes")
-        if thetas[0] != 0.0 or abs(thetas[-1] - math.pi) > 1e-12 or np.any(np.diff(thetas) <= 0):
+        if thetas[0] != 0.0 or abs(thetas[-1] - math.pi) > 1e-12 or not np.all(np.diff(thetas) > 0):
             raise QGuessError("theta grid must increase strictly from 0 to pi")
-        if scores.min() < 0.0 or scores.max() > 1.0:
+        if not (scores.min() >= 0.0 and scores.max() <= 1.0):
             raise QGuessError("merit scores must lie in [0, 1]")
         if np.any(np.diff(scores) > 1e-12):
             raise QGuessError("merit scores must be non-increasing in theta")
@@ -109,16 +111,12 @@ def average_fidelity_exact(form: GuessingForm) -> float:
 
 
 def average_merit(form: GuessingForm, merit: MeritFunction) -> float:
-    """Sphere average of the merit against the density, by adaptive quadrature."""
+    """Sphere average of the merit against the density, by 24-point
+    Gauss-Legendre on each panel between the merit's kinks."""
     form.require_normalized()
-
-    def integrand(theta: float) -> float:
-        return float(merit.score(theta)) * guessing_density(form, theta) * TWO_PI * math.sin(theta)
-
-    points = merit.quad_points()
-    limit = 100 if points is None else max(100, 2 * len(points) + 10)
-    value, _ = quad(integrand, 0.0, math.pi, points=points, limit=limit, epsabs=1e-12, epsrel=1e-12)
-    return value
+    theta, weights = composite_gauss_legendre([0.0, *merit.quad_points(), math.pi], 24)
+    y = merit.score(theta) * guessing_density(form, theta) * np.sin(theta)
+    return TWO_PI * float(np.sum(y * weights))
 
 
 def expected_fidelity(strategy: EstimatorStrategy) -> float:

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from . import streams
 from .bloch import BlochVector
@@ -37,6 +36,7 @@ from .estimator import (
     GuessingForm,
     TabulatedStrategy,
     TWO_PI,
+    composite_gauss_legendre,
     guessing_density,
 )
 
@@ -160,18 +160,6 @@ def cos4_strategy(nodes: int = 4001) -> TabulatedStrategy:
 # ---------------------------------------------------------------------------
 # expected cap frequencies (quadrature oracle for the counting experiment)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
-
-def _composite_gl(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    edges = np.linspace(a, b, panels + 1)
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = np.broadcast_to(_GL_WEIGHTS, (panels, len(_GL_WEIGHTS))) * half[:, None]
-    return nodes, weights.ravel()
-
-
 def cap_frequency(density, axis_angle: float, cap_half_angle: float) -> float:
     """Probability that a guess lands in the cap about +z when the input
     direction makes `axis_angle` with +z, for an isotropic outcome density.
@@ -181,7 +169,7 @@ def cap_frequency(density, axis_angle: float, cap_half_angle: float) -> float:
     """
     if not 0.0 < cap_half_angle <= math.pi:
         raise ValueError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")
-    u, wu = _composite_gl(0.0, cap_half_angle, panels=16)
+    u, wu = composite_gauss_legendre(np.linspace(0.0, cap_half_angle, 17), 24)
     n_v = 1024
     v = (np.arange(n_v) + 0.5) * (TWO_PI / n_v)
     cos_t = np.cos(u)[:, None] * math.cos(axis_angle) + np.sin(u)[:, None] * math.sin(
@@ -222,7 +210,9 @@ def required_trials(
     gap = abs(f_std - f_sym)
     if gap == 0.0:
         raise QGuessError("decompositions have identical cap frequencies; no finite trial count separates them")
-    z_power = float(norm.ppf(power))
+    from scipy.special import ndtri
+
+    z_power = float(ndtri(power))
     variance = f_std * (1.0 - f_std) + f_sym * (1.0 - f_sym)
     return math.ceil(safety * ((z_detect + z_power) / gap) ** 2 * variance)
 

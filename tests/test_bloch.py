@@ -24,7 +24,6 @@ from qguess.bloch import (
     ket_from_bloch,
     orthonormal_frames,
     overlap2,
-    random_direction,
     random_directions,
 )
 from qguess.errors import (
@@ -74,9 +73,8 @@ def test_from_amplitudes_canonicalizes_global_phase():
 
 
 def test_ket_bloch_round_trip():
-    rng = substream(1)
-    for _ in range(200):
-        v = random_direction(rng)
+    for row in random_directions(substream(1), 200):
+        v = BlochVector.from_array(row)
         back = bloch_from_ket(ket_from_bloch(v))
         assert abs(back.x - v.x) <= ROUNDTRIP_TOL
         assert abs(back.y - v.y) <= ROUNDTRIP_TOL
@@ -92,16 +90,16 @@ def test_poles_are_exact():
 
 def test_overlap2_matches_inner_product():
     rng = substream(2)
-    for _ in range(100):
-        a, b = random_direction(rng), random_direction(rng)
+    for ra, rb in zip(random_directions(rng, 100), random_directions(rng, 100)):
+        a, b = BlochVector.from_array(ra), BlochVector.from_array(rb)
         inner = ket_from_bloch(a).inner(ket_from_bloch(b))
         assert overlap2(a, b) == pytest.approx(abs(inner) ** 2, abs=ROUNDTRIP_TOL)
 
 
 def test_overlap2_is_half_angle_cosine():
     rng = substream(3)
-    for _ in range(100):
-        a, b = random_direction(rng), random_direction(rng)
+    for ra, rb in zip(random_directions(rng, 100), random_directions(rng, 100)):
+        a, b = BlochVector.from_array(ra), BlochVector.from_array(rb)
         t = angle_between(a, b)
         assert overlap2(a, b) == pytest.approx(math.cos(t / 2.0) ** 2, abs=ROUNDTRIP_TOL)
 
@@ -116,9 +114,8 @@ def test_density_operator_validation():
 
 
 def test_pure_state_density_recovers_direction():
-    rng = substream(4)
-    for _ in range(50):
-        v = random_direction(rng)
+    for row in random_directions(substream(4), 50):
+        v = BlochVector.from_array(row)
         ens = EnsembleDecomposition(((1.0, v),))
         r = density_from_mixture(ens).bloch_vector()
         assert np.allclose(r, v.as_array(), atol=ROUNDTRIP_TOL)

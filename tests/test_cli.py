@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -174,3 +176,10 @@ def test_runtime_failures_exit_3(runner):
     )
     assert result.exit_code == 3
     assert "occupied bins" in result.output
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only inside the functions that need it
+    code = "import sys, qguess.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -7,8 +7,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chi2 as chi2_dist
 
-from qguess.bloch import BlochVector, random_direction
-from qguess.errors import InvalidFormError
+from qguess.bloch import BlochVector
+from qguess.errors import InvalidFormError, QGuessError
 from qguess.estimator import (
     ABFormStrategy,
     DensityHistogram,
@@ -22,13 +22,11 @@ from qguess.estimator import (
     bin_outcomes,
     cap_probability,
     collect_histogram,
-    estimate_massar_popescu,
     guessing_density,
     histogram_chi2,
     histogram_csv,
-    sample_from_form,
-    stern_gerlach,
 )
+from qguess.merit import MonotoneTabulatedMerit
 from qguess.streams import substream
 
 TWO_PI = 2.0 * math.pi
@@ -43,6 +41,27 @@ def test_form_rejects_negative_parameters():
         GuessingForm(-0.1, 0.2)
     with pytest.raises(InvalidFormError):
         GuessingForm(0.1, -0.2)
+
+
+UNIFORM_GRID = np.linspace(0.0, math.pi, 2001)
+UNIFORM_VALUES = np.full(2001, 1.0 / (4.0 * math.pi))
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda: GuessingForm(math.nan, 0.0),
+        lambda: GuessingForm(0.1, math.inf),
+        lambda: BlochVector(math.nan, 0.0, 1.0),
+        lambda: TabulatedStrategy(UNIFORM_GRID, np.where(np.arange(2001) == 1000, math.nan, UNIFORM_VALUES)),
+        lambda: TabulatedStrategy(np.where(np.arange(2001) == 1000, math.nan, UNIFORM_GRID), UNIFORM_VALUES),
+        lambda: MonotoneTabulatedMerit(np.linspace(0.0, math.pi, 5), [1.0, 0.8, math.nan, 0.4, 0.2]),
+    ],
+    ids=["form-nan", "form-inf", "bloch-nan", "tabulated-nan-value", "tabulated-nan-theta", "merit-nan"],
+)
+def test_constructors_reject_non_finite_input(construct):
+    with pytest.raises(QGuessError):
+        construct()
 
 
 def test_form_alpha_beta_identities():
@@ -109,37 +128,7 @@ def test_inverse_cdf_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# elementary measurements
-
-def test_stern_gerlach_outcomes_and_frequency():
-    inp = BlochVector.normalized(0.2, 0.3, 0.9)
-    axis = BlochVector.normalized(-0.5, 0.1, 0.85)
-    rng = substream(8)
-    hits = 0
-    for _ in range(20_000):
-        out = stern_gerlach(inp, axis, rng)
-        assert out == axis or out == axis.antipode()
-        hits += out == axis
-    p = (1.0 + axis.dot(inp)) / 2.0
-    se = math.sqrt(p * (1.0 - p) / 20_000)
-    assert abs(hits / 20_000 - p) < 4.0 * se
-
-
-def test_estimate_massar_popescu_is_reproducible():
-    inp = BlochVector.normalized(0.3, -0.5, 0.8)
-    out1 = estimate_massar_popescu(inp, substream(5))
-    out2 = estimate_massar_popescu(inp, substream(5))
-    assert out1 == out2
-    # composition: one axis draw then one Born draw on the same stream
-    rng = substream(5)
-    axis = random_direction(rng)
-    assert stern_gerlach(inp, axis, rng) == out1
-
-
-def test_sample_from_form_requires_normalization():
-    with pytest.raises(InvalidFormError):
-        sample_from_form(GuessingForm(0.2, 0.2), BlochVector(0.0, 0.0, 1.0), substream(0))
-
+# scalar API
 
 def test_scalar_samples_match_batch_of_one():
     inp = BlochVector.normalized(0.3, -0.5, 0.8)
