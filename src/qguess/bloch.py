@@ -255,23 +255,58 @@ def angles_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def orthonormal_frames(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two (n, 3) arrays (e1, e2) completing each row of `axes` to a frame.
 
-    The helper axis is x-hat except where |x| dominates, where y-hat is used;
-    the choice is deterministic per row.
+    The helper axis h is x-hat except where |x| > 0.9, where y-hat is used;
+    the choice is deterministic per row. e1 = a x h / |a x h| and e2 = a x e1
+    are written out on 1-D component arrays: with h = (h0, h1, 0) that is
+    e1 = (y*0 - z*h1, z*h0 - x*0, x*h1 - y*h0), i.e. (0, z, -y) for x-hat and
+    (-z, 0, x) for y-hat. Every product, difference and the norm
+    sqrt((e1_0^2 + e1_1^2) + e1_2^2) is the one numpy's cross product and
+    vector norm evaluate on (n, 3) rows, in the same order, so the frames
+    are byte-identical to theirs, signed zeros included.
     """
     axes = np.asarray(axes, dtype=float)
-    helper = np.zeros_like(axes)
-    use_y = np.abs(axes[:, 0]) > 0.9
-    helper[use_y, 1] = 1.0
-    helper[~use_y, 0] = 1.0
-    e1 = np.cross(axes, helper)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(axes, e1)
-    return e1, e2
+    x, y, z = axes[:, 0], axes[:, 1], axes[:, 2]
+    h1 = (np.abs(x) > 0.9).astype(float)
+    h0 = 1.0 - h1
+    e1 = np.empty((3, len(axes)))
+    u0, u1, u2 = e1
+    np.multiply(y, 0.0, out=u0)
+    u0 -= z * h1
+    np.multiply(z, h0, out=u1)
+    u1 -= x * 0.0
+    np.multiply(x, h1, out=u2)
+    u2 -= y * h0
+    e1 /= np.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
+    e2 = np.empty_like(e1)
+    v0, v1, v2 = e2
+    np.multiply(y, u2, out=v0)
+    v0 -= z * u1
+    np.multiply(z, u0, out=v1)
+    v1 -= x * u2
+    np.multiply(x, u1, out=v2)
+    v2 -= y * u0
+    return e1.T, e2.T
 
 
 def directions_at_angle(axes: np.ndarray, cos_theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Unit vectors at polar angle arccos(cos_theta) and azimuth phi about each axis."""
+    """Unit vectors at polar angle arccos(cos_theta) and azimuth phi about each axis.
+
+    Row i is t*a + s*(cos(phi)*e1 + sin(phi)*e2) with t = cos_theta[i] and
+    s = sqrt(1 - t^2), evaluated one column at a time into a C-contiguous
+    (n, 3) array (the layout `dots` sums in a fixed order).
+    """
+    axes = np.asarray(axes, dtype=float)
     e1, e2 = orthonormal_frames(axes)
-    t = cos_theta[:, None]
-    s = np.sqrt(np.clip(1.0 - cos_theta * cos_theta, 0.0, None))[:, None]
-    return t * axes + s * (np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2)
+    s = np.sqrt(np.clip(1.0 - cos_theta * cos_theta, 0.0, None))
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    out = np.empty((len(cos_theta), 3))
+    col = np.empty(len(cos_theta))
+    tmp = np.empty(len(cos_theta))
+    for k in range(3):
+        np.multiply(cos_phi, e1[:, k], out=col)
+        np.multiply(sin_phi, e2[:, k], out=tmp)
+        col += tmp
+        col *= s
+        np.multiply(cos_theta, axes[:, k], out=tmp)
+        np.add(tmp, col, out=out[:, k])
+    return out

@@ -124,7 +124,8 @@ def _strategy_fields(payload: dict, strategy: str, a_frac: float) -> dict:
 
 
 def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """Strict JSON: a NaN or infinity raises instead of printing `NaN`/`Infinity`."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})

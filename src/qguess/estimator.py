@@ -212,10 +212,14 @@ class TabulatedStrategy(EstimatorStrategy):
     integral of the interpolant must be 1 within 1e-6. Within each grid cell
     the interpolant is linear in theta, so cell integrals of f(t) sin t have
     a closed antiderivative; the CDF used for sampling is exact at the nodes
-    of an internal refinement and inverted by interpolation.
+    of an internal refinement. It is inverted piecewise linearly, with the
+    cell found through a guide table (Chen & Asau 1974; Devroye 1986,
+    sec. III.2) and the same bracket and slope as `np.interp` on that CDF, so
+    the angles are byte-identical to `np.interp`'s.
     """
 
     REFINEMENT = 8193  # internal CDF nodes before merging the user grid
+    GUIDE_PER_NODE = 2  # guide-table cells per CDF node
 
     def __init__(self, thetas, values, label: str = "tabulated"):
         thetas = np.asarray(thetas, dtype=float)
@@ -240,6 +244,15 @@ class TabulatedStrategy(EstimatorStrategy):
             raise InvalidFormError(
                 f"tabulated density must integrate to 1 over the sphere, got {self.sphere_integral}"
             )
+        self._xp = self._cdf / self.sphere_integral
+        # np.interp's per-cell slope; a flat cell gets inf, but no bracket selects it
+        with np.errstate(divide="ignore"):
+            self._slope = np.diff(nodes) / np.diff(self._xp)
+        k = self.GUIDE_PER_NODE * len(nodes)
+        # guide[i]: cell of the CDF value i/k; k + 1 entries so that u*k rounding up to k is covered
+        self._guide = np.minimum(
+            np.searchsorted(self._xp, np.arange(k + 1) / k, side="right") - 1, len(nodes) - 2
+        )
 
     def density(self, theta):
         out = np.interp(np.asarray(theta, dtype=float), self.thetas, self.values)
@@ -254,9 +267,40 @@ class TabulatedStrategy(EstimatorStrategy):
         partial = _linear_segment_sphere_mass(t0, f0, t1, f1, np.clip(q, t0, t1))
         return (self._cdf[idx] + partial) / self.sphere_integral
 
+    def _cdf_cell(self, u: np.ndarray) -> np.ndarray:
+        """Cell j with xp[j] <= u < xp[j+1] for each u in [0, 1) (xp the
+        normalized CDF): the bracket of `np.interp` and of
+        `np.searchsorted(xp, u, "right") - 1`.
+
+        Start at the guide entry of u's guide cell, take at most two steps
+        up, then check every bracket; rows that still miss it (more than two
+        nodes in one guide cell where the density is small, rounding at
+        guide-cell edges) fall back to a binary search.
+        """
+        xp = self._xp
+        j = self._guide.take((u * (len(self._guide) - 1)).astype(np.intp))
+        hi = xp.take(j + 1)
+        up = np.flatnonzero(hi <= u)
+        if up.size:
+            j_up, u_up = j[up], u[up]
+            for _ in range(2):
+                j_up += xp.take(j_up + 1) <= u_up
+            j[up] = j_up
+            hi[up] = xp.take(j_up + 1)
+        miss = np.flatnonzero((u < xp.take(j)) | (u >= hi))
+        if miss.size:
+            j[miss] = np.searchsorted(xp, u[miss], side="right") - 1
+        return j
+
+    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        """Angles at which the normalized CDF takes the values u (1-d, in [0, 1)),
+        linear between refinement nodes."""
+        u = np.asarray(u, dtype=float)
+        j = self._cdf_cell(u)
+        return self._slope.take(j) * (u - self._xp.take(j)) + self._nodes.take(j)
+
     def sample_batch(self, inputs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(len(inputs))
-        theta = np.interp(u, self._cdf / self.sphere_integral, self._nodes)
+        theta = self.inverse_cdf(rng.random(len(inputs)))
         phi = rng.uniform(0.0, TWO_PI, size=len(inputs))
         return directions_at_angle(inputs, np.cos(theta), phi)
 

@@ -222,7 +222,11 @@ def required_trials(
 
 @dataclass(frozen=True)
 class DiscriminationReport:
-    """Cap-frequency comparison between the two preparations of one mixture."""
+    """Cap-frequency comparison between the two preparations of one mixture.
+
+    z is None, and the verdict indeterminate, when both binomial standard
+    errors vanish (each arm saw all hits or none).
+    """
 
     p: float
     cap_half_angle: float
@@ -231,7 +235,7 @@ class DiscriminationReport:
     freq_symmetric: float
     se_standard: float
     se_symmetric: float
-    z: float
+    z: float | None
     verdict: str
     seed: int
 
@@ -292,7 +296,8 @@ def run_discrimination_experiment(
     Each run draws `trials` member choices and guesses per decomposition on
     its own substream (blocks 2*stream_block and 2*stream_block + 1), counts
     guesses inside the cap about +z, and scores the frequency gap as a
-    two-sample z statistic with binomial standard errors.
+    two-sample z statistic with binomial standard errors; with both errors
+    zero the run carries no information and is indeterminate.
     """
     if not 0.0 < cap_half_angle <= math.pi:
         raise ValueError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")
@@ -308,9 +313,10 @@ def run_discrimination_experiment(
     se_sym = math.sqrt(f_sym * (1.0 - f_sym) / trials)
     spread = math.hypot(se_std, se_sym)
     if spread == 0.0:
-        z = 0.0 if f_std == f_sym else math.inf
+        z, verdict = None, VERDICT_INDETERMINATE
     else:
         z = abs(f_std - f_sym) / spread
+        verdict = verdict_for(z)
     return DiscriminationReport(
         p=p,
         cap_half_angle=cap_half_angle,
@@ -320,7 +326,7 @@ def run_discrimination_experiment(
         se_standard=se_std,
         se_symmetric=se_sym,
         z=z,
-        verdict=verdict_for(z),
+        verdict=verdict,
         seed=seed,
     )
 

@@ -86,6 +86,21 @@ def test_nosignal_flags_inadmissible_strategy(runner):
     assert payload["overall_verdict"] == "detectable"
 
 
+def _reject_non_finite(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+@pytest.mark.parametrize("cap", ["0.001", "3.14159"])
+def test_nosignal_without_information_is_indeterminate_strict_json(runner, cap):
+    result = invoke(runner, ["nosignal", "--trials", "2", "--cap", cap, "--p", "0.9"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output, parse_constant=_reject_non_finite)
+    (report,) = payload["reports"]
+    assert report["z"] is None
+    assert report["verdict"] == "indeterminate"
+    assert payload["overall_verdict"] == "indeterminate"
+
+
 def test_fit_json_reports_pulls_for_known_forms(runner):
     result = invoke(runner, ["fit", "--trials", "100000", "--seed", "0"])
     payload = json.loads(result.output)

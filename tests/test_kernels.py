@@ -1,0 +1,156 @@
+"""Byte identity of the batch kernels against the plain-numpy constructions
+they replaced: the frame against `np.cross` and `np.linalg.norm`, the
+tabulated inverse CDF against `np.interp` over the normalized CDF. Equality
+is on `tobytes()`, so a last-ulp or signed-zero difference fails."""
+
+import math
+
+import numpy as np
+import pytest
+
+from qguess.bloch import directions_at_angle, orthonormal_frames, random_directions
+from qguess.estimator import TabulatedStrategy, _linear_cells_sphere_mass
+from qguess.nosignal import cos4_strategy
+from qguess.streams import substream
+
+
+def cross_frames(axes):
+    """Helper-axis cross product, normalized with np.linalg.norm."""
+    axes = np.asarray(axes, dtype=float)
+    helper = np.zeros_like(axes)
+    use_y = np.abs(axes[:, 0]) > 0.9
+    helper[use_y, 1] = 1.0
+    helper[~use_y, 0] = 1.0
+    e1 = np.cross(axes, helper)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(axes, e1)
+    return e1, e2
+
+
+def broadcast_directions_at_angle(axes, cos_theta, phi):
+    """(n, 3) broadcasting form of directions_at_angle on the cross frames."""
+    e1, e2 = cross_frames(axes)
+    t = cos_theta[:, None]
+    s = np.sqrt(np.clip(1.0 - cos_theta * cos_theta, 0.0, None))[:, None]
+    return t * axes + s * (np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2)
+
+
+def interp_inverse_cdf(strategy, u):
+    return np.interp(u, strategy._cdf / strategy.sphere_integral, strategy._nodes)
+
+
+def normalized_tabulated(thetas, values, label="tabulated"):
+    """TabulatedStrategy with `values` rescaled to unit sphere integral."""
+    thetas = np.asarray(thetas, dtype=float)
+    values = np.asarray(values, dtype=float)
+    mass = float(np.sum(_linear_cells_sphere_mass(thetas, values)))
+    return TabulatedStrategy(thetas, values / mass, label=label)
+
+
+def unit_rows_with_x(x, rng):
+    """Unit rows with the given x components and random (y, z) directions."""
+    x = np.asarray(x, dtype=float)
+    psi = rng.uniform(0.0, 2.0 * math.pi, size=len(x))
+    r = np.sqrt(1.0 - x * x)
+    return np.column_stack([x, r * np.cos(psi), r * np.sin(psi)])
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# frames
+
+def frame_cases():
+    rng = substream(11)
+    edge = 0.9
+    near = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+    signed = near + [-x for x in near]
+    return {
+        "random": random_directions(substream(10), 1 << 16),
+        "axes": np.concatenate([np.eye(3), -np.eye(3)]),
+        "x_at_0.9": unit_rows_with_x(np.repeat(signed, 8), rng),
+        "x_dominant": unit_rows_with_x(rng.uniform(0.9, 1.0, 256) * rng.choice([-1.0, 1.0], 256), rng),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(frame_cases()))
+def test_frames_are_byte_identical_to_cross_products(case):
+    axes = frame_cases()[case]
+    e1, e2 = orthonormal_frames(axes)
+    r1, r2 = cross_frames(axes)
+    assert_same_bytes(e1, r1)
+    assert_same_bytes(e2, r2)
+
+
+def test_directions_at_angle_is_byte_identical_and_c_contiguous():
+    rng = substream(12)
+    axes = np.concatenate([random_directions(rng, 4096), frame_cases()["axes"]])
+    cos_t = rng.uniform(-1.0, 1.0, size=len(axes))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=len(axes))
+    out = directions_at_angle(axes, cos_t, phi)
+    assert out.flags.c_contiguous
+    assert_same_bytes(out, broadcast_directions_at_angle(axes, cos_t, phi))
+    # a Fortran-ordered input still yields C-ordered output with the same bytes
+    out_f = directions_at_angle(np.asfortranarray(axes), cos_t, phi)
+    assert out_f.flags.c_contiguous
+    assert_same_bytes(out_f, out)
+
+
+# ---------------------------------------------------------------------------
+# inverse CDF
+
+def inverse_cdf_keys(strategy):
+    """Every CDF node value with its two neighbours, u = 0, and a sweep of
+    the last 64 cells below the saturated tail (the run of nodes where the
+    CDF already equals 1); all inside [0, 1)."""
+    xp = strategy._cdf / strategy.sphere_integral
+    tail = int(np.flatnonzero(xp == xp[-1])[0])
+    sweep = np.linspace(xp[max(tail - 64, 0)], 1.0, 4097)[:-1]
+    keys = np.concatenate([xp, np.nextafter(xp, -1.0), np.nextafter(xp, 2.0), [0.0], sweep])
+    return keys[(keys >= 0.0) & (keys < 1.0)]
+
+
+STRATEGIES = {
+    "cos4": cos4_strategy,
+    "coarse": lambda: normalized_tabulated([0.0, math.pi / 2.0, math.pi], [3.0, 1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_inverse_cdf_is_byte_identical_to_interp(name):
+    strategy = STRATEGIES[name]()
+    keys = inverse_cdf_keys(strategy)
+    assert_same_bytes(strategy.inverse_cdf(keys), interp_inverse_cdf(strategy, keys))
+    u = substream(13).random(1 << 16)
+    assert_same_bytes(strategy.inverse_cdf(u), interp_inverse_cdf(strategy, u))
+
+
+@pytest.mark.parametrize("shift", [-40, -3, 3, 40])
+def test_bracket_check_repairs_a_wrong_guide(shift):
+    # the check and the binary-search fallback, not the guide, decide the cell
+    strategy = cos4_strategy()
+    last = len(strategy._xp) - 2
+    strategy._guide = np.clip(strategy._guide + shift, 0, last)
+    keys = inverse_cdf_keys(strategy)
+    want = np.searchsorted(strategy._xp, keys, side="right") - 1
+    assert np.array_equal(strategy._cdf_cell(keys), want)
+
+
+def test_cos4_cdf_has_flat_cells_and_a_saturated_tail():
+    xp = cos4_strategy()._cdf
+    xp = xp / xp[-1]
+    assert np.count_nonzero(np.diff(xp) == 0.0) == 27
+    assert np.count_nonzero(xp == 1.0) == 20
+
+
+def test_tabulated_sample_batch_matches_interp_path():
+    strategy = cos4_strategy()
+    inputs = random_directions(substream(14), 2048)
+    rng = substream(15)
+    u = rng.random(len(inputs))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=len(inputs))
+    want = broadcast_directions_at_angle(inputs, np.cos(interp_inverse_cdf(strategy, u)), phi)
+    assert_same_bytes(strategy.sample_batch(inputs, substream(15)), want)

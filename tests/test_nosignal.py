@@ -211,6 +211,16 @@ def test_cos4_is_detectable_at_the_derived_trial_count():
     assert abs((rep.freq_standard - rep.freq_symmetric) - (f_std - f_sym)) < 5.0 * spread
 
 
+@pytest.mark.parametrize("cap", [0.001, 3.14159])
+def test_zero_spread_is_indeterminate(cap):
+    # two trials per arm all miss the tiny cap, or all land in the near-full one
+    rep = run_discrimination_experiment(MassarPopescuStrategy(), 0.9, cap_half_angle=cap, trials=2)
+    assert rep.se_standard == rep.se_symmetric == 0.0
+    assert rep.freq_standard == rep.freq_symmetric == (0.0 if cap < 1.0 else 1.0)
+    assert rep.z is None
+    assert rep.verdict == VERDICT_INDETERMINATE
+
+
 def test_report_dict_shape():
     rep = run_discrimination_experiment(MassarPopescuStrategy(), 0.5, trials=5_000, seed=2)
     d = rep.as_dict()
