@@ -40,7 +40,6 @@ from .nosignal import (
     DEFAULT_P_GRID,
     constraint_residual_grid,
     cos4_strategy,
-    fibonacci_directions,
     fit_ab_least_squares,
     run_discrimination_experiment,
 )
@@ -202,8 +201,7 @@ def nosignal(strategy, a_frac, trials, seed, workers, p_values, cap, out):
     """Try to tell two preparations of one mixture apart from cap counts."""
     est = build_strategy(strategy, a_frac)
     p_list = list(p_values)
-    grid = fibonacci_directions(DEFAULT_DIRECTIONS)
-    residuals = constraint_residual_grid(est.density, p_list, grid)
+    residuals = constraint_residual_grid(est.density, p_list)
     stacked = np.concatenate([r.residuals for r in residuals])
     reports = [
         run_discrimination_experiment(
@@ -253,8 +251,8 @@ def fit(strategy, a_frac, trials, seed, workers, bins, out):
     payload.update(
         {"trials": trials, "bins": bins, "seed": seed, "workers": workers, "fit": result.as_dict()}
     )
-    form = getattr(est, "form", None)
-    if form is not None:
+    if isinstance(est, ABFormStrategy):
+        form = est.form
         payload["true"] = {"A": form.A, "B": form.B}
         payload["pull_A"] = (result.A - form.A) / result.se_A
         payload["pull_B"] = (result.B - form.B) / result.se_B

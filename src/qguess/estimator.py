@@ -141,8 +141,6 @@ def _ab_inverse_cdf(form: GuessingForm, u: np.ndarray) -> np.ndarray:
 class EstimatorStrategy(ABC):
     """Isotropic estimator: output density depends only on the angle to the input."""
 
-    label: str = "strategy"
-
     @abstractmethod
     def density(self, theta):
         """Analytic outcome density (per steradian) at angle(s) theta to the input."""
@@ -155,32 +153,9 @@ class EstimatorStrategy(ABC):
         """One guess: sample_batch at n = 1, with the same draws."""
         return BlochVector.normalized(*self.sample_batch(input.as_array()[None, :], rng)[0])
 
+    @abstractmethod
     def bin_probabilities(self, theta_edges: np.ndarray) -> np.ndarray:
         """Probability mass of the outcome angle in each [edge_i, edge_i+1) bin."""
-        raise NotImplementedError
-
-
-class MassarPopescuStrategy(EstimatorStrategy):
-    """Measure along a uniformly random axis and report the observed eigendirection.
-
-    Outcome density (1/2pi) cos^2(t/2); consumes three uniforms per guess
-    (axis z, axis azimuth, Born draw).
-    """
-
-    label = "massar-popescu"
-    form = MASSAR_POPESCU_FORM
-
-    def density(self, theta):
-        return guessing_density(self.form, theta)
-
-    def sample_batch(self, inputs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        axes = random_directions(rng, len(inputs))
-        born = rng.random(len(inputs))
-        keep = born < (1.0 + dots(axes, inputs)) / 2.0
-        return np.where(keep[:, None], axes, -axes)
-
-    def bin_probabilities(self, theta_edges: np.ndarray) -> np.ndarray:
-        return ab_bin_probabilities(self.form, theta_edges)
 
 
 class ABFormStrategy(EstimatorStrategy):
@@ -191,7 +166,6 @@ class ABFormStrategy(EstimatorStrategy):
 
     def __init__(self, form: GuessingForm):
         self.form = form.require_normalized()
-        self.label = f"ab(A={form.A!r},B={form.B!r})"
 
     def density(self, theta):
         return guessing_density(self.form, theta)
@@ -203,6 +177,24 @@ class ABFormStrategy(EstimatorStrategy):
 
     def bin_probabilities(self, theta_edges: np.ndarray) -> np.ndarray:
         return ab_bin_probabilities(self.form, theta_edges)
+
+
+class MassarPopescuStrategy(ABFormStrategy):
+    """Measure along a uniformly random axis and report the observed eigendirection.
+
+    The two-parameter form with B = 0, outcome density (1/2pi) cos^2(t/2),
+    sampled by the measurement itself; consumes three uniforms per guess
+    (axis z, axis azimuth, Born draw).
+    """
+
+    def __init__(self):
+        super().__init__(MASSAR_POPESCU_FORM)
+
+    def sample_batch(self, inputs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        axes = random_directions(rng, len(inputs))
+        born = rng.random(len(inputs))
+        keep = born < (1.0 + dots(axes, inputs)) / 2.0
+        return np.where(keep[:, None], axes, -axes)
 
 
 class TabulatedStrategy(EstimatorStrategy):
@@ -221,7 +213,7 @@ class TabulatedStrategy(EstimatorStrategy):
     REFINEMENT = 8193  # internal CDF nodes before merging the user grid
     GUIDE_PER_NODE = 2  # guide-table cells per CDF node
 
-    def __init__(self, thetas, values, label: str = "tabulated"):
+    def __init__(self, thetas, values):
         thetas = np.asarray(thetas, dtype=float)
         values = np.asarray(values, dtype=float)
         if thetas.ndim != 1 or thetas.shape != values.shape or len(thetas) < 2:
@@ -232,7 +224,6 @@ class TabulatedStrategy(EstimatorStrategy):
             raise InvalidFormError("tabulated densities must be finite and non-negative")
         self.thetas = thetas
         self.values = values
-        self.label = label
 
         nodes = np.union1d(np.linspace(0.0, math.pi, self.REFINEMENT), thetas)
         dens = np.interp(nodes, thetas, values)
@@ -421,7 +412,6 @@ def collect_histogram(
     bins: int = DEFAULT_BINS,
     seed: int = 0,
     workers: int = 1,
-    stream_block: int = 0,
 ) -> DensityHistogram:
     """Monte Carlo outcome-angle histogram with isotropically drawn inputs.
 
@@ -433,7 +423,7 @@ def collect_histogram(
         raise ValueError(f"bins must be >= 2, got {bins}")
     counts = np.zeros(bins, dtype=np.int64)
     edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(0.0, math.pi))
-    for rng, m in streams.worker_batches(seed, trials, workers, block=stream_block):
+    for rng, m in streams.worker_batches(seed, trials, workers):
         inputs = random_directions(rng, m)
         outcomes = strategy.sample_batch(inputs, rng)
         counts += np.histogram(angles_between(inputs, outcomes), bins=edges)[0]

@@ -25,6 +25,7 @@ from . import streams
 from .bloch import dots, random_directions
 from .errors import QGuessError
 from .estimator import (
+    ABFormStrategy,
     DEFAULT_TRIALS,
     EstimatorStrategy,
     GuessingForm,
@@ -122,9 +123,8 @@ def average_merit(form: GuessingForm, merit: MeritFunction) -> float:
 def expected_fidelity(strategy: EstimatorStrategy) -> float:
     """Analytic average fidelity of a strategy: closed form when it carries a
     two-parameter form, dense quadrature of its tabulated density otherwise."""
-    form = getattr(strategy, "form", None)
-    if form is not None:
-        return average_fidelity_exact(form)
+    if isinstance(strategy, ABFormStrategy):
+        return average_fidelity_exact(strategy.form)
     return strategy.sphere_expectation(FidelityMerit().score)
 
 
@@ -190,20 +190,12 @@ def optimize_ab(merit: MeritFunction, grid_points: int = 1001) -> ScanResult:
 
 @dataclass(frozen=True)
 class MeritReport:
-    """A merit average with its provenance and, when sampled, its error bar."""
+    """A Monte Carlo merit average: the sample mean, its standard error and
+    the number of trials behind it."""
 
     value: float
-    method: str
-    std_error: float | None = None
-    trials: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "std_error": self.std_error,
-            "trials": self.trials,
-        }
+    std_error: float
+    trials: int
 
 
 def monte_carlo_fidelity(
@@ -211,7 +203,6 @@ def monte_carlo_fidelity(
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     workers: int = 1,
-    stream_block: int = 0,
 ) -> MeritReport:
     """Sample mean of cos^2(t/2) over isotropic inputs, with standard error.
 
@@ -223,7 +214,7 @@ def monte_carlo_fidelity(
         raise ValueError(f"need at least 2 trials, got {trials}")
     total = 0.0
     total_sq = 0.0
-    for rng, m in streams.worker_batches(seed, trials, workers, block=stream_block):
+    for rng, m in streams.worker_batches(seed, trials, workers):
         inputs = random_directions(rng, m)
         outcomes = strategy.sample_batch(inputs, rng)
         s = (1.0 + dots(inputs, outcomes)) / 2.0
@@ -231,9 +222,4 @@ def monte_carlo_fidelity(
         total_sq += float(np.sum(s * s))
     mean = total / trials
     variance = max(total_sq - trials * mean * mean, 0.0) / (trials - 1)
-    return MeritReport(
-        value=mean,
-        method="monte-carlo",
-        std_error=math.sqrt(variance / trials),
-        trials=trials,
-    )
+    return MeritReport(value=mean, std_error=math.sqrt(variance / trials), trials=trials)

@@ -22,12 +22,12 @@ apart from cap frequencies alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import statistics
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import streams
-from .bloch import BlochVector
 from .ensembles import EnsembleDecomposition, standard_decomposition, symmetric_decomposition, tilt_angle
 from .errors import QGuessError, UnfittableHistogramError
 from .estimator import (
@@ -48,6 +48,10 @@ DEFAULT_DIRECTIONS = 200
 Z_NOT_DETECTABLE = 4.0
 Z_DETECTABLE = 5.0
 
+# required_trials: chance of clearing Z_DETECTABLE, and the margin on the count
+DETECTION_POWER = 0.999
+TRIAL_SAFETY = 1.2
+
 VERDICT_NOT_DETECTABLE = "not detectable"
 VERDICT_DETECTABLE = "detectable"
 VERDICT_INDETERMINATE = "indeterminate"
@@ -65,12 +69,7 @@ def fibonacci_directions(n: int) -> np.ndarray:
 
 
 def _direction_array(m_grid) -> np.ndarray:
-    if isinstance(m_grid, np.ndarray):
-        dirs = np.asarray(m_grid, dtype=float)
-    else:
-        dirs = np.array(
-            [m.as_array() if isinstance(m, BlochVector) else np.asarray(m, dtype=float) for m in m_grid]
-        )
+    dirs = np.asarray(m_grid, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != 3 or len(dirs) == 0:
         raise ValueError("m_grid must be a non-empty collection of 3-vectors")
     return dirs
@@ -110,10 +109,9 @@ def constraint_residual(density, p: float, m_grid) -> ConstraintResidual:
     return ConstraintResidual(p=p, residuals=np.abs(lhs - rhs))
 
 
-def constraint_residual_grid(density, p_values=DEFAULT_P_GRID, m_grid=None) -> list[ConstraintResidual]:
-    """constraint_residual at each weight; default 200-direction Fibonacci grid."""
-    if m_grid is None:
-        m_grid = fibonacci_directions(DEFAULT_DIRECTIONS)
+def constraint_residual_grid(density, p_values=DEFAULT_P_GRID) -> list[ConstraintResidual]:
+    """constraint_residual at each weight on the DEFAULT_DIRECTIONS-point Fibonacci grid."""
+    m_grid = fibonacci_directions(DEFAULT_DIRECTIONS)
     return [constraint_residual(density, p, m_grid) for p in p_values]
 
 
@@ -125,16 +123,15 @@ class AbDerivation:
     max_deviation: float
 
 
-def derive_ab_form(density, theta_grid=None) -> AbDerivation:
-    """Form with A = density(0), B = density(pi); deviation maxed over the grid.
+def derive_ab_form(density) -> AbDerivation:
+    """Form with A = density(0), B = density(pi); deviation maxed over 1001
+    equally spaced angles in [0, pi].
 
     A density obeying the decomposition identity matches its endpoint form
     everywhere (deviation at rounding level); curvature in cos t shows up as
     a non-trivial deviation, largest near t = pi/2.
     """
-    if theta_grid is None:
-        theta_grid = np.linspace(0.0, math.pi, 1001)
-    grid = np.asarray(theta_grid, dtype=float)
+    grid = np.linspace(0.0, math.pi, 1001)
     g = np.asarray(density(grid))
     form = GuessingForm(float(g[0]), float(g[-1]))
     deviation = np.abs(g - guessing_density(form, grid))
@@ -150,11 +147,11 @@ def cos4_density(theta):
     return float(out) if np.isscalar(theta) else out
 
 
-def cos4_strategy(nodes: int = 4001) -> TabulatedStrategy:
-    """Tabulated sampler of the cos^4 density (grid fine enough to renormalize
-    within the tabulation tolerance)."""
-    grid = np.linspace(0.0, math.pi, nodes)
-    return TabulatedStrategy(grid, cos4_density(grid), label="cos4")
+def cos4_strategy() -> TabulatedStrategy:
+    """Tabulated sampler of the cos^4 density on 4001 equally spaced angles
+    (fine enough to renormalize within the tabulation tolerance)."""
+    grid = np.linspace(0.0, math.pi, 4001)
+    return TabulatedStrategy(grid, cos4_density(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -192,29 +189,23 @@ def expected_cap_frequencies(density, p: float, cap_half_angle: float) -> tuple[
     return f_std, f_sym
 
 
-def required_trials(
-    density,
-    p: float,
-    cap_half_angle: float = DEFAULT_CAP_HALF_ANGLE,
-    z_detect: float = Z_DETECTABLE,
-    power: float = 0.999,
-    safety: float = 1.2,
-) -> int:
+def required_trials(density, p: float, cap_half_angle: float = DEFAULT_CAP_HALF_ANGLE) -> int:
     """Trials per decomposition so the experiment flags a frequency gap with
-    the given power at the z_detect threshold.
+    probability DETECTION_POWER at the Z_DETECTABLE threshold.
 
     Sized from the quadrature frequencies: z grows like gap * sqrt(N / (v1+v2))
-    with v = f(1-f), so N = safety * ((z_detect + z_power) / gap)^2 * (v1+v2).
+    with v = f(1-f), so N = TRIAL_SAFETY * ((Z_DETECTABLE + z_power) / gap)^2 * (v1+v2),
+    z_power the standard normal quantile at DETECTION_POWER.
     """
     f_std, f_sym = expected_cap_frequencies(density, p, cap_half_angle)
     gap = abs(f_std - f_sym)
+    if not math.isfinite(gap):
+        raise QGuessError(f"cap frequencies must be finite, got {f_std} and {f_sym}")
     if gap == 0.0:
         raise QGuessError("decompositions have identical cap frequencies; no finite trial count separates them")
-    from scipy.special import ndtri
-
-    z_power = float(ndtri(power))
+    z_power = statistics.NormalDist().inv_cdf(DETECTION_POWER)
     variance = f_std * (1.0 - f_std) + f_sym * (1.0 - f_sym)
-    return math.ceil(safety * ((z_detect + z_power) / gap) ** 2 * variance)
+    return math.ceil(TRIAL_SAFETY * ((Z_DETECTABLE + z_power) / gap) ** 2 * variance)
 
 
 # ---------------------------------------------------------------------------
@@ -240,18 +231,7 @@ class DiscriminationReport:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "cap_half_angle": self.cap_half_angle,
-            "trials": self.trials,
-            "freq_standard": self.freq_standard,
-            "freq_symmetric": self.freq_symmetric,
-            "se_standard": self.se_standard,
-            "se_symmetric": self.se_symmetric,
-            "z": self.z,
-            "verdict": self.verdict,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def verdict_for(z: float) -> str:
@@ -357,20 +337,7 @@ class FitResult:
     trials: int
 
     def as_dict(self) -> dict:
-        return {
-            "A": self.A,
-            "B": self.B,
-            "se_A": self.se_A,
-            "se_B": self.se_B,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "se_alpha": self.se_alpha,
-            "se_beta": self.se_beta,
-            "chi2": self.chi2,
-            "dof": self.dof,
-            "bins": self.bins,
-            "trials": self.trials,
-        }
+        return asdict(self)
 
 
 def _wls_line(x: np.ndarray, y: np.ndarray, variances: np.ndarray):

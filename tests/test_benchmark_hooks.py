@@ -1,0 +1,71 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps qguess functions in the
+namespaces their callers resolve them from, and `sample_batch` in the body of
+each strategy class. A refactor that drops one of those names, or moves a
+`sample_batch` into a base class, breaks only traced benchmark runs; these
+tests catch it in the ordinary suite."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from qguess import merit
+from qguess.estimator import ABFormStrategy, GuessingForm, MassarPopescuStrategy
+from qguess.nosignal import cos4_strategy
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve annotations there
+    spec.loader.exec_module(module)
+    return module
+
+
+def hook_points(tracing) -> dict:
+    """Every attribute the tracer replaces, mapped to its current value."""
+    owners = [(importlib.import_module(mod), attr) for mod, attr, _, _ in tracing.FUNCTIONS]
+    owners.append((importlib.import_module("qguess.streams"), "worker_batches"))
+    for mod, cls, _ in tracing.STRATEGIES:
+        owners.append((getattr(importlib.import_module(mod), cls), "sample_batch"))
+    return {(owner, attr): owner.__dict__[attr] for owner, attr in owners}
+
+
+def test_tracer_install_patches_every_hook_and_uninstall_restores_it(tracing):
+    before = hook_points(tracing)
+    tracer = tracing.Tracer()
+    tracer.install(with_cli=True)
+    try:
+        patched = hook_points(tracing)
+    finally:
+        tracer.uninstall()
+    assert all(patched[key] is not before[key] for key in before)
+    assert hook_points(tracing) == before
+
+
+@pytest.mark.parametrize(
+    "strategy, tag",
+    [
+        (MassarPopescuStrategy(), "mp"),
+        (ABFormStrategy(GuessingForm.from_a_fraction(0.5)), "ab"),
+        (cos4_strategy(), "cos4"),
+    ],
+    ids=["mp", "ab", "cos4"],
+)
+def test_traced_fidelity_run_records_each_layer(tracing, strategy, tag):
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        merit.monte_carlo_fidelity(strategy, trials=4, seed=1)
+    finally:
+        tracer.uninstall()
+    agg = tracing.aggregate(tracer.spans, tracer.counts)
+    assert agg["merit.monte_carlo_fidelity.calls"] == 1
+    assert agg[f"estimator.sample_batch.{tag}.rows"] == 4
+    assert agg["streams.worker_batches.batches"] == 1
+    assert agg["bloch.random_directions.rows"] == (8 if tag == "mp" else 4)

@@ -193,8 +193,16 @@ def test_runtime_failures_exit_3(runner):
     assert "occupied bins" in result.output
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported only inside the functions that need it
-    code = "import sys, qguess.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+@pytest.mark.parametrize(
+    "work",
+    [
+        "import qguess.cli",
+        "from qguess.nosignal import cos4_density, required_trials; required_trials(cos4_density, 0.9, 0.2)",
+    ],
+    ids=["cli-import", "required-trials"],
+)
+def test_cli_import_loads_no_scipy(work):
+    # scipy is imported only inside `qguess density`, the one command that needs it
+    code = f"import sys; {work}; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"

@@ -39,12 +39,12 @@ def interp_inverse_cdf(strategy, u):
     return np.interp(u, strategy._cdf / strategy.sphere_integral, strategy._nodes)
 
 
-def normalized_tabulated(thetas, values, label="tabulated"):
+def normalized_tabulated(thetas, values):
     """TabulatedStrategy with `values` rescaled to unit sphere integral."""
     thetas = np.asarray(thetas, dtype=float)
     values = np.asarray(values, dtype=float)
     mass = float(np.sum(_linear_cells_sphere_mass(thetas, values)))
-    return TabulatedStrategy(thetas, values / mass, label=label)
+    return TabulatedStrategy(thetas, values / mass)
 
 
 def unit_rows_with_x(x, rng):

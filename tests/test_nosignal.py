@@ -165,8 +165,11 @@ def test_required_trials_scales_with_the_gap():
     # expected z at the derived count clears threshold + power margin
     assert gap * math.sqrt(n / variance) > 8.0
     assert 1e5 < n < 5e6
-    with pytest.raises(QGuessError):
-        required_trials(lambda t: np.full(np.shape(t), 1.0 / (4.0 * math.pi)), 0.9, 0.2)
+    # the signal-detect benchmark workload runs this many trials per arm
+    assert n == 568_954
+    for value in (1.0 / (4.0 * math.pi), math.nan, math.inf):
+        with pytest.raises(QGuessError):
+            required_trials(lambda t, value=value: np.full(np.shape(t), value), 0.9, 0.2)
 
 
 # ---------------------------------------------------------------------------
