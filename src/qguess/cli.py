@@ -101,7 +101,8 @@ def strategy_options(f):
 
 def run_options(f):
     f = click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
-                     help="Substream count; output is fixed for a fixed value.")(f)
+                     help="Substream count; substreams run on up to one thread per usable "
+                          "core, and output is fixed for a fixed value.")(f)
     f = click.option("--seed", type=click.IntRange(0, MAX_SEED), default=0, show_default=True,
                      help="Master seed for all substreams.")(f)
     f = click.option("--trials", type=click.IntRange(min=2), default=DEFAULT_TRIALS,

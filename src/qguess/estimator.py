@@ -193,8 +193,12 @@ class MassarPopescuStrategy(ABFormStrategy):
     def sample_batch(self, inputs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         axes = random_directions(rng, len(inputs))
         born = rng.random(len(inputs))
-        keep = born < (1.0 + dots(axes, inputs)) / 2.0
-        return np.where(keep[:, None], axes, -axes)
+        # Born probability (1 + a.n)/2 of the +a outcome, formed in place
+        p = dots(axes, inputs)
+        p += 1.0
+        p /= 2.0
+        keep = born < p
+        return np.negative(axes, out=axes, where=~keep[:, None])
 
 
 class TabulatedStrategy(EstimatorStrategy):
@@ -415,18 +419,23 @@ def collect_histogram(
 ) -> DensityHistogram:
     """Monte Carlo outcome-angle histogram with isotropically drawn inputs.
 
-    Trials are split across per-worker substreams of (seed, worker); counts
-    aggregate by summation so the result is bit-identical for a fixed worker
-    count.
+    Trials are split across per-worker substreams of (seed, worker), which
+    run on concurrent threads (`streams.map_batches`); the per-batch counts
+    aggregate by summation, so the result is bit-identical for a fixed worker
+    count whatever the thread count.
     """
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
-    counts = np.zeros(bins, dtype=np.int64)
     edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(0.0, math.pi))
-    for rng, m in streams.worker_batches(seed, trials, workers):
+
+    def batch_counts(rng, m):
         inputs = random_directions(rng, m)
         outcomes = strategy.sample_batch(inputs, rng)
-        counts += np.histogram(angles_between(inputs, outcomes), bins=edges)[0]
+        return np.histogram(angles_between(inputs, outcomes), bins=edges)[0]
+
+    counts = np.zeros(bins, dtype=np.int64)
+    for c in streams.map_batches(batch_counts, seed, trials, workers):
+        counts += c
     return DensityHistogram(edges, counts, trials)
 
 

@@ -206,20 +206,30 @@ def monte_carlo_fidelity(
 ) -> MeritReport:
     """Sample mean of cos^2(t/2) over isotropic inputs, with standard error.
 
-    Inputs are drawn uniformly, guesses from the strategy; scores accumulate
-    per batch in worker order, so the value is bit-identical for a fixed
-    (seed, workers).
+    Inputs are drawn uniformly, guesses from the strategy. Each batch yields
+    its (sum s, sum s^2); the worker substreams run on concurrent threads
+    (`streams.map_batches`) and the batch sums are added in worker-then-batch
+    order, so the value is bit-identical for a fixed (seed, workers) whatever
+    the thread count.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    total = 0.0
-    total_sq = 0.0
-    for rng, m in streams.worker_batches(seed, trials, workers):
+
+    def moments(rng, m):
         inputs = random_directions(rng, m)
         outcomes = strategy.sample_batch(inputs, rng)
-        s = (1.0 + dots(inputs, outcomes)) / 2.0
-        total += float(np.sum(s))
-        total_sq += float(np.sum(s * s))
+        s = dots(inputs, outcomes)
+        s += 1.0
+        s /= 2.0
+        total = float(np.sum(s))
+        s *= s  # s^2 in place: a batch holds one score array
+        return total, float(np.sum(s))
+
+    total = 0.0
+    total_sq = 0.0
+    for batch_sum, batch_sum_sq in streams.map_batches(moments, seed, trials, workers):
+        total += batch_sum
+        total_sq += batch_sum_sq
     mean = total / trials
     variance = max(total_sq - trials * mean * mean, 0.0) / (trials - 1)
     return MeritReport(value=mean, std_error=math.sqrt(variance / trials), trials=trials)

@@ -251,15 +251,19 @@ def _cap_hits(
     workers: int,
     block: int,
 ) -> int:
+    """Guesses inside the cap over `trials` preparations of the decomposition;
+    the worker substreams run on concurrent threads (`streams.map_batches`)
+    and their per-batch counts are summed."""
     cum = np.cumsum(decomposition.weights)
     dirs = decomposition.directions
-    hits = 0
-    for rng, m in streams.worker_batches(seed, trials, workers, block=block):
+
+    def batch_hits(rng, m):
         pick = rng.random(m)
         idx = np.minimum(np.searchsorted(cum, pick, side="right"), len(dirs) - 1)
         outcomes = strategy.sample_batch(dirs[idx], rng)
-        hits += int(np.count_nonzero(outcomes[:, 2] >= cap_cos))
-    return hits
+        return int(np.count_nonzero(outcomes[:, 2] >= cap_cos))
+
+    return sum(streams.map_batches(batch_hits, seed, trials, workers, block=block))
 
 
 def run_discrimination_experiment(
@@ -274,10 +278,12 @@ def run_discrimination_experiment(
     """Prepare the same mixture both ways, estimate, and compare cap frequencies.
 
     Each run draws `trials` member choices and guesses per decomposition on
-    its own substream (blocks 2*stream_block and 2*stream_block + 1), counts
-    guesses inside the cap about +z, and scores the frequency gap as a
-    two-sample z statistic with binomial standard errors; with both errors
-    zero the run carries no information and is indeterminate.
+    its own substreams (blocks 2*stream_block and 2*stream_block + 1, each
+    split over `workers`, which run concurrently; the two decompositions run
+    one after the other), counts guesses inside the cap about +z, and scores
+    the frequency gap as a two-sample z statistic with binomial standard
+    errors; with both errors zero the run carries no information and is
+    indeterminate.
     """
     if not 0.0 < cap_half_angle <= math.pi:
         raise ValueError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")

@@ -14,6 +14,7 @@ import pytest
 from qguess import merit
 from qguess.estimator import ABFormStrategy, GuessingForm, MassarPopescuStrategy
 from qguess.nosignal import cos4_strategy
+from qguess.streams import BATCH_CAP
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -69,3 +70,32 @@ def test_traced_fidelity_run_records_each_layer(tracing, strategy, tag):
     assert agg[f"estimator.sample_batch.{tag}.rows"] == 4
     assert agg["streams.worker_batches.batches"] == 1
     assert agg["bloch.random_directions.rows"] == (8 if tag == "mp" else 4)
+
+
+@pytest.mark.parametrize(
+    "strategy, tag",
+    [
+        (MassarPopescuStrategy(), "mp"),
+        (ABFormStrategy(GuessingForm.from_a_fraction(0.5)), "ab"),
+        (cos4_strategy(), "cos4"),
+    ],
+    ids=["mp", "ab", "cos4"],
+)
+def test_traced_threaded_run_counts_exactly(tracing, strategy, tag):
+    # two workers of two batches each: the batches run on two threads, and
+    # the tracer's counts stay exact (its span parents and self times do not,
+    # since it keeps one span stack for all threads)
+    trials = 2 * BATCH_CAP + 3
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        merit.monte_carlo_fidelity(strategy, trials=trials, seed=1, workers=2)
+    finally:
+        tracer.uninstall()
+    agg = tracing.aggregate(tracer.spans, tracer.counts)
+    assert agg["merit.monte_carlo_fidelity.calls"] == 1
+    assert agg["streams.worker_batches.batches"] == 4
+    assert agg["streams.substream.calls"] == 2
+    assert agg[f"estimator.sample_batch.{tag}.rows"] == trials
+    assert agg[f"estimator.sample_batch.{tag}.calls"] == 4
+    assert agg["bloch.random_directions.rows"] == (2 * trials if tag == "mp" else trials)

@@ -1,15 +1,30 @@
 """Byte identity of the batch kernels against the plain-numpy constructions
 they replaced: the frame against `np.cross` and `np.linalg.norm`, the
-tabulated inverse CDF against `np.interp` over the normalized CDF. Equality
-is on `tobytes()`, so a last-ulp or signed-zero difference fails."""
+tabulated inverse CDF against `np.interp` over the normalized CDF, and the
+row-blocked kernels against their whole-batch forms at the block edges.
+Equality is on `tobytes()`, so a last-ulp or signed-zero difference fails."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qguess.bloch import directions_at_angle, orthonormal_frames, random_directions
-from qguess.estimator import TabulatedStrategy, _linear_cells_sphere_mass
+from qguess.bloch import (
+    ROW_BLOCK,
+    angles_between,
+    directions_at_angle,
+    dots,
+    orthonormal_frames,
+    random_directions,
+)
+from qguess.estimator import (
+    ABFormStrategy,
+    GuessingForm,
+    MassarPopescuStrategy,
+    TabulatedStrategy,
+    _ab_inverse_cdf,
+    _linear_cells_sphere_mass,
+)
 from qguess.nosignal import cos4_strategy
 from qguess.streams import substream
 
@@ -33,6 +48,27 @@ def broadcast_directions_at_angle(axes, cos_theta, phi):
     t = cos_theta[:, None]
     s = np.sqrt(np.clip(1.0 - cos_theta * cos_theta, 0.0, None))[:, None]
     return t * axes + s * (np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2)
+
+
+def stacked_random_directions(rng, n):
+    """Whole-batch form of random_directions: one np.stack of the three columns."""
+    z = rng.uniform(-1.0, 1.0, size=n)
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
+
+
+def clipped_dots(a, b):
+    """Out-of-place form of dots: np.clip of a fresh einsum."""
+    return np.clip(np.einsum("ij,ij->i", a, b), -1.0, 1.0)
+
+
+def where_mp_sample_batch(inputs, rng):
+    """Whole-batch form of the MP sampler: flip by np.where on -axes."""
+    axes = stacked_random_directions(rng, len(inputs))
+    born = rng.random(len(inputs))
+    keep = born < (1.0 + clipped_dots(axes, inputs)) / 2.0
+    return np.where(keep[:, None], axes, -axes)
 
 
 def interp_inverse_cdf(strategy, u):
@@ -154,3 +190,78 @@ def test_tabulated_sample_batch_matches_interp_path():
     phi = rng.uniform(0.0, 2.0 * math.pi, size=len(inputs))
     want = broadcast_directions_at_angle(inputs, np.cos(interp_inverse_cdf(strategy, u)), phi)
     assert_same_bytes(strategy.sample_batch(inputs, substream(15)), want)
+
+
+# ---------------------------------------------------------------------------
+# row blocks: sizes on both sides of each block edge, and a ragged last block
+
+BLOCK_EDGE_ROWS = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5]
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
+def test_random_directions_blocks_match_whole_batch(n):
+    rng, ref = substream(16), substream(16)
+    assert_same_bytes(random_directions(rng, n), stacked_random_directions(ref, n))
+    # both leave the generator at the same place
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
+def test_directions_at_angle_blocks_match_whole_batch(n):
+    rng = substream(17)
+    axes = stacked_random_directions(rng, n)
+    cos_t = rng.uniform(-1.0, 1.0, size=n)
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    out = directions_at_angle(axes, cos_t, phi)
+    assert out.flags.c_contiguous
+    assert_same_bytes(out, broadcast_directions_at_angle(axes, cos_t, phi))
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
+def test_in_place_dots_and_angles_match_out_of_place(n):
+    rng = substream(20)
+    a, b = stacked_random_directions(rng, n), stacked_random_directions(rng, n)
+    # equal and opposite rows too, where rounding can leave [-1, 1] and the clip bites
+    b[::7] = a[::7]
+    b[3::7] = -a[3::7]
+    assert_same_bytes(dots(a, b), clipped_dots(a, b))
+    assert_same_bytes(angles_between(a, b), np.arccos(clipped_dots(a, b)))
+
+
+def ab_sample_batch(form):
+    def sample(inputs, rng):
+        t = _ab_inverse_cdf(form, rng.random(len(inputs)))
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=len(inputs))
+        return broadcast_directions_at_angle(inputs, t, phi)
+
+    return sample
+
+
+def cos4_sample_batch(strategy):
+    def sample(inputs, rng):
+        u = rng.random(len(inputs))
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=len(inputs))
+        return broadcast_directions_at_angle(inputs, np.cos(interp_inverse_cdf(strategy, u)), phi)
+
+    return sample
+
+
+def sampler_pairs():
+    """Each strategy with its whole-batch oracle."""
+    ab = ABFormStrategy(GuessingForm.from_a_fraction(0.5))
+    cos4 = cos4_strategy()
+    return {
+        "mp": (MassarPopescuStrategy(), where_mp_sample_batch),
+        "ab": (ab, ab_sample_batch(ab.form)),
+        "cos4": (cos4, cos4_sample_batch(cos4)),
+    }
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
+@pytest.mark.parametrize("tag", ["mp", "ab", "cos4"])
+def test_sample_batch_blocks_match_whole_batch(tag, n):
+    strategy, oracle = sampler_pairs()[tag]
+    inputs = stacked_random_directions(substream(18), n)
+    rng, ref = substream(19), substream(19)
+    assert_same_bytes(strategy.sample_batch(inputs, rng), oracle(inputs, ref))
+    assert rng.random() == ref.random()

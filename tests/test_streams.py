@@ -1,13 +1,24 @@
-"""Substream determinism and trial chunking."""
+"""Substream determinism, trial chunking, and the threaded batch map."""
+
+import concurrent.futures
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from qguess import streams
+from qguess.estimator import MassarPopescuStrategy, collect_histogram
+from qguess.merit import monte_carlo_fidelity
+from qguess.nosignal import cos4_strategy, run_discrimination_experiment
 from qguess.streams import (
     BATCH_CAP,
     batch_sizes,
+    map_batches,
     split_trials,
     substream,
+    usable_cores,
     worker_batches,
 )
 
@@ -61,3 +72,119 @@ def test_worker_batches_cover_all_trials():
     assert total == 10
     # zero-trial workers are skipped entirely
     assert len(seen) == len([n for n in split_trials(10, 4) if n])
+
+
+# ---------------------------------------------------------------------------
+# map_batches: threads change the schedule, never the result
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """max_workers of every thread pool map_batches builds, starting from no
+    pool kept."""
+    monkeypatch.setattr(streams, "_POOLS", {})
+    seen = []
+
+    class RecordingExecutor(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            seen.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
+    return seen
+
+
+def test_usable_cores_is_the_affinity_set():
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    assert usable_cores() == len(os.sched_getaffinity(0))
+
+
+def test_map_batches_returns_worker_then_batch_order(monkeypatch):
+    monkeypatch.setattr(streams, "batch_sizes", lambda n: batch_sizes(n, cap=4))
+    got = map_batches(lambda rng, m: (m, float(rng.random())), seed=5, trials=21, workers=3)
+    want = [(m, float(rng.random())) for rng, m in worker_batches(5, 21, 3)]
+    assert got == want
+    assert [m for m, _ in got] == [4, 3, 4, 3, 4, 3]
+
+
+def test_map_batches_raises_a_batch_error():
+    def fail_on_second_worker(rng, m):
+        if m == 3:
+            raise RuntimeError("batch failed")
+        return m
+
+    with pytest.raises(RuntimeError, match="batch failed"):
+        map_batches(fail_on_second_worker, seed=0, trials=7, workers=2)
+
+
+DRIVERS = {
+    "monte_carlo_fidelity": lambda workers: monte_carlo_fidelity(
+        MassarPopescuStrategy(), trials=20_000, seed=3, workers=workers),
+    "collect_histogram": lambda workers: collect_histogram(
+        MassarPopescuStrategy(), trials=20_000, seed=3, workers=workers).counts.tobytes(),
+    "cap_hits": lambda workers: run_discrimination_experiment(
+        cos4_strategy(), 0.8, trials=20_000, seed=3, workers=workers).as_dict(),
+}
+
+
+@pytest.mark.parametrize("workers", [2, 3, 5])
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_threaded_drivers_equal_the_serial_run(monkeypatch, pool_sizes, driver, workers):
+    # several batches per worker, so the batch order inside a worker counts too
+    monkeypatch.setattr(streams, "batch_sizes", lambda n: batch_sizes(n, cap=1500))
+    run = DRIVERS[driver]
+    cores = usable_cores()
+    threaded = run(workers)
+    # one pool, kept across maps (the discrimination experiment maps its two
+    # arms one after the other)
+    assert pool_sizes == ([cores] if cores > 1 else [])
+    monkeypatch.setattr(streams, "usable_cores", lambda: 1)
+    assert run(workers) == threaded
+    # one thread per worker, more than the cores, with a short switch
+    # interval, to shake out any dependence on which thread finishes first
+    pool_sizes.clear()
+    monkeypatch.setattr(streams, "usable_cores", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run(workers) == threaded
+    finally:
+        sys.setswitchinterval(interval)
+    # a new core count builds a new pool; at workers == cores the kept one serves
+    assert pool_sizes == ([workers] if workers != cores else [])
+
+
+def test_thread_count_never_exceeds_usable_cores(pool_sizes):
+    monte_carlo_fidelity(MassarPopescuStrategy(), trials=5000, seed=1, workers=1000)
+    cores = usable_cores()
+    assert pool_sizes == ([cores] if cores > 1 else [])
+    for pool in streams._POOLS.values():
+        assert len(pool._threads) <= cores
+
+
+def test_the_pool_and_its_threads_are_kept(monkeypatch, pool_sizes):
+    """Calls share one pool and its threads, and a process with a new id (a
+    forked child) builds its own."""
+    cores = usable_cores()
+    if cores < 2:
+        pytest.skip("one usable core: map_batches runs inline")
+    threads = set()
+
+    def record(rng, m):
+        threads.add(threading.current_thread())
+        return m
+
+    for seed in range(6):
+        assert map_batches(record, seed=seed, trials=10, workers=2) == [5, 5]
+    assert pool_sizes == [cores]
+    assert threading.main_thread() not in threads
+    assert len(threads) <= 2
+    monkeypatch.setattr(os, "getpid", lambda: -1)
+    map_batches(record, seed=0, trials=10, workers=2)
+    assert pool_sizes == [cores, cores]
+
+
+def test_one_worker_runs_inline(pool_sizes):
+    monte_carlo_fidelity(MassarPopescuStrategy(), trials=5000, seed=1, workers=1)
+    assert pool_sizes == []
