@@ -26,11 +26,6 @@ from .errors import InvalidDirectionError, InvalidEnsembleError, InvalidStateErr
 ALGEBRA_TOL = 1e-12  # algebraic identities
 ROUNDTRIP_TOL = 1e-10  # identities routed through transcendental functions
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
-
 
 @dataclass(frozen=True)
 class BlochVector:
@@ -53,24 +48,12 @@ class BlochVector:
             raise InvalidDirectionError("cannot normalize the zero vector")
         return cls(x / n, y / n, z / n)
 
-    @classmethod
-    def from_array(cls, a) -> "BlochVector":
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
     def antipode(self) -> "BlochVector":
         """The opposite point on the sphere; exact (componentwise negation)."""
         return BlochVector(-self.x, -self.y, -self.z)
 
-    def dot(self, other: "BlochVector") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
 
 Z_AXIS = BlochVector(0.0, 0.0, 1.0)
-X_AXIS = BlochVector(1.0, 0.0, 0.0)
-Y_AXIS = BlochVector(0.0, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -86,7 +69,7 @@ class QubitKet:
 
     def __post_init__(self):
         n2 = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
-        if abs(n2 - 1.0) > ALGEBRA_TOL:
+        if not abs(n2 - 1.0) <= ALGEBRA_TOL:
             raise InvalidStateError(f"ket must be normalized, got norm^2={n2!r}")
         if abs(self.amp0.imag) > ALGEBRA_TOL or self.amp0.real < -ALGEBRA_TOL:
             raise InvalidStateError("phase convention: amp0 must be real and >= 0")
@@ -143,17 +126,6 @@ class DensityOperator:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def bloch_vector(self) -> np.ndarray:
-        """Bloch vector of the mixture; length <= 1, not necessarily unit."""
-        m = self.matrix
-        return np.array(
-            [
-                np.trace(m @ PAULI_X).real,
-                np.trace(m @ PAULI_Y).real,
-                np.trace(m @ PAULI_Z).real,
-            ]
-        )
-
 
 @dataclass(frozen=True)
 class EnsembleDecomposition:
@@ -168,7 +140,7 @@ class EnsembleDecomposition:
         if min(weights) < -ALGEBRA_TOL:
             raise InvalidEnsembleError(f"weights must be non-negative, got {weights}")
         total = math.fsum(weights)
-        if abs(total - 1.0) > ALGEBRA_TOL:
+        if not abs(total - 1.0) <= ALGEBRA_TOL:
             raise InvalidEnsembleError(f"weights must sum to 1, got {total!r}")
 
     @property
@@ -215,16 +187,6 @@ def density_from_mixture(ens: EnsembleDecomposition) -> DensityOperator:
     for weight, direction in ens.members:
         m += weight * ket_from_bloch(direction).projector()
     return DensityOperator(m)
-
-
-def overlap2(a: BlochVector, b: BlochVector) -> float:
-    """|<a|b>|^2 = cos^2(t/2) = (1 + a.b)/2 with t the angle between a and b."""
-    return min(1.0, max(0.0, (1.0 + a.dot(b)) / 2.0))
-
-
-def angle_between(a: BlochVector, b: BlochVector) -> float:
-    """Angle in [0, pi] between two unit vectors."""
-    return math.acos(min(1.0, max(-1.0, a.dot(b))))
 
 
 # ---------------------------------------------------------------------------

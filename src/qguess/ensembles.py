@@ -51,7 +51,7 @@ class BipartiteState:
         if m.shape != (2, 2):
             raise InvalidStateError(f"bipartite amplitudes must be 2x2, got shape {m.shape}")
         norm2 = float(np.sum(np.abs(m) ** 2))
-        if abs(norm2 - 1.0) > ALGEBRA_TOL:
+        if not abs(norm2 - 1.0) <= ALGEBRA_TOL:
             raise InvalidStateError(f"state must be normalized, got norm^2={norm2!r}")
         m = m.copy()
         m.setflags(write=False)
@@ -73,9 +73,6 @@ class AliceBasis:
     def __post_init__(self):
         if abs(self.ket0.inner(self.ket1)) > ALGEBRA_TOL:
             raise InvalidStateError("basis kets must be orthogonal")
-
-
-COMPUTATIONAL_BASIS = AliceBasis(QubitKet(1.0, 0.0), QubitKet(0.0, 1.0))
 
 
 def _check_probability(p: float) -> float:

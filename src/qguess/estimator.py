@@ -30,7 +30,6 @@ import numpy as np
 from . import streams
 from .bloch import (
     ALGEBRA_TOL,
-    BlochVector,
     angles_between,
     directions_at_angle,
     dots,
@@ -39,7 +38,6 @@ from .bloch import (
 from .errors import InvalidFormError
 
 TWO_PI = 2.0 * math.pi
-FULL_SPHERE = 4.0 * math.pi
 
 DEFAULT_BINS = 50
 DEFAULT_TRIALS = 1_000_000
@@ -93,7 +91,6 @@ class GuessingForm:
 
 
 MASSAR_POPESCU_FORM = GuessingForm(1.0 / TWO_PI, 0.0)
-UNIFORM_FORM = GuessingForm(1.0 / FULL_SPHERE, 1.0 / FULL_SPHERE)
 
 
 def guessing_density(form: GuessingForm, theta):
@@ -147,11 +144,8 @@ class EstimatorStrategy(ABC):
 
     @abstractmethod
     def sample_batch(self, inputs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Guess directions for an (n, 3) array of inputs; fixed draw order."""
-
-    def sample(self, input: BlochVector, rng: np.random.Generator) -> BlochVector:
-        """One guess: sample_batch at n = 1, with the same draws."""
-        return BlochVector.normalized(*self.sample_batch(input.as_array()[None, :], rng)[0])
+        """Guess directions for an (n, 3) array of inputs, one guess per row;
+        fixed draw order."""
 
     @abstractmethod
     def bin_probabilities(self, theta_edges: np.ndarray) -> np.ndarray:
@@ -379,11 +373,6 @@ class DensityHistogram:
         object.__setattr__(self, "theta_edges", edges)
         object.__setattr__(self, "counts", counts)
 
-    @classmethod
-    def from_angles(cls, angles: np.ndarray, bins: int = DEFAULT_BINS) -> "DensityHistogram":
-        counts, edges = np.histogram(angles, bins=bins, range=(0.0, math.pi))
-        return cls(edges, counts, int(len(angles)))
-
     @property
     def bins(self) -> int:
         return len(self.counts)
@@ -398,16 +387,6 @@ class DensityHistogram:
     def empirical_density(self) -> np.ndarray:
         """count / (trials * bin solid angle), per steradian."""
         return self.counts / (self.trials * self.solid_angles)
-
-
-def bin_outcomes(samples, bins: int = DEFAULT_BINS) -> DensityHistogram:
-    """Histogram the angle between input and outcome for (input, outcome) pairs."""
-    pairs = list(samples)
-    if not pairs:
-        raise ValueError("need at least one (input, outcome) pair")
-    inputs = np.array([[v.x, v.y, v.z] for v, _ in pairs])
-    outcomes = np.array([[v.x, v.y, v.z] for _, v in pairs])
-    return DensityHistogram.from_angles(angles_between(inputs, outcomes), bins=bins)
 
 
 def collect_histogram(

@@ -144,7 +144,6 @@ def reverse_outcomes(form: GuessingForm) -> GuessingForm:
 class ScanResult:
     """Merit values over the normalized family, parameterized by a_frac = 2pi A."""
 
-    merit_label: str
     a_fractions: np.ndarray
     values: np.ndarray
     best_index: int
@@ -159,17 +158,16 @@ class ScanResult:
         return float(self.values[self.best_index])
 
 
-def optimize_ab(merit: MeritFunction, grid_points: int = 1001) -> ScanResult:
-    """Maximize the average merit over normalized forms by scanning a_frac.
+def optimize_ab(merit: MeritFunction) -> ScanResult:
+    """Maximize the average merit over normalized forms by scanning 1001
+    equally spaced a_frac in [0, 1].
 
     The average is affine in a_frac, so the maximum must sit at an endpoint;
     the scan verifies the shape and an explicit endpoint check guards the
     affine assumption. A flat scan (constant merit) is reported as a tie
     rather than an arbitrary argmax.
     """
-    if grid_points < 2:
-        raise QGuessError(f"need at least 2 grid points, got {grid_points}")
-    a_fractions = np.linspace(0.0, 1.0, grid_points)
+    a_fractions = np.linspace(0.0, 1.0, 1001)
     values = np.array([average_merit(GuessingForm.from_a_fraction(a), merit) for a in a_fractions])
     best = int(np.argmax(values))
     scale = max(1.0, float(np.max(np.abs(values))))
@@ -177,7 +175,6 @@ def optimize_ab(merit: MeritFunction, grid_points: int = 1001) -> ScanResult:
     if values[best] - max(values[0], values[-1]) > 1e-9 * scale:
         raise QGuessError("merit scan has an interior maximum; average is not affine in the density")
     return ScanResult(
-        merit_label=merit.label,
         a_fractions=a_fractions,
         values=values,
         best_index=best,

@@ -71,7 +71,9 @@ def fibonacci_directions(n: int) -> np.ndarray:
 def _direction_array(m_grid) -> np.ndarray:
     dirs = np.asarray(m_grid, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != 3 or len(dirs) == 0:
-        raise ValueError("m_grid must be a non-empty collection of 3-vectors")
+        raise QGuessError("m_grid must be a non-empty collection of 3-vectors")
+    if not np.all(np.isfinite(dirs)):
+        raise QGuessError("m_grid directions must be finite")
     return dirs
 
 
@@ -85,10 +87,6 @@ class ConstraintResidual:
     @property
     def max_residual(self) -> float:
         return float(np.max(self.residuals))
-
-    @property
-    def rms_residual(self) -> float:
-        return float(np.sqrt(np.mean(self.residuals ** 2)))
 
 
 def constraint_residual(density, p: float, m_grid) -> ConstraintResidual:
@@ -165,7 +163,7 @@ def cap_frequency(density, axis_angle: float, cap_half_angle: float) -> float:
     azimuth by the midpoint rule (periodic, so spectrally accurate).
     """
     if not 0.0 < cap_half_angle <= math.pi:
-        raise ValueError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")
+        raise QGuessError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")
     u, wu = composite_gauss_legendre(np.linspace(0.0, cap_half_angle, 17), 24)
     n_v = 1024
     v = (np.arange(n_v) + 0.5) * (TWO_PI / n_v)
@@ -286,7 +284,7 @@ def run_discrimination_experiment(
     indeterminate.
     """
     if not 0.0 < cap_half_angle <= math.pi:
-        raise ValueError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")
+        raise QGuessError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     cap_cos = math.cos(cap_half_angle)

@@ -12,10 +12,7 @@ from qguess.bloch import (
     DensityOperator,
     EnsembleDecomposition,
     QubitKet,
-    X_AXIS,
-    Y_AXIS,
     Z_AXIS,
-    angle_between,
     angles_between,
     bloch_from_ket,
     density_from_mixture,
@@ -23,7 +20,6 @@ from qguess.bloch import (
     dots,
     ket_from_bloch,
     orthonormal_frames,
-    overlap2,
     random_directions,
 )
 from qguess.errors import (
@@ -40,14 +36,20 @@ def test_bloch_vector_requires_unit_length():
     with pytest.raises(InvalidDirectionError):
         BlochVector.normalized(0.0, 0.0, 0.0)
     v = BlochVector.normalized(3.0, 4.0, 12.0)
-    assert abs(v.dot(v) - 1.0) <= ALGEBRA_TOL
+    assert abs(math.fsum((v.x * v.x, v.y * v.y, v.z * v.z)) - 1.0) <= ALGEBRA_TOL
 
 
 def test_antipode_and_dot():
     v = BlochVector.normalized(1.0, -2.0, 0.5)
-    assert v.antipode().dot(v) == pytest.approx(-1.0, abs=ALGEBRA_TOL)
-    assert overlap2(v, v.antipode()) == pytest.approx(0.0, abs=ALGEBRA_TOL)
-    assert overlap2(v, v) == pytest.approx(1.0, abs=ALGEBRA_TOL)
+    w = v.antipode()
+    assert (w.x, w.y, w.z) == (-v.x, -v.y, -v.z)
+    assert dots(np.array([[v.x, v.y, v.z]]), np.array([[w.x, w.y, w.z]]))[0] == pytest.approx(
+        -1.0, abs=ALGEBRA_TOL
+    )
+    # antipodal Bloch vectors are orthogonal kets; a ket overlaps itself fully
+    k = ket_from_bloch(v)
+    assert abs(k.inner(ket_from_bloch(w))) ** 2 == pytest.approx(0.0, abs=ALGEBRA_TOL)
+    assert abs(k.inner(k)) ** 2 == pytest.approx(1.0, abs=ALGEBRA_TOL)
 
 
 def test_ket_phase_convention_enforced():
@@ -74,7 +76,7 @@ def test_from_amplitudes_canonicalizes_global_phase():
 
 def test_ket_bloch_round_trip():
     for row in random_directions(substream(1), 200):
-        v = BlochVector.from_array(row)
+        v = BlochVector(*row.tolist())
         back = bloch_from_ket(ket_from_bloch(v))
         assert abs(back.x - v.x) <= ROUNDTRIP_TOL
         assert abs(back.y - v.y) <= ROUNDTRIP_TOL
@@ -89,19 +91,13 @@ def test_poles_are_exact():
 
 
 def test_overlap2_matches_inner_product():
+    # |<a|b>|^2 = (1 + a.b)/2, row by row
     rng = substream(2)
-    for ra, rb in zip(random_directions(rng, 100), random_directions(rng, 100)):
-        a, b = BlochVector.from_array(ra), BlochVector.from_array(rb)
-        inner = ket_from_bloch(a).inner(ket_from_bloch(b))
-        assert overlap2(a, b) == pytest.approx(abs(inner) ** 2, abs=ROUNDTRIP_TOL)
-
-
-def test_overlap2_is_half_angle_cosine():
-    rng = substream(3)
-    for ra, rb in zip(random_directions(rng, 100), random_directions(rng, 100)):
-        a, b = BlochVector.from_array(ra), BlochVector.from_array(rb)
-        t = angle_between(a, b)
-        assert overlap2(a, b) == pytest.approx(math.cos(t / 2.0) ** 2, abs=ROUNDTRIP_TOL)
+    a, b = random_directions(rng, 100), random_directions(rng, 100)
+    expected = (1.0 + dots(a, b)) / 2.0
+    for ra, rb, e in zip(a.tolist(), b.tolist(), expected):
+        inner = ket_from_bloch(BlochVector(*ra)).inner(ket_from_bloch(BlochVector(*rb)))
+        assert abs(inner) ** 2 == pytest.approx(e, abs=ROUNDTRIP_TOL)
 
 
 def test_density_operator_validation():
@@ -114,20 +110,20 @@ def test_density_operator_validation():
 
 
 def test_pure_state_density_recovers_direction():
-    for row in random_directions(substream(4), 50):
-        v = BlochVector.from_array(row)
-        ens = EnsembleDecomposition(((1.0, v),))
-        r = density_from_mixture(ens).bloch_vector()
-        assert np.allclose(r, v.as_array(), atol=ROUNDTRIP_TOL)
+    # rho = (I + r.sigma)/2 = [[1 + z, x - iy], [x + iy, 1 - z]] / 2
+    for x, y, z in random_directions(substream(4), 50).tolist():
+        ens = EnsembleDecomposition(((1.0, BlochVector(x, y, z)),))
+        expected = np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]]) / 2.0
+        assert np.allclose(density_from_mixture(ens).matrix, expected, rtol=0.0, atol=ROUNDTRIP_TOL)
 
 
 def test_ensemble_validation():
     with pytest.raises(InvalidEnsembleError):
         EnsembleDecomposition(())
     with pytest.raises(InvalidEnsembleError):
-        EnsembleDecomposition(((0.5, Z_AXIS), (0.4, X_AXIS)))  # sums to 0.9
+        EnsembleDecomposition(((0.5, Z_AXIS), (0.4, BlochVector(1.0, 0.0, 0.0))))  # sums to 0.9
     with pytest.raises(InvalidEnsembleError):
-        EnsembleDecomposition(((1.5, Z_AXIS), (-0.5, X_AXIS)))
+        EnsembleDecomposition(((1.5, Z_AXIS), (-0.5, BlochVector(1.0, 0.0, 0.0))))
 
 
 def test_random_directions_uniform_moments():
@@ -142,12 +138,12 @@ def test_batch_kernels_match_scalars():
     rng = substream(5)
     a = random_directions(rng, 64)
     b = random_directions(rng, 64)
-    sa = [BlochVector.from_array(r) for r in a]
-    sb = [BlochVector.from_array(r) for r in b]
-    assert np.allclose(dots(a, b), [u.dot(v) for u, v in zip(sa, sb)], atol=1e-12)
-    assert np.allclose(
-        angles_between(a, b), [angle_between(u, v) for u, v in zip(sa, sb)], atol=1e-12
-    )
+    d = [
+        min(1.0, max(-1.0, math.fsum(p * q for p, q in zip(u, v))))
+        for u, v in zip(a.tolist(), b.tolist())
+    ]
+    assert np.allclose(dots(a, b), d, atol=1e-12)
+    assert np.allclose(angles_between(a, b), [math.acos(c) for c in d], atol=1e-12)
 
 
 def test_orthonormal_frames_cover_awkward_axes():
@@ -176,9 +172,3 @@ def test_directions_at_angle_hits_requested_angle():
     out = directions_at_angle(axes, cos_t, phi)
     assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) <= 1e-12
     assert np.allclose(dots(out, axes), cos_t, atol=1e-12)
-
-
-def test_axes_constants():
-    assert Z_AXIS.dot(X_AXIS) == 0.0
-    assert Z_AXIS.dot(Y_AXIS) == 0.0
-    assert X_AXIS.dot(Y_AXIS) == 0.0

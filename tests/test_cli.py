@@ -194,6 +194,22 @@ def test_runtime_failures_exit_3(runner):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["nosignal", "--cap", "nan"],
+        ["nosignal", "--p", "nan"],
+        ["fidelity", "--strategy", "ab", "--A-frac", "nan"],
+    ],
+    ids=["cap", "p", "a-frac"],
+)
+def test_nan_parameters_exit_3(runner, args):
+    # click's FloatRange lets NaN through; the library rejects it
+    result = runner.invoke(main, [*args, "--trials", "100"])
+    assert result.exit_code == 3
+    assert "nan" in result.output
+
+
+@pytest.mark.parametrize(
     "work",
     [
         "import qguess.cli",

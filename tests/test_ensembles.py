@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qguess.bloch import ROUNDTRIP_TOL, density_from_mixture
+from qguess.bloch import ROUNDTRIP_TOL, QubitKet, density_from_mixture
 from qguess.ensembles import (
-    COMPUTATIONAL_BASIS,
+    AliceBasis,
     aligned_distance,
     assemble_bipartite,
     build_psi,
@@ -25,6 +25,8 @@ from qguess.errors import (
 )
 
 P_GRID = np.linspace(0.0, 1.0, 21)
+# Alice's computational basis {|0>, |1>}
+Z_BASIS = AliceBasis(QubitKet(1.0, 0.0), QubitKet(0.0, 1.0))
 
 
 def test_build_psi_amplitudes():
@@ -95,7 +97,7 @@ def test_rotated_basis_reconstructs_shared_state():
 
 def test_measurement_in_computational_basis_steers_standard_decomposition():
     for p in (0.3, 0.75):
-        dec = decomposition_from_alice_measurement(build_psi(p), COMPUTATIONAL_BASIS)
+        dec = decomposition_from_alice_measurement(build_psi(p), Z_BASIS)
         std = standard_decomposition(p)
         assert np.allclose(dec.weights, std.weights, atol=1e-12)
         assert np.allclose(dec.directions, std.directions, atol=1e-12)
@@ -110,7 +112,7 @@ def test_measurement_in_rotated_basis_steers_symmetric_decomposition():
 
 
 def test_product_state_measurement_drops_empty_outcome():
-    dec = decomposition_from_alice_measurement(build_psi(1.0), COMPUTATIONAL_BASIS)
+    dec = decomposition_from_alice_measurement(build_psi(1.0), Z_BASIS)
     assert len(dec.members) == 1
     assert dec.weights[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -118,7 +120,7 @@ def test_product_state_measurement_drops_empty_outcome():
 def test_bipartite_state_requires_normalization():
     with pytest.raises(InvalidStateError):
         assemble_bipartite(
-            (COMPUTATIONAL_BASIS.ket0, COMPUTATIONAL_BASIS.ket1),
-            (COMPUTATIONAL_BASIS.ket0, COMPUTATIONAL_BASIS.ket1),
+            (Z_BASIS.ket0, Z_BASIS.ket1),
+            (Z_BASIS.ket0, Z_BASIS.ket1),
             (0.5, 0.4),
         )

@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chi2 as chi2_dist
 
-from qguess.bloch import BlochVector
+from qguess.bloch import BlochVector, EnsembleDecomposition, QubitKet, Z_AXIS
+from qguess.ensembles import BipartiteState
 from qguess.errors import InvalidFormError, QGuessError
 from qguess.estimator import (
     ABFormStrategy,
@@ -16,10 +17,8 @@ from qguess.estimator import (
     MASSAR_POPESCU_FORM,
     MassarPopescuStrategy,
     TabulatedStrategy,
-    UNIFORM_FORM,
     _ab_inverse_cdf,
     ab_bin_probabilities,
-    bin_outcomes,
     cap_probability,
     collect_histogram,
     guessing_density,
@@ -27,7 +26,7 @@ from qguess.estimator import (
     histogram_csv,
 )
 from qguess.merit import MonotoneTabulatedMerit
-from qguess.streams import substream
+from qguess.nosignal import constraint_residual, cos4_density
 
 TWO_PI = 2.0 * math.pi
 A_GRID = np.linspace(0.0, 1.0, 11)
@@ -45,6 +44,7 @@ def test_form_rejects_negative_parameters():
 
 UNIFORM_GRID = np.linspace(0.0, math.pi, 2001)
 UNIFORM_VALUES = np.full(2001, 1.0 / (4.0 * math.pi))
+UNIFORM = GuessingForm(1.0 / (4.0 * math.pi), 1.0 / (4.0 * math.pi))
 
 
 @pytest.mark.parametrize(
@@ -56,8 +56,15 @@ UNIFORM_VALUES = np.full(2001, 1.0 / (4.0 * math.pi))
         lambda: TabulatedStrategy(UNIFORM_GRID, np.where(np.arange(2001) == 1000, math.nan, UNIFORM_VALUES)),
         lambda: TabulatedStrategy(np.where(np.arange(2001) == 1000, math.nan, UNIFORM_GRID), UNIFORM_VALUES),
         lambda: MonotoneTabulatedMerit(np.linspace(0.0, math.pi, 5), [1.0, 0.8, math.nan, 0.4, 0.2]),
+        lambda: QubitKet(math.nan, 1.0),
+        lambda: EnsembleDecomposition(((math.nan, Z_AXIS),)),
+        lambda: BipartiteState(np.array([[math.nan, 0.0], [0.0, 1.0]])),
+        lambda: constraint_residual(cos4_density, 0.5, [[math.nan, 0.0, 1.0]]),
     ],
-    ids=["form-nan", "form-inf", "bloch-nan", "tabulated-nan-value", "tabulated-nan-theta", "merit-nan"],
+    ids=[
+        "form-nan", "form-inf", "bloch-nan", "tabulated-nan-value", "tabulated-nan-theta", "merit-nan",
+        "ket-nan", "ensemble-nan", "bipartite-nan", "direction-grid-nan",
+    ],
 )
 def test_constructors_reject_non_finite_input(construct):
     with pytest.raises(QGuessError):
@@ -91,7 +98,7 @@ def test_density_endpoints_and_affine_form():
 
 
 def test_cap_probability_closed_form_matches_quadrature():
-    for form in (MASSAR_POPESCU_FORM, UNIFORM_FORM, GuessingForm(0.03, 0.21)):
+    for form in (MASSAR_POPESCU_FORM, UNIFORM, GuessingForm(0.03, 0.21)):
         for cap in (0.2, 1.0, math.pi / 2.0, math.pi):
             ref, _ = quad(
                 lambda t: guessing_density(form, t) * TWO_PI * math.sin(t), 0.0, cap,
@@ -128,25 +135,6 @@ def test_inverse_cdf_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# scalar API
-
-def test_scalar_samples_match_batch_of_one():
-    inp = BlochVector.normalized(0.3, -0.5, 0.8)
-    row = inp.as_array()[None, :]
-    for strat in (
-        MassarPopescuStrategy(),
-        ABFormStrategy(GuessingForm.from_a_fraction(0.7)),
-        TabulatedStrategy(
-            np.linspace(0.0, math.pi, 101),
-            np.full(101, 1.0 / (4.0 * math.pi)),
-        ),
-    ):
-        scalar = strat.sample(inp, substream(11)).as_array()
-        batch = strat.sample_batch(row, substream(11))[0]
-        assert np.allclose(scalar, batch, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # tabulated densities
 
 def test_tabulated_validation():
@@ -164,7 +152,7 @@ def test_tabulated_uniform_matches_closed_form():
     tab = TabulatedStrategy(grid, np.full(2001, 1.0 / (4.0 * math.pi)))
     assert tab.sphere_integral == pytest.approx(1.0, abs=1e-9)
     edges = np.linspace(0.0, math.pi, 51)
-    closed = ab_bin_probabilities(UNIFORM_FORM, edges)
+    closed = ab_bin_probabilities(UNIFORM, edges)
     assert np.max(np.abs(tab.bin_probabilities(edges) - closed)) <= 1e-12
     assert tab.cdf(0.0) == pytest.approx(0.0, abs=1e-15)
     assert tab.cdf(math.pi) == pytest.approx(1.0, abs=1e-12)
@@ -193,16 +181,6 @@ def test_histogram_validation():
 def test_histogram_solid_angles_sum_to_sphere():
     hist = DensityHistogram(np.linspace(0.0, math.pi, 51), np.zeros(50, dtype=int), 0)
     assert float(hist.solid_angles.sum()) == pytest.approx(4.0 * math.pi, abs=1e-9)
-
-
-def test_bin_outcomes_places_pairs_by_angle():
-    up = BlochVector(0.0, 0.0, 1.0)
-    pairs = [(up, up), (up, up.antipode()), (up, BlochVector(1.0, 0.0, 0.0))]
-    hist = bin_outcomes(pairs, bins=4)
-    assert hist.trials == 3
-    assert list(hist.counts) == [1, 0, 1, 1]
-    with pytest.raises(ValueError):
-        bin_outcomes([], bins=4)
 
 
 def test_collect_histogram_deterministic_and_complete():
