@@ -2,13 +2,17 @@
 
 Run from anywhere, against the checkout this file sits in:
 
-    python benchmarks/layers.py --label change --out BENCH_5.json
+    python benchmarks/layers.py --label change --out BENCH_7.json
 
-Each kernel is timed on one full batch of 2^19 rows, each driver at the
+Each kernel is timed on one full batch of 2^19 rows, handed to it one
+block of 2^14 rows at a time as the drivers do, and each driver at the
 benchmark's sizes with workers 1 and 2; a time is the best and the median of
-11 repeats after one untimed call. The kernels are also run once under
-tracemalloc for their peak allocation; for `sample_batch` that run draws
-its input directions too, as a driver's batch does. The results are
+11 repeats after one untimed call. The kernels are also run once on one
+block under tracemalloc for their peak allocation; for `sample_batch` that
+run draws its input directions too, as a driver's block does. Each driver is run
+once more under tracemalloc on one full batch (trials = BATCH_CAP, one
+worker) for the peak of a batch in flight; the discrimination experiment
+draws one batch per arm, and both arms may be in flight at once. The results are
 stored under `runs[<label>]` of the `--out` file, next to the runs already
 there, with the machine facts (cores, numpy and Python versions), so running
 this script in two checkouts with the same `--out` gives one comparable file.
@@ -36,6 +40,8 @@ import numpy as np  # noqa: E402
 from qguess import bloch, estimator, merit, nosignal, streams  # noqa: E402
 
 ROWS = 1 << 19
+# rows the drivers hand a kernel at once (streams.ROW_BLOCK)
+BLOCK = 1 << 14
 DRIVER_TRIALS = 1 << 21
 REPEATS = 11
 SIGNAL_P = 0.9
@@ -72,25 +78,29 @@ def kernels() -> dict:
     phi = rng.uniform(0.0, 2.0 * math.pi, size=ROWS)
     u = rng.random(ROWS)
 
-    def sample(strategy):
-        return lambda: strategy.sample_batch(axes, streams.substream(3))
-
-    def sample_from_scratch(strategy):
-        return lambda: strategy.sample_batch(bloch.random_directions(streams.substream(2), ROWS),
-                                             streams.substream(3))
-
-    # name: (timed call, call whose peak allocation is reported)
-    cases = {
-        "random_directions": (lambda: bloch.random_directions(streams.substream(2), ROWS),) * 2,
-        "orthonormal_frames": (lambda: bloch.orthonormal_frames(axes),) * 2,
-        "directions_at_angle": (lambda: bloch.directions_at_angle(axes, cos_t, phi),) * 2,
-        "inverse_cdf.cos4": (lambda: cos4.inverse_cdf(u),) * 2,
-        # timed on fixed inputs; the peak includes drawing the inputs
-        "sample_batch.mp": (sample(mp), sample_from_scratch(mp)),
-        "sample_batch.ab": (sample(ab), sample_from_scratch(ab)),
-        "sample_batch.cos4": (sample(cos4), sample_from_scratch(cos4)),
+    # name: kernel call on the rows `r` of the batch
+    calls = {
+        "random_directions": lambda r: bloch.random_directions(rng, r.stop - r.start),
+        "orthonormal_frames": lambda r: bloch.orthonormal_frames(axes[r]),
+        "directions_at_angle": lambda r: bloch.directions_at_angle(axes[r], cos_t[r], phi[r]),
+        "inverse_cdf.cos4": lambda r: cos4.inverse_cdf(u[r]),
+        "sample_batch.mp": lambda r: mp.sample_batch(axes[r], rng),
+        "sample_batch.ab": lambda r: ab.sample_batch(axes[r], rng),
+        "sample_batch.cos4": lambda r: cos4.sample_batch(axes[r], rng),
     }
-    return {name: {**timed(fn), "peak_mb": peak_mb(whole)} for name, (fn, whole) in cases.items()}
+    blocks = [slice(lo, lo + BLOCK) for lo in range(0, ROWS, BLOCK)]
+
+    def one_block(name):
+        if name.startswith("sample_batch."):
+            # the peak includes drawing the block's inputs
+            strategy = {"mp": mp, "ab": ab, "cos4": cos4}[name.split(".")[1]]
+            return lambda: strategy.sample_batch(bloch.random_directions(rng, BLOCK), rng)
+        return lambda: calls[name](blocks[0])
+
+    return {
+        name: {**timed(lambda: [call(r) for r in blocks]), "peak_mb": peak_mb(one_block(name))}
+        for name, call in calls.items()
+    }
 
 
 def drivers() -> dict:
@@ -109,6 +119,22 @@ def drivers() -> dict:
             lambda: nosignal.run_discrimination_experiment(
                 cos4, SIGNAL_P, cap_half_angle=SIGNAL_CAP, trials=signal_trials, seed=1, workers=workers))
     return out
+
+
+def batch_peaks() -> dict:
+    mp = estimator.MassarPopescuStrategy()
+    ab = estimator.ABFormStrategy(estimator.GuessingForm.from_a_fraction(0.5))
+    cos4 = nosignal.cos4_strategy()
+    trials = streams.BATCH_CAP
+    out = {}
+    for tag, strategy in (("mp", mp), ("ab", ab)):
+        out[f"monte_carlo_fidelity.{tag}"] = peak_mb(
+            lambda: merit.monte_carlo_fidelity(strategy, trials=trials, seed=1))
+        out[f"collect_histogram.{tag}"] = peak_mb(
+            lambda: estimator.collect_histogram(strategy, trials=trials, seed=1))
+    out["run_discrimination_experiment.cos4"] = peak_mb(
+        lambda: nosignal.run_discrimination_experiment(cos4, SIGNAL_P, cap_half_angle=SIGNAL_CAP, trials=trials, seed=1))
+    return {name: {"peak_mb": mb} for name, mb in out.items()}
 
 
 def machine() -> dict:
@@ -131,13 +157,15 @@ def main(argv=None) -> int:
     record.setdefault("rows", ROWS)
     record.setdefault("driver_trials", DRIVER_TRIALS)
     record.setdefault("repeats", REPEATS)
-    run = {"machine": machine(), "kernels": kernels(), "drivers": drivers()}
+    run = {"machine": machine(), "kernels": kernels(), "drivers": drivers(), "batch_peaks": batch_peaks()}
     record.setdefault("runs", {})[args.label] = run
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     for layer in ("kernels", "drivers"):
         for name, t in run[layer].items():
             peak = f"  peak {t['peak_mb']:.1f} MB" if "peak_mb" in t else ""
             print(f"{name:48s} best {t['best_s'] * 1e3:8.1f} ms  median {t['median_s'] * 1e3:8.1f} ms{peak}")
+    for name, t in run["batch_peaks"].items():
+        print(f"{'batch ' + name:48s} peak {t['peak_mb']:.1f} MB")
     return 0
 
 

@@ -192,32 +192,19 @@ def density_from_mixture(ens: EnsembleDecomposition) -> DensityOperator:
 # ---------------------------------------------------------------------------
 # batch kernels (float arrays of shape (n, 3))
 
-# Rows per block of the element-wise kernels: their temporaries stay
-# cache-sized, and a batch in flight holds little beyond its inputs and
-# output. Element-wise arithmetic gives the same bytes at any block size.
-# Each numpy call releases and retakes the interpreter lock, so with two
-# workers on threads the block also sets how often they hand the lock over:
-# 2^14 rows took that from about 4200 waits per mc-admissible round (2^13)
-# to about 1200, without raising a batch's peak, which the MP batch sets.
-ROW_BLOCK = 1 << 14
-
-
 def random_directions(rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 3) array of directions uniform on the sphere.
 
     Draw order is fixed (all z first, then all azimuths), so the output is a
-    pure function of the generator state. The rows are then filled one
-    ROW_BLOCK at a time.
+    pure function of the generator state.
     """
     z = rng.uniform(-1.0, 1.0, size=n)
     phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
     out = np.empty((n, 3))
-    for lo in range(0, n, ROW_BLOCK):
-        zb, pb, rows = z[lo : lo + ROW_BLOCK], phi[lo : lo + ROW_BLOCK], out[lo : lo + ROW_BLOCK]
-        s = np.sqrt(np.clip(1.0 - zb * zb, 0.0, None))
-        np.multiply(s, np.cos(pb), out=rows[:, 0])
-        np.multiply(s, np.sin(pb), out=rows[:, 1])
-        rows[:, 2] = zb
+    s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    np.multiply(s, np.cos(phi), out=out[:, 0])
+    np.multiply(s, np.sin(phi), out=out[:, 1])
+    out[:, 2] = z
     return out
 
 
@@ -273,24 +260,21 @@ def directions_at_angle(axes: np.ndarray, cos_theta: np.ndarray, phi: np.ndarray
     """Unit vectors at polar angle arccos(cos_theta) and azimuth phi about each axis.
 
     Row i is t*a + s*(cos(phi)*e1 + sin(phi)*e2) with t = cos_theta[i] and
-    s = sqrt(1 - t^2), evaluated one ROW_BLOCK of rows and one column at a
-    time into a C-contiguous (n, 3) array (the layout `dots` sums in a fixed
-    order).
+    s = sqrt(1 - t^2), evaluated one column at a time into a C-contiguous
+    (n, 3) array (the layout `dots` sums in a fixed order).
     """
     axes = np.asarray(axes, dtype=float)
     out = np.empty((len(cos_theta), 3))
-    for lo in range(0, len(cos_theta), ROW_BLOCK):
-        a, t = axes[lo : lo + ROW_BLOCK], cos_theta[lo : lo + ROW_BLOCK]
-        e1, e2 = orthonormal_frames(a)
-        s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-        cos_phi, sin_phi = np.cos(phi[lo : lo + ROW_BLOCK]), np.sin(phi[lo : lo + ROW_BLOCK])
-        col = np.empty(len(t))
-        tmp = np.empty(len(t))
-        for k in range(3):
-            np.multiply(cos_phi, e1[:, k], out=col)
-            np.multiply(sin_phi, e2[:, k], out=tmp)
-            col += tmp
-            col *= s
-            np.multiply(t, a[:, k], out=tmp)
-            np.add(tmp, col, out=out[lo : lo + ROW_BLOCK, k])
+    e1, e2 = orthonormal_frames(axes)
+    s = np.sqrt(np.clip(1.0 - cos_theta * cos_theta, 0.0, None))
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    col = np.empty(len(cos_theta))
+    tmp = np.empty(len(cos_theta))
+    for k in range(3):
+        np.multiply(cos_phi, e1[:, k], out=col)
+        np.multiply(sin_phi, e2[:, k], out=tmp)
+        col += tmp
+        col *= s
+        np.multiply(cos_theta, axes[:, k], out=tmp)
+        np.add(tmp, col, out=out[:, k])
     return out

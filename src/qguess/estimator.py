@@ -35,7 +35,7 @@ from .bloch import (
     dots,
     random_directions,
 )
-from .errors import InvalidFormError
+from .errors import InvalidFormError, QGuessError
 
 TWO_PI = 2.0 * math.pi
 
@@ -136,7 +136,14 @@ def _ab_inverse_cdf(form: GuessingForm, u: np.ndarray) -> np.ndarray:
 # strategies
 
 class EstimatorStrategy(ABC):
-    """Isotropic estimator: output density depends only on the angle to the input."""
+    """Isotropic estimator: output density depends only on the angle to the input.
+
+    UNIFORMS is the number of uniform columns `sample_batch` draws, one
+    double per row each, in a fixed order; the drivers size their row
+    blocks' draws by it (`streams.map_row_blocks`).
+    """
+
+    UNIFORMS: int
 
     @abstractmethod
     def density(self, theta):
@@ -144,8 +151,9 @@ class EstimatorStrategy(ABC):
 
     @abstractmethod
     def sample_batch(self, inputs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Guess directions for an (n, 3) array of inputs, one guess per row;
-        fixed draw order."""
+        """Guess directions for an (n, 3) array of inputs, one guess per row:
+        UNIFORMS calls `rng.random(n)` / `rng.uniform(low, high, n)`, in a
+        fixed order."""
 
     @abstractmethod
     def bin_probabilities(self, theta_edges: np.ndarray) -> np.ndarray:
@@ -155,8 +163,10 @@ class EstimatorStrategy(ABC):
 class ABFormStrategy(EstimatorStrategy):
     """Direct sampler of a normalized two-parameter guessing density.
 
-    Inverse CDF in cos t plus a uniform azimuth; consumes two uniforms per guess.
+    Inverse CDF in cos t plus a uniform azimuth.
     """
+
+    UNIFORMS = 2  # CDF value, azimuth
 
     def __init__(self, form: GuessingForm):
         self.form = form.require_normalized()
@@ -177,9 +187,10 @@ class MassarPopescuStrategy(ABFormStrategy):
     """Measure along a uniformly random axis and report the observed eigendirection.
 
     The two-parameter form with B = 0, outcome density (1/2pi) cos^2(t/2),
-    sampled by the measurement itself; consumes three uniforms per guess
-    (axis z, axis azimuth, Born draw).
+    sampled by the measurement itself.
     """
+
+    UNIFORMS = 3  # axis z, axis azimuth, Born draw
 
     def __init__(self):
         super().__init__(MASSAR_POPESCU_FORM)
@@ -207,6 +218,8 @@ class TabulatedStrategy(EstimatorStrategy):
     sec. III.2) and the same bracket and slope as `np.interp` on that CDF, so
     the angles are byte-identical to `np.interp`'s.
     """
+
+    UNIFORMS = 2  # CDF value, azimuth
 
     REFINEMENT = 8193  # internal CDF nodes before merging the user grid
     GUIDE_PER_NODE = 2  # guide-table cells per CDF node
@@ -358,14 +371,14 @@ class DensityHistogram:
         edges = np.asarray(self.theta_edges, dtype=float)
         counts = np.asarray(self.counts, dtype=np.int64)
         if len(edges) != len(counts) + 1 or len(counts) < 1:
-            raise ValueError("need len(theta_edges) == len(counts) + 1")
+            raise QGuessError("need len(theta_edges) == len(counts) + 1")
         if edges[0] != 0.0 or abs(edges[-1] - math.pi) > 1e-12:
-            raise ValueError("theta grid must span [0, pi]")
+            raise QGuessError("theta grid must span [0, pi]")
         widths = np.diff(edges)
         if not np.allclose(widths, widths[0], rtol=0.0, atol=1e-12):
-            raise ValueError("theta bins must have equal width")
+            raise QGuessError("theta bins must have equal width")
         if counts.min() < 0 or counts.sum() != self.trials:
-            raise ValueError("counts must be non-negative and sum to the trial count")
+            raise QGuessError("counts must be non-negative and sum to the trial count")
         edges = edges.copy()
         counts = counts.copy()
         edges.setflags(write=False)
@@ -399,18 +412,22 @@ def collect_histogram(
     """Monte Carlo outcome-angle histogram with isotropically drawn inputs.
 
     Trials are split across per-worker substreams of (seed, worker), which
-    run on concurrent threads (`streams.map_batches`); the per-batch counts
-    aggregate by summation, so the result is bit-identical for a fixed worker
-    count whatever the thread count.
+    run on concurrent threads (`streams.map_batches`); each batch is drawn
+    and binned one row block at a time (`streams.map_row_blocks`), and the
+    counts aggregate by summation, so the result is bit-identical for a
+    fixed worker count whatever the thread count.
     """
     if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
+        raise QGuessError(f"bins must be >= 2, got {bins}")
     edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(0.0, math.pi))
 
-    def batch_counts(rng, m):
-        inputs = random_directions(rng, m)
-        outcomes = strategy.sample_batch(inputs, rng)
+    def block_counts(draws, lo, hi):
+        inputs = random_directions(draws, hi - lo)
+        outcomes = strategy.sample_batch(inputs, draws)
         return np.histogram(angles_between(inputs, outcomes), bins=edges)[0]
+
+    def batch_counts(rng, m):
+        return sum(streams.map_row_blocks(block_counts, rng, m, 2 + strategy.UNIFORMS))
 
     counts = np.zeros(bins, dtype=np.int64)
     for c in streams.map_batches(batch_counts, seed, trials, workers):

@@ -207,15 +207,21 @@ def monte_carlo_fidelity(
     its (sum s, sum s^2); the worker substreams run on concurrent threads
     (`streams.map_batches`) and the batch sums are added in worker-then-batch
     order, so the value is bit-identical for a fixed (seed, workers) whatever
-    the thread count.
+    the thread count. A batch is drawn one row block at a time
+    (`streams.map_row_blocks`) into one score array of the batch's length,
+    summed whole: `np.sum`'s pairwise order depends on the length summed.
     """
     if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
+        raise QGuessError(f"need at least 2 trials, got {trials}")
 
     def moments(rng, m):
-        inputs = random_directions(rng, m)
-        outcomes = strategy.sample_batch(inputs, rng)
-        s = dots(inputs, outcomes)
+        s = np.empty(m)
+
+        def block_dots(draws, lo, hi):
+            inputs = random_directions(draws, hi - lo)
+            s[lo:hi] = dots(inputs, strategy.sample_batch(inputs, draws))
+
+        streams.map_row_blocks(block_dots, rng, m, 2 + strategy.UNIFORMS)
         s += 1.0
         s /= 2.0
         total = float(np.sum(s))

@@ -60,7 +60,7 @@ VERDICT_INDETERMINATE = "indeterminate"
 def fibonacci_directions(n: int) -> np.ndarray:
     """n quasi-uniform unit vectors (Fibonacci sphere lattice), as an (n, 3) array."""
     if n < 1:
-        raise ValueError(f"need at least one direction, got {n}")
+        raise QGuessError(f"need at least one direction, got {n}")
     i = np.arange(n)
     z = 1.0 - (2.0 * i + 1.0) / n
     s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
@@ -240,28 +240,24 @@ def verdict_for(z: float) -> str:
     return VERDICT_INDETERMINATE
 
 
-def _cap_hits(
-    strategy: EstimatorStrategy,
-    decomposition: EnsembleDecomposition,
-    cap_cos: float,
-    trials: int,
-    seed: int,
-    workers: int,
-    block: int,
-) -> int:
-    """Guesses inside the cap over `trials` preparations of the decomposition;
-    the worker substreams run on concurrent threads (`streams.map_batches`)
-    and their per-batch counts are summed."""
+def _cap_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition, cap_cos: float):
+    """Batch function for `streams.map_batches`: fn(rng, m) counts the
+    guesses inside the cap over m preparations of the decomposition, drawn
+    one row block at a time (`streams.map_row_blocks`): a member pick, then
+    the strategy's guess."""
     cum = np.cumsum(decomposition.weights)
     dirs = decomposition.directions
 
-    def batch_hits(rng, m):
-        pick = rng.random(m)
+    def block_hits(draws, lo, hi):
+        pick = draws.random(hi - lo)
         idx = np.minimum(np.searchsorted(cum, pick, side="right"), len(dirs) - 1)
-        outcomes = strategy.sample_batch(dirs[idx], rng)
+        outcomes = strategy.sample_batch(dirs[idx], draws)
         return int(np.count_nonzero(outcomes[:, 2] >= cap_cos))
 
-    return sum(streams.map_batches(batch_hits, seed, trials, workers, block=block))
+    def batch_hits(rng, m):
+        return sum(streams.map_row_blocks(block_hits, rng, m, 1 + strategy.UNIFORMS))
+
+    return batch_hits
 
 
 def run_discrimination_experiment(
@@ -277,19 +273,23 @@ def run_discrimination_experiment(
 
     Each run draws `trials` member choices and guesses per decomposition on
     its own substreams (blocks 2*stream_block and 2*stream_block + 1, each
-    split over `workers`, which run concurrently; the two decompositions run
-    one after the other), counts guesses inside the cap about +z, and scores
+    split over `workers`), counts guesses inside the cap about +z, and scores
     the frequency gap as a two-sample z statistic with binomial standard
     errors; with both errors zero the run carries no information and is
-    indeterminate.
+    indeterminate. Both decompositions' workers run concurrently, in one
+    `streams.map_arms` call, and each arm's hits are summed in worker-then-
+    batch order.
     """
     if not 0.0 < cap_half_angle <= math.pi:
         raise QGuessError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")
     if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
+        raise QGuessError(f"need at least 2 trials, got {trials}")
     cap_cos = math.cos(cap_half_angle)
-    hits_std = _cap_hits(strategy, standard_decomposition(p), cap_cos, trials, seed, workers, 2 * stream_block)
-    hits_sym = _cap_hits(strategy, symmetric_decomposition(p), cap_cos, trials, seed, workers, 2 * stream_block + 1)
+    arms = [
+        (_cap_hits(strategy, standard_decomposition(p), cap_cos), 2 * stream_block),
+        (_cap_hits(strategy, symmetric_decomposition(p), cap_cos), 2 * stream_block + 1),
+    ]
+    hits_std, hits_sym = (sum(hits) for hits in streams.map_arms(arms, seed, trials, workers))
 
     f_std = hits_std / trials
     f_sym = hits_sym / trials

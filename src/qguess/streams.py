@@ -9,9 +9,15 @@ work is scheduled: `map_batches` runs the workers' substreams on concurrent
 threads, up to one per usable core, and hands their per-batch results back
 in worker order.
 
-Drivers consume substreams in whole batches with a fixed draw order; trials
-are chunked so memory stays bounded without changing the draw sequence
-(chunk size is a constant, never derived from the workload).
+Trials are chunked into batches of at most BATCH_CAP rows (a constant, never
+derived from the workload). A batch of m rows that draws k uniform columns
+owns words [0, k*m) of its place in the substream, column c at words
+[c*m, (c+1)*m): the words whole-batch calls `random(m)`, `uniform(lo, hi, m)`
+would read one after the other, one 64-bit word per double. The drivers
+never hold a whole column. Philox is counter-based (Salmon et al. 2011,
+"Parallel random numbers: as easy as 1, 2, 3"), so `map_row_blocks` puts
+one generator at the start of each column and reads the batch ROW_BLOCK
+rows at a time; every row gets the same draws as in the whole-batch order.
 """
 
 from __future__ import annotations
@@ -22,18 +28,29 @@ import os
 
 import numpy as np
 
+from .errors import QGuessError
+
 MAX_SEED = 2**64 - 1
 
 # fixed internal batch cap; part of the reproducibility contract
 BATCH_CAP = 1 << 19
 
+# Rows per block of a batch (`map_row_blocks`): a block's draws and
+# temporaries stay cache-sized, and a batch in flight holds one block of them
+# beside what its driver keeps per row. Element-wise arithmetic gives the
+# same bytes at any block size. Each numpy call releases and
+# retakes the interpreter lock, so with two workers on threads the block
+# also sets how often they hand the lock over: 2^14 rows took that from
+# about 4200 waits per mc-admissible round (2^13) to about 1200.
+ROW_BLOCK = 1 << 14
+
 
 def substream(seed: int, worker: int = 0, block: int = 0) -> np.random.Generator:
     """Generator for one (seed, worker, block) cell of the stream lattice."""
     if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        raise QGuessError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if worker < 0 or block < 0:
-        raise ValueError("worker and block indices must be non-negative")
+        raise QGuessError("worker and block indices must be non-negative")
     key = np.array([seed, worker], dtype=np.uint64)
     counter = np.array([0, 0, worker, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
@@ -42,9 +59,9 @@ def substream(seed: int, worker: int = 0, block: int = 0) -> np.random.Generator
 def split_trials(trials: int, workers: int) -> list[int]:
     """Per-worker trial counts: as even as possible, remainder to low indices."""
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise QGuessError(f"trials must be >= 1, got {trials}")
     if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+        raise QGuessError(f"workers must be >= 1, got {workers}")
     base, extra = divmod(trials, workers)
     return [base + (1 if w < extra else 0) for w in range(workers)]
 
@@ -70,6 +87,74 @@ def worker_batches(seed: int, trials: int, workers: int, block: int = 0):
             yield rng, m
 
 
+def _column_generator(state: dict, words: int) -> np.random.Generator:
+    """Generator `words` 64-bit words past the Philox `state`.
+
+    Philox fills a buffer of four words per counter step: the words still
+    buffered are read off, `advance` then skips whole steps (and empties the
+    buffer), and `random_raw` reads the rest.
+    """
+    bits = np.random.Philox(key=state["state"]["key"])
+    bits.state = state
+    buffered = 4 - state["buffer_pos"]
+    if words > buffered:
+        steps, words = divmod(words - buffered, 4)
+        bits.random_raw(buffered)
+        bits.advance(steps)
+    bits.random_raw(words)
+    return np.random.Generator(bits)
+
+
+class _BlockDraws:
+    """The draws of one row block: its j-th `random` or `uniform` call reads
+    the block's rows of uniform column j."""
+
+    def __init__(self, columns: list, rows: int):
+        self._columns = columns
+        self._rows = rows
+        self.calls = 0
+
+    def _column(self, size) -> np.random.Generator:
+        if self.calls == len(self._columns):
+            raise RuntimeError(f"a row block drew more than its {len(self._columns)} uniform columns")
+        if size != self._rows:
+            raise RuntimeError(f"a row block of {self._rows} rows drew {size} uniforms")
+        self.calls += 1
+        return self._columns[self.calls - 1]
+
+    def random(self, size):
+        return self._column(size).random(size)
+
+    def uniform(self, low, high, size):
+        return self._column(size).uniform(low, high, size)
+
+
+def map_row_blocks(fn, rng: np.random.Generator, m: int, columns: int) -> list:
+    """[fn(draws, lo, hi) for each ROW_BLOCK [lo, hi) of a batch of m rows].
+
+    The batch draws `columns` uniform columns. One generator is put at the
+    start of each, word offsets 0, m, ..., (columns - 1) * m from `rng`, and
+    read block after block: the j-th `random` / `uniform` call `fn` makes on
+    `draws` returns rows [lo, hi) of column j, the same doubles the j-th
+    whole-batch call would return for those rows. So any code that draws
+    whole columns from a generator runs unchanged on one block, and `rng`
+    is left columns * m words on, as whole-batch draws would leave it. A
+    block that makes more or fewer than `columns` draw calls raises
+    RuntimeError.
+    """
+    state = rng.bit_generator.state
+    gens = [_column_generator(state, c * m) for c in range(columns)]
+    out = []
+    for lo in range(0, m, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, m)
+        draws = _BlockDraws(gens, hi - lo)
+        out.append(fn(draws, lo, hi))
+        if draws.calls != columns:
+            raise RuntimeError(f"a row block drew {draws.calls} of its {columns} uniform columns")
+    rng.bit_generator.state = gens[-1].bit_generator.state
+    return out
+
+
 def usable_cores() -> int:
     """Number of cores this process may run on."""
     try:
@@ -90,18 +175,37 @@ def map_batches(fn, seed: int, trials: int, workers: int, block: int = 0) -> lis
     order a serial loop would produce them, so a reduction over them is
     bit-identical to that loop's.
     """
-    # consecutive batches of one worker share its generator
-    batches = worker_batches(seed, trials, workers, block)
-    groups = [list(group) for _, group in itertools.groupby(batches, key=operator.itemgetter(0))]
+    return map_arms([(fn, block)], seed, trials, workers)[0]
 
-    def run(group):
+
+def map_arms(arms, seed: int, trials: int, workers: int) -> list[list]:
+    """map_batches(fn, seed, trials, workers, block) for each (fn, block) in
+    `arms`, as one list per arm.
+
+    Every arm's worker groups go to the pool in one submission, so the arms
+    run concurrently as well as their workers. A pool task never submits to
+    the pool: a task that waited on tasks queued behind it could deadlock a
+    pool whose threads all wait.
+    """
+    groups = []
+    for arm, (fn, block) in enumerate(arms):
+        # consecutive batches of one worker share its generator
+        batches = worker_batches(seed, trials, workers, block)
+        for _, group in itertools.groupby(batches, key=operator.itemgetter(0)):
+            groups.append((arm, fn, list(group)))
+
+    def run(task):
+        _, fn, group = task
         return [fn(rng, m) for rng, m in group]
 
     if min(len(groups), usable_cores()) <= 1:
-        per_worker = [run(group) for group in groups]
+        per_group = [run(task) for task in groups]
     else:
-        per_worker = list(_thread_pool().map(run, groups))
-    return [result for results in per_worker for result in results]
+        per_group = list(_thread_pool().map(run, groups))
+    out = [[] for _ in arms]
+    for (arm, _, _), results in zip(groups, per_group):
+        out[arm].extend(results)
+    return out
 
 
 # (process id, usable cores) -> the pool map_batches submits to
@@ -111,13 +215,14 @@ _POOLS: dict = {}
 def _thread_pool():
     """This process's pool of at most usable_cores() threads.
 
-    Made on first use. A thread starts only when a submitted worker finds
-    none idle, so there are no more threads than the most workers one call
-    maps, and they then stay, idle, between calls. A pool per call would start
-    and end threads on every driver call, and glibc gives a new thread a new
-    malloc arena whenever the arenas of the threads that just ended are not
-    yet free: arenas holding freed batch arrays piled up at random, and the
-    peak RSS of one mc-admissible benchmark run rose 49 MB over the others.
+    Made on first use. A thread starts only when a submitted worker group
+    finds none idle, so there are no more threads than the most groups one
+    call maps, and they then stay, idle, between calls. A pool per call
+    would start and end threads on every driver call, and glibc gives a new
+    thread a new malloc arena whenever the arenas of the threads that just
+    ended are not yet free: arenas holding freed batch arrays piled up at
+    random, and the peak RSS of one mc-admissible benchmark run rose 49 MB
+    over the others.
     Keyed by process id as well, since a forked child has none of the
     parent's threads.
     """
@@ -126,7 +231,7 @@ def _thread_pool():
     if pool is None:
         # imported here: concurrent.futures (with logging) adds about 9 ms to a
         # cold import of the package on a 2-core x86-64 host, and runs with
-        # one worker or one core never use it
+        # one worker group or one core never use it
         from concurrent.futures import ThreadPoolExecutor
 
         pool = _POOLS[key] = ThreadPoolExecutor(max_workers=key[1])

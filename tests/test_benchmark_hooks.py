@@ -14,7 +14,7 @@ import pytest
 from qguess import merit
 from qguess.estimator import ABFormStrategy, GuessingForm, MassarPopescuStrategy
 from qguess.nosignal import cos4_strategy
-from qguess.streams import BATCH_CAP
+from qguess.streams import BATCH_CAP, ROW_BLOCK
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -97,5 +97,7 @@ def test_traced_threaded_run_counts_exactly(tracing, strategy, tag):
     assert agg["streams.worker_batches.batches"] == 4
     assert agg["streams.substream.calls"] == 2
     assert agg[f"estimator.sample_batch.{tag}.rows"] == trials
-    assert agg[f"estimator.sample_batch.{tag}.calls"] == 4
+    # sample_batch runs once per row block: a full batch has BATCH_CAP //
+    # ROW_BLOCK blocks, each worker's ragged batch of 2 or 1 rows one
+    assert agg[f"estimator.sample_batch.{tag}.calls"] == 2 * (BATCH_CAP // ROW_BLOCK + 1)
     assert agg["bloch.random_directions.rows"] == (2 * trials if tag == "mp" else trials)

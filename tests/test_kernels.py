@@ -1,8 +1,10 @@
 """Byte identity of the batch kernels against the plain-numpy constructions
 they replaced: the frame against `np.cross` and `np.linalg.norm`, the
-tabulated inverse CDF against `np.interp` over the normalized CDF, and the
-row-blocked kernels against their whole-batch forms at the block edges.
-Equality is on `tobytes()`, so a last-ulp or signed-zero difference fails."""
+tabulated inverse CDF against `np.interp` over the normalized CDF, the
+kernels against their whole-batch forms at the block edges, and the drivers,
+which draw each batch one row block at a time, against their whole-batch
+bodies. Equality is on `tobytes()`, so a last-ulp or signed-zero difference
+fails."""
 
 import math
 
@@ -10,13 +12,13 @@ import numpy as np
 import pytest
 
 from qguess.bloch import (
-    ROW_BLOCK,
     angles_between,
     directions_at_angle,
     dots,
     orthonormal_frames,
     random_directions,
 )
+from qguess import streams
 from qguess.estimator import (
     ABFormStrategy,
     GuessingForm,
@@ -24,9 +26,12 @@ from qguess.estimator import (
     TabulatedStrategy,
     _ab_inverse_cdf,
     _linear_cells_sphere_mass,
+    collect_histogram,
 )
-from qguess.nosignal import cos4_strategy
-from qguess.streams import substream
+from qguess.ensembles import standard_decomposition, symmetric_decomposition
+from qguess.merit import monte_carlo_fidelity
+from qguess.nosignal import cos4_strategy, run_discrimination_experiment
+from qguess.streams import BATCH_CAP, ROW_BLOCK, map_row_blocks, substream
 
 
 def cross_frames(axes):
@@ -193,7 +198,8 @@ def test_tabulated_sample_batch_matches_interp_path():
 
 
 # ---------------------------------------------------------------------------
-# row blocks: sizes on both sides of each block edge, and a ragged last block
+# kernels against their whole-batch forms at sizes on both sides of the
+# drivers' block edge, and with a ragged last block
 
 BLOCK_EDGE_ROWS = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5]
 
@@ -265,3 +271,116 @@ def test_sample_batch_blocks_match_whole_batch(tag, n):
     rng, ref = substream(19), substream(19)
     assert_same_bytes(strategy.sample_batch(inputs, rng), oracle(inputs, ref))
     assert rng.random() == ref.random()
+
+
+# ---------------------------------------------------------------------------
+# counter-addressed row blocks: the block loop reads a batch's columns as the
+# whole-batch draws would, from any starting point of the generator
+
+BLOCK_COLUMN_ROWS = [1, 2, 3, 5, 7, ROW_BLOCK - 1, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3]
+
+
+@pytest.mark.parametrize("m", BLOCK_COLUMN_ROWS)
+@pytest.mark.parametrize("drawn", [0, 1, 2, 3, 5])
+def test_row_blocks_read_the_whole_batch_columns(drawn, m):
+    # `drawn` words already taken leave the Philox buffer part used, and most
+    # m put the columns at word offsets that are not multiples of 4
+    rng, ref = substream(21, 1, 2), substream(21, 1, 2)
+    rng.random(drawn)
+    ref.random(drawn)
+    blocks = map_row_blocks(
+        lambda draws, lo, hi: (lo, hi, draws.random(hi - lo), draws.uniform(-1.0, 1.0, size=hi - lo),
+                               draws.random(hi - lo)),
+        rng, m, 3)
+    want = [ref.random(m), ref.uniform(-1.0, 1.0, size=m), ref.random(m)]
+    assert [(lo, hi) for lo, hi, *_ in blocks] == [
+        (lo, min(lo + ROW_BLOCK, m)) for lo in range(0, m, ROW_BLOCK)]
+    for c in range(3):
+        assert_same_bytes(np.concatenate([cols[c] for _, _, *cols in blocks]), want[c])
+    # the batch generator is left where the whole-batch draws leave it
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("calls", [1, 3])
+def test_row_block_with_the_wrong_number_of_draw_calls_raises(calls):
+    def block(draws, lo, hi):
+        for _ in range(calls):
+            draws.random(hi - lo)
+
+    with pytest.raises(RuntimeError, match="uniform columns"):
+        map_row_blocks(block, substream(22), 10, 2)
+
+
+def test_row_block_draw_of_the_wrong_size_raises():
+    with pytest.raises(RuntimeError, match="drew 4 uniforms"):
+        map_row_blocks(lambda draws, lo, hi: draws.random(4), substream(22), 10, 1)
+
+
+# ---------------------------------------------------------------------------
+# drivers against their whole-batch bodies: each batch draws its columns
+# whole from the generator, and the reductions are the drivers' own
+
+def whole_batch_fidelity_and_counts(strategy, trials, seed, workers, bins=50):
+    """monte_carlo_fidelity's (value, std_error) and collect_histogram's
+    counts: both drivers draw the same inputs and guesses for one (seed,
+    workers), so one pass of whole batches serves both."""
+    edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(0.0, math.pi))
+
+    def batch(rng, m):
+        inputs = random_directions(rng, m)
+        outcomes = strategy.sample_batch(inputs, rng)
+        counts = np.histogram(angles_between(inputs, outcomes), bins=edges)[0]
+        s = dots(inputs, outcomes)
+        s += 1.0
+        s /= 2.0
+        total = float(np.sum(s))
+        s *= s
+        return total, float(np.sum(s)), counts
+
+    total = total_sq = 0.0
+    counts = np.zeros(bins, dtype=np.int64)
+    for batch_sum, batch_sum_sq, batch_counts in streams.map_batches(batch, seed, trials, workers):
+        total += batch_sum
+        total_sq += batch_sum_sq
+        counts += batch_counts
+    mean = total / trials
+    variance = max(total_sq - trials * mean * mean, 0.0) / (trials - 1)
+    return (mean, math.sqrt(variance / trials)), counts
+
+
+def whole_batch_cap_hits(strategy, trials, seed, workers, p=0.8, cap_half_angle=0.2):
+    def arm(decomposition, block):
+        cum = np.cumsum(decomposition.weights)
+        dirs = decomposition.directions
+
+        def batch_hits(rng, m):
+            idx = np.minimum(np.searchsorted(cum, rng.random(m), side="right"), len(dirs) - 1)
+            outcomes = strategy.sample_batch(dirs[idx], rng)
+            return int(np.count_nonzero(outcomes[:, 2] >= math.cos(cap_half_angle)))
+
+        return sum(streams.map_batches(batch_hits, seed, trials, workers, block=block))
+
+    return arm(standard_decomposition(p), 0), arm(symmetric_decomposition(p), 1)
+
+
+DRIVER_TRIALS = [2, ROW_BLOCK - 1, ROW_BLOCK + 1, BATCH_CAP + 44666, 2 * BATCH_CAP + 7]
+
+
+@pytest.fixture(scope="module")
+def strategies():
+    return {tag: strategy for tag, (strategy, _) in sampler_pairs().items()}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("trials", DRIVER_TRIALS)
+@pytest.mark.parametrize("tag", ["mp", "ab", "cos4"])
+def test_blocked_drivers_match_their_whole_batch_bodies(strategies, tag, trials, workers):
+    strategy = strategies[tag]
+    moments, counts = whole_batch_fidelity_and_counts(strategy, trials, 23, workers)
+    rep = monte_carlo_fidelity(strategy, trials=trials, seed=23, workers=workers)
+    assert (rep.value, rep.std_error) == moments
+    hist = collect_histogram(strategy, trials=trials, seed=23, workers=workers)
+    assert_same_bytes(hist.counts, counts)
+    disc = run_discrimination_experiment(strategy, 0.8, trials=trials, seed=23, workers=workers)
+    hits = whole_batch_cap_hits(strategy, trials, 23, workers)
+    assert (disc.freq_standard, disc.freq_symmetric) == (hits[0] / trials, hits[1] / trials)

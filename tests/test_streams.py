@@ -15,6 +15,7 @@ from qguess.nosignal import cos4_strategy, run_discrimination_experiment
 from qguess.streams import (
     BATCH_CAP,
     batch_sizes,
+    map_arms,
     map_batches,
     split_trials,
     substream,
@@ -136,8 +137,8 @@ def test_threaded_drivers_equal_the_serial_run(monkeypatch, pool_sizes, driver, 
     run = DRIVERS[driver]
     cores = usable_cores()
     threaded = run(workers)
-    # one pool, kept across maps (the discrimination experiment maps its two
-    # arms one after the other)
+    # one pool, kept across maps (the discrimination experiment maps both
+    # arms in one submission)
     assert pool_sizes == ([cores] if cores > 1 else [])
     monkeypatch.setattr(streams, "usable_cores", lambda: 1)
     assert run(workers) == threaded
@@ -188,3 +189,45 @@ def test_the_pool_and_its_threads_are_kept(monkeypatch, pool_sizes):
 def test_one_worker_runs_inline(pool_sizes):
     monte_carlo_fidelity(MassarPopescuStrategy(), trials=5000, seed=1, workers=1)
     assert pool_sizes == []
+
+
+# ---------------------------------------------------------------------------
+# the two discrimination arms share one map_arms submission
+
+
+def discriminate(workers):
+    return run_discrimination_experiment(cos4_strategy(), 0.8, trials=20_000, seed=4, workers=workers).as_dict()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_concurrent_arms_equal_the_one_thread_run(monkeypatch, pool_sizes, workers):
+    cores = usable_cores()
+    concurrent_run = discriminate(workers)
+    # one pool of at most usable_cores() threads, even at one worker: the
+    # arms alone make two groups
+    assert pool_sizes == ([cores] if cores > 1 else [])
+    for pool in streams._POOLS.values():
+        assert len(pool._threads) <= cores
+    monkeypatch.setattr(streams, "usable_cores", lambda: 1)
+    assert discriminate(workers) == concurrent_run
+
+
+def test_more_groups_than_threads_do_not_deadlock(monkeypatch, pool_sizes):
+    # 2 arms x 3 workers on a 2-thread pool: no task waits on another
+    want = discriminate(3)
+    monkeypatch.setattr(streams, "usable_cores", lambda: 2)
+    got = []
+    runner = threading.Thread(target=lambda: got.append(discriminate(3)), daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "discrimination run did not finish: the pool deadlocked"
+    assert got == [want]
+    assert pool_sizes[-1] == 2
+
+
+def test_map_arms_returns_each_arm_in_worker_then_batch_order(monkeypatch):
+    monkeypatch.setattr(streams, "batch_sizes", lambda n: batch_sizes(n, cap=4))
+    arms = [(lambda rng, m: (0, m, float(rng.random())), 3), (lambda rng, m: (1, m, float(rng.random())), 8)]
+    got = map_arms(arms, seed=5, trials=13, workers=2)
+    assert got == [map_batches(fn, 5, 13, 2, block=block) for fn, block in arms]
+    assert [m for _, m, _ in got[1]] == [4, 3, 4, 2]
