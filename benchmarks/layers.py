@@ -2,13 +2,16 @@
 
 Run from anywhere, against the checkout this file sits in:
 
-    python benchmarks/layers.py --label change --out BENCH_7.json
+    python benchmarks/layers.py --label change --out BENCH_8.json
 
 Each kernel is timed on one full batch of 2^19 rows, handed to it one
 block of 2^14 rows at a time as the drivers do, and each driver at the
 benchmark's sizes with workers 1 and 2; a time is the best and the median of
-11 repeats after one untimed call. The kernels are also run once on one
-block under tracemalloc for their peak allocation; for `sample_batch` that
+11 repeats after one untimed call. The discrimination's per-arm batch
+function, `nosignal._cap_hits`, is timed the same way on one 2^19-row
+batch per strategy (MP, cos4) and arm (the standard and symmetric
+decompositions at the benchmark's weight and cap), set-up included. The
+kernels are also run once on one block under tracemalloc for their peak allocation; for `sample_batch` that
 run draws its input directions too, as a driver's block does. Each driver is run
 once more under tracemalloc on one full batch (trials = BATCH_CAP, one
 worker) for the peak of a batch in flight; the discrimination experiment
@@ -37,7 +40,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from qguess import bloch, estimator, merit, nosignal, streams  # noqa: E402
+from qguess import bloch, ensembles, estimator, merit, nosignal, streams  # noqa: E402
 
 ROWS = 1 << 19
 # rows the drivers hand a kernel at once (streams.ROW_BLOCK)
@@ -103,6 +106,20 @@ def kernels() -> dict:
     }
 
 
+def cap_hits() -> dict:
+    cap_cos = math.cos(SIGNAL_CAP)
+    arms = {
+        "standard": ensembles.standard_decomposition(SIGNAL_P),
+        "symmetric": ensembles.symmetric_decomposition(SIGNAL_P),
+    }
+    out = {}
+    for tag, strategy in (("mp", estimator.MassarPopescuStrategy()), ("cos4", nosignal.cos4_strategy())):
+        for arm, decomposition in arms.items():
+            out[f"cap_hits.{tag}.{arm}"] = timed(
+                lambda: nosignal._cap_hits(strategy, decomposition, cap_cos)(streams.substream(1), ROWS))
+    return out
+
+
 def drivers() -> dict:
     mp = estimator.MassarPopescuStrategy()
     ab = estimator.ABFormStrategy(estimator.GuessingForm.from_a_fraction(0.5))
@@ -157,10 +174,11 @@ def main(argv=None) -> int:
     record.setdefault("rows", ROWS)
     record.setdefault("driver_trials", DRIVER_TRIALS)
     record.setdefault("repeats", REPEATS)
-    run = {"machine": machine(), "kernels": kernels(), "drivers": drivers(), "batch_peaks": batch_peaks()}
+    run = {"machine": machine(), "kernels": kernels(), "cap_hits": cap_hits(), "drivers": drivers(),
+           "batch_peaks": batch_peaks()}
     record.setdefault("runs", {})[args.label] = run
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    for layer in ("kernels", "drivers"):
+    for layer in ("kernels", "cap_hits", "drivers"):
         for name, t in run[layer].items():
             peak = f"  peak {t['peak_mb']:.1f} MB" if "peak_mb" in t else ""
             print(f"{name:48s} best {t['best_s'] * 1e3:8.1f} ms  median {t['median_s'] * 1e3:8.1f} ms{peak}")

@@ -260,21 +260,42 @@ def directions_at_angle(axes: np.ndarray, cos_theta: np.ndarray, phi: np.ndarray
     """Unit vectors at polar angle arccos(cos_theta) and azimuth phi about each axis.
 
     Row i is t*a + s*(cos(phi)*e1 + sin(phi)*e2) with t = cos_theta[i] and
-    s = sqrt(1 - t^2), evaluated one column at a time into a C-contiguous
-    (n, 3) array (the layout `dots` sums in a fixed order).
+    s = sqrt(1 - t^2), (e1, e2) the axis's `orthonormal_frames`, evaluated
+    one column at a time (`_coordinates_at_angle`) into a C-contiguous (n, 3)
+    array (the layout `dots` sums in a fixed order). Each column depends only
+    on that column of a, e1 and e2, so `z_at_angle` gives column 2 alone,
+    byte for byte.
     """
     axes = np.asarray(axes, dtype=float)
     out = np.empty((len(cos_theta), 3))
     e1, e2 = orthonormal_frames(axes)
+    _coordinates_at_angle(cos_theta, phi, [(axes[:, k], e1[:, k], e2[:, k]) for k in range(3)], out.T)
+    return out
+
+
+def z_at_angle(a_z: np.ndarray, e1_z: np.ndarray, e2_z: np.ndarray, cos_theta: np.ndarray,
+               phi: np.ndarray) -> np.ndarray:
+    """Column 2 of `directions_at_angle`, from the z coordinates of the axes
+    and of their `orthonormal_frames` (1-d arrays), with the same bytes."""
+    z = np.empty(len(cos_theta))
+    _coordinates_at_angle(cos_theta, phi, [(a_z, e1_z, e2_z)], [z])
+    return z
+
+
+def _coordinates_at_angle(cos_theta, phi, components, out) -> None:
+    """For each (a_k, e1_k, e2_k) of `components` and 1-d array of `out`,
+    write coordinate k of t*a + s*(cos(phi)*e1 + sin(phi)*e2) to that array:
+    (cos_phi*e1_k + sin_phi*e2_k), times s, plus t*a_k, in that order. The
+    one place this formula is evaluated, so every caller gets the same bytes.
+    """
     s = np.sqrt(np.clip(1.0 - cos_theta * cos_theta, 0.0, None))
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     col = np.empty(len(cos_theta))
     tmp = np.empty(len(cos_theta))
-    for k in range(3):
-        np.multiply(cos_phi, e1[:, k], out=col)
-        np.multiply(sin_phi, e2[:, k], out=tmp)
+    for (a_k, e1_k, e2_k), dest in zip(components, out):
+        np.multiply(cos_phi, e1_k, out=col)
+        np.multiply(sin_phi, e2_k, out=tmp)
         col += tmp
         col *= s
-        np.multiply(cos_theta, axes[:, k], out=tmp)
-        np.add(tmp, col, out=out[:, k])
-    return out
+        np.multiply(cos_theta, a_k, out=tmp)
+        np.add(tmp, col, out=dest)

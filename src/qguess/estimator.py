@@ -141,9 +141,17 @@ class EstimatorStrategy(ABC):
     UNIFORMS is the number of uniform columns `sample_batch` draws, one
     double per row each, in a fixed order; the drivers size their row
     blocks' draws by it (`streams.map_row_blocks`).
+
+    A strategy whose guess is the input's `directions_at_angle` at a drawn
+    (cos t, azimuth) pair defines `sample_angles(rng, n) -> (cos_theta, phi)`,
+    which draws the same UNIFORMS columns in the same order; a caller that
+    needs less than the whole guess (the cap counts of
+    `nosignal.run_discrimination_experiment`) computes it from the angles.
+    Other strategies leave it None.
     """
 
     UNIFORMS: int
+    sample_angles = None
 
     @abstractmethod
     def density(self, theta):
@@ -174,10 +182,12 @@ class ABFormStrategy(EstimatorStrategy):
     def density(self, theta):
         return guessing_density(self.form, theta)
 
+    def sample_angles(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+        t = _ab_inverse_cdf(self.form, rng.random(n))
+        return t, rng.uniform(0.0, TWO_PI, size=n)
+
     def sample_batch(self, inputs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        t = _ab_inverse_cdf(self.form, rng.random(len(inputs)))
-        phi = rng.uniform(0.0, TWO_PI, size=len(inputs))
-        return directions_at_angle(inputs, t, phi)
+        return directions_at_angle(inputs, *self.sample_angles(rng, len(inputs)))
 
     def bin_probabilities(self, theta_edges: np.ndarray) -> np.ndarray:
         return ab_bin_probabilities(self.form, theta_edges)
@@ -191,6 +201,8 @@ class MassarPopescuStrategy(ABFormStrategy):
     """
 
     UNIFORMS = 3  # axis z, axis azimuth, Born draw
+    # the guess is a measured axis, not an angle about the input
+    sample_angles = None
 
     def __init__(self):
         super().__init__(MASSAR_POPESCU_FORM)
@@ -301,10 +313,12 @@ class TabulatedStrategy(EstimatorStrategy):
         j = self._cdf_cell(u)
         return self._slope.take(j) * (u - self._xp.take(j)) + self._nodes.take(j)
 
+    def sample_angles(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+        theta = self.inverse_cdf(rng.random(n))
+        return np.cos(theta), rng.uniform(0.0, TWO_PI, size=n)
+
     def sample_batch(self, inputs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        theta = self.inverse_cdf(rng.random(len(inputs)))
-        phi = rng.uniform(0.0, TWO_PI, size=len(inputs))
-        return directions_at_angle(inputs, np.cos(theta), phi)
+        return directions_at_angle(inputs, *self.sample_angles(rng, len(inputs)))
 
     def bin_probabilities(self, theta_edges: np.ndarray) -> np.ndarray:
         return np.diff(self.cdf(np.asarray(theta_edges, dtype=float)))

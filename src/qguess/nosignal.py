@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import streams
+from . import bloch, streams
 from .ensembles import EnsembleDecomposition, standard_decomposition, symmetric_decomposition, tilt_angle
 from .errors import QGuessError, UnfittableHistogramError
 from .estimator import (
@@ -160,8 +160,12 @@ def cap_frequency(density, axis_angle: float, cap_half_angle: float) -> float:
     direction makes `axis_angle` with +z, for an isotropic outcome density.
 
     Quadrature over the cap: polar angle by composite Gauss-Legendre,
-    azimuth by the midpoint rule (periodic, so spectrally accurate).
+    azimuth by the midpoint rule (periodic, so spectrally accurate). A
+    non-finite axis angle, or a cap half-angle outside (0, pi], raises
+    QGuessError.
     """
+    if not math.isfinite(axis_angle):
+        raise QGuessError(f"axis angle must be finite, got {axis_angle}")
     if not 0.0 < cap_half_angle <= math.pi:
         raise QGuessError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")
     u, wu = composite_gauss_legendre(np.linspace(0.0, cap_half_angle, 17), 24)
@@ -240,19 +244,49 @@ def verdict_for(z: float) -> str:
     return VERDICT_INDETERMINATE
 
 
+def _member_index(cum: np.ndarray, pick: np.ndarray) -> np.ndarray:
+    """Member index of each uniform `pick` for the cumulative weights `cum`:
+    the count of cum[j], j < len(cum) - 1, at or below the pick.
+
+    `cum` is non-decreasing (weights are non-negative), so this is
+    `np.minimum(np.searchsorted(cum, pick, "right"), len(cum) - 1)`, one
+    comparison per member and row instead of a binary search per row.
+    """
+    idx = np.zeros(len(pick), dtype=np.intp)
+    for c in cum[:-1]:
+        idx += pick >= c
+    return idx
+
+
 def _cap_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition, cap_cos: float):
     """Batch function for `streams.map_batches`: fn(rng, m) counts the
-    guesses inside the cap over m preparations of the decomposition, drawn
-    one row block at a time (`streams.map_row_blocks`): a member pick, then
-    the strategy's guess."""
+    guesses inside the cap about +z over m preparations of the
+    decomposition, drawn one row block at a time (`streams.map_row_blocks`):
+    a member pick (`_member_index`), then the strategy's guess.
+
+    Only the guess's z coordinate is counted. For a strategy with
+    `sample_angles` no guess is built: the members' frames are made once
+    per arm, here, and each block computes `bloch.z_at_angle` from the
+    picked members' z coordinates, the bytes of column 2 of its
+    `sample_batch`. Other strategies run `sample_batch` on the picked
+    members.
+    """
     cum = np.cumsum(decomposition.weights)
     dirs = decomposition.directions
+    if strategy.sample_angles is None:
+        def block_z(draws, idx):
+            return strategy.sample_batch(dirs.take(idx, axis=0), draws)[:, 2]
+    else:
+        e1, e2 = bloch.orthonormal_frames(dirs)
+        a_z, e1_z, e2_z = dirs[:, 2], e1[:, 2], e2[:, 2]
+
+        def block_z(draws, idx):
+            cos_theta, phi = strategy.sample_angles(draws, len(idx))
+            return bloch.z_at_angle(a_z.take(idx), e1_z.take(idx), e2_z.take(idx), cos_theta, phi)
 
     def block_hits(draws, lo, hi):
-        pick = draws.random(hi - lo)
-        idx = np.minimum(np.searchsorted(cum, pick, side="right"), len(dirs) - 1)
-        outcomes = strategy.sample_batch(dirs[idx], draws)
-        return int(np.count_nonzero(outcomes[:, 2] >= cap_cos))
+        idx = _member_index(cum, draws.random(hi - lo))
+        return int(np.count_nonzero(block_z(draws, idx) >= cap_cos))
 
     def batch_hits(rng, m):
         return sum(streams.map_row_blocks(block_hits, rng, m, 1 + strategy.UNIFORMS))
@@ -278,7 +312,10 @@ def run_discrimination_experiment(
     errors; with both errors zero the run carries no information and is
     indeterminate. Both decompositions' workers run concurrently, in one
     `streams.map_arms` call, and each arm's hits are summed in worker-then-
-    batch order.
+    batch order. A guess counts by its z coordinate alone (`_cap_hits`):
+    for a strategy with `sample_angles` (the two-parameter and tabulated
+    samplers) that is computed from the drawn angles and the members'
+    frames, made once per arm, without `sample_batch`.
     """
     if not 0.0 < cap_half_angle <= math.pi:
         raise QGuessError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qguess import merit
+from qguess import merit, nosignal
 from qguess.estimator import ABFormStrategy, GuessingForm, MassarPopescuStrategy
 from qguess.nosignal import cos4_strategy
 from qguess.streams import BATCH_CAP, ROW_BLOCK
@@ -101,3 +101,24 @@ def test_traced_threaded_run_counts_exactly(tracing, strategy, tag):
     # ROW_BLOCK blocks, each worker's ragged batch of 2 or 1 rows one
     assert agg[f"estimator.sample_batch.{tag}.calls"] == 2 * (BATCH_CAP // ROW_BLOCK + 1)
     assert agg["bloch.random_directions.rows"] == (2 * trials if tag == "mp" else trials)
+
+
+def test_traced_discrimination_builds_frames_once_per_arm(tracing):
+    # one batch and one ragged batch per arm: the members' frames are built
+    # once per arm, on its two members, not per batch or row block, and the
+    # cos4 guesses are counted by their z coordinate alone, so neither
+    # sample_batch nor directions_at_angle runs
+    strategy = cos4_strategy()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        nosignal.run_discrimination_experiment(strategy, 0.9, trials=BATCH_CAP + 3, seed=1)
+    finally:
+        tracer.uninstall()
+    agg = tracing.aggregate(tracer.spans, tracer.counts)
+    assert agg["nosignal.run_discrimination_experiment.calls"] == 1
+    assert agg["bloch.orthonormal_frames.calls"] == 2
+    assert agg["bloch.orthonormal_frames.rows"] == 4
+    assert agg["streams.worker_batches.batches"] == 4
+    assert agg["streams.substream.calls"] == 2
+    assert not [key for key in agg if key.startswith(("estimator.sample_batch.", "bloch.directions_at_angle."))]

@@ -9,7 +9,7 @@ import pytest
 from qguess.errors import QGuessError
 from qguess.estimator import DensityHistogram, MassarPopescuStrategy, collect_histogram
 from qguess.merit import monte_carlo_fidelity
-from qguess.nosignal import fibonacci_directions, run_discrimination_experiment
+from qguess.nosignal import cap_frequency, cos4_density, fibonacci_directions, run_discrimination_experiment
 from qguess.streams import split_trials, substream
 
 EDGES = np.linspace(0.0, math.pi, 3)
@@ -20,6 +20,8 @@ SITES = {
     "run_discrimination_experiment(trials=1)": lambda: run_discrimination_experiment(
         MassarPopescuStrategy(), 0.8, trials=1),
     "fibonacci_directions(0)": lambda: fibonacci_directions(0),
+    "cap_frequency(axis_angle=nan)": lambda: cap_frequency(cos4_density, math.nan, 0.2),
+    "cap_frequency(axis_angle=inf)": lambda: cap_frequency(cos4_density, math.inf, 0.2),
     "histogram edges and counts": lambda: DensityHistogram(EDGES, [1, 1, 1], 3),
     "histogram span": lambda: DensityHistogram(np.linspace(0.1, math.pi, 3), [1, 1], 2),
     "histogram widths": lambda: DensityHistogram([0.0, 1.0, math.pi], [1, 1], 2),

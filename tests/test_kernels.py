@@ -1,10 +1,11 @@
 """Byte identity of the batch kernels against the plain-numpy constructions
 they replaced: the frame against `np.cross` and `np.linalg.norm`, the
 tabulated inverse CDF against `np.interp` over the normalized CDF, the
-kernels against their whole-batch forms at the block edges, and the drivers,
-which draw each batch one row block at a time, against their whole-batch
-bodies. Equality is on `tobytes()`, so a last-ulp or signed-zero difference
-fails."""
+kernels against their whole-batch forms at the block edges, the
+discrimination's member pick and z coordinate against `np.searchsorted` and
+column 2 of the full guess, and the drivers, which draw each batch one row
+block at a time, against their whole-batch bodies. Equality is on
+`tobytes()`, so a last-ulp or signed-zero difference fails."""
 
 import math
 
@@ -17,8 +18,9 @@ from qguess.bloch import (
     dots,
     orthonormal_frames,
     random_directions,
+    z_at_angle,
 )
-from qguess import streams
+from qguess import bloch, streams
 from qguess.estimator import (
     ABFormStrategy,
     GuessingForm,
@@ -30,7 +32,7 @@ from qguess.estimator import (
 )
 from qguess.ensembles import standard_decomposition, symmetric_decomposition
 from qguess.merit import monte_carlo_fidelity
-from qguess.nosignal import cos4_strategy, run_discrimination_experiment
+from qguess.nosignal import _member_index, cos4_strategy, run_discrimination_experiment
 from qguess.streams import BATCH_CAP, ROW_BLOCK, map_row_blocks, substream
 
 
@@ -223,6 +225,45 @@ def test_directions_at_angle_blocks_match_whole_batch(n):
     assert_same_bytes(out, broadcast_directions_at_angle(axes, cos_t, phi))
 
 
+# the weights of the discrimination tests: p = 0 and 1 give zero-weight
+# members and put both tilted members on a pole
+DISCRIMINATION_P = [0.0, 0.5, 0.9, 1.0]
+
+
+@pytest.mark.parametrize("p", DISCRIMINATION_P)
+def test_member_index_matches_searchsorted(p):
+    rng = substream(24)
+    for decomposition in (standard_decomposition(p), symmetric_decomposition(p)):
+        cum = np.cumsum(decomposition.weights)
+        # picks exactly on each cum[j] and one step either side of it
+        picks = np.concatenate([cum, np.nextafter(cum, -1.0), np.nextafter(cum, 2.0), [0.0], rng.random(4096)])
+        picks = picks[(picks >= 0.0) & (picks <= 1.0)]
+        want = np.minimum(np.searchsorted(cum, picks, side="right"), len(cum) - 1)
+        assert_same_bytes(_member_index(cum, picks), want)
+
+
+@pytest.mark.parametrize("p", DISCRIMINATION_P)
+def test_z_at_angle_is_column_2_of_directions_at_angle(p):
+    rng = substream(25)
+    unit_axes = np.concatenate([np.eye(3), -np.eye(3)])
+    dirs = np.concatenate([standard_decomposition(p).directions, symmetric_decomposition(p).directions,
+                           unit_axes, random_directions(rng, 64)])
+    e1, e2 = orthonormal_frames(dirs)
+    # the pole members' frames lie in the x-y plane, with signed zeros in z
+    on_pole = np.abs(dirs[:, 2]) == 1.0
+    assert np.count_nonzero(on_pole) >= 4
+    assert not np.any(e1[on_pole, 2]) and not np.any(e2[on_pole, 2])
+    n = 4096
+    idx = rng.integers(0, len(dirs), size=n)
+    cos_t = rng.uniform(-1.0, 1.0, size=n)
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    # angles whose products give signed zeros
+    cos_t[:8] = [1.0, -1.0, 0.0, -0.0, 1.0, -1.0, 0.0, -0.0]
+    phi[:8] = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, math.pi, 0.0, 0.5 * math.pi, 0.0]
+    got = z_at_angle(dirs[:, 2].take(idx), e1[:, 2].take(idx), e2[:, 2].take(idx), cos_t, phi)
+    assert_same_bytes(got, directions_at_angle(dirs[idx], cos_t, phi)[:, 2].copy())
+
+
 @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
 def test_in_place_dots_and_angles_match_out_of_place(n):
     rng = substream(20)
@@ -371,6 +412,12 @@ def strategies():
     return {tag: strategy for tag, (strategy, _) in sampler_pairs().items()}
 
 
+def assert_discrimination_matches_whole_batch(strategy, trials, workers, p=0.8):
+    disc = run_discrimination_experiment(strategy, p, trials=trials, seed=23, workers=workers)
+    hits = whole_batch_cap_hits(strategy, trials, 23, workers, p=p)
+    assert (disc.freq_standard, disc.freq_symmetric) == (hits[0] / trials, hits[1] / trials)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("trials", DRIVER_TRIALS)
 @pytest.mark.parametrize("tag", ["mp", "ab", "cos4"])
@@ -381,6 +428,24 @@ def test_blocked_drivers_match_their_whole_batch_bodies(strategies, tag, trials,
     assert (rep.value, rep.std_error) == moments
     hist = collect_histogram(strategy, trials=trials, seed=23, workers=workers)
     assert_same_bytes(hist.counts, counts)
-    disc = run_discrimination_experiment(strategy, 0.8, trials=trials, seed=23, workers=workers)
-    hits = whole_batch_cap_hits(strategy, trials, 23, workers)
-    assert (disc.freq_standard, disc.freq_symmetric) == (hits[0] / trials, hits[1] / trials)
+    assert_discrimination_matches_whole_batch(strategy, trials, workers)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+@pytest.mark.parametrize("tag", ["mp", "ab", "cos4"])
+def test_blocked_discrimination_matches_its_whole_batch_body_at_the_end_weights(strategies, tag, p):
+    # zero-weight members, and the tilted pair on one pole
+    assert_discrimination_matches_whole_batch(strategies[tag], ROW_BLOCK + 1, 1, p=p)
+
+
+def test_mp_discrimination_never_takes_the_angle_path(strategies, monkeypatch):
+    # MP's guess is a measured axis: it has no angle sampler, and its cap
+    # hits come from its whole guesses
+    def refuse(*args):
+        raise AssertionError("the MP discrimination took the angle path")
+
+    assert MassarPopescuStrategy.sample_angles is None
+    assert callable(strategies["ab"].sample_angles) and callable(strategies["cos4"].sample_angles)
+    monkeypatch.setattr(bloch, "orthonormal_frames", refuse)
+    monkeypatch.setattr(bloch, "z_at_angle", refuse)
+    assert_discrimination_matches_whole_batch(strategies["mp"], ROW_BLOCK + 1, 1)
