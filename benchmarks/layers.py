@@ -2,15 +2,18 @@
 
 Run from anywhere, against the checkout this file sits in:
 
-    python benchmarks/layers.py --label change --out BENCH_8.json
+    python benchmarks/layers.py --label change --out BENCH_9.json
 
 Each kernel is timed on one full batch of 2^19 rows, handed to it one
 block of 2^14 rows at a time as the drivers do, and each driver at the
 benchmark's sizes with workers 1 and 2; a time is the best and the median of
 11 repeats after one untimed call. The discrimination's per-arm batch
 function, `nosignal._cap_hits`, is timed the same way on one 2^19-row
-batch per strategy (MP, cos4) and arm (the standard and symmetric
-decompositions at the benchmark's weight and cap), set-up included. The
+batch per strategy (MP, cos4) and arm, set-up included. The arms are the
+standard and symmetric decompositions at the benchmark's weight and cap,
+whose members' frames leave out both azimuth terms and sin(phi) (see
+`bloch.frame_z`), and the generic arm, the symmetric pair turned 1 rad
+about z, whose members keep both. The
 kernels are also run once on one block under tracemalloc for their peak allocation; for `sample_batch` that
 run draws its input directions too, as a driver's block does. Each driver is run
 once more under tracemalloc on one full batch (trials = BATCH_CAP, one
@@ -106,11 +109,21 @@ def kernels() -> dict:
     }
 
 
+def turned_about_z(decomposition, angle: float):
+    """The decomposition with every member rotated by `angle` about z: the
+    same mixture when its Bloch vector lies on z."""
+    c, s = math.cos(angle), math.sin(angle)
+    return bloch.EnsembleDecomposition(tuple(
+        (w, bloch.BlochVector.normalized(c * d.x - s * d.y, s * d.x + c * d.y, d.z))
+        for w, d in decomposition.members))
+
+
 def cap_hits() -> dict:
     cap_cos = math.cos(SIGNAL_CAP)
     arms = {
         "standard": ensembles.standard_decomposition(SIGNAL_P),
         "symmetric": ensembles.symmetric_decomposition(SIGNAL_P),
+        "generic": turned_about_z(ensembles.symmetric_decomposition(SIGNAL_P), 1.0),
     }
     out = {}
     for tag, strategy in (("mp", estimator.MassarPopescuStrategy()), ("cos4", nosignal.cos4_strategy())):

@@ -264,7 +264,7 @@ def directions_at_angle(axes: np.ndarray, cos_theta: np.ndarray, phi: np.ndarray
     one column at a time (`_coordinates_at_angle`) into a C-contiguous (n, 3)
     array (the layout `dots` sums in a fixed order). Each column depends only
     on that column of a, e1 and e2, so `z_at_angle` gives column 2 alone,
-    byte for byte.
+    byte for byte when given all three z coordinates.
     """
     axes = np.asarray(axes, dtype=float)
     out = np.empty((len(cos_theta), 3))
@@ -273,10 +273,33 @@ def directions_at_angle(axes: np.ndarray, cos_theta: np.ndarray, phi: np.ndarray
     return out
 
 
-def z_at_angle(a_z: np.ndarray, e1_z: np.ndarray, e2_z: np.ndarray, cos_theta: np.ndarray,
-               phi: np.ndarray) -> np.ndarray:
+def frame_z(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(a_z, e1_z, e2_z) for `z_at_angle` about the rows of `axes`: the z
+    coordinates of the axes and of their `orthonormal_frames`, with None for
+    a frame coordinate that is zero (+0 or -0) in every row.
+
+    With the helper axis of `orthonormal_frames`, e1_z is -y/|a x h| (x-hat)
+    or x/|a x h| (y-hat), and e2_z is x*z/|a x h| or y*z/|a x h|, each up to
+    the sign of a zero. So both vanish at the poles, e2_z for axes in the
+    y-z plane, and e1_z for axes with y = 0 and |x| <= 0.9.
+    """
+    axes = np.asarray(axes, dtype=float)
+    e1, e2 = orthonormal_frames(axes)
+    e1_z, e2_z = (e[:, 2] if np.any(e[:, 2]) else None for e in (e1, e2))
+    return axes[:, 2], e1_z, e2_z
+
+
+def z_at_angle(a_z: np.ndarray, e1_z: np.ndarray | None, e2_z: np.ndarray | None,
+               cos_theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Column 2 of `directions_at_angle`, from the z coordinates of the axes
-    and of their `orthonormal_frames` (1-d arrays), with the same bytes."""
+    and of their `orthonormal_frames` (1-d arrays), with the same bytes.
+
+    An e1_z or e2_z of None stands for a column of zeros (`frame_z`): its
+    azimuth term, cos(phi)*e1_z or sin(phi)*e2_z, is not evaluated, and with
+    both None neither is s, so z = t*a_z. A zero term only adds a signed
+    zero, so for finite phi such a z differs from column 2 at most in the
+    sign of a zero, and compares == to it.
+    """
     z = np.empty(len(cos_theta))
     _coordinates_at_angle(cos_theta, phi, [(a_z, e1_z, e2_z)], [z])
     return z
@@ -285,17 +308,26 @@ def z_at_angle(a_z: np.ndarray, e1_z: np.ndarray, e2_z: np.ndarray, cos_theta: n
 def _coordinates_at_angle(cos_theta, phi, components, out) -> None:
     """For each (a_k, e1_k, e2_k) of `components` and 1-d array of `out`,
     write coordinate k of t*a + s*(cos(phi)*e1 + sin(phi)*e2) to that array:
-    (cos_phi*e1_k + sin_phi*e2_k), times s, plus t*a_k, in that order. The
-    one place this formula is evaluated, so every caller gets the same bytes.
+    (cos_phi*e1_k + sin_phi*e2_k), times s, plus t*a_k, in that order. A
+    frame coordinate of None drops its term; cos(phi), sin(phi) and s are
+    evaluated only if some component needs them. The one place this formula
+    is evaluated, so every caller gets the same bytes.
     """
-    s = np.sqrt(np.clip(1.0 - cos_theta * cos_theta, 0.0, None))
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    cos_phi = np.cos(phi) if any(e1_k is not None for _, e1_k, _ in components) else None
+    sin_phi = np.sin(phi) if any(e2_k is not None for _, _, e2_k in components) else None
+    if cos_phi is not None or sin_phi is not None:
+        s = np.sqrt(np.clip(1.0 - cos_theta * cos_theta, 0.0, None))
     col = np.empty(len(cos_theta))
     tmp = np.empty(len(cos_theta))
     for (a_k, e1_k, e2_k), dest in zip(components, out):
-        np.multiply(cos_phi, e1_k, out=col)
-        np.multiply(sin_phi, e2_k, out=tmp)
-        col += tmp
+        terms = [(trig, e_k) for trig, e_k in ((cos_phi, e1_k), (sin_phi, e2_k)) if e_k is not None]
+        if not terms:
+            np.multiply(cos_theta, a_k, out=dest)
+            continue
+        np.multiply(*terms[0], out=col)
+        for trig, e_k in terms[1:]:
+            np.multiply(trig, e_k, out=tmp)
+            col += tmp
         col *= s
         np.multiply(cos_theta, a_k, out=tmp)
         np.add(tmp, col, out=dest)

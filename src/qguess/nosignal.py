@@ -266,10 +266,14 @@ def _cap_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition,
 
     Only the guess's z coordinate is counted. For a strategy with
     `sample_angles` no guess is built: the members' frames are made once
-    per arm, here, and each block computes `bloch.z_at_angle` from the
-    picked members' z coordinates, the bytes of column 2 of its
-    `sample_batch`. Other strategies run `sample_batch` on the picked
-    members.
+    per arm, here (`bloch.frame_z`), and each block computes
+    `bloch.z_at_angle` from the picked members' z coordinates, column 2 of
+    its `sample_batch`. An azimuth term whose frame coordinate is zero for
+    every member is left out: both for the poles, sin(phi)*e2_z for the
+    tilted pair in the y-z plane. That can change only the sign of a zero
+    z, which `z >= cap_cos` cannot see, so the counts are those of
+    `sample_batch`; the azimuth column is still drawn. Other strategies run
+    `sample_batch` on the picked members.
     """
     cum = np.cumsum(decomposition.weights)
     dirs = decomposition.directions
@@ -277,12 +281,12 @@ def _cap_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition,
         def block_z(draws, idx):
             return strategy.sample_batch(dirs.take(idx, axis=0), draws)[:, 2]
     else:
-        e1, e2 = bloch.orthonormal_frames(dirs)
-        a_z, e1_z, e2_z = dirs[:, 2], e1[:, 2], e2[:, 2]
+        members_z = bloch.frame_z(dirs)
 
         def block_z(draws, idx):
             cos_theta, phi = strategy.sample_angles(draws, len(idx))
-            return bloch.z_at_angle(a_z.take(idx), e1_z.take(idx), e2_z.take(idx), cos_theta, phi)
+            picked = (None if c is None else c.take(idx) for c in members_z)
+            return bloch.z_at_angle(*picked, cos_theta, phi)
 
     def block_hits(draws, lo, hi):
         idx = _member_index(cum, draws.random(hi - lo))

@@ -3,7 +3,8 @@ they replaced: the frame against `np.cross` and `np.linalg.norm`, the
 tabulated inverse CDF against `np.interp` over the normalized CDF, the
 kernels against their whole-batch forms at the block edges, the
 discrimination's member pick and z coordinate against `np.searchsorted` and
-column 2 of the full guess, and the drivers, which draw each batch one row
+column 2 of the full guess (`==` where azimuth terms with zero frame
+coordinates are left out), and the drivers, which draw each batch one row
 block at a time, against their whole-batch bodies. Equality is on
 `tobytes()`, so a last-ulp or signed-zero difference fails."""
 
@@ -13,9 +14,12 @@ import numpy as np
 import pytest
 
 from qguess.bloch import (
+    BlochVector,
+    EnsembleDecomposition,
     angles_between,
     directions_at_angle,
     dots,
+    frame_z,
     orthonormal_frames,
     random_directions,
     z_at_angle,
@@ -32,7 +36,7 @@ from qguess.estimator import (
 )
 from qguess.ensembles import standard_decomposition, symmetric_decomposition
 from qguess.merit import monte_carlo_fidelity
-from qguess.nosignal import _member_index, cos4_strategy, run_discrimination_experiment
+from qguess.nosignal import _cap_hits, _member_index, cos4_strategy, run_discrimination_experiment
 from qguess.streams import BATCH_CAP, ROW_BLOCK, map_row_blocks, substream
 
 
@@ -230,6 +234,36 @@ def test_directions_at_angle_blocks_match_whole_batch(n):
 DISCRIMINATION_P = [0.0, 0.5, 0.9, 1.0]
 
 
+def members(*weighted):
+    """Decomposition of (weight, (x, y, z)) members, each direction normalized."""
+    return EnsembleDecomposition(tuple((w, BlochVector.normalized(*v)) for w, v in weighted))
+
+
+def member_sets():
+    """Decompositions with each choice of azimuth terms, by `frame_z`: the
+    poles have e1_z = e2_z = +-0, a y-z pair e2_z = +-0, an x-z pair with
+    |x| <= 0.9 e1_z = +-0 (x-hat helper axis), an x-z pair with |x| > 0.9
+    e2_z = +-0 (y-hat helper axis); the generic set, a pole among them,
+    keeps both."""
+    return {
+        "poles": standard_decomposition(0.8),
+        "y-z pair": symmetric_decomposition(0.8),
+        "x-z pair": members((0.5, (0.6, 0.0, 0.8)), (0.5, (-0.6, 0.0, 0.8))),
+        "x-dominant pair": members((0.4, (0.95, 0.0, 0.3)), (0.6, (-0.95, 0.0, -0.3))),
+        "generic": members((0.3, (0.3, 0.4, 0.5)), (0.5, (-0.2, 0.1, -0.4)), (0.2, (0.0, 0.0, 1.0))),
+    }
+
+
+# the azimuth functions a block of each member set evaluates, by name
+AZIMUTH_TERMS = {
+    "poles": set(),
+    "y-z pair": {"cos"},
+    "x-z pair": {"sin"},
+    "x-dominant pair": {"cos"},
+    "generic": {"cos", "sin"},
+}
+
+
 @pytest.mark.parametrize("p", DISCRIMINATION_P)
 def test_member_index_matches_searchsorted(p):
     rng = substream(24)
@@ -262,6 +296,36 @@ def test_z_at_angle_is_column_2_of_directions_at_angle(p):
     phi[:8] = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, math.pi, 0.0, 0.5 * math.pi, 0.0]
     got = z_at_angle(dirs[:, 2].take(idx), e1[:, 2].take(idx), e2[:, 2].take(idx), cos_t, phi)
     assert_same_bytes(got, directions_at_angle(dirs[idx], cos_t, phi)[:, 2].copy())
+
+
+@pytest.mark.parametrize("p", DISCRIMINATION_P)
+def test_reduced_term_z_equals_column_2_of_directions_at_angle(p):
+    # p = 0.5 puts the tilted pair on the equator (a_z = 0, so t*a_z = +-0);
+    # p = 0 and 1 put it on a pole
+    rng = substream(26)
+    arms = [standard_decomposition(p), symmetric_decomposition(p), *member_sets().values()]
+    if p == 0.5:
+        assert not np.any(symmetric_decomposition(p).directions[:, 2])
+    for decomposition in arms:
+        dirs = decomposition.directions
+        a_z, e1_z, e2_z = frame_z(dirs)
+        # a dropped frame coordinate is +-0 for every member
+        for got, full in zip((e1_z, e2_z), orthonormal_frames(dirs)):
+            assert not np.any(full[:, 2]) if got is None else got.tobytes() == full[:, 2].tobytes()
+        n = 4096
+        idx = rng.integers(0, len(dirs), size=n)
+        cos_t = rng.uniform(-1.0, 1.0, size=n)
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        # cos_theta = 0 rows, and angles whose products give signed zeros
+        cos_t[:8] = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.0, -0.0]
+        phi[:8] = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, math.pi, 0.0, 0.5 * math.pi, 0.0]
+        picked = [None if c is None else c.take(idx) for c in (a_z, e1_z, e2_z)]
+        got = z_at_angle(*picked, cos_t, phi)
+        want = directions_at_angle(dirs[idx], cos_t, phi)[:, 2].copy()
+        # == does not tell +0 from -0, and neither does the cap test z >= cap_cos
+        assert np.array_equal(got, want)
+        if e1_z is not None and e2_z is not None:
+            assert_same_bytes(got, want)
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
@@ -389,19 +453,19 @@ def whole_batch_fidelity_and_counts(strategy, trials, seed, workers, bins=50):
     return (mean, math.sqrt(variance / trials)), counts
 
 
-def whole_batch_cap_hits(strategy, trials, seed, workers, p=0.8, cap_half_angle=0.2):
-    def arm(decomposition, block):
-        cum = np.cumsum(decomposition.weights)
-        dirs = decomposition.directions
+def whole_batch_cap_hits(strategy, decomposition, trials, seed, workers, block=0, caps=(0.2,)):
+    """One arm's cap hits from whole batches: the member pick by
+    np.searchsorted, then the strategy's whole guesses; one count per cap
+    half-angle in `caps`."""
+    cum = np.cumsum(decomposition.weights)
+    dirs = decomposition.directions
 
-        def batch_hits(rng, m):
-            idx = np.minimum(np.searchsorted(cum, rng.random(m), side="right"), len(dirs) - 1)
-            outcomes = strategy.sample_batch(dirs[idx], rng)
-            return int(np.count_nonzero(outcomes[:, 2] >= math.cos(cap_half_angle)))
+    def batch_hits(rng, m):
+        idx = np.minimum(np.searchsorted(cum, rng.random(m), side="right"), len(dirs) - 1)
+        z = strategy.sample_batch(dirs[idx], rng)[:, 2]
+        return np.array([np.count_nonzero(z >= math.cos(cap)) for cap in caps])
 
-        return sum(streams.map_batches(batch_hits, seed, trials, workers, block=block))
-
-    return arm(standard_decomposition(p), 0), arm(symmetric_decomposition(p), 1)
+    return sum(streams.map_batches(batch_hits, seed, trials, workers, block=block)).tolist()
 
 
 DRIVER_TRIALS = [2, ROW_BLOCK - 1, ROW_BLOCK + 1, BATCH_CAP + 44666, 2 * BATCH_CAP + 7]
@@ -414,8 +478,9 @@ def strategies():
 
 def assert_discrimination_matches_whole_batch(strategy, trials, workers, p=0.8):
     disc = run_discrimination_experiment(strategy, p, trials=trials, seed=23, workers=workers)
-    hits = whole_batch_cap_hits(strategy, trials, 23, workers, p=p)
-    assert (disc.freq_standard, disc.freq_symmetric) == (hits[0] / trials, hits[1] / trials)
+    [std], [sym] = (whole_batch_cap_hits(strategy, decomposition, trials, 23, workers, block=block)
+                    for block, decomposition in enumerate([standard_decomposition(p), symmetric_decomposition(p)]))
+    assert (disc.freq_standard, disc.freq_symmetric) == (std / trials, sym / trials)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -449,3 +514,49 @@ def test_mp_discrimination_never_takes_the_angle_path(strategies, monkeypatch):
     monkeypatch.setattr(bloch, "orthonormal_frames", refuse)
     monkeypatch.setattr(bloch, "z_at_angle", refuse)
     assert_discrimination_matches_whole_batch(strategies["mp"], ROW_BLOCK + 1, 1)
+
+
+# the cap hits of any member set against the whole-batch oracle, at caps
+# inside, at and beyond the equator
+CAPS = (0.2, math.pi / 2.0, 2.5)
+
+
+@pytest.mark.parametrize("name", sorted(AZIMUTH_TERMS))
+@pytest.mark.parametrize("trials", [ROW_BLOCK + 1, BATCH_CAP + 44666])
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_cap_hits_match_the_whole_batch_oracle_for_every_member_set(strategies, tag, trials, name):
+    strategy, decomposition = strategies[tag], member_sets()[name]
+    got = [sum(streams.map_batches(_cap_hits(strategy, decomposition, math.cos(cap)), 27, trials, 1))
+           for cap in CAPS]
+    assert got == whole_batch_cap_hits(strategy, decomposition, trials, 27, 1, caps=CAPS)
+
+
+class TrigRecorder:
+    """numpy as `bloch` sees it, noting which of cos, sin and sqrt are looked up."""
+
+    def __init__(self):
+        self.called = set()
+
+    def __getattr__(self, name):
+        if name in ("cos", "sin", "sqrt"):
+            self.called.add(name)
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("name", sorted(AZIMUTH_TERMS))
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_cap_hits_evaluate_only_the_azimuth_terms_the_members_move(strategies, monkeypatch, tag, name):
+    batch_hits = _cap_hits(strategies[tag], member_sets()[name], math.cos(0.2))
+    recorder = TrigRecorder()
+    monkeypatch.setattr(bloch, "np", recorder)
+    batch_hits(substream(28), ROW_BLOCK + 1)
+    terms = AZIMUTH_TERMS[name]
+    # s = sqrt(1 - t^2) scales the azimuth terms, so it goes with them
+    assert recorder.called == (terms | {"sqrt"} if terms else set())
+
+
+def test_directions_at_angle_keeps_both_azimuth_terms_at_the_poles(monkeypatch):
+    recorder = TrigRecorder()
+    monkeypatch.setattr(bloch, "np", recorder)
+    directions_at_angle(member_sets()["poles"].directions, np.array([0.5, -0.5]), np.array([1.0, 2.0]))
+    assert {"cos", "sin", "sqrt"} <= recorder.called

@@ -1,5 +1,6 @@
 """Property tests (hypothesis, derandomized) for trial splitting, the
-closed-form samplers and the tabulated inverse CDF's guide-table bracket."""
+closed-form samplers, the tabulated inverse CDF's guide-table bracket and
+the discrimination's cap counts over arbitrary decompositions."""
 
 import math
 
@@ -7,9 +8,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qguess.estimator import GuessingForm, _ab_inverse_cdf, cap_probability
-from qguess.streams import batch_sizes, split_trials
-from test_kernels import interp_inverse_cdf, normalized_tabulated
+from qguess.bloch import BlochVector, EnsembleDecomposition
+from qguess.estimator import ABFormStrategy, GuessingForm, _ab_inverse_cdf, cap_probability
+from qguess.nosignal import _cap_hits, cos4_strategy
+from qguess.streams import ROW_BLOCK, batch_sizes, map_batches, split_trials
+from test_kernels import interp_inverse_cdf, normalized_tabulated, whole_batch_cap_hits
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -78,3 +81,40 @@ def test_guide_table_bracket_matches_binary_search(strategy, keys):
     want = np.searchsorted(xp, u, side="right") - 1
     assert np.array_equal(strategy._cdf_cell(u), want)
     assert strategy.inverse_cdf(u).tobytes() == interp_inverse_cdf(strategy, u).tobytes()
+
+
+COS4 = cos4_strategy()
+# nonzero coordinates of either sign, not so small that the norm underflows
+coordinates = st.builds(lambda m, sign: sign * m, st.floats(1e-6, 1.0), st.sampled_from([-1.0, 1.0]))
+
+
+# coordinates set to zero: the poles, the y-z and x-z planes, the equator
+ZEROED = [(), ("x", "y"), ("x",), ("y",), ("z",)]
+
+
+@st.composite
+def member_direction(draw, zeroed):
+    x, y, z = draw(st.tuples(coordinates, coordinates, coordinates))
+    return BlochVector.normalized(*(0.0 if axis in zeroed else c for axis, c in zip("xyz", (x, y, z))))
+
+
+@st.composite
+def decompositions(draw):
+    """Up to four members, often sharing zero coordinates, where `frame_z`
+    drops azimuth terms; None mixes them member by member."""
+    shared = draw(st.sampled_from([None, *ZEROED]))
+    zeroed = st.sampled_from(ZEROED) if shared is None else st.just(shared)
+    dirs = draw(st.lists(zeroed.flatmap(member_direction), min_size=1, max_size=4))
+    weights = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=len(dirs), max_size=len(dirs))))
+    weights = weights / weights.sum() if weights.sum() > 0.0 else np.full(len(dirs), 1.0 / len(dirs))
+    return EnsembleDecomposition(tuple(zip(weights.tolist(), dirs)))
+
+
+@PROPERTY
+@given(decomposition=decompositions(), a_frac=st.one_of(st.none(), a_fractions),
+       cap=st.floats(0.01, math.pi), trials=st.integers(1, ROW_BLOCK + 2))
+def test_cap_hits_of_any_decomposition_match_the_whole_batch_oracle(decomposition, a_frac, cap, trials):
+    # a_frac None draws the tabulated cos4 sampler
+    strategy = COS4 if a_frac is None else ABFormStrategy(GuessingForm.from_a_fraction(a_frac))
+    got = sum(map_batches(_cap_hits(strategy, decomposition, math.cos(cap)), 29, trials, 1))
+    assert [got] == whole_batch_cap_hits(strategy, decomposition, trials, 29, 1, caps=(cap,))
