@@ -8,8 +8,9 @@ Each kernel is timed on one full batch of 2^19 rows, handed to it one
 block of 2^14 rows at a time as the drivers do, and each driver at the
 benchmark's sizes with workers 1 and 2; a time is the best and the median of
 11 repeats after one untimed call. The discrimination's per-arm batch
-function, `nosignal._cap_hits`, is timed the same way on one 2^19-row
-batch per strategy (MP, cos4) and arm, set-up included. The arms are the
+function, `nosignal._cap_hits`, is timed on one 2^19-row batch per
+strategy (MP, cos4) and arm, set-up included, in the blocks it makes
+itself (2^15 rows on cos4's angle path, 2^14 for MP). The arms are the
 standard and symmetric decompositions at the benchmark's weight and cap,
 whose members' frames leave out both azimuth terms and sin(phi) (see
 `bloch.frame_z`), and the generic arm, the symmetric pair turned 1 rad

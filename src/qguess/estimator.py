@@ -308,10 +308,15 @@ class TabulatedStrategy(EstimatorStrategy):
 
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         """Angles at which the normalized CDF takes the values u (1-d, in [0, 1)),
-        linear between refinement nodes."""
+        linear between refinement nodes: slope * (u - xp) + node of each
+        row's cell, built in one array."""
         u = np.asarray(u, dtype=float)
         j = self._cdf_cell(u)
-        return self._slope.take(j) * (u - self._xp.take(j)) + self._nodes.take(j)
+        theta = self._xp.take(j)
+        np.subtract(u, theta, out=theta)
+        theta *= self._slope.take(j)
+        theta += self._nodes.take(j)
+        return theta
 
     def sample_angles(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         theta = self.inverse_cdf(rng.random(n))

@@ -56,6 +56,15 @@ VERDICT_NOT_DETECTABLE = "not detectable"
 VERDICT_DETECTABLE = "detectable"
 VERDICT_INDETERMINATE = "indeterminate"
 
+# Rows per block of the discrimination's angle path (`_cap_hits`). The two
+# arms run on two threads, and each numpy call hands the interpreter lock
+# over; the angle path does few float operations per call, so at
+# streams.ROW_BLOCK rows the handovers took a share of each call that swung
+# with the host's load. Twice the rows halve the calls per trial. A block
+# holds at most six arrays of its rows (`bloch.z_at_angle`), where ten were
+# alive at streams.ROW_BLOCK rows, so it takes a fifth more memory.
+CAP_ROW_BLOCK = 2 * streams.ROW_BLOCK
+
 
 def fibonacci_directions(n: int) -> np.ndarray:
     """n quasi-uniform unit vectors (Fibonacci sphere lattice), as an (n, 3) array."""
@@ -272,28 +281,34 @@ def _cap_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition,
     every member is left out: both for the poles, sin(phi)*e2_z for the
     tilted pair in the y-z plane. That can change only the sign of a zero
     z, which `z >= cap_cos` cannot see, so the counts are those of
-    `sample_batch`; the azimuth column is still drawn. Other strategies run
-    `sample_batch` on the picked members.
+    `sample_batch`; the azimuth column is still drawn. These blocks have
+    CAP_ROW_BLOCK rows, and the member index is dropped once the members'
+    coordinates are picked. Other strategies run `sample_batch` on the
+    picked members, in streams.ROW_BLOCK rows.
     """
     cum = np.cumsum(decomposition.weights)
     dirs = decomposition.directions
     if strategy.sample_angles is None:
+        rows = streams.ROW_BLOCK
+
         def block_z(draws, idx):
             return strategy.sample_batch(dirs.take(idx, axis=0), draws)[:, 2]
     else:
+        rows = CAP_ROW_BLOCK
         members_z = bloch.frame_z(dirs)
 
         def block_z(draws, idx):
             cos_theta, phi = strategy.sample_angles(draws, len(idx))
-            picked = (None if c is None else c.take(idx) for c in members_z)
+            picked = [None if c is None else c.take(idx) for c in members_z]
+            del idx
             return bloch.z_at_angle(*picked, cos_theta, phi)
 
     def block_hits(draws, lo, hi):
-        idx = _member_index(cum, draws.random(hi - lo))
-        return int(np.count_nonzero(block_z(draws, idx) >= cap_cos))
+        z = block_z(draws, _member_index(cum, draws.random(hi - lo)))
+        return int(np.count_nonzero(z >= cap_cos))
 
     def batch_hits(rng, m):
-        return sum(streams.map_row_blocks(block_hits, rng, m, 1 + strategy.UNIFORMS))
+        return sum(streams.map_row_blocks(block_hits, rng, m, 1 + strategy.UNIFORMS, rows))
 
     return batch_hits
 

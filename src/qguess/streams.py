@@ -129,8 +129,9 @@ class _BlockDraws:
         return self._column(size).uniform(low, high, size)
 
 
-def map_row_blocks(fn, rng: np.random.Generator, m: int, columns: int) -> list:
-    """[fn(draws, lo, hi) for each ROW_BLOCK [lo, hi) of a batch of m rows].
+def map_row_blocks(fn, rng: np.random.Generator, m: int, columns: int, rows: int = ROW_BLOCK) -> list:
+    """[fn(draws, lo, hi) for each block [lo, hi) of `rows` rows (the last
+    one ragged) of a batch of m rows].
 
     The batch draws `columns` uniform columns. One generator is put at the
     start of each, word offsets 0, m, ..., (columns - 1) * m from `rng`, and
@@ -145,8 +146,8 @@ def map_row_blocks(fn, rng: np.random.Generator, m: int, columns: int) -> list:
     state = rng.bit_generator.state
     gens = [_column_generator(state, c * m) for c in range(columns)]
     out = []
-    for lo in range(0, m, ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, m)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
         draws = _BlockDraws(gens, hi - lo)
         out.append(fn(draws, lo, hi))
         if draws.calls != columns:

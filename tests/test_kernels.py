@@ -9,6 +9,7 @@ block at a time, against their whole-batch bodies. Equality is on
 `tobytes()`, so a last-ulp or signed-zero difference fails."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,13 @@ from qguess.estimator import (
 )
 from qguess.ensembles import standard_decomposition, symmetric_decomposition
 from qguess.merit import monte_carlo_fidelity
-from qguess.nosignal import _cap_hits, _member_index, cos4_strategy, run_discrimination_experiment
+from qguess.nosignal import (
+    CAP_ROW_BLOCK,
+    _cap_hits,
+    _member_index,
+    cos4_strategy,
+    run_discrimination_experiment,
+)
 from qguess.streams import BATCH_CAP, ROW_BLOCK, map_row_blocks, substream
 
 
@@ -328,6 +335,22 @@ def test_reduced_term_z_equals_column_2_of_directions_at_angle(p):
             assert_same_bytes(got, want)
 
 
+def test_z_at_angle_writes_only_its_result():
+    # one component is built in its output and a scratch array; the inputs,
+    # here reused for directions_at_angle, keep their bytes
+    rng = substream(29)
+    for decomposition in member_sets().values():
+        dirs = decomposition.directions
+        idx = rng.integers(0, len(dirs), size=1000)
+        picked = [None if c is None else c.take(idx) for c in frame_z(dirs)]
+        cos_t, phi = rng.uniform(-1.0, 1.0, size=1000), rng.uniform(0.0, 2.0 * math.pi, size=1000)
+        inputs = [a.copy() for a in (*(c for c in picked if c is not None), cos_t, phi)]
+        got = z_at_angle(*picked, cos_t, phi)
+        for before, after in zip(inputs, (*(c for c in picked if c is not None), cos_t, phi)):
+            assert_same_bytes(after, before)
+        assert np.array_equal(got, directions_at_angle(dirs[idx], cos_t, phi)[:, 2])
+
+
 @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
 def test_in_place_dots_and_angles_match_out_of_place(n):
     rng = substream(20)
@@ -403,6 +426,19 @@ def test_row_blocks_read_the_whole_batch_columns(drawn, m):
     for c in range(3):
         assert_same_bytes(np.concatenate([cols[c] for _, _, *cols in blocks]), want[c])
     # the batch generator is left where the whole-batch draws leave it
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("m", [1, 6, 7, 22])
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_row_blocks_of_any_size_read_the_whole_batch_columns(rows, m):
+    rng, ref = substream(21, 3, 1), substream(21, 3, 1)
+    blocks = map_row_blocks(lambda draws, lo, hi: (lo, hi, draws.random(hi - lo), draws.random(hi - lo)),
+                            rng, m, 2, rows)
+    assert [(lo, hi) for lo, hi, *_ in blocks] == [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
+    want = [ref.random(m), ref.random(m)]
+    for c in range(2):
+        assert_same_bytes(np.concatenate([cols[c] for _, _, *cols in blocks]), want[c])
     assert rng.random() == ref.random()
 
 
@@ -522,13 +558,49 @@ CAPS = (0.2, math.pi / 2.0, 2.5)
 
 
 @pytest.mark.parametrize("name", sorted(AZIMUTH_TERMS))
-@pytest.mark.parametrize("trials", [ROW_BLOCK + 1, BATCH_CAP + 44666])
+@pytest.mark.parametrize("trials", [ROW_BLOCK + 1, CAP_ROW_BLOCK + 1, BATCH_CAP + 44666])
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
 def test_cap_hits_match_the_whole_batch_oracle_for_every_member_set(strategies, tag, trials, name):
     strategy, decomposition = strategies[tag], member_sets()[name]
     got = [sum(streams.map_batches(_cap_hits(strategy, decomposition, math.cos(cap)), 27, trials, 1))
            for cap in CAPS]
     assert got == whole_batch_cap_hits(strategy, decomposition, trials, 27, 1, caps=CAPS)
+
+
+def test_angle_path_counts_in_cap_row_blocks_and_mp_in_row_blocks(strategies, monkeypatch):
+    # the angle path's blocks have CAP_ROW_BLOCK rows; MP's whole guesses
+    # keep streams.ROW_BLOCK
+    assert CAP_ROW_BLOCK > ROW_BLOCK
+    m = CAP_ROW_BLOCK + ROW_BLOCK + 1
+    for tag, method in (("cos4", "sample_angles"), ("ab", "sample_angles"), ("mp", "sample_batch")):
+        strategy, sizes = strategies[tag], []
+        real = getattr(strategy, method)
+
+        def record(*args, real=real, sizes=sizes, angles=method == "sample_angles"):
+            sizes.append(args[1] if angles else len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(strategy, method, record)
+        _cap_hits(strategy, symmetric_decomposition(0.8), math.cos(0.2))(substream(30), m)
+        rows = ROW_BLOCK if tag == "mp" else CAP_ROW_BLOCK
+        assert sizes == [min(rows, m - lo) for lo in range(0, m, rows)]
+
+
+@pytest.mark.parametrize("p", [0.5, 0.9])
+def test_angle_path_block_holds_six_arrays_of_its_rows(strategies, p):
+    # at most six float64 arrays of a block's rows are alive at once (the
+    # symmetric arm's z: t, phi, the picked a_z and e1_z, the result and one
+    # scratch), where ten were when the path counted in ROW_BLOCK rows
+    for decomposition in (standard_decomposition(p), symmetric_decomposition(p)):
+        batch_hits = _cap_hits(strategies["cos4"], decomposition, math.cos(0.2))
+        batch_hits(substream(31), CAP_ROW_BLOCK)
+        tracemalloc.start()
+        try:
+            batch_hits(substream(31), CAP_ROW_BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.25 * 8 * CAP_ROW_BLOCK
 
 
 class TrigRecorder:
