@@ -2,27 +2,36 @@
 
 Run from anywhere, against the checkout this file sits in:
 
-    python benchmarks/layers.py --label change --out BENCH_9.json
+    python benchmarks/layers.py --label change --out BENCH_10.json
 
 Each kernel is timed on one full batch of 2^19 rows, handed to it one
 block of 2^14 rows at a time as the drivers do, and each driver at the
-benchmark's sizes with workers 1 and 2; a time is the best and the median of
-11 repeats after one untimed call. The discrimination's per-arm batch
+benchmark's sizes with workers 1 and 2. The discrimination's per-arm batch
 function, `nosignal._cap_hits`, is timed on one 2^19-row batch per
-strategy (MP, cos4) and arm, set-up included, in the blocks it makes
-itself (2^15 rows on cos4's angle path, 2^14 for MP). The arms are the
-standard and symmetric decompositions at the benchmark's weight and cap,
-whose members' frames leave out both azimuth terms and sin(phi) (see
+strategy (MP, AB with a_frac = 0.5, cos4) and arm, set-up included, in the
+blocks it makes itself (2^15 rows on the angle path, 2^14 for MP). The arms
+are the standard and symmetric decompositions at the benchmark's weight and
+cap, whose members' frames leave out both azimuth terms and sin(phi) (see
 `bloch.frame_z`), and the generic arm, the symmetric pair turned 1 rad
-about z, whose members keep both. The
-kernels are also run once on one block under tracemalloc for their peak allocation; for `sample_batch` that
-run draws its input directions too, as a driver's block does. Each driver is run
-once more under tracemalloc on one full batch (trials = BATCH_CAP, one
-worker) for the peak of a batch in flight; the discrimination experiment
-draws one batch per arm, and both arms may be in flight at once. The results are
-stored under `runs[<label>]` of the `--out` file, next to the runs already
-there, with the machine facts (cores, numpy and Python versions), so running
-this script in two checkouts with the same `--out` gives one comparable file.
+about z, whose members keep both.
+
+Every timed call runs once untimed, then the 11 repeats go round-robin:
+each round times every call once, in a fixed order. So a noisy stretch of a
+shared host lands on one round of every call rather than on all repeats of
+a few. A time is the best and the median of the repeats, and `best_ratio`
+is the best over the best of the reference call, `np.cos` of 2^19
+doubles, which no qguess change touches: timed in the same rounds, it puts
+runs made at different times on one scale.
+
+The kernels are also run once on one block under tracemalloc for their peak
+allocation; for `sample_batch` that run draws its input directions too, as
+a driver's block does. Each driver is run once more under tracemalloc on
+one full batch (trials = BATCH_CAP, one worker) for the peak of a batch in
+flight; the discrimination experiment draws one batch per arm, and both
+arms may be in flight at once. The results are stored under
+`runs[<label>]` of the `--out` file, next to the runs already there, with
+the machine facts (cores, numpy and Python versions), so running this
+script in two checkouts with the same `--out` gives one comparable file.
 It is not a test module: the test suite never collects it.
 """
 
@@ -53,16 +62,26 @@ DRIVER_TRIALS = 1 << 21
 REPEATS = 11
 SIGNAL_P = 0.9
 SIGNAL_CAP = 0.2
+REFERENCE = "reference.np_cos"
+REFERENCE_INPUT = np.linspace(0.0, math.pi, ROWS)
 
 
-def timed(fn) -> dict:
-    fn()
-    seconds = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
+def round_robin(calls: dict) -> dict:
+    """{name: {best_s, median_s, best_ratio}} of each zero-argument call,
+    timed once in each of REPEATS rounds after one untimed call; best_ratio
+    is the best over the best of the REFERENCE call, timed in the same rounds."""
+    calls = {REFERENCE: lambda: np.cos(REFERENCE_INPUT), **calls}
+    for fn in calls.values():
         fn()
-        seconds.append(time.perf_counter() - t0)
-    return {"best_s": min(seconds), "median_s": statistics.median(seconds)}
+    seconds = {name: [] for name in calls}
+    for _ in range(REPEATS):
+        for name, fn in calls.items():
+            t0 = time.perf_counter()
+            fn()
+            seconds[name].append(time.perf_counter() - t0)
+    reference = min(seconds[REFERENCE])
+    return {name: {"best_s": min(ts), "median_s": statistics.median(ts), "best_ratio": min(ts) / reference}
+            for name, ts in seconds.items()}
 
 
 def peak_mb(fn) -> float:
@@ -75,12 +94,14 @@ def peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-def kernels() -> dict:
+def kernels() -> tuple[dict, dict]:
+    """({name: timed call}, {name: peak MB of one block})."""
     mp = estimator.MassarPopescuStrategy()
     ab = estimator.ABFormStrategy(estimator.GuessingForm.from_a_fraction(0.5))
     cos4 = nosignal.cos4_strategy()
     rng = streams.substream(1)
     axes = bloch.random_directions(rng, ROWS)
+    other = bloch.random_directions(rng, ROWS)
     cos_t = rng.uniform(-1.0, 1.0, size=ROWS)
     phi = rng.uniform(0.0, 2.0 * math.pi, size=ROWS)
     u = rng.random(ROWS)
@@ -89,6 +110,7 @@ def kernels() -> dict:
     calls = {
         "random_directions": lambda r: bloch.random_directions(rng, r.stop - r.start),
         "orthonormal_frames": lambda r: bloch.orthonormal_frames(axes[r]),
+        "dots": lambda r: bloch.dots(axes[r], other[r]),
         "directions_at_angle": lambda r: bloch.directions_at_angle(axes[r], cos_t[r], phi[r]),
         "inverse_cdf.cos4": lambda r: cos4.inverse_cdf(u[r]),
         "sample_batch.mp": lambda r: mp.sample_batch(axes[r], rng),
@@ -104,10 +126,8 @@ def kernels() -> dict:
             return lambda: strategy.sample_batch(bloch.random_directions(rng, BLOCK), rng)
         return lambda: calls[name](blocks[0])
 
-    return {
-        name: {**timed(lambda: [call(r) for r in blocks]), "peak_mb": peak_mb(one_block(name))}
-        for name, call in calls.items()
-    }
+    return ({name: lambda call=call: [call(r) for r in blocks] for name, call in calls.items()},
+            {name: peak_mb(one_block(name)) for name in calls})
 
 
 def turned_about_z(decomposition, angle: float):
@@ -126,12 +146,16 @@ def cap_hits() -> dict:
         "symmetric": ensembles.symmetric_decomposition(SIGNAL_P),
         "generic": turned_about_z(ensembles.symmetric_decomposition(SIGNAL_P), 1.0),
     }
-    out = {}
-    for tag, strategy in (("mp", estimator.MassarPopescuStrategy()), ("cos4", nosignal.cos4_strategy())):
-        for arm, decomposition in arms.items():
-            out[f"cap_hits.{tag}.{arm}"] = timed(
-                lambda: nosignal._cap_hits(strategy, decomposition, cap_cos)(streams.substream(1), ROWS))
-    return out
+    strategies = {
+        "mp": estimator.MassarPopescuStrategy(),
+        "ab": estimator.ABFormStrategy(estimator.GuessingForm.from_a_fraction(0.5)),
+        "cos4": nosignal.cos4_strategy(),
+    }
+    return {
+        f"cap_hits.{tag}.{arm}": lambda s=strategy, d=decomposition: nosignal._cap_hits(s, d, cap_cos)(
+            streams.substream(1), ROWS)
+        for tag, strategy in strategies.items() for arm, decomposition in arms.items()
+    }
 
 
 def drivers() -> dict:
@@ -142,13 +166,13 @@ def drivers() -> dict:
     out = {}
     for workers in (1, 2):
         for tag, strategy in (("mp", mp), ("ab", ab)):
-            out[f"monte_carlo_fidelity.{tag}.workers{workers}"] = timed(
-                lambda: merit.monte_carlo_fidelity(strategy, trials=DRIVER_TRIALS, seed=1, workers=workers))
-            out[f"collect_histogram.{tag}.workers{workers}"] = timed(
-                lambda: estimator.collect_histogram(strategy, trials=DRIVER_TRIALS, seed=1, workers=workers))
-        out[f"run_discrimination_experiment.cos4.workers{workers}"] = timed(
-            lambda: nosignal.run_discrimination_experiment(
-                cos4, SIGNAL_P, cap_half_angle=SIGNAL_CAP, trials=signal_trials, seed=1, workers=workers))
+            out[f"monte_carlo_fidelity.{tag}.workers{workers}"] = lambda s=strategy, w=workers: (
+                merit.monte_carlo_fidelity(s, trials=DRIVER_TRIALS, seed=1, workers=w))
+            out[f"collect_histogram.{tag}.workers{workers}"] = lambda s=strategy, w=workers: (
+                estimator.collect_histogram(s, trials=DRIVER_TRIALS, seed=1, workers=w))
+        out[f"run_discrimination_experiment.cos4.workers{workers}"] = lambda w=workers: (
+            nosignal.run_discrimination_experiment(
+                cos4, SIGNAL_P, cap_half_angle=SIGNAL_CAP, trials=signal_trials, seed=1, workers=w))
     return out
 
 
@@ -188,14 +212,22 @@ def main(argv=None) -> int:
     record.setdefault("rows", ROWS)
     record.setdefault("driver_trials", DRIVER_TRIALS)
     record.setdefault("repeats", REPEATS)
-    run = {"machine": machine(), "kernels": kernels(), "cap_hits": cap_hits(), "drivers": drivers(),
-           "batch_peaks": batch_peaks()}
+    kernel_calls, kernel_peaks = kernels()
+    layers = {"kernels": kernel_calls, "cap_hits": cap_hits(), "drivers": drivers()}
+    times = round_robin({name: fn for calls in layers.values() for name, fn in calls.items()})
+    run = {"machine": machine(), "reference": times[REFERENCE]}
+    for layer, calls in layers.items():
+        run[layer] = {name: times[name] for name in calls}
+    for name, mb in kernel_peaks.items():
+        run["kernels"][name]["peak_mb"] = mb
+    run["batch_peaks"] = batch_peaks()
     record.setdefault("runs", {})[args.label] = run
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    for layer in ("kernels", "cap_hits", "drivers"):
-        for name, t in run[layer].items():
-            peak = f"  peak {t['peak_mb']:.1f} MB" if "peak_mb" in t else ""
-            print(f"{name:48s} best {t['best_s'] * 1e3:8.1f} ms  median {t['median_s'] * 1e3:8.1f} ms{peak}")
+    for name, t in [(REFERENCE, run["reference"])] + [
+            item for layer in layers for item in run[layer].items()]:
+        peak = f"  peak {t['peak_mb']:.1f} MB" if "peak_mb" in t else ""
+        print(f"{name:48s} best {t['best_s'] * 1e3:8.1f} ms  median {t['median_s'] * 1e3:8.1f} ms"
+              f"  best/ref {t['best_ratio']:6.2f}{peak}")
     for name, t in run["batch_peaks"].items():
         print(f"{'batch ' + name:48s} peak {t['peak_mb']:.1f} MB")
     return 0

@@ -209,8 +209,18 @@ def random_directions(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise dot products of two (n, 3) arrays, clipped to [-1, 1]."""
-    d = np.einsum("ij,ij->i", a, b)
+    """Rowwise dot products of two (n, 3) arrays, clipped to [-1, 1].
+
+    Summed column by column in a fixed order, (a0*b0 + a2*b2) + a1*b1,
+    whatever the arrays' memory layout. That is the order in which
+    `np.einsum("ij,ij->i")` sums C-ordered rows (numpy 2.4, x86-64), while
+    on Fortran-ordered copies of the same rows it gives other bytes.
+    """
+    d = np.multiply(a[:, 0], b[:, 0])
+    tmp = np.multiply(a[:, 2], b[:, 2])
+    d += tmp
+    np.multiply(a[:, 1], b[:, 1], out=tmp)
+    d += tmp
     return np.clip(d, -1.0, 1.0, out=d)
 
 
@@ -262,9 +272,9 @@ def directions_at_angle(axes: np.ndarray, cos_theta: np.ndarray, phi: np.ndarray
     Row i is t*a + s*(cos(phi)*e1 + sin(phi)*e2) with t = cos_theta[i] and
     s = sqrt(1 - t^2), (e1, e2) the axis's `orthonormal_frames`, evaluated
     one column at a time (`_coordinates_at_angle`) into a C-contiguous (n, 3)
-    array (the layout `dots` sums in a fixed order). Each column depends only
-    on that column of a, e1 and e2, so `z_at_angle` gives column 2 alone,
-    byte for byte when given all three z coordinates.
+    array. Each column depends only on that column of a, e1 and e2, so
+    `z_at_angle` gives column 2 alone, byte for byte when given all three z
+    coordinates.
     """
     axes = np.asarray(axes, dtype=float)
     out = np.empty((len(cos_theta), 3))
@@ -290,15 +300,15 @@ def frame_z(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray
 
 
 def z_at_angle(a_z: np.ndarray, e1_z: np.ndarray | None, e2_z: np.ndarray | None,
-               cos_theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+               cos_theta: np.ndarray, phi: np.ndarray | None) -> np.ndarray:
     """Column 2 of `directions_at_angle`, from the z coordinates of the axes
     and of their `orthonormal_frames` (1-d arrays), with the same bytes.
 
     An e1_z or e2_z of None stands for a column of zeros (`frame_z`): its
     azimuth term, cos(phi)*e1_z or sin(phi)*e2_z, is not evaluated, and with
-    both None neither is s, so z = t*a_z. A zero term only adds a signed
-    zero, so for finite phi such a z differs from column 2 at most in the
-    sign of a zero, and compares == to it.
+    both None neither is s, so z = t*a_z and phi may be None. A zero term
+    only adds a signed zero, so for finite phi such a z differs from column
+    2 at most in the sign of a zero, and compares == to it.
     """
     z = np.empty(len(cos_theta))
     _coordinates_at_angle(cos_theta, phi, [(a_z, e1_z, e2_z)], [z])

@@ -132,6 +132,11 @@ def _ab_inverse_cdf(form: GuessingForm, u: np.ndarray) -> np.ndarray:
     return np.clip(2.0 * g / (0.5 + np.sqrt(disc)), -1.0, 1.0)
 
 
+def uniform_azimuths(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The azimuth column of an angle strategy's draws: n uniforms on [0, 2pi)."""
+    return rng.uniform(0.0, TWO_PI, size=n)
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -144,14 +149,19 @@ class EstimatorStrategy(ABC):
 
     A strategy whose guess is the input's `directions_at_angle` at a drawn
     (cos t, azimuth) pair defines `sample_angles(rng, n) -> (cos_theta, phi)`,
-    which draws the same UNIFORMS columns in the same order; a caller that
-    needs less than the whole guess (the cap counts of
-    `nosignal.run_discrimination_experiment`) computes it from the angles.
-    Other strategies leave it None.
+    which draws the same UNIFORMS columns in the same order, and splits it
+    into two steps for a caller that needs less than the whole guess (the
+    cap counts of `nosignal.run_discrimination_experiment`):
+    `sample_polar(rng, n) -> (theta, cos_theta_at)` draws the polar column
+    and gives the angles t and a function from row indices to their cos t,
+    the bytes `sample_angles` gives for those rows; `uniform_azimuths(rng, n)`
+    then draws the azimuth column, or the caller skips it. Other strategies
+    leave both None.
     """
 
     UNIFORMS: int
     sample_angles = None
+    sample_polar = None
 
     @abstractmethod
     def density(self, theta):
@@ -184,7 +194,12 @@ class ABFormStrategy(EstimatorStrategy):
 
     def sample_angles(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         t = _ab_inverse_cdf(self.form, rng.random(n))
-        return t, rng.uniform(0.0, TWO_PI, size=n)
+        return t, uniform_azimuths(rng, n)
+
+    def sample_polar(self, rng: np.random.Generator, n: int):
+        """cos t is what is drawn; t = arccos of it, and the cosines are its rows."""
+        t = _ab_inverse_cdf(self.form, rng.random(n))
+        return np.arccos(t), t.take
 
     def sample_batch(self, inputs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return directions_at_angle(inputs, *self.sample_angles(rng, len(inputs)))
@@ -203,6 +218,7 @@ class MassarPopescuStrategy(ABFormStrategy):
     UNIFORMS = 3  # axis z, axis azimuth, Born draw
     # the guess is a measured axis, not an angle about the input
     sample_angles = None
+    sample_polar = None
 
     def __init__(self):
         super().__init__(MASSAR_POPESCU_FORM)
@@ -320,7 +336,13 @@ class TabulatedStrategy(EstimatorStrategy):
 
     def sample_angles(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         theta = self.inverse_cdf(rng.random(n))
-        return np.cos(theta), rng.uniform(0.0, TWO_PI, size=n)
+        return np.cos(theta), uniform_azimuths(rng, n)
+
+    def sample_polar(self, rng: np.random.Generator, n: int):
+        """t is what is drawn; the cosines are np.cos of its rows, the bytes
+        np.cos gives them in the whole array (it works element by element)."""
+        theta = self.inverse_cdf(rng.random(n))
+        return theta, lambda rows: np.cos(theta.take(rows))
 
     def sample_batch(self, inputs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return directions_at_angle(inputs, *self.sample_angles(rng, len(inputs)))

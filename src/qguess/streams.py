@@ -88,26 +88,34 @@ def worker_batches(seed: int, trials: int, workers: int, block: int = 0):
 
 
 def _column_generator(state: dict, words: int) -> np.random.Generator:
-    """Generator `words` 64-bit words past the Philox `state`.
-
-    Philox fills a buffer of four words per counter step: the words still
-    buffered are read off, `advance` then skips whole steps (and empties the
-    buffer), and `random_raw` reads the rest.
-    """
+    """Generator `words` 64-bit words past the Philox `state`."""
     bits = np.random.Philox(key=state["state"]["key"])
     bits.state = state
-    buffered = 4 - state["buffer_pos"]
-    if words > buffered:
-        steps, words = divmod(words - buffered, 4)
-        bits.random_raw(buffered)
-        bits.advance(steps)
-    bits.random_raw(words)
+    _skip_words(bits, words)
     return np.random.Generator(bits)
 
 
+def _skip_words(bits: np.random.Philox, words: int) -> None:
+    """Move `bits` on by `words` 64-bit words, to the state reading them
+    would leave.
+
+    Philox fills a buffer of four words per counter step: the words still
+    buffered are read off, `advance` then skips whole steps (and empties the
+    buffer), and `random_raw` reads the rest, generating the last step, so
+    the buffer holds that step's words as after reading.
+    """
+    buffered = 4 - bits.state["buffer_pos"]
+    if words > buffered:
+        steps, rest = divmod(words - buffered - 1, 4)
+        bits.random_raw(buffered)
+        bits.advance(steps)
+        words = rest + 1
+    bits.random_raw(words)
+
+
 class _BlockDraws:
-    """The draws of one row block: its j-th `random` or `uniform` call reads
-    the block's rows of uniform column j."""
+    """The draws of one row block: its j-th `random`, `uniform` or `skip`
+    call reads, or passes over, the block's rows of uniform column j."""
 
     def __init__(self, columns: list, rows: int):
         self._columns = columns
@@ -128,6 +136,12 @@ class _BlockDraws:
     def uniform(self, low, high, size):
         return self._column(size).uniform(low, high, size)
 
+    def skip(self, size) -> None:
+        """Pass over the block's rows of the next column without computing
+        them: the column's generator moves on `size` words, as a `random`
+        call would move it, and every other column keeps its draws."""
+        _skip_words(self._column(size).bit_generator, size)
+
 
 def map_row_blocks(fn, rng: np.random.Generator, m: int, columns: int, rows: int = ROW_BLOCK) -> list:
     """[fn(draws, lo, hi) for each block [lo, hi) of `rows` rows (the last
@@ -137,11 +151,12 @@ def map_row_blocks(fn, rng: np.random.Generator, m: int, columns: int, rows: int
     start of each, word offsets 0, m, ..., (columns - 1) * m from `rng`, and
     read block after block: the j-th `random` / `uniform` call `fn` makes on
     `draws` returns rows [lo, hi) of column j, the same doubles the j-th
-    whole-batch call would return for those rows. So any code that draws
+    whole-batch call would return for those rows, and a `skip` in its place
+    passes over them. So any code that draws
     whole columns from a generator runs unchanged on one block, and `rng`
     is left columns * m words on, as whole-batch draws would leave it. A
-    block that makes more or fewer than `columns` draw calls raises
-    RuntimeError.
+    block that makes more or fewer than `columns` draw calls (skips
+    included) raises RuntimeError.
     """
     state = rng.bit_generator.state
     gens = [_column_generator(state, c * m) for c in range(columns)]

@@ -4,8 +4,9 @@ tabulated inverse CDF against `np.interp` over the normalized CDF, the
 kernels against their whole-batch forms at the block edges, the
 discrimination's member pick and z coordinate against `np.searchsorted` and
 column 2 of the full guess (`==` where azimuth terms with zero frame
-coordinates are left out), and the drivers, which draw each batch one row
-block at a time, against their whole-batch bodies. Equality is on
+coordinates are left out), its polar step against that z at the step's
+edges, a skipped column against a read one, and the drivers, which draw
+each batch one row block at a time, against their whole-batch bodies. Equality is on
 `tobytes()`, so a last-ulp or signed-zero difference fails."""
 
 import math
@@ -25,7 +26,7 @@ from qguess.bloch import (
     random_directions,
     z_at_angle,
 )
-from qguess import bloch, streams
+from qguess import bloch, estimator, streams
 from qguess.estimator import (
     ABFormStrategy,
     GuessingForm,
@@ -41,6 +42,7 @@ from qguess.nosignal import (
     CAP_ROW_BLOCK,
     _cap_hits,
     _member_index,
+    _polar_bounds,
     cos4_strategy,
     run_discrimination_experiment,
 )
@@ -362,6 +364,15 @@ def test_in_place_dots_and_angles_match_out_of_place(n):
     assert_same_bytes(angles_between(a, b), np.arccos(clipped_dots(a, b)))
 
 
+@pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
+def test_dots_give_the_same_bytes_in_any_memory_layout(n):
+    rng = substream(20)
+    a, b = stacked_random_directions(rng, n), stacked_random_directions(rng, n)
+    want = np.clip((a[:, 0] * b[:, 0] + a[:, 2] * b[:, 2]) + a[:, 1] * b[:, 1], -1.0, 1.0)
+    assert_same_bytes(dots(a, b), want)
+    assert_same_bytes(dots(np.asfortranarray(a), np.asfortranarray(b)), want)
+
+
 def ab_sample_batch(form):
     def sample(inputs, rng):
         t = _ab_inverse_cdf(form, rng.random(len(inputs)))
@@ -455,6 +466,48 @@ def test_row_block_with_the_wrong_number_of_draw_calls_raises(calls):
 def test_row_block_draw_of_the_wrong_size_raises():
     with pytest.raises(RuntimeError, match="drew 4 uniforms"):
         map_row_blocks(lambda draws, lo, hi: draws.random(4), substream(22), 10, 1)
+
+
+def philox_state(rng):
+    """The generator's Philox state, arrays as lists, for == comparison."""
+    state = rng.bit_generator.state
+    return {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
+            "buffer": state["buffer"].tolist()}
+
+
+@pytest.mark.parametrize("m", BLOCK_COLUMN_ROWS)
+@pytest.mark.parametrize("drawn", [0, 1, 3])
+@pytest.mark.parametrize("skipped", [1, 2])
+def test_a_skipped_column_leaves_every_draw_and_the_generator_as_reading_it(skipped, drawn, m):
+    def block(draws, lo, hi, skip):
+        cols = []
+        for c in range(3):
+            if skip and c == skipped:
+                draws.skip(hi - lo)
+            else:
+                cols.append(draws.random(hi - lo))
+        return cols
+
+    rng, ref = substream(21, 2, 3), substream(21, 2, 3)
+    rng.random(drawn)
+    ref.random(drawn)
+    got = map_row_blocks(lambda draws, lo, hi: block(draws, lo, hi, True), rng, m, 3)
+    want = map_row_blocks(lambda draws, lo, hi: block(draws, lo, hi, False), ref, m, 3)
+    read = [c for c in range(3) if c != skipped]
+    for k, c in enumerate(read):
+        assert_same_bytes(np.concatenate([cols[k] for cols in got]), np.concatenate([cols[c] for cols in want]))
+    assert philox_state(rng) == philox_state(ref)
+    assert rng.random() == ref.random()
+
+
+def test_row_block_that_neither_reads_nor_skips_a_column_raises():
+    with pytest.raises(RuntimeError, match="drew 1 of its 2 uniform columns"):
+        map_row_blocks(lambda draws, lo, hi: draws.skip(hi - lo), substream(22), 10, 2)
+
+
+def test_row_block_skip_of_the_wrong_size_raises():
+    with pytest.raises(RuntimeError, match="drew 4 uniforms"):
+        map_row_blocks(lambda draws, lo, hi: draws.skip(4), substream(22), 10, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -572,11 +625,11 @@ def test_angle_path_counts_in_cap_row_blocks_and_mp_in_row_blocks(strategies, mo
     # keep streams.ROW_BLOCK
     assert CAP_ROW_BLOCK > ROW_BLOCK
     m = CAP_ROW_BLOCK + ROW_BLOCK + 1
-    for tag, method in (("cos4", "sample_angles"), ("ab", "sample_angles"), ("mp", "sample_batch")):
+    for tag, method in (("cos4", "sample_polar"), ("ab", "sample_polar"), ("mp", "sample_batch")):
         strategy, sizes = strategies[tag], []
         real = getattr(strategy, method)
 
-        def record(*args, real=real, sizes=sizes, angles=method == "sample_angles"):
+        def record(*args, real=real, sizes=sizes, angles=method == "sample_polar"):
             sizes.append(args[1] if angles else len(args[0]))
             return real(*args)
 
@@ -601,6 +654,64 @@ def test_angle_path_block_holds_six_arrays_of_its_rows(strategies, p):
         finally:
             tracemalloc.stop()
         assert peak <= 6.25 * 8 * CAP_ROW_BLOCK
+
+
+def planted_angles(alpha, miss_beyond, hit_beyond):
+    """The poles, and the angles theta in [0, pi] on and two ulps either
+    side of each edge of the polar step for a member at polar angle alpha:
+    theta = alpha +- each threshold (miss_beyond and pi - hit_beyond) and
+    |theta + alpha - pi| = hit_beyond."""
+    threshold = math.pi - hit_beyond
+    edges = [alpha + sign * bound for bound in (miss_beyond, threshold) for sign in (-1.0, 1.0)]
+    edges += [threshold - alpha, 2.0 * math.pi - threshold - alpha]
+    theta = [0.0, math.pi]
+    for edge in filter(math.isfinite, edges):
+        below, above = np.nextafter(edge, -math.inf), np.nextafter(edge, math.inf)
+        theta += [np.nextafter(below, -math.inf), below, edge, above, np.nextafter(above, math.inf)]
+    theta = np.asarray(theta)
+    return theta[(theta >= 0.0) & (theta <= math.pi)]
+
+
+# members at +-z, at the cap's edge and in a generic position
+PLANTED_MEMBERS = {"+z": (0.0, 0.0, 1.0), "-z": (0.0, 0.0, -1.0), "cap": None, "generic": (0.3, -0.4, 0.5)}
+
+
+@pytest.mark.parametrize("cap", [1e-4, 0.2, math.pi - 1e-9])
+@pytest.mark.parametrize("member", sorted(PLANTED_MEMBERS))
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, monkeypatch, tag, member, cap):
+    # one member, so every row is its guess; the polar step hands the
+    # planted angles over as the sampler would (cos4: t, ab: cos t)
+    direction = PLANTED_MEMBERS[member] or (math.sin(cap), 0.0, math.cos(cap))
+    decomposition = members((1.0, direction))
+    dirs = decomposition.directions
+    alpha = math.atan2(math.hypot(dirs[0, 0], dirs[0, 1]), dirs[0, 2])
+    cap_cos = math.cos(cap)
+    theta = planted_angles(alpha, *_polar_bounds(cap_cos))
+    m = len(theta)
+    cos_theta = np.cos(theta)
+    strategy = strategies[tag]
+    if tag == "cos4":
+        monkeypatch.setattr(strategy, "inverse_cdf", lambda u: theta.copy())
+    else:
+        monkeypatch.setattr(estimator, "_ab_inverse_cdf", lambda form, u: cos_theta.copy())
+    exact_rows = []
+    real_z_at_angle = bloch.z_at_angle
+
+    def record(*args):
+        exact_rows.append(len(args[3]))
+        return real_z_at_angle(*args)
+
+    monkeypatch.setattr(bloch, "z_at_angle", record)
+    got = _cap_hits(strategy, decomposition, cap_cos)(substream(32), m)
+    # the whole batch's columns: member pick, polar, azimuth
+    ref = substream(32)
+    ref.random(2 * m)
+    phi = ref.uniform(0.0, 2.0 * math.pi, size=m)
+    a_z, e1_z, e2_z = (None if c is None else np.repeat(c, m) for c in frame_z(dirs))
+    assert got == np.count_nonzero(real_z_at_angle(a_z, e1_z, e2_z, cos_theta, phi) >= cap_cos)
+    # the polar step decided some rows itself
+    assert exact_rows and exact_rows[0] < m
 
 
 class TrigRecorder:

@@ -112,7 +112,7 @@ def decompositions(draw):
 
 @PROPERTY
 @given(decomposition=decompositions(), a_frac=st.one_of(st.none(), a_fractions),
-       cap=st.floats(0.01, math.pi), trials=st.integers(1, ROW_BLOCK + 2))
+       cap=st.floats(1e-4, math.pi), trials=st.integers(1, ROW_BLOCK + 2))
 def test_cap_hits_of_any_decomposition_match_the_whole_batch_oracle(decomposition, a_frac, cap, trials):
     # a_frac None draws the tabulated cos4 sampler
     strategy = COS4 if a_frac is None else ABFormStrategy(GuessingForm.from_a_fraction(a_frac))
