@@ -2,7 +2,7 @@
 
 Run from anywhere, against the checkout this file sits in:
 
-    python benchmarks/layers.py --label change --out BENCH_10.json
+    python benchmarks/layers.py --label change --out BENCH_13.json
 
 Each kernel is timed on one full batch of 2^19 rows, handed to it one
 block of 2^14 rows at a time as the drivers do, and each driver at the
@@ -18,10 +18,12 @@ about z, whose members keep both.
 Every timed call runs once untimed, then the 11 repeats go round-robin:
 each round times every call once, in a fixed order. So a noisy stretch of a
 shared host lands on one round of every call rather than on all repeats of
-a few. A time is the best and the median of the repeats, and `best_ratio`
-is the best over the best of the reference call, `np.cos` of 2^19
-doubles, which no qguess change touches: timed in the same rounds, it puts
-runs made at different times on one scale.
+a few. A time is the best and the median of the repeats, and `ratio` is the
+median, over the rounds, of the call's time over that of the reference
+call in the same round, `np.cos` of 2^19 doubles, which no qguess change
+touches. A ratio of one round compares two calls timed seconds apart, so a
+slow stretch of the host that lasts a round moves both; the best times of
+two calls, taken in different rounds, need not share one.
 
 The kernels are also run once on one block under tracemalloc for their peak
 allocation; for `sample_batch` that run draws its input directions too, as
@@ -67,9 +69,9 @@ REFERENCE_INPUT = np.linspace(0.0, math.pi, ROWS)
 
 
 def round_robin(calls: dict) -> dict:
-    """{name: {best_s, median_s, best_ratio}} of each zero-argument call,
-    timed once in each of REPEATS rounds after one untimed call; best_ratio
-    is the best over the best of the REFERENCE call, timed in the same rounds."""
+    """{name: {best_s, median_s, ratio}} of each zero-argument call, timed
+    once in each of REPEATS rounds after one untimed call; ratio is the
+    median over the rounds of its time over the REFERENCE call's."""
     calls = {REFERENCE: lambda: np.cos(REFERENCE_INPUT), **calls}
     for fn in calls.values():
         fn()
@@ -79,8 +81,9 @@ def round_robin(calls: dict) -> dict:
             t0 = time.perf_counter()
             fn()
             seconds[name].append(time.perf_counter() - t0)
-    reference = min(seconds[REFERENCE])
-    return {name: {"best_s": min(ts), "median_s": statistics.median(ts), "best_ratio": min(ts) / reference}
+    reference = seconds[REFERENCE]
+    return {name: {"best_s": min(ts), "median_s": statistics.median(ts),
+                   "ratio": statistics.median(t / ref for t, ref in zip(ts, reference))}
             for name, ts in seconds.items()}
 
 
@@ -227,7 +230,7 @@ def main(argv=None) -> int:
             item for layer in layers for item in run[layer].items()]:
         peak = f"  peak {t['peak_mb']:.1f} MB" if "peak_mb" in t else ""
         print(f"{name:48s} best {t['best_s'] * 1e3:8.1f} ms  median {t['median_s'] * 1e3:8.1f} ms"
-              f"  best/ref {t['best_ratio']:6.2f}{peak}")
+              f"  ratio {t['ratio']:6.2f}{peak}")
     for name, t in run["batch_peaks"].items():
         print(f"{'batch ' + name:48s} peak {t['peak_mb']:.1f} MB")
     return 0

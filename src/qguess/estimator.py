@@ -148,20 +148,18 @@ class EstimatorStrategy(ABC):
     blocks' draws by it (`streams.map_row_blocks`).
 
     A strategy whose guess is the input's `directions_at_angle` at a drawn
-    (cos t, azimuth) pair defines `sample_angles(rng, n) -> (cos_theta, phi)`,
-    which draws the same UNIFORMS columns in the same order, and splits it
-    into two steps for a caller that needs less than the whole guess (the
-    cap counts of `nosignal.run_discrimination_experiment`):
-    `sample_polar(rng, n) -> (theta, cos_theta_at)` draws the polar column
-    and gives the angles t and a function from row indices to their cos t,
-    the bytes `sample_angles` gives for those rows; `uniform_azimuths(rng, n)`
-    then draws the azimuth column, or the caller skips it. Other strategies
-    leave both None.
+    (cos t, azimuth) pair draws a polar column u, then the azimuth column
+    (`uniform_azimuths`), and defines two maps of the polar column for a
+    caller that needs less than the whole guess (the cap counts of
+    `nosignal.run_discrimination_experiment`): `polar_cos(u)`, the cos t of
+    each row, element by element, so a subset of rows gets the bytes the
+    whole column gives them; and `polar_uniform(theta)`, the monotone map
+    back from polar angles to the u at which they are drawn. Other
+    strategies leave `polar_cos` None.
     """
 
     UNIFORMS: int
-    sample_angles = None
-    sample_polar = None
+    polar_cos = None
 
     @abstractmethod
     def density(self, theta):
@@ -192,17 +190,19 @@ class ABFormStrategy(EstimatorStrategy):
     def density(self, theta):
         return guessing_density(self.form, theta)
 
-    def sample_angles(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        t = _ab_inverse_cdf(self.form, rng.random(n))
-        return t, uniform_azimuths(rng, n)
+    def polar_cos(self, u: np.ndarray) -> np.ndarray:
+        """cos t is what is drawn: the inverse of the CDF of cos t."""
+        return _ab_inverse_cdf(self.form, u)
 
-    def sample_polar(self, rng: np.random.Generator, n: int):
-        """cos t is what is drawn; t = arccos of it, and the cosines are its rows."""
-        t = _ab_inverse_cdf(self.form, rng.random(n))
-        return np.arccos(t), t.take
+    def polar_uniform(self, theta) -> np.ndarray:
+        """The CDF of cos t that `_ab_inverse_cdf` inverts, (1 + t)(1/2 + pi*beta*(t - 1))
+        at t = cos theta: decreasing in theta, 1 at 0 and 0 at pi."""
+        t = np.cos(np.asarray(theta, dtype=float))
+        return (1.0 + t) * (0.5 + math.pi * self.form.beta * (t - 1.0))
 
     def sample_batch(self, inputs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return directions_at_angle(inputs, *self.sample_angles(rng, len(inputs)))
+        n = len(inputs)
+        return directions_at_angle(inputs, self.polar_cos(rng.random(n)), uniform_azimuths(rng, n))
 
     def bin_probabilities(self, theta_edges: np.ndarray) -> np.ndarray:
         return ab_bin_probabilities(self.form, theta_edges)
@@ -217,8 +217,7 @@ class MassarPopescuStrategy(ABFormStrategy):
 
     UNIFORMS = 3  # axis z, axis azimuth, Born draw
     # the guess is a measured axis, not an angle about the input
-    sample_angles = None
-    sample_polar = None
+    polar_cos = None
 
     def __init__(self):
         super().__init__(MASSAR_POPESCU_FORM)
@@ -230,8 +229,10 @@ class MassarPopescuStrategy(ABFormStrategy):
         p = dots(axes, inputs)
         p += 1.0
         p /= 2.0
-        keep = born < p
-        return np.negative(axes, out=axes, where=~keep[:, None])
+        # the measured axis, or its negation: times +-1.0, exact for signed zeros too
+        sign = np.where(born < p, 1.0, -1.0)
+        np.multiply(axes.T, sign, out=axes.T)
+        return axes
 
 
 class TabulatedStrategy(EstimatorStrategy):
@@ -334,18 +335,17 @@ class TabulatedStrategy(EstimatorStrategy):
         theta += self._nodes.take(j)
         return theta
 
-    def sample_angles(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        theta = self.inverse_cdf(rng.random(n))
-        return np.cos(theta), uniform_azimuths(rng, n)
+    def polar_cos(self, u: np.ndarray) -> np.ndarray:
+        """t is what is drawn (`inverse_cdf`), and np.cos of it works element by element."""
+        return np.cos(self.inverse_cdf(u))
 
-    def sample_polar(self, rng: np.random.Generator, n: int):
-        """t is what is drawn; the cosines are np.cos of its rows, the bytes
-        np.cos gives them in the whole array (it works element by element)."""
-        theta = self.inverse_cdf(rng.random(n))
-        return theta, lambda rows: np.cos(theta.take(rows))
+    def polar_uniform(self, theta) -> np.ndarray:
+        """The piecewise linear CDF that `inverse_cdf` inverts, at theta: increasing."""
+        return np.interp(theta, self._nodes, self._xp)
 
     def sample_batch(self, inputs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return directions_at_angle(inputs, *self.sample_angles(rng, len(inputs)))
+        n = len(inputs)
+        return directions_at_angle(inputs, self.polar_cos(rng.random(n)), uniform_azimuths(rng, n))
 
     def bin_probabilities(self, theta_edges: np.ndarray) -> np.ndarray:
         return np.diff(self.cdf(np.asarray(theta_edges, dtype=float)))

@@ -70,6 +70,16 @@ CAP_ROW_BLOCK = 2 * streams.ROW_BLOCK
 # angle path leaves a row to the exact z (`_polar_bounds`).
 CAP_Z_MARGIN = 1e-6
 
+# Margin on the polar angle by which `_u_windows` widens the polar step's
+# window before mapping it to the drawn u, so that the mapped bounds pass
+# their check at once: above the rounding of the maps between u and the
+# polar angle away from the poles, far below the window itself (about
+# 1e-5 rad wide at a cap of 0.2).
+CAP_THETA_MARGIN = 1e-9
+
+# Steps of one double by which `_u_windows` moves a bound that fails its check
+_BOUND_STEPS = 4
+
 
 def fibonacci_directions(n: int) -> np.ndarray:
     """n quasi-uniform unit vectors (Fibonacci sphere lattice), as an (n, 3) array."""
@@ -279,14 +289,14 @@ def _cap_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition,
     a member pick (`_member_index`), then the strategy's guess.
 
     Only the guess's z coordinate is counted, and `z >= cap_cos` is the
-    count of `sample_batch`. A strategy with `sample_polar` counts without
-    building a guess (`_polar_block_hits`), in CAP_ROW_BLOCK rows. Other
-    strategies run `sample_batch` on the picked members, in
-    streams.ROW_BLOCK rows.
+    count of `sample_batch`. A strategy with `polar_cos` counts most rows
+    from the drawn polar uniform alone and builds no guess
+    (`_u_block_hits`), in CAP_ROW_BLOCK rows. Other strategies run
+    `sample_batch` on the picked members, in streams.ROW_BLOCK rows.
     """
     cum = np.cumsum(decomposition.weights)
     dirs = decomposition.directions
-    if strategy.sample_polar is None:
+    if strategy.polar_cos is None:
         rows = streams.ROW_BLOCK
 
         def block_hits(draws, lo, hi):
@@ -295,7 +305,7 @@ def _cap_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition,
             return int(np.count_nonzero(z >= cap_cos))
     else:
         rows = CAP_ROW_BLOCK
-        block_hits = _polar_block_hits(strategy, dirs, cum, cap_cos)
+        block_hits = _u_block_hits(strategy, dirs, cum, cap_cos)
 
     def batch_hits(rng, m):
         return sum(streams.map_row_blocks(block_hits, rng, m, 1 + strategy.UNIFORMS, rows))
@@ -304,7 +314,7 @@ def _cap_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition,
 
 
 def _polar_bounds(cap_cos: float) -> tuple[float, float]:
-    """(miss_beyond, hit_beyond) for the polar step of `_polar_block_hits`.
+    """(miss_beyond, hit_beyond) for the polar step of `_u_windows`.
 
     A guess at polar angle theta about a member at polar angle alpha about
     +z lies between |theta - alpha| and pi - |theta + alpha - pi| from +z.
@@ -319,52 +329,129 @@ def _polar_bounds(cap_cos: float) -> tuple[float, float]:
     return miss_beyond, hit_beyond
 
 
-def _polar_block_hits(strategy: EstimatorStrategy, dirs: np.ndarray, cum: np.ndarray, cap_cos: float):
-    """Block function of `_cap_hits` for a strategy with `sample_polar`.
+def _u_windows(strategy: EstimatorStrategy, alpha: np.ndarray, cap_cos: float):
+    """(u_low, u_high, hits_low, hits_high), one entry per member at polar
+    angle alpha about +z: rows whose drawn polar uniform u lies in
+    [u_low, u_high] are left to the exact z, and rows below or above that
+    window are all cap hits or all misses, as hits_low and hits_high say.
 
-    Polar step: the members' polar angles alpha about +z are computed once
-    per arm, and each row's polar angle theta about its member places the
-    guess within `_polar_bounds` of the cap's edge or not. Rows outside the
-    bounds are counted from theta alone; for cos4 at p = 0.9 and a cap of
-    0.2 that is all but about 3e-6 of the pole arm's rows and 71.5% of the
-    tilted arm's. The
-    bounds hold z to CAP_Z_MARGIN, more than 100 times the worst error of the
-    computed z: cos t is within 0.51 ulp and s = sqrt(1 - t^2) within about
-    1e-8 near the poles.
+    Polar step: a row at angle theta about its member is a sure hit when
+    |theta + alpha - pi| > hit_beyond and otherwise a sure miss when
+    |theta - alpha| > miss_beyond (`_polar_bounds`). What it leaves is the
+    window [w_lo, w_hi] = [max(pi - alpha - hit_beyond, alpha - miss_beyond),
+    min(pi - alpha + hit_beyond, alpha + miss_beyond)], never empty (the
+    bounds sum to more than pi). A sure-hit threshold in [0, pi] lies 2e-6
+    or more inside [alpha - miss_beyond, alpha + miss_beyond] (a guess on it
+    is 2 * CAP_Z_MARGIN above where a sure miss can be), so below the
+    window every row is a hit when the window's lower edge is the hit
+    threshold and a miss otherwise, and likewise above.
 
-    Azimuth step, on the remaining rows alone: their cos t (the bytes of the
-    whole-array cosine), the picked members' z coordinates from frames made
-    once per arm (`bloch.frame_z`) and their azimuths give
-    `bloch.z_at_angle`, column 2 of `sample_batch`, tested `>= cap_cos`. An
-    azimuth term whose frame coordinate is zero for every member is left
-    out (both for the poles, sin(phi)*e2_z for a tilted pair in the y-z
-    plane); that can change only the sign of a zero z, which the test cannot
-    see. With both left out no azimuth is read, and the block skips the
-    azimuth column (`streams._BlockDraws.skip`).
+    The window, widened by CAP_THETA_MARGIN and clipped to [0, pi], goes
+    through the strategy's `polar_uniform` to the u window, whose ends swap
+    where that map decreases. Then each bound is checked with the
+    strategy's own `polar_cos`: the first u beyond it must give a cos t
+    strictly beyond cos(w_lo) or cos(w_hi), on its side. A bound that fails
+    moves out one double, up to _BOUND_STEPS times, and then gives up its
+    side (0 below, 1 above: no u is drawn beyond them). Both maps from u to
+    cos t are monotone up to a few ulps of cos t (the tabulated one within
+    each CDF cell, and across a cell edge theta falls back at most an ulp),
+    so every row beyond a checked bound has its cos t on the bound's side
+    to within about 3e-15, or 1e-7 rad in theta at the poles. CAP_Z_MARGIN
+    puts the thresholds 1e-6 in z, and so at least 1e-6 rad in theta, from
+    where the guess can be on either side of the cap's edge, so a row
+    decided from u is decided as the polar step decides it.
+    """
+    miss_beyond, hit_beyond = _polar_bounds(cap_cos)
+    hit_lo, hit_hi = math.pi - alpha - hit_beyond, math.pi - alpha + hit_beyond
+    miss_lo, miss_hi = alpha - miss_beyond, alpha + miss_beyond
+    w_lo = np.clip(np.maximum(hit_lo, miss_lo), 0.0, math.pi)
+    w_hi = np.clip(np.minimum(hit_hi, miss_hi), 0.0, math.pi)
+    hits_below, hits_above = hit_lo >= miss_lo, hit_hi <= miss_hi
+    u_below = strategy.polar_uniform(np.clip(w_lo - CAP_THETA_MARGIN, 0.0, math.pi))
+    u_above = strategy.polar_uniform(np.clip(w_hi + CAP_THETA_MARGIN, 0.0, math.pi))
+    # below the window cos t > cos(w_lo) (side 1), above it cos t < cos(w_hi) (side -1)
+    ends = strategy.polar_uniform(np.array([0.0, math.pi]))
+    if ends[0] < ends[1]:
+        u_low = _checked_bound(strategy, u_below, -math.inf, 1.0, np.cos(w_lo))
+        u_high = _checked_bound(strategy, u_above, math.inf, -1.0, np.cos(w_hi))
+        return u_low, u_high, hits_below, hits_above
+    u_low = _checked_bound(strategy, u_above, -math.inf, -1.0, np.cos(w_hi))
+    u_high = _checked_bound(strategy, u_below, math.inf, 1.0, np.cos(w_lo))
+    return u_low, u_high, hits_above, hits_below
+
+
+def _checked_bound(strategy: EstimatorStrategy, bound: np.ndarray, toward: float, side: float,
+                   cos_edge: np.ndarray) -> np.ndarray:
+    """`bound`, each entry moved toward `toward` one double at a time until
+    the first u beyond it has side * (polar_cos(u) - cos_edge) > 0 (see
+    `_u_windows`), within [0, 1], where the drawn u lie."""
+    bound = np.clip(bound, 0.0, 1.0)
+    for _ in range(_BOUND_STEPS):
+        first = np.nextafter(bound, toward)
+        drawn = np.flatnonzero((first >= 0.0) & (first < 1.0))
+        wrong = drawn[side * (strategy.polar_cos(first[drawn]) - cos_edge[drawn]) <= 0.0]
+        if not len(wrong):
+            return bound
+        bound[wrong] = first[wrong]
+    bound[wrong] = 0.0 if toward < 0.0 else 1.0
+    return bound
+
+
+def _shared(values: np.ndarray):
+    """values[0] as a float when every member has it, else the array."""
+    return float(values[0]) if np.all(values == values[0]) else values
+
+
+def _per_row(value, idx: np.ndarray):
+    """Each row's member's value: a shared float as it is."""
+    return value if isinstance(value, float) else value.take(idx)
+
+
+def _u_block_hits(strategy: EstimatorStrategy, dirs: np.ndarray, cum: np.ndarray, cap_cos: float):
+    """Block function of `_cap_hits` for a strategy with `polar_cos`.
+
+    u step: the members' polar angles alpha about +z give, once per arm,
+    each member's window of the drawn polar uniform u (`_u_windows`), and
+    rows outside their member's window are counted from u alone. For cos4
+    at p = 0.9 and a cap of 0.2 that is all but about 3e-6 of the pole
+    arm's rows and 71.5% of the tilted arm's. A bound the members share is
+    compared as one number (the tilted pair has one alpha); otherwise each
+    row takes its member's.
+
+    Exact step, on the rows in the windows alone: their cos t (`polar_cos`
+    of their u, the bytes the whole column gives them), the picked members'
+    z coordinates from frames made once per arm (`bloch.frame_z`) and their
+    azimuths give `bloch.z_at_angle`, column 2 of `sample_batch`, tested
+    `>= cap_cos`. An azimuth term whose frame coordinate is zero for every
+    member is left out (both for the poles, sin(phi)*e2_z for a tilted pair
+    in the y-z plane); that can change only the sign of a zero z, which the
+    test cannot see. With both left out no azimuth is read, and the block
+    skips the azimuth column (`streams._BlockDraws.skip`).
     """
     members_z = bloch.frame_z(dirs)
     reads_azimuth = members_z[1] is not None or members_z[2] is not None
     alpha = np.arctan2(np.hypot(dirs[:, 0], dirs[:, 1]), dirs[:, 2])
-    miss_beyond, hit_beyond = _polar_bounds(cap_cos)
+    u_low, u_high, hits_low, hits_high = _u_windows(strategy, alpha, cap_cos)
+    # rows of a member whose rows there are misses compare with 0 or 1, which no u is beyond
+    hit_low = _shared(np.where(hits_low, u_low, 0.0)) if hits_low.any() else None
+    hit_high = _shared(np.where(hits_high, u_high, 1.0)) if hits_high.any() else None
+    u_low, u_high = _shared(u_low), _shared(u_high)
 
     def block_hits(draws, lo, hi):
         n = hi - lo
         idx = _member_index(cum, draws.random(n))
-        theta, cos_theta_at = strategy.sample_polar(draws, n)
-        # near = |theta - alpha|, far = |theta + alpha - pi|, built in place
-        near = alpha.take(idx)
-        far = np.add(theta, near)
-        far -= math.pi
-        np.abs(far, out=far)
-        np.subtract(theta, near, out=near)
-        np.abs(near, out=near)
-        del theta
-        hits = np.count_nonzero(far > hit_beyond)
-        undecided = near <= miss_beyond
-        undecided &= far <= hit_beyond
-        del near, far
-        rows = np.flatnonzero(undecided)
-        cos_theta = cos_theta_at(rows)
+        u = draws.random(n)
+        hits = 0
+        if hit_low is not None:
+            hits += np.count_nonzero(u < _per_row(hit_low, idx))
+        if hit_high is not None:
+            hits += np.count_nonzero(u > _per_row(hit_high, idx))
+        exact = u >= _per_row(u_low, idx)
+        exact &= u <= _per_row(u_high, idx)
+        rows = np.flatnonzero(exact)
+        del exact
+        cos_theta = strategy.polar_cos(u.take(rows))
+        del u
         if reads_azimuth:
             phi = uniform_azimuths(draws, n).take(rows)
         else:
@@ -396,10 +483,10 @@ def run_discrimination_experiment(
     indeterminate. Both decompositions' workers run concurrently, in one
     `streams.map_arms` call, and each arm's hits are summed in worker-then-
     batch order. A guess counts by its z coordinate alone (`_cap_hits`):
-    for a strategy with `sample_polar` (the two-parameter and tabulated
-    samplers) most rows are counted from the drawn polar angle, and the rest
-    from a z computed from the drawn angles and the members' frames, made
-    once per arm, without `sample_batch`.
+    for a strategy with `polar_cos` (the two-parameter and tabulated
+    samplers) most rows are counted from the drawn polar uniform, and the
+    rest from a z computed from the drawn angles and the members' frames,
+    made once per arm, without `sample_batch`.
     """
     if not 0.0 < cap_half_angle <= math.pi:
         raise QGuessError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")

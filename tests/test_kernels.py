@@ -4,7 +4,7 @@ tabulated inverse CDF against `np.interp` over the normalized CDF, the
 kernels against their whole-batch forms at the block edges, the
 discrimination's member pick and z coordinate against `np.searchsorted` and
 column 2 of the full guess (`==` where azimuth terms with zero frame
-coordinates are left out), its polar step against that z at the step's
+coordinates are left out), its u step against that z at the step's
 edges, a skipped column against a read one, and the drivers, which draw
 each batch one row block at a time, against their whole-batch bodies. Equality is on
 `tobytes()`, so a last-ulp or signed-zero difference fails."""
@@ -26,7 +26,7 @@ from qguess.bloch import (
     random_directions,
     z_at_angle,
 )
-from qguess import bloch, estimator, streams
+from qguess import bloch, estimator, nosignal, streams
 from qguess.estimator import (
     ABFormStrategy,
     GuessingForm,
@@ -43,6 +43,7 @@ from qguess.nosignal import (
     _cap_hits,
     _member_index,
     _polar_bounds,
+    _u_windows,
     cos4_strategy,
     run_discrimination_experiment,
 )
@@ -412,6 +413,19 @@ def test_sample_batch_blocks_match_whole_batch(tag, n):
     assert rng.random() == ref.random()
 
 
+def test_mp_flip_gives_the_bytes_of_np_negative_signed_zeros_included(monkeypatch):
+    # axes with +-0 coordinates; inputs along +-axes make the Born
+    # probability 1 (kept) or 0 (flipped)
+    zeros = (0.0, -0.0)
+    axes = np.array([[x, y, z] for x in zeros for y in zeros for z in (1.0, -1.0)] * 2)
+    keep = np.repeat([True, False], len(axes) // 2)
+    inputs = np.where(keep[:, None], axes, -axes)
+    monkeypatch.setattr(estimator, "random_directions", lambda rng, n: axes.copy())
+    want = axes.copy()
+    np.negative(want, out=want, where=~keep[:, None])
+    assert_same_bytes(MassarPopescuStrategy().sample_batch(inputs, substream(34)), want)
+
+
 # ---------------------------------------------------------------------------
 # counter-addressed row blocks: the block loop reads a batch's columns as the
 # whole-batch draws would, from any starting point of the generator
@@ -598,8 +612,8 @@ def test_mp_discrimination_never_takes_the_angle_path(strategies, monkeypatch):
     def refuse(*args):
         raise AssertionError("the MP discrimination took the angle path")
 
-    assert MassarPopescuStrategy.sample_angles is None
-    assert callable(strategies["ab"].sample_angles) and callable(strategies["cos4"].sample_angles)
+    assert MassarPopescuStrategy.polar_cos is None
+    assert callable(strategies["ab"].polar_cos) and callable(strategies["cos4"].polar_cos)
     monkeypatch.setattr(bloch, "orthonormal_frames", refuse)
     monkeypatch.setattr(bloch, "z_at_angle", refuse)
     assert_discrimination_matches_whole_batch(strategies["mp"], ROW_BLOCK + 1, 1)
@@ -622,19 +636,19 @@ def test_cap_hits_match_the_whole_batch_oracle_for_every_member_set(strategies, 
 
 def test_angle_path_counts_in_cap_row_blocks_and_mp_in_row_blocks(strategies, monkeypatch):
     # the angle path's blocks have CAP_ROW_BLOCK rows; MP's whole guesses
-    # keep streams.ROW_BLOCK
+    # keep streams.ROW_BLOCK. Every block picks its members once.
     assert CAP_ROW_BLOCK > ROW_BLOCK
     m = CAP_ROW_BLOCK + ROW_BLOCK + 1
-    for tag, method in (("cos4", "sample_polar"), ("ab", "sample_polar"), ("mp", "sample_batch")):
-        strategy, sizes = strategies[tag], []
-        real = getattr(strategy, method)
+    real = nosignal._member_index
+    for tag in ("cos4", "ab", "mp"):
+        sizes = []
 
-        def record(*args, real=real, sizes=sizes, angles=method == "sample_polar"):
-            sizes.append(args[1] if angles else len(args[0]))
-            return real(*args)
+        def record(cum, pick, sizes=sizes):
+            sizes.append(len(pick))
+            return real(cum, pick)
 
-        monkeypatch.setattr(strategy, method, record)
-        _cap_hits(strategy, symmetric_decomposition(0.8), math.cos(0.2))(substream(30), m)
+        monkeypatch.setattr(nosignal, "_member_index", record)
+        _cap_hits(strategies[tag], symmetric_decomposition(0.8), math.cos(0.2))(substream(30), m)
         rows = ROW_BLOCK if tag == "mp" else CAP_ROW_BLOCK
         assert sizes == [min(rows, m - lo) for lo in range(0, m, rows)]
 
@@ -656,20 +670,51 @@ def test_angle_path_block_holds_six_arrays_of_its_rows(strategies, p):
         assert peak <= 6.25 * 8 * CAP_ROW_BLOCK
 
 
-def planted_angles(alpha, miss_beyond, hit_beyond):
-    """The poles, and the angles theta in [0, pi] on and two ulps either
-    side of each edge of the polar step for a member at polar angle alpha:
-    theta = alpha +- each threshold (miss_beyond and pi - hit_beyond) and
-    |theta + alpha - pi| = hit_beyond."""
-    threshold = math.pi - hit_beyond
-    edges = [alpha + sign * bound for bound in (miss_beyond, threshold) for sign in (-1.0, 1.0)]
-    edges += [threshold - alpha, 2.0 * math.pi - threshold - alpha]
-    theta = [0.0, math.pi]
-    for edge in filter(math.isfinite, edges):
-        below, above = np.nextafter(edge, -math.inf), np.nextafter(edge, math.inf)
-        theta += [np.nextafter(below, -math.inf), below, edge, above, np.nextafter(above, math.inf)]
-    theta = np.asarray(theta)
-    return theta[(theta >= 0.0) & (theta <= math.pi)]
+class PlantedDraws:
+    """The draws of one row block, handed out from given columns in order:
+    `random` and `uniform` return the next column as it is, `skip` passes
+    over it."""
+
+    def __init__(self, *columns):
+        self._columns = list(columns)
+
+    def _next(self, size):
+        column = self._columns.pop(0)
+        assert len(column) == size
+        return column.copy()
+
+    def random(self, size):
+        return self._next(size)
+
+    def uniform(self, low, high, size):
+        return self._next(size)
+
+    def skip(self, size):
+        self._next(size)
+
+
+def planted_uniforms(strategy, decomposition, cap_cos):
+    """u = 0, and the u on and two doubles either side of: each member's
+    window ends (`_u_windows`), the polar step's thresholds in [0, pi]
+    mapped through `polar_uniform` without the margin, and the flat
+    (zero-mass) cells of a tabulated CDF; all within [0, 1)."""
+    dirs = decomposition.directions
+    alpha = np.arctan2(np.hypot(dirs[:, 0], dirs[:, 1]), dirs[:, 2])
+    u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
+    miss_beyond, hit_beyond = _polar_bounds(cap_cos)
+    thresholds = np.concatenate([alpha - miss_beyond, alpha + miss_beyond,
+                                 math.pi - alpha - hit_beyond, math.pi - alpha + hit_beyond])
+    thresholds = thresholds[(thresholds >= 0.0) & (thresholds <= math.pi)]
+    centres = [u_low, u_high, strategy.polar_uniform(thresholds)]
+    if isinstance(strategy, TabulatedStrategy):
+        xp = strategy._xp
+        centres.append(xp[:-1][np.diff(xp) == 0.0])
+    u = [np.zeros(1)]
+    for c in np.concatenate(centres):
+        below, above = np.nextafter(c, -math.inf), np.nextafter(c, math.inf)
+        u.append([np.nextafter(below, -math.inf), below, c, above, np.nextafter(above, math.inf)])
+    u = np.concatenate(u)
+    return u[(u >= 0.0) & (u < 1.0)]
 
 
 # members at +-z, at the cap's edge and in a generic position
@@ -680,38 +725,73 @@ PLANTED_MEMBERS = {"+z": (0.0, 0.0, 1.0), "-z": (0.0, 0.0, -1.0), "cap": None, "
 @pytest.mark.parametrize("member", sorted(PLANTED_MEMBERS))
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
 def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, monkeypatch, tag, member, cap):
-    # one member, so every row is its guess; the polar step hands the
-    # planted angles over as the sampler would (cos4: t, ab: cos t)
+    # the polar column holds the planted u, once for each member: the
+    # member alone (its bounds are shared), then with its antipode (the two
+    # members' bounds differ, so each row takes its member's); the count
+    # must be the z coordinate's over all rows
     direction = PLANTED_MEMBERS[member] or (math.sin(cap), 0.0, math.cos(cap))
-    decomposition = members((1.0, direction))
-    dirs = decomposition.directions
-    alpha = math.atan2(math.hypot(dirs[0, 0], dirs[0, 1]), dirs[0, 2])
-    cap_cos = math.cos(cap)
-    theta = planted_angles(alpha, *_polar_bounds(cap_cos))
-    m = len(theta)
-    cos_theta = np.cos(theta)
+    antipode = tuple(-c for c in direction)
+    strategy, cap_cos = strategies[tag], math.cos(cap)
+    real_polar_cos = strategy.polar_cos
+    for decomposition in (members((1.0, direction)), members((0.5, direction), (0.5, antipode))):
+        dirs = decomposition.directions
+        u = planted_uniforms(strategy, decomposition, cap_cos)
+        idx = np.repeat(np.arange(len(dirs)), len(u))
+        u = np.tile(u, len(dirs))
+        m = len(u)
+        pick = np.cumsum(decomposition.weights)[idx] - 0.25
+        phi = substream(32).uniform(0.0, 2.0 * math.pi, size=m)
+        batch_hits = _cap_hits(strategy, decomposition, cap_cos)
+        exact_rows = []
+
+        def record(u_rows, exact_rows=exact_rows):
+            exact_rows.append(len(u_rows))
+            return real_polar_cos(u_rows)
+
+        monkeypatch.setattr(strategy, "polar_cos", record)
+        monkeypatch.setattr(streams, "map_row_blocks",
+                            lambda fn, rng, m, columns, rows, draws=PlantedDraws(pick, u, phi): [fn(draws, 0, m)])
+        got = batch_hits(None, m)
+        monkeypatch.undo()
+        cos_theta = (np.cos(interp_inverse_cdf(strategy, u)) if tag == "cos4"
+                     else _ab_inverse_cdf(strategy.form, u))
+        a_z, e1_z, e2_z = (None if c is None else c[idx] for c in frame_z(dirs))
+        assert got == np.count_nonzero(z_at_angle(a_z, e1_z, e2_z, cos_theta, phi) >= cap_cos)
+        # the u step decided some rows itself
+        assert exact_rows == [exact_rows[0]] and exact_rows[0] < m
+
+
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_u_windows_check_their_bounds_with_the_polar_map(strategies, monkeypatch, tag):
+    # a polar_uniform 0.01 too high puts each window's low bound inside the
+    # window; the check against polar_cos moves it out or gives up its side,
+    # so the counts stay those of the whole batches
     strategy = strategies[tag]
-    if tag == "cos4":
-        monkeypatch.setattr(strategy, "inverse_cdf", lambda u: theta.copy())
-    else:
-        monkeypatch.setattr(estimator, "_ab_inverse_cdf", lambda form, u: cos_theta.copy())
-    exact_rows = []
-    real_z_at_angle = bloch.z_at_angle
+    real_polar_uniform = strategy.polar_uniform
+    monkeypatch.setattr(strategy, "polar_uniform", lambda theta: real_polar_uniform(theta) + 0.01)
+    for decomposition in (standard_decomposition(0.9), symmetric_decomposition(0.9)):
+        got = sum(streams.map_batches(_cap_hits(strategy, decomposition, math.cos(0.2)), 35, CAP_ROW_BLOCK, 1))
+        assert [got] == whole_batch_cap_hits(strategy, decomposition, CAP_ROW_BLOCK, 35, 1)
 
-    def record(*args):
-        exact_rows.append(len(args[3]))
-        return real_z_at_angle(*args)
 
-    monkeypatch.setattr(bloch, "z_at_angle", record)
-    got = _cap_hits(strategy, decomposition, cap_cos)(substream(32), m)
-    # the whole batch's columns: member pick, polar, azimuth
-    ref = substream(32)
-    ref.random(2 * m)
-    phi = ref.uniform(0.0, 2.0 * math.pi, size=m)
-    a_z, e1_z, e2_z = (None if c is None else np.repeat(c, m) for c in frame_z(dirs))
-    assert got == np.count_nonzero(real_z_at_angle(a_z, e1_z, e2_z, cos_theta, phi) >= cap_cos)
-    # the polar step decided some rows itself
-    assert exact_rows and exact_rows[0] < m
+def test_u_step_leaves_few_rows_to_the_inverse_map(strategies, monkeypatch):
+    # cos4 at p = 0.9 and a cap of 0.2, one batch per arm: the pole arm
+    # hands at most 1e-4 of its rows to the inverse CDF, the tilted arm 30%
+    strategy = strategies["cos4"]
+    real_inverse_cdf = strategy.inverse_cdf
+    for decomposition, share in ((standard_decomposition(0.9), 1e-4), (symmetric_decomposition(0.9), 0.3)):
+        batch_hits = _cap_hits(strategy, decomposition, math.cos(0.2))
+        rows = []
+
+        def record(u, rows=rows):
+            rows.append(len(u))
+            return real_inverse_cdf(u)
+
+        monkeypatch.setattr(strategy, "inverse_cdf", record)
+        batch_hits(substream(33), BATCH_CAP)
+        monkeypatch.undo()
+        assert len(rows) == BATCH_CAP // CAP_ROW_BLOCK
+        assert sum(rows) <= share * BATCH_CAP
 
 
 class TrigRecorder:
