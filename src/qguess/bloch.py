@@ -318,44 +318,19 @@ def z_at_angle(a_z: np.ndarray, e1_z: np.ndarray | None, e2_z: np.ndarray | None
 def _coordinates_at_angle(cos_theta, phi, components, out) -> None:
     """For each (a_k, e1_k, e2_k) of `components` and 1-d array of `out`,
     write coordinate k of t*a + s*(cos(phi)*e1 + sin(phi)*e2) to that array:
-    (cos_phi*e1_k + sin_phi*e2_k), times s, plus t*a_k, in that order. A
-    frame coordinate of None drops its term; cos(phi), sin(phi) and s are
-    evaluated only if some component needs them. The one place this formula
-    is evaluated, so every caller gets the same bytes.
-
-    Several components (`directions_at_angle`) share one evaluation of
-    cos(phi), sin(phi) and s. A single component (`z_at_angle`) shares
-    nothing, so its terms are built in its output array and one scratch
-    array that holds sin(phi)*e2_k, s and t*a_k in turn: two arrays beside
-    the inputs instead of up to six. Each product and sum has the same operands
-    either way, so the bytes are the same.
+    (cos_phi*e1_k + sin_phi*e2_k), times s, plus t*a_k, in that order, with
+    s = sqrt(1 - t^2) clipped at 0 before the root. A frame coordinate of
+    None drops its term; cos(phi), sin(phi) and s are evaluated once, and
+    only if some component needs them. The one place this formula is
+    evaluated, so every caller gets the same bytes.
     """
-    if len(components) == 1:
-        (a_k, e1_k, e2_k), dest = components[0], out[0]
-        terms = []
-        if e1_k is not None:
-            terms.append((np.cos, e1_k))
-        if e2_k is not None:
-            terms.append((np.sin, e2_k))
-        if not terms:
-            np.multiply(cos_theta, a_k, out=dest)
-            return
-        scratch = np.empty(len(cos_theta))
-        (trig, e_k), *rest = terms
-        trig(phi, out=dest)
-        dest *= e_k
-        for trig, e_k in rest:
-            trig(phi, out=scratch)
-            scratch *= e_k
-            dest += scratch
-        dest *= _sin_from_cos(cos_theta, scratch)
-        np.multiply(cos_theta, a_k, out=scratch)
-        np.add(scratch, dest, out=dest)
-        return
     cos_phi = np.cos(phi) if any(e1_k is not None for _, e1_k, _ in components) else None
     sin_phi = np.sin(phi) if any(e2_k is not None for _, _, e2_k in components) else None
     if cos_phi is not None or sin_phi is not None:
-        s = _sin_from_cos(cos_theta, np.empty(len(cos_theta)))
+        s = np.multiply(cos_theta, cos_theta)
+        np.subtract(1.0, s, out=s)
+        np.clip(s, 0.0, None, out=s)
+        np.sqrt(s, out=s)
     col = np.empty(len(cos_theta))
     tmp = np.empty(len(cos_theta))
     for (a_k, e1_k, e2_k), dest in zip(components, out):
@@ -370,12 +345,3 @@ def _coordinates_at_angle(cos_theta, phi, components, out) -> None:
         col *= s
         np.multiply(cos_theta, a_k, out=tmp)
         np.add(tmp, col, out=dest)
-
-
-def _sin_from_cos(cos_theta, out):
-    """s = sqrt(1 - t^2) for t = cos_theta, clipped at 0 before the root,
-    written to and returned in `out`."""
-    np.multiply(cos_theta, cos_theta, out=out)
-    np.subtract(1.0, out, out=out)
-    np.clip(out, 0.0, None, out=out)
-    return np.sqrt(out, out=out)

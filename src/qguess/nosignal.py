@@ -61,9 +61,9 @@ VERDICT_INDETERMINATE = "indeterminate"
 # arms run on two threads, and each numpy call hands the interpreter lock
 # over; the angle path does few float operations per call, so at
 # streams.ROW_BLOCK rows the handovers took a share of each call that swung
-# with the host's load. Twice the rows halve the calls per trial. A block
-# holds at most six arrays of its rows, where ten were alive at
-# streams.ROW_BLOCK rows, so it takes a fifth more memory.
+# with the host's load. Twice the rows halve the calls per trial. A block's
+# peak, reached before its exact z, is 2.9-3.6 arrays of its rows, where
+# ten were alive at streams.ROW_BLOCK rows, so it takes less memory.
 CAP_ROW_BLOCK = 2 * streams.ROW_BLOCK
 
 # Margin on a guess's z coordinate within which the polar step of the
@@ -76,9 +76,6 @@ CAP_Z_MARGIN = 1e-6
 # polar angle away from the poles, far below the window itself (about
 # 1e-5 rad wide at a cap of 0.2).
 CAP_THETA_MARGIN = 1e-9
-
-# Steps of one double by which `_u_windows` moves a bound that fails its check
-_BOUND_STEPS = 4
 
 
 def fibonacci_directions(n: int) -> np.ndarray:
@@ -351,15 +348,15 @@ def _u_windows(strategy: EstimatorStrategy, alpha: np.ndarray, cap_cos: float):
     where that map decreases. Then each bound is checked with the
     strategy's own `polar_cos`: the first u beyond it must give a cos t
     strictly beyond cos(w_lo) or cos(w_hi), on its side. A bound that fails
-    moves out one double, up to _BOUND_STEPS times, and then gives up its
-    side (0 below, 1 above: no u is drawn beyond them). Both maps from u to
-    cos t are monotone up to a few ulps of cos t (the tabulated one within
-    each CDF cell, and across a cell edge theta falls back at most an ulp),
-    so every row beyond a checked bound has its cos t on the bound's side
-    to within about 3e-15, or 1e-7 rad in theta at the poles. CAP_Z_MARGIN
-    puts the thresholds 1e-6 in z, and so at least 1e-6 rad in theta, from
-    where the guess can be on either side of the cap's edge, so a row
-    decided from u is decided as the polar step decides it.
+    gives up its side (0 below, 1 above: no u is drawn beyond them), and its
+    rows go to the exact z. Both maps from u to cos t are monotone up to a
+    few ulps of cos t (the tabulated one within each CDF cell, and across a
+    cell edge theta falls back at most an ulp), so every row beyond a
+    checked bound has its cos t on the bound's side to within about 3e-15,
+    or 1e-7 rad in theta at the poles. CAP_Z_MARGIN puts the thresholds
+    1e-6 in z, and so at least 1e-6 rad in theta, from where the guess can
+    be on either side of the cap's edge, so a row decided from u is decided
+    as the polar step decides it.
     """
     miss_beyond, hit_beyond = _polar_bounds(cap_cos)
     hit_lo, hit_hi = math.pi - alpha - hit_beyond, math.pi - alpha + hit_beyond
@@ -382,17 +379,13 @@ def _u_windows(strategy: EstimatorStrategy, alpha: np.ndarray, cap_cos: float):
 
 def _checked_bound(strategy: EstimatorStrategy, bound: np.ndarray, toward: float, side: float,
                    cos_edge: np.ndarray) -> np.ndarray:
-    """`bound`, each entry moved toward `toward` one double at a time until
-    the first u beyond it has side * (polar_cos(u) - cos_edge) > 0 (see
-    `_u_windows`), within [0, 1], where the drawn u lie."""
+    """`bound` clipped to [0, 1], where the drawn u lie, with each entry
+    whose first u beyond it, toward `toward`, fails side * (polar_cos(u) -
+    cos_edge) > 0 (see `_u_windows`) given up: set to 0 or 1 on that side."""
     bound = np.clip(bound, 0.0, 1.0)
-    for _ in range(_BOUND_STEPS):
-        first = np.nextafter(bound, toward)
-        drawn = np.flatnonzero((first >= 0.0) & (first < 1.0))
-        wrong = drawn[side * (strategy.polar_cos(first[drawn]) - cos_edge[drawn]) <= 0.0]
-        if not len(wrong):
-            return bound
-        bound[wrong] = first[wrong]
+    first = np.nextafter(bound, toward)
+    drawn = np.flatnonzero((first >= 0.0) & (first < 1.0))
+    wrong = drawn[side * (strategy.polar_cos(first[drawn]) - cos_edge[drawn]) <= 0.0]
     bound[wrong] = 0.0 if toward < 0.0 else 1.0
     return bound
 
@@ -459,7 +452,7 @@ def _u_block_hits(strategy: EstimatorStrategy, dirs: np.ndarray, cum: np.ndarray
             phi = None
         idx = idx.take(rows)
         z = bloch.z_at_angle(*(None if c is None else c.take(idx) for c in members_z), cos_theta, phi)
-        return hits + int(np.count_nonzero(z >= cap_cos))
+        return int(hits + np.count_nonzero(z >= cap_cos))
 
     return block_hits
 

@@ -655,9 +655,9 @@ def test_angle_path_counts_in_cap_row_blocks_and_mp_in_row_blocks(strategies, mo
 
 @pytest.mark.parametrize("p", [0.5, 0.9])
 def test_angle_path_block_holds_six_arrays_of_its_rows(strategies, p):
-    # at most six float64 arrays of a block's rows are alive at once (the
-    # symmetric arm's z: t, phi, the picked a_z and e1_z, the result and one
-    # scratch), where ten were when the path counted in ROW_BLOCK rows
+    # at most six float64 arrays of a block's rows are alive at once, where
+    # ten were when the path counted in ROW_BLOCK rows; the peak, 2.9-3.6
+    # arrays, comes before the exact z
     for decomposition in (standard_decomposition(p), symmetric_decomposition(p)):
         batch_hits = _cap_hits(strategies["cos4"], decomposition, math.cos(0.2))
         batch_hits(substream(31), CAP_ROW_BLOCK)
@@ -761,11 +761,59 @@ def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, mon
         assert exact_rows == [exact_rows[0]] and exact_rows[0] < m
 
 
+def test_polar_step_counts_planted_rows_at_a_given_up_bound_as_the_z_coordinate(monkeypatch):
+    # AB with a_frac 1.0, the tilted pair at p = 0.975 and a cap of
+    # np.linspace(1e-4, pi, 60)[53]: the low u bound, 8.3e-13, fails its
+    # check and is given up, so the rows on and around it, planted in the
+    # polar column, all go to the exact z and count as the z coordinate does
+    strategy = ABFormStrategy(GuessingForm.from_a_fraction(1.0))
+    decomposition = symmetric_decomposition(0.975)
+    cap_cos = math.cos(np.linspace(1e-4, math.pi, 60)[53])
+    real_checked_bound = nosignal._checked_bound
+    checked = {}
+
+    def record(strategy, bound, toward, *args):
+        checked[toward] = (np.clip(bound, 0.0, 1.0), real_checked_bound(strategy, bound, toward, *args))
+        return checked[toward][1]
+
+    monkeypatch.setattr(nosignal, "_checked_bound", record)
+    batch_hits = _cap_hits(strategy, decomposition, cap_cos)
+    monkeypatch.undo()
+    before, after = checked[-math.inf]
+    assert np.all((before > 0.0) & (before < 1e-12)) and np.all(after == 0.0)
+    u = [0.0, before[0] / 2.0, 2.0 * before[0]]
+    for c in (np.nextafter(before[0], -math.inf), before[0], np.nextafter(before[0], math.inf)):
+        u += [np.nextafter(c, -math.inf), c, np.nextafter(c, math.inf)]
+    u = np.array(u)
+    dirs = decomposition.directions
+    idx = np.repeat(np.arange(len(dirs)), len(u))
+    u = np.tile(u, len(dirs))
+    m = len(u)
+    pick = np.cumsum(decomposition.weights)[idx] - 0.25
+    phi = substream(36).uniform(0.0, 2.0 * math.pi, size=m)
+    exact_rows = []
+    real_polar_cos = strategy.polar_cos
+
+    def record_rows(u_rows):
+        exact_rows.append(len(u_rows))
+        return real_polar_cos(u_rows)
+
+    monkeypatch.setattr(strategy, "polar_cos", record_rows)
+    monkeypatch.setattr(streams, "map_row_blocks",
+                        lambda fn, rng, m, columns, rows, draws=PlantedDraws(pick, u, phi): [fn(draws, 0, m)])
+    got = batch_hits(None, m)
+    monkeypatch.undo()
+    a_z, e1_z, e2_z = (None if c is None else c[idx] for c in frame_z(dirs))
+    z = z_at_angle(a_z, e1_z, e2_z, _ab_inverse_cdf(strategy.form, u), phi)
+    assert got == np.count_nonzero(z >= cap_cos)
+    assert exact_rows == [m]
+
+
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
 def test_u_windows_check_their_bounds_with_the_polar_map(strategies, monkeypatch, tag):
     # a polar_uniform 0.01 too high puts each window's low bound inside the
-    # window; the check against polar_cos moves it out or gives up its side,
-    # so the counts stay those of the whole batches
+    # window; the check against polar_cos gives up its side, so the counts
+    # stay those of the whole batches
     strategy = strategies[tag]
     real_polar_uniform = strategy.polar_uniform
     monkeypatch.setattr(strategy, "polar_uniform", lambda theta: real_polar_uniform(theta) + 0.01)

@@ -232,6 +232,15 @@ def test_report_dict_shape():
     ]
 
 
+@pytest.mark.parametrize("strategy", [ABFormStrategy(GuessingForm.from_a_fraction(0.7)), cos4_strategy()],
+                         ids=["ab", "cos4"])
+def test_report_floats_are_python_floats(strategy):
+    # at p = 0.9 both arms count cap hits from the drawn polar uniform
+    rep = run_discrimination_experiment(strategy, 0.9, trials=40_000, seed=1)
+    for name in ("p", "cap_half_angle", "freq_standard", "freq_symmetric", "se_standard", "se_symmetric", "z"):
+        assert type(getattr(rep, name)) is float, name
+
+
 # ---------------------------------------------------------------------------
 # least-squares form recovery
 
