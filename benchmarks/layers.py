@@ -2,11 +2,14 @@
 
 Run from anywhere, against the checkout this file sits in:
 
-    python benchmarks/layers.py --label change --out BENCH_13.json
+    python benchmarks/layers.py --label change --out BENCH_15.json
 
 Each kernel is timed on one full batch of 2^19 rows, handed to it one
 block of 2^14 rows at a time as the drivers do, and each driver at the
-benchmark's sizes with workers 1 and 2. The discrimination's per-arm batch
+benchmark's sizes with workers 1 and 2. The `cos_sin` arm, the (cos, sin)
+pair of an azimuth column as the direction kernels take it
+(`bloch._cos_sin`), runs beside `np_cos_np_sin`, the same column through
+`np.cos` and `np.sin`. The discrimination's per-arm batch
 function, `nosignal._cap_hits`, is timed on one 2^19-row batch per
 strategy (MP, AB with a_frac = 0.5, cos4) and arm, set-up included, in the
 blocks it makes itself (2^15 rows on the angle path, 2^14 for MP). The arms
@@ -112,6 +115,9 @@ def kernels() -> tuple[dict, dict]:
     # name: kernel call on the rows `r` of the batch
     calls = {
         "random_directions": lambda r: bloch.random_directions(rng, r.stop - r.start),
+        # one azimuth column: sin from cos (stream contract 2) against numpy's pair
+        "cos_sin": lambda r: bloch._cos_sin(phi[r]),
+        "np_cos_np_sin": lambda r: (np.cos(phi[r]), np.sin(phi[r])),
         "orthonormal_frames": lambda r: bloch.orthonormal_frames(axes[r]),
         "dots": lambda r: bloch.dots(axes[r], other[r]),
         "directions_at_angle": lambda r: bloch.directions_at_angle(axes[r], cos_t[r], phi[r]),

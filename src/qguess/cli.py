@@ -7,7 +7,9 @@ identical flags (including --workers) reproduces the report byte for byte.
 
 Reports go to stdout or --out. JSON for scalar summaries (fidelity,
 nosignal, fit), CSV for per-bin and per-grid-point tables (density, scan);
-CSV run metadata rides in trailing `# key=value` comment lines.
+CSV run metadata rides in trailing `# key=value` comment lines. Every report
+ends with its provenance: the package version and the stream contract
+(`streams.STREAM_CONTRACT`) it was made under.
 
 Exit codes: 0 success, 2 usage error, 3 runtime failure (invalid physics
 inputs, unfittable histograms).
@@ -22,6 +24,7 @@ import math
 import click
 import numpy as np
 
+from . import __version__
 from .errors import QGuessError
 from .estimator import (
     ABFormStrategy,
@@ -43,7 +46,7 @@ from .nosignal import (
     fit_ab_least_squares,
     run_discrimination_experiment,
 )
-from .streams import MAX_SEED
+from .streams import MAX_SEED, STREAM_CONTRACT
 
 STRATEGY_CHOICES = ("massar-popescu", "ab", "cos4")
 MERIT_CHOICES = ("fidelity", "cos4", "constant")
@@ -123,9 +126,25 @@ def _strategy_fields(payload: dict, strategy: str, a_frac: float) -> dict:
     return payload
 
 
+def _provenance() -> dict:
+    return {"qguess_version": __version__, "stream_contract": STREAM_CONTRACT}
+
+
 def _json(payload: dict) -> str:
-    """Strict JSON: a NaN or infinity raises instead of printing `NaN`/`Infinity`."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """Strict JSON with the provenance fields last: a NaN or infinity raises
+    instead of printing `NaN`/`Infinity`."""
+    return json.dumps({**payload, **_provenance()}, indent=2, allow_nan=False) + "\n"
+
+
+def _csv_metadata(lines: list[str]) -> str:
+    """The trailing `# key=value` lines, provenance last."""
+    return "\n".join(lines + [f"# {key}={value}" for key, value in _provenance().items()]) + "\n"
+
+
+def _pull(estimate: float, true: float, se: float) -> float | None:
+    """(estimate - true) / se, or None (JSON null) unless se is positive: a
+    fit with a zero standard error has no pull."""
+    return (estimate - true) / se if se > 0.0 else None
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -184,7 +203,7 @@ def density(strategy, a_frac, trials, seed, workers, bins, out):
         f"# dof={dof}",
         f"# chi2_threshold_999={float(2.0 * gammaincinv(dof / 2.0, 0.999))!r}",
     ]
-    emit(text + "\n".join(lines) + "\n", out)
+    emit(text + _csv_metadata(lines), out)
 
 
 @main.command()
@@ -255,8 +274,8 @@ def fit(strategy, a_frac, trials, seed, workers, bins, out):
     if isinstance(est, ABFormStrategy):
         form = est.form
         payload["true"] = {"A": form.A, "B": form.B}
-        payload["pull_A"] = (result.A - form.A) / result.se_A
-        payload["pull_B"] = (result.B - form.B) / result.se_B
+        payload["pull_A"] = _pull(result.A, form.A, result.se_A)
+        payload["pull_B"] = _pull(result.B, form.B, result.se_B)
     emit(_json(payload), out)
 
 
@@ -279,7 +298,7 @@ def scan(merit, out):
     if not result.tie:
         lines.append(f"# best_a_frac={float(result.a_fractions[result.best_index])!r}")
         lines.append(f"# best_value={result.best_value!r}")
-    emit("\n".join(lines) + "\n", out)
+    emit(_csv_metadata(lines), out)
 
 
 if __name__ == "__main__":

@@ -32,6 +32,12 @@ from .errors import QGuessError
 
 MAX_SEED = 2**64 - 1
 
+# Version of the reproducibility contract: the bytes a fixed call or command
+# line gives. Contract 1 took sin(phi) of each azimuth from np.sin; contract 2
+# derives it from cos(phi) (`bloch._cos_sin`). Every report states it, and a
+# change to any report's bytes bumps it.
+STREAM_CONTRACT = 2
+
 # fixed internal batch cap; part of the reproducibility contract
 BATCH_CAP = 1 << 19
 

@@ -1,10 +1,16 @@
 """Geometry and state-algebra invariants."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qguess
 from qguess.bloch import (
     ALGEBRA_TOL,
     ROUNDTRIP_TOL,
@@ -13,6 +19,7 @@ from qguess.bloch import (
     EnsembleDecomposition,
     QubitKet,
     Z_AXIS,
+    _cos_sin,
     angles_between,
     bloch_from_ket,
     density_from_mixture,
@@ -172,3 +179,59 @@ def test_directions_at_angle_hits_requested_angle():
     out = directions_at_angle(axes, cos_t, phi)
     assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) <= 1e-12
     assert np.allclose(dots(out, axes), cos_t, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the azimuth pair of stream contract 2: sin(phi) from cos(phi)
+
+def within_sin_bound(s, sin):
+    """|s - sin| <= 2^-53/|sin| + 2^-51: the rounding of cos(phi) is what
+    1 - cos(phi) loses where |sin(phi)| is small."""
+    with np.errstate(divide="ignore"):
+        return np.all(np.abs(s - sin) <= 2.0**-53 / np.abs(sin) + 2.0**-51)
+
+
+def test_cos_sin_is_a_unit_pair_within_its_bound_of_np_sin():
+    phi = substream(30).uniform(0.0, 2.0 * math.pi, size=1 << 20)
+    c, s = _cos_sin(phi)
+    assert c.tobytes() == np.cos(phi).tobytes()
+    assert np.max(np.abs(c * c + s * s - 1.0)) <= 2.0**-52
+    assert within_sin_bound(s, np.sin(phi))
+
+
+def test_cos_sin_takes_the_sign_of_sin_at_the_axes_and_about_pi():
+    about_pi = [math.pi]
+    below = above = math.pi
+    for _ in range(50):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, 4.0)
+        about_pi += [below, above]
+    phi = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, np.nextafter(2.0 * math.pi, 0.0), *about_pi])
+    _, s = _cos_sin(phi)
+    sin = np.sin(phi)
+    # signs of zeros included: s is +0 at 0 and at pi (where np.sin gives
+    # 1.2e-16), -0 just below 2pi, and +-0 within 1e-14 of pi, where
+    # cos(phi) rounds to -1
+    assert np.array_equal(np.signbit(s), np.signbit(sin))
+    assert within_sin_bound(s, sin)
+
+
+# numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so the other SIMD
+# level runs in a child process
+AZIMUTH_DIGESTS = """
+import hashlib, math
+from qguess import bloch, streams
+phi = streams.substream(31).uniform(0.0, 2.0 * math.pi, size=1 << 16)
+for a in (*bloch._cos_sin(phi), bloch.random_directions(streams.substream(32), 1 << 16)):
+    print(hashlib.sha256(a.tobytes()).hexdigest())
+"""
+
+
+def test_cos_sin_and_random_directions_keep_their_bytes_at_avx2():
+    phi = substream(31).uniform(0.0, 2.0 * math.pi, size=1 << 16)
+    arrays = (*_cos_sin(phi), random_directions(substream(32), 1 << 16))
+    here = "".join(hashlib.sha256(a.tobytes()).hexdigest() + "\n" for a in arrays)
+    src = str(Path(qguess.__file__).resolve().parent.parent)
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", AZIMUTH_DIGESTS], env=env, capture_output=True, text=True, check=True)
+    assert child.stdout == here

@@ -1,5 +1,6 @@
 """Command-line behavior: schemas, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -8,7 +9,10 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+import qguess
+from qguess import cli
 from qguess.cli import main
+from qguess.streams import STREAM_CONTRACT
 
 
 @pytest.fixture()
@@ -110,6 +114,19 @@ def test_fit_json_reports_pulls_for_known_forms(runner):
     assert payload["fit"]["dof"] == 48
 
 
+def test_fit_pull_with_a_zero_standard_error_is_null(runner, monkeypatch):
+    real_fit = cli.fit_ab_least_squares
+
+    def zero_se(hist):
+        return dataclasses.replace(real_fit(hist), se_A=0.0, se_B=0.0)
+
+    monkeypatch.setattr(cli, "fit_ab_least_squares", zero_se)
+    result = invoke(runner, ["fit", "--strategy", "ab", "--A-frac", "0.5", "--trials", "20000", "--seed", "3"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+    assert payload["pull_A"] is None and payload["pull_B"] is None
+
+
 def test_fit_cos4_has_no_reference_form(runner):
     result = invoke(runner, ["fit", "--strategy", "cos4", "--trials", "20000", "--seed", "1"])
     payload = json.loads(result.output)
@@ -139,6 +156,36 @@ def test_scan_constant_merit_reports_tie(runner):
     assert meta["tie"] == "true"
     assert "best_a_frac" not in meta
     assert not any(r.endswith(",1") for r in lines[1:] if not r.startswith("#"))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fidelity", "--trials", "2000"],
+        ["nosignal", "--trials", "2000", "--p", "0.7"],
+        ["fit", "--trials", "20000"],
+    ],
+    ids=["fidelity", "nosignal", "fit"],
+)
+def test_json_reports_end_with_their_provenance(runner, args):
+    result = invoke(runner, args)
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert list(payload)[-2:] == ["qguess_version", "stream_contract"]
+    assert payload["qguess_version"] == qguess.__version__
+    assert payload["stream_contract"] == STREAM_CONTRACT
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["density", "--trials", "2000", "--bins", "5"], ["scan", "--merit", "constant"]],
+    ids=["density", "scan"],
+)
+def test_csv_reports_end_with_their_provenance(runner, args):
+    result = invoke(runner, args)
+    assert result.exit_code == 0
+    assert result.output.split("\n")[-3:] == [
+        f"# qguess_version={qguess.__version__}", f"# stream_contract={STREAM_CONTRACT}", ""]
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,9 @@ column 2 of the full guess (`==` where azimuth terms with zero frame
 coordinates are left out), its u step against that z at the step's
 edges, a skipped column against a read one, and the drivers, which draw
 each batch one row block at a time, against their whole-batch bodies. Equality is on
-`tobytes()`, so a last-ulp or signed-zero difference fails."""
+`tobytes()`, so a last-ulp or signed-zero difference fails. The whole-batch
+forms take sin(phi) as stream contract 2 does (`contract2_sin`, written out
+here rather than imported)."""
 
 import math
 import tracemalloc
@@ -63,12 +65,19 @@ def cross_frames(axes):
     return e1, e2
 
 
+def contract2_sin(phi):
+    """sin(phi) for phi in [0, 2pi) as stream contract 2 evaluates it, from
+    c = cos(phi): copysign(sqrt((1 - c)(1 + c)), pi - phi)."""
+    c = np.cos(phi)
+    return np.copysign(np.sqrt((1.0 - c) * (1.0 + c)), math.pi - phi)
+
+
 def broadcast_directions_at_angle(axes, cos_theta, phi):
     """(n, 3) broadcasting form of directions_at_angle on the cross frames."""
     e1, e2 = cross_frames(axes)
     t = cos_theta[:, None]
     s = np.sqrt(np.clip(1.0 - cos_theta * cos_theta, 0.0, None))[:, None]
-    return t * axes + s * (np.cos(phi)[:, None] * e1 + np.sin(phi)[:, None] * e2)
+    return t * axes + s * (np.cos(phi)[:, None] * e1 + contract2_sin(phi)[:, None] * e2)
 
 
 def stacked_random_directions(rng, n):
@@ -76,7 +85,7 @@ def stacked_random_directions(rng, n):
     z = rng.uniform(-1.0, 1.0, size=n)
     phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
     s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=1)
+    return np.stack([s * np.cos(phi), s * contract2_sin(phi), z], axis=1)
 
 
 def clipped_dots(a, b):
@@ -843,15 +852,21 @@ def test_u_step_leaves_few_rows_to_the_inverse_map(strategies, monkeypatch):
 
 
 class TrigRecorder:
-    """numpy as `bloch` sees it, noting which of cos, sin and sqrt are looked up."""
+    """numpy as `bloch` sees it, noting which of cos, sin, copysign and sqrt
+    are looked up."""
 
     def __init__(self):
         self.called = set()
 
     def __getattr__(self, name):
-        if name in ("cos", "sin", "sqrt"):
+        if name in ("cos", "sin", "copysign", "sqrt"):
             self.called.add(name)
         return getattr(np, name)
+
+
+# the numpy functions each azimuth term looks up: sin(phi) is taken from
+# cos(phi), and its sign from copysign, which nothing else in `bloch` calls
+TERM_FUNCTIONS = {"cos": {"cos"}, "sin": {"cos", "copysign"}}
 
 
 @pytest.mark.parametrize("name", sorted(AZIMUTH_TERMS))
@@ -861,13 +876,13 @@ def test_cap_hits_evaluate_only_the_azimuth_terms_the_members_move(strategies, m
     recorder = TrigRecorder()
     monkeypatch.setattr(bloch, "np", recorder)
     batch_hits(substream(28), ROW_BLOCK + 1)
-    terms = AZIMUTH_TERMS[name]
+    functions = set().union(*(TERM_FUNCTIONS[term] for term in AZIMUTH_TERMS[name]))
     # s = sqrt(1 - t^2) scales the azimuth terms, so it goes with them
-    assert recorder.called == (terms | {"sqrt"} if terms else set())
+    assert recorder.called == (functions | {"sqrt"} if functions else set())
 
 
 def test_directions_at_angle_keeps_both_azimuth_terms_at_the_poles(monkeypatch):
     recorder = TrigRecorder()
     monkeypatch.setattr(bloch, "np", recorder)
     directions_at_angle(member_sets()["poles"].directions, np.array([0.5, -0.5]), np.array([1.0, 2.0]))
-    assert {"cos", "sin", "sqrt"} <= recorder.called
+    assert recorder.called == {"cos", "copysign", "sqrt"}
