@@ -2,7 +2,7 @@
 
 Run from anywhere, against the checkout this file sits in:
 
-    python benchmarks/layers.py --label change --out BENCH_15.json
+    python benchmarks/layers.py --label change --out BENCH_16.json
 
 Each kernel is timed on one full batch of 2^19 rows, handed to it one
 block of 2^14 rows at a time as the drivers do, and each driver at the
@@ -14,9 +14,10 @@ function, `nosignal._cap_hits`, is timed on one 2^19-row batch per
 strategy (MP, AB with a_frac = 0.5, cos4) and arm, set-up included, in the
 blocks it makes itself (2^15 rows on the angle path, 2^14 for MP). The arms
 are the standard and symmetric decompositions at the benchmark's weight and
-cap, whose members' frames leave out both azimuth terms and sin(phi) (see
-`bloch.frame_z`), and the generic arm, the symmetric pair turned 1 rad
-about z, whose members keep both.
+cap, and the generic arm, the symmetric pair turned 1 rad about z. The
+standard arm's members are poles, whose z coordinate takes no azimuth term
+(see `bloch.frame_z`); the other two arms' members take cos(phi), and no z
+coordinate takes sin(phi).
 
 Every timed call runs once untimed, then the 11 repeats go round-robin:
 each round times every call once, in a fixed order. So a noisy stretch of a

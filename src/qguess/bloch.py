@@ -200,12 +200,12 @@ def random_directions(rng: np.random.Generator, n: int) -> np.ndarray:
     """
     z = rng.uniform(-1.0, 1.0, size=n)
     # the azimuth column is dropped as soon as its (cos, sin) pair is made,
-    # and s is built in place, so at most seven arrays of n rows are alive
+    # and s is built in place, so at most seven arrays of n rows are alive;
+    # 1 - z*z needs no clip, as |z| <= 1 keeps it non-negative
     cos_phi, sin_phi = _cos_sin(rng.uniform(0.0, 2.0 * math.pi, size=n))
     out = np.empty((n, 3))
     s = np.multiply(z, z)
     np.subtract(1.0, s, out=s)
-    np.clip(s, 0.0, None, out=s)
     np.sqrt(s, out=s)
     np.multiply(s, cos_phi, out=out[:, 0])
     np.multiply(s, sin_phi, out=out[:, 1])
@@ -258,38 +258,41 @@ def angles_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def orthonormal_frames(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two (n, 3) arrays (e1, e2) completing each row of `axes` to a frame.
+    """Two (n, 3) arrays (e1, e2) completing each row of `axes` to a frame:
+    the axis's spherical frame, e1 = (z*cx, z*cy, -rho) and e2 = (-cy, cx, 0)
+    with rho = sqrt(x*x + y*y) and (cx, cy) = (x, y)/rho, or (1, 0) where
+    rho = 0. For a unit axis at polar angle t and azimuth f these are the
+    unit vectors of increasing t and of increasing f, and e1 x e2 = a.
 
-    The helper axis h is x-hat except where |x| > 0.9, where y-hat is used;
-    the choice is deterministic per row. e1 = a x h / |a x h| and e2 = a x e1
-    are written out on 1-D component arrays: with h = (h0, h1, 0) that is
-    e1 = (y*0 - z*h1, z*h0 - x*0, x*h1 - y*h0), i.e. (0, z, -y) for x-hat and
-    (-z, 0, x) for y-hat. Every product, difference and the norm
-    sqrt((e1_0^2 + e1_1^2) + e1_2^2) is the one numpy's cross product and
-    vector norm evaluate on (n, 3) rows, in the same order, so the frames
-    are byte-identical to theirs, signed zeros included.
+    Every operation is +, -, *, / or sqrt, which IEEE 754 rounds correctly,
+    so the bytes do not depend on the SIMD kernels numpy dispatches. Where
+    x*x + y*y underflows (|x| and |y| below about 2^-511), rho is
+    `np.hypot(x, y)`, which is exact there but costs as much as `np.cos`.
+    e2_z is +0 for every axis, and e1_z = -rho is +-0 only on the z axis.
     """
     axes = np.asarray(axes, dtype=float)
     x, y, z = axes[:, 0], axes[:, 1], axes[:, 2]
-    h1 = (np.abs(x) > 0.9).astype(float)
-    h0 = 1.0 - h1
     e1 = np.empty((3, len(axes)))
-    u0, u1, u2 = e1
-    np.multiply(y, 0.0, out=u0)
-    u0 -= z * h1
-    np.multiply(z, h0, out=u1)
-    u1 -= x * 0.0
-    np.multiply(x, h1, out=u2)
-    u2 -= y * h0
-    e1 /= np.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
     e2 = np.empty_like(e1)
-    v0, v1, v2 = e2
-    np.multiply(y, u2, out=v0)
-    v0 -= z * u1
-    np.multiply(z, u0, out=v1)
-    v1 -= x * u2
-    np.multiply(x, u1, out=v2)
-    v2 -= y * u0
+    rho = e1[2]
+    np.multiply(x, x, out=rho)
+    np.multiply(y, y, out=e2[0])
+    rho += e2[0]
+    low = np.flatnonzero(rho < np.finfo(float).tiny)
+    np.sqrt(rho, out=rho)
+    if low.size:
+        rho[low] = np.hypot(x[low], y[low])
+        pole = low[rho[low] == 0.0]
+        rho[pole] = 1.0  # (+-0, +-0) / 1, then (cx, cy) = (1, 0) below
+    np.divide(x, rho, out=e2[1])
+    np.divide(y, rho, out=e2[0])
+    if low.size:
+        e2[1, pole], e2[0, pole], rho[pole] = 1.0, 0.0, 0.0
+    np.multiply(z, e2[1], out=e1[0])
+    np.multiply(z, e2[0], out=e1[1])
+    np.negative(rho, out=rho)
+    np.negative(e2[0], out=e2[0])
+    e2[2] = 0.0
     return e1.T, e2.T
 
 
@@ -297,85 +300,76 @@ def directions_at_angle(axes: np.ndarray, cos_theta: np.ndarray, phi: np.ndarray
     """Unit vectors at polar angle arccos(cos_theta) and azimuth phi in
     [0, 2pi) about each axis.
 
-    Row i is t*a + s*(cos(phi)*e1 + sin(phi)*e2) with t = cos_theta[i] and
-    s = sqrt(1 - t^2), (e1, e2) the axis's `orthonormal_frames`, evaluated
-    one column at a time (`_coordinates_at_angle`) into a C-contiguous (n, 3)
-    array. Each column depends only on that column of a, e1 and e2, so
-    `z_at_angle` gives column 2 alone, byte for byte when given all three z
-    coordinates.
+    Row i is t*a + (s*cos(phi))*e1 + (s*sin(phi))*e2 with t = cos_theta[i]
+    and s = sqrt(1 - t^2), (e1, e2) the axis's `orthonormal_frames`,
+    evaluated one column at a time (`_coordinates_at_angle`) into a
+    C-contiguous (n, 3) array. e2_z is 0, so the z coordinate has no sin(phi)
+    term, and `z_at_angle` gives column 2 alone, byte for byte.
     """
     axes = np.asarray(axes, dtype=float)
     out = np.empty((len(cos_theta), 3))
     e1, e2 = orthonormal_frames(axes)
-    _coordinates_at_angle(cos_theta, phi, [(axes[:, k], e1[:, k], e2[:, k]) for k in range(3)], out.T)
+    components = [(axes[:, k], e1[:, k], e2[:, k]) for k in range(2)] + [(axes[:, 2], e1[:, 2], None)]
+    _coordinates_at_angle(cos_theta, phi, components, out.T)
     return out
 
 
-def frame_z(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """(a_z, e1_z, e2_z) for `z_at_angle` about the rows of `axes`: the z
-    coordinates of the axes and of their `orthonormal_frames`, with None for
-    a frame coordinate that is zero (+0 or -0) in every row.
-
-    With the helper axis of `orthonormal_frames`, e1_z is -y/|a x h| (x-hat)
-    or x/|a x h| (y-hat), and e2_z is x*z/|a x h| or y*z/|a x h|, each up to
-    the sign of a zero. So both vanish at the poles, e2_z for axes in the
-    y-z plane, and e1_z for axes with y = 0 and |x| <= 0.9.
+def frame_z(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(a_z, e1_z) for `z_at_angle` about the rows of `axes`: the z
+    coordinates of the axes and of their `orthonormal_frames` e1, with None
+    for e1_z where it is zero (+0 or -0) in every row, i.e. every axis is a
+    pole. (e2_z is 0 for every axis.)
     """
     axes = np.asarray(axes, dtype=float)
-    e1, e2 = orthonormal_frames(axes)
-    e1_z, e2_z = (e[:, 2] if np.any(e[:, 2]) else None for e in (e1, e2))
-    return axes[:, 2], e1_z, e2_z
+    e1_z = orthonormal_frames(axes)[0][:, 2]
+    return axes[:, 2], (e1_z if np.any(e1_z) else None)
 
 
-def z_at_angle(a_z: np.ndarray, e1_z: np.ndarray | None, e2_z: np.ndarray | None,
-               cos_theta: np.ndarray, phi: np.ndarray | None) -> np.ndarray:
-    """Column 2 of `directions_at_angle`, from the z coordinates of the axes
-    and of their `orthonormal_frames` (1-d arrays), with the same bytes.
+def z_at_angle(a_z: np.ndarray, e1_z: np.ndarray | None, cos_theta: np.ndarray,
+               phi: np.ndarray | None) -> np.ndarray:
+    """Column 2 of `directions_at_angle`, (s*cos(phi))*e1_z + t*a_z, from the
+    z coordinates of the axes and of their `orthonormal_frames` e1 (1-d
+    arrays), with the same bytes.
 
-    An e1_z or e2_z of None stands for a column of zeros (`frame_z`): its
-    azimuth term, cos(phi)*e1_z or sin(phi)*e2_z, is not evaluated, and with
-    both None neither is s, so z = t*a_z and phi may be None. A zero term
+    An e1_z of None stands for a column of zeros (`frame_z`): then neither
+    cos(phi) nor s is evaluated, z = t*a_z and phi may be None. A zero term
     only adds a signed zero, so for finite phi such a z differs from column
     2 at most in the sign of a zero, and compares == to it.
     """
+    if e1_z is None:
+        return np.multiply(cos_theta, a_z)
     z = np.empty(len(cos_theta))
-    _coordinates_at_angle(cos_theta, phi, [(a_z, e1_z, e2_z)], [z])
+    _coordinates_at_angle(cos_theta, phi, [(a_z, e1_z, None)], [z])
     return z
 
 
 def _coordinates_at_angle(cos_theta, phi, components, out) -> None:
     """For each (a_k, e1_k, e2_k) of `components` and 1-d array of `out`,
-    write coordinate k of t*a + s*(cos(phi)*e1 + sin(phi)*e2) to that array:
-    (cos_phi*e1_k + sin_phi*e2_k), times s, plus t*a_k, in that order, with
-    s = sqrt(1 - t^2) clipped at 0 before the root. A frame coordinate of
-    None drops its term; cos(phi), sin(phi) and s are evaluated once, and
-    only if some component needs them. sin(phi) is derived from cos(phi)
-    and takes its sign from pi - phi (`_cos_sin`), so the azimuths must lie
-    in [0, 2pi), as drawn. The one place this formula is evaluated, so
+    write coordinate k of t*a + (s*cos(phi))*e1 + (s*sin(phi))*e2 to that
+    array: (s*cos(phi))*e1_k, plus (s*sin(phi))*e2_k, plus t*a_k, in that
+    order, with s = sqrt(1 - t^2) clipped at 0 before the root. An e2_k of
+    None drops its term, and sin(phi) is evaluated only if some component
+    has one. sin(phi) is derived from cos(phi) and takes its sign from
+    pi - phi (`_cos_sin`), so the azimuths must lie in [0, 2pi), as drawn.
+    The azimuth terms are scaled by s in place, and s's array then serves
+    as the one scratch array. The one place this formula is evaluated, so
     every caller gets the same bytes.
     """
     if any(e2_k is not None for _, _, e2_k in components):
         cos_phi, sin_phi = _cos_sin(phi)
-    elif any(e1_k is not None for _, e1_k, _ in components):
-        cos_phi, sin_phi = np.cos(phi), None
     else:
-        cos_phi = sin_phi = None
-    if cos_phi is not None or sin_phi is not None:
-        s = np.multiply(cos_theta, cos_theta)
-        np.subtract(1.0, s, out=s)
-        np.clip(s, 0.0, None, out=s)
-        np.sqrt(s, out=s)
-    col = np.empty(len(cos_theta))
-    tmp = np.empty(len(cos_theta))
+        cos_phi, sin_phi = np.cos(phi), None
+    tmp = np.multiply(cos_theta, cos_theta)
+    np.subtract(1.0, tmp, out=tmp)
+    np.clip(tmp, 0.0, None, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    cos_phi *= tmp
+    if sin_phi is not None:
+        sin_phi *= tmp
     for (a_k, e1_k, e2_k), dest in zip(components, out):
-        terms = [(trig, e_k) for trig, e_k in ((cos_phi, e1_k), (sin_phi, e2_k)) if e_k is not None]
-        if not terms:
-            np.multiply(cos_theta, a_k, out=dest)
-            continue
-        np.multiply(*terms[0], out=col)
-        for trig, e_k in terms[1:]:
-            np.multiply(trig, e_k, out=tmp)
-            col += tmp
-        col *= s
+        np.multiply(cos_phi, e1_k, out=dest)
+        if e2_k is not None:
+            np.multiply(sin_phi, e2_k, out=tmp)
+            dest += tmp
         np.multiply(cos_theta, a_k, out=tmp)
-        np.add(tmp, col, out=dest)
+        dest += tmp

@@ -127,9 +127,16 @@ def _ab_inverse_cdf(form: GuessingForm, u: np.ndarray) -> np.ndarray:
     square at u in {0, 1} and non-negative throughout for admissible forms.
     """
     pb = math.pi * form.beta
-    g = u - 0.5 + pb
-    disc = np.clip(0.25 + 4.0 * pb * g, 0.0, None)
-    return np.clip(2.0 * g / (0.5 + np.sqrt(disc)), -1.0, 1.0)
+    g = np.subtract(u, 0.5)
+    g += pb
+    disc = np.multiply(g, 4.0 * pb)
+    disc += 0.25
+    np.clip(disc, 0.0, None, out=disc)
+    np.sqrt(disc, out=disc)
+    disc += 0.5
+    g *= 2.0
+    g /= disc
+    return np.clip(g, -1.0, 1.0, out=g)
 
 
 def uniform_azimuths(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -230,7 +237,9 @@ class MassarPopescuStrategy(ABFormStrategy):
         p += 1.0
         p /= 2.0
         # the measured axis, or its negation: times +-1.0, exact for signed zeros too
-        sign = np.where(born < p, 1.0, -1.0)
+        sign = np.less(born, p).astype(float)
+        sign *= 2.0
+        sign -= 1.0
         np.multiply(axes.T, sign, out=axes.T)
         return axes
 
@@ -251,6 +260,9 @@ class TabulatedStrategy(EstimatorStrategy):
     UNIFORMS = 2  # CDF value, azimuth
 
     REFINEMENT = 8193  # internal CDF nodes before merging the user grid
+    # a user node this close to a refinement node, in refinement steps, is
+    # that node up to rounding, and is merged into it
+    NODE_MERGE = 1e-9
     GUIDE_PER_NODE = 2  # guide-table cells per CDF node
 
     def __init__(self, thetas, values):
@@ -265,7 +277,10 @@ class TabulatedStrategy(EstimatorStrategy):
         self.thetas = thetas
         self.values = values
 
-        nodes = np.union1d(np.linspace(0.0, math.pi, self.REFINEMENT), thetas)
+        refinement = np.linspace(0.0, math.pi, self.REFINEMENT)
+        step = math.pi / (self.REFINEMENT - 1)
+        nearest = refinement[np.rint(thetas / step).astype(np.intp)]
+        nodes = np.union1d(refinement, thetas[np.abs(thetas - nearest) > self.NODE_MERGE * step])
         dens = np.interp(nodes, thetas, values)
         self._nodes = nodes
         self._node_density = dens
@@ -481,8 +496,12 @@ def histogram_chi2(hist: DensityHistogram, bin_probs: np.ndarray) -> tuple[float
 
     Returns (chi2, dof) with dof = bins - 1; bins with zero expected mass and
     zero observed count are skipped, a count where none is expected gives inf.
+    A non-finite or negative probability raises QGuessError.
     """
-    expected = hist.trials * np.asarray(bin_probs, dtype=float)
+    bin_probs = np.asarray(bin_probs, dtype=float)
+    if not np.all(bin_probs >= 0.0) or not np.all(np.isfinite(bin_probs)):
+        raise QGuessError("bin probabilities must be finite and non-negative")
+    expected = hist.trials * bin_probs
     observed = hist.counts.astype(float)
     live = expected > 0.0
     if np.any(observed[~live] > 0):

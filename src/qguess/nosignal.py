@@ -22,6 +22,7 @@ apart from cap frequencies alone.
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
 from dataclasses import asdict, dataclass
 
@@ -80,6 +81,8 @@ CAP_THETA_MARGIN = 1e-9
 
 def fibonacci_directions(n: int) -> np.ndarray:
     """n quasi-uniform unit vectors (Fibonacci sphere lattice), as an (n, 3) array."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise QGuessError(f"direction count must be an integer, got {n!r}")
     if n < 1:
         raise QGuessError(f"need at least one direction, got {n}")
     i = np.arange(n)
@@ -161,8 +164,15 @@ def derive_ab_form(density) -> AbDerivation:
 # counterexample density with curvature in cos t
 
 def cos4_density(theta):
-    """(3/4pi) cos^4(t/2): normalized, but quadratic in cos t."""
-    out = (3.0 / (2.0 * TWO_PI)) * np.cos(np.asarray(theta) / 2.0) ** 4
+    """(3/4pi) cos^4(t/2): normalized, but quadratic in cos t. The fourth
+    power is two exact products, c2 = c*c and c2*c2, whose bytes, unlike
+    those of `** 4`, do not depend on the SIMD kernels numpy dispatches.
+    They are taken in place: the quadrature of `required_trials` evaluates
+    the density on 393 216 angles at once."""
+    out = np.cos(np.asarray(theta) / 2.0)
+    out *= out
+    out *= out
+    out *= 3.0 / (2.0 * TWO_PI)
     return float(out) if np.isscalar(theta) else out
 
 
@@ -415,14 +425,14 @@ def _u_block_hits(strategy: EstimatorStrategy, dirs: np.ndarray, cum: np.ndarray
     of their u, the bytes the whole column gives them), the picked members'
     z coordinates from frames made once per arm (`bloch.frame_z`) and their
     azimuths give `bloch.z_at_angle`, column 2 of `sample_batch`, tested
-    `>= cap_cos`. An azimuth term whose frame coordinate is zero for every
-    member is left out (both for the poles, sin(phi)*e2_z for a tilted pair
-    in the y-z plane); that can change only the sign of a zero z, which the
-    test cannot see. With both left out no azimuth is read, and the block
-    skips the azimuth column (`streams._BlockDraws.skip`).
+    `>= cap_cos`. The z coordinate has no sin(phi) term (e2_z is 0), and
+    where every member is a pole its cos(phi) term is left out too (e1_z is
+    +-0); that can change only the sign of a zero z, which the test cannot
+    see. Then no azimuth is read, and the block skips the azimuth column
+    (`streams._BlockDraws.skip`).
     """
     members_z = bloch.frame_z(dirs)
-    reads_azimuth = members_z[1] is not None or members_z[2] is not None
+    reads_azimuth = members_z[1] is not None
     alpha = np.arctan2(np.hypot(dirs[:, 0], dirs[:, 1]), dirs[:, 2])
     u_low, u_high, hits_low, hits_high = _u_windows(strategy, alpha, cap_cos)
     # rows of a member whose rows there are misses compare with 0 or 1, which no u is beyond

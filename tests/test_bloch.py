@@ -158,7 +158,7 @@ def test_orthonormal_frames_cover_awkward_axes():
         [
             [0.0, 0.0, 1.0],
             [0.0, 0.0, -1.0],
-            [1.0, 0.0, 0.0],  # x-dominant row switches helper to y-hat
+            [1.0, 0.0, 0.0],
             [0.96, 0.28, 0.0],
             [0.0, 1.0, 0.0],
         ]

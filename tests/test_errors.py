@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qguess.errors import QGuessError
-from qguess.estimator import DensityHistogram, MassarPopescuStrategy, collect_histogram
+from qguess.estimator import DensityHistogram, MassarPopescuStrategy, collect_histogram, histogram_chi2
 from qguess.merit import monte_carlo_fidelity
 from qguess.nosignal import cap_frequency, cos4_density, fibonacci_directions, run_discrimination_experiment
 from qguess.streams import split_trials, substream
@@ -20,6 +20,12 @@ SITES = {
     "run_discrimination_experiment(trials=1)": lambda: run_discrimination_experiment(
         MassarPopescuStrategy(), 0.8, trials=1),
     "fibonacci_directions(0)": lambda: fibonacci_directions(0),
+    "fibonacci_directions(2.5)": lambda: fibonacci_directions(2.5),
+    "fibonacci_directions(True)": lambda: fibonacci_directions(True),
+    "histogram_chi2(nan probability)": lambda: histogram_chi2(
+        DensityHistogram(EDGES, [1, 1], 2), [0.5, math.nan]),
+    "histogram_chi2(negative probability)": lambda: histogram_chi2(
+        DensityHistogram(EDGES, [1, 1], 2), [1.5, -0.5]),
     "cap_frequency(axis_angle=nan)": lambda: cap_frequency(cos4_density, math.nan, 0.2),
     "cap_frequency(axis_angle=inf)": lambda: cap_frequency(cos4_density, math.inf, 0.2),
     "histogram edges and counts": lambda: DensityHistogram(EDGES, [1, 1, 1], 3),

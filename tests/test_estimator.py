@@ -18,6 +18,7 @@ from qguess.estimator import (
     MassarPopescuStrategy,
     TabulatedStrategy,
     _ab_inverse_cdf,
+    _linear_cells_sphere_mass,
     ab_bin_probabilities,
     cap_probability,
     collect_histogram,
@@ -26,7 +27,7 @@ from qguess.estimator import (
     histogram_csv,
 )
 from qguess.merit import MonotoneTabulatedMerit
-from qguess.nosignal import constraint_residual, cos4_density
+from qguess.nosignal import constraint_residual, cos4_density, cos4_strategy
 
 TWO_PI = 2.0 * math.pi
 A_GRID = np.linspace(0.0, 1.0, 11)
@@ -165,6 +166,22 @@ def test_tabulated_sphere_expectation():
     assert tab.sphere_expectation(score) == pytest.approx(0.5, abs=1e-9)
 
 
+def test_tabulation_merges_nodes_that_differ_by_rounding():
+    # the cos4 grid of 4001 nodes meets the 8193-node refinement at every
+    # 125th of its nodes, up to rounding: merged, no two nodes are closer
+    # than the merge tolerance, every cell of positive density has positive
+    # mass, and that mass raises the sampled CDF unless it is below the
+    # resolution of the CDF's running sum (the tail, where cos^4 is ~1e-15)
+    s = cos4_strategy()
+    step = math.pi / (TabulatedStrategy.REFINEMENT - 1)
+    assert np.min(np.diff(s._nodes)) >= TabulatedStrategy.NODE_MERGE * step
+    positive = (s._node_density[:-1] > 0.0) | (s._node_density[1:] > 0.0)
+    mass = _linear_cells_sphere_mass(s._nodes, s._node_density)[positive]
+    assert np.all(mass > 0.0)
+    rises = (np.diff(s._xp) > 0.0)[positive]
+    assert np.all(rises | (mass < 2.0 * np.spacing(s._xp[1:][positive])))
+
+
 # ---------------------------------------------------------------------------
 # histograms
 
@@ -209,8 +226,6 @@ def test_sampler_matches_analytic_density(strategy, seed):
 
 
 def test_cos4_tabulated_sampler_matches_density():
-    from qguess.nosignal import cos4_strategy
-
     s4 = cos4_strategy()
     hist = collect_histogram(s4, trials=200_000, seed=4)
     chi2, dof = histogram_chi2(hist, s4.bin_probabilities(hist.theta_edges))

@@ -8,16 +8,23 @@ the byte output changed between versions; the assertion message carries the
 fresh digest, so a deliberate change is recorded by pasting it into the JSON
 file, together with a bump of `streams.STREAM_CONTRACT`. The kernel digests
 see ulp-level changes that a report's rounding or binning can hide.
+
+The bytes should not depend on the SIMD kernels numpy dispatches, so every
+digest is recomputed once more in a child process at numpy's AVX2 level.
 """
 
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import qguess
 from qguess.bloch import BlochVector, EnsembleDecomposition, frame_z, random_directions, z_at_angle
 from qguess.cli import main
 from qguess.estimator import ABFormStrategy, GuessingForm, MassarPopescuStrategy
@@ -40,7 +47,7 @@ def kernel_outputs() -> dict:
     }
     for tag, strategy in strategies.items():
         out[f"sample_batch.{tag}"] = strategy.sample_batch(inputs, substream(8))
-    # members whose frames keep both azimuth terms, a pole among them
+    # members off the poles, whose z takes the cos(phi) term, and a pole
     generic = EnsembleDecomposition(tuple(
         (w, BlochVector.normalized(*v))
         for w, v in ((0.3, (0.3, 0.4, 0.5)), (0.5, (-0.2, 0.1, -0.4)), (0.2, (0.0, 0.0, 1.0)))))
@@ -52,15 +59,23 @@ def kernel_outputs() -> dict:
     return out
 
 
+def cli_digest(command: str) -> str:
+    result = CliRunner().invoke(main, command.split(), catch_exceptions=False)
+    assert result.exit_code == 0
+    return hashlib.sha256(result.stdout_bytes).hexdigest()
+
+
+def kernel_digests() -> dict:
+    return {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in kernel_outputs().items()}
+
+
 def test_digests_were_made_under_this_stream_contract():
     assert GOLDEN["stream_contract"] == STREAM_CONTRACT
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN["cli"]))
 def test_cli_output_matches_golden_digest(command):
-    result = CliRunner().invoke(main, command.split(), catch_exceptions=False)
-    assert result.exit_code == 0
-    fresh = hashlib.sha256(result.stdout_bytes).hexdigest()
+    fresh = cli_digest(command)
     assert fresh == GOLDEN["cli"][command], f"{command!r}: stdout digest is now {fresh}"
 
 
@@ -70,5 +85,41 @@ def test_golden_file_pins_every_kernel_call():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN["kernels"]))
 def test_kernel_bytes_match_golden_digest(name):
-    fresh = hashlib.sha256(kernel_outputs()[name].tobytes()).hexdigest()
+    fresh = kernel_digests()[name]
     assert fresh == GOLDEN["kernels"][name], f"{name!r}: digest is now {fresh}"
+
+
+# numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so the AVX2 level
+# runs in a child process, which recomputes every digest of the golden file
+AVX2_FEATURES_OFF = "AVX512_SPR AVX512_ICL X86_V4"
+AVX2_DIGESTS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import test_golden as g
+print(json.dumps({"cli": {c: g.cli_digest(c) for c in g.GOLDEN["cli"]}, "kernels": g.kernel_digests()}))
+"""
+
+# digests known to differ at the AVX2 level, with the cause
+ARCCOS = "rms_residual goes through np.arccos in constraint_residual, whose bytes follow the SIMD level"
+AVX2_DIFFERS = {
+    "nosignal --trials 5000 --p 0.8 --seed 7": ARCCOS,
+    "nosignal --strategy cos4 --trials 5000 --p 0.8 --seed 7": ARCCOS,
+}
+
+
+@pytest.fixture(scope="module")
+def avx2_digests():
+    src = str(Path(qguess.__file__).resolve().parent.parent)
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": AVX2_FEATURES_OFF,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", AVX2_DIGESTS, str(Path(__file__).parent)],
+                           env=env, capture_output=True, text=True, check=True)
+    return json.loads(child.stdout)
+
+
+@pytest.mark.parametrize("section, name", [
+    pytest.param(section, name, id=name,
+                 marks=[pytest.mark.xfail(strict=True, reason=AVX2_DIFFERS[name])] if name in AVX2_DIFFERS else [])
+    for section in ("cli", "kernels") for name in sorted(GOLDEN[section])])
+def test_golden_digest_holds_at_avx2(avx2_digests, section, name):
+    assert avx2_digests[section][name] == GOLDEN[section][name]

@@ -1,6 +1,6 @@
-"""Byte identity of the batch kernels against the plain-numpy constructions
-they replaced: the frame against `np.cross` and `np.linalg.norm`, the
-tabulated inverse CDF against `np.interp` over the normalized CDF, the
+"""Byte identity of the batch kernels against plain-numpy constructions on
+whole rows: the frame against the spherical frame written with `np.where`,
+the tabulated inverse CDF against `np.interp` over the normalized CDF, the
 kernels against their whole-batch forms at the block edges, the
 discrimination's member pick and z coordinate against `np.searchsorted` and
 column 2 of the full guess (`==` where azimuth terms with zero frame
@@ -8,8 +8,8 @@ coordinates are left out), its u step against that z at the step's
 edges, a skipped column against a read one, and the drivers, which draw
 each batch one row block at a time, against their whole-batch bodies. Equality is on
 `tobytes()`, so a last-ulp or signed-zero difference fails. The whole-batch
-forms take sin(phi) as stream contract 2 does (`contract2_sin`, written out
-here rather than imported)."""
+forms take sin(phi) as stream contracts 2 and 3 do (`contract2_sin`,
+written out here rather than imported)."""
 
 import math
 import tracemalloc
@@ -52,17 +52,17 @@ from qguess.nosignal import (
 from qguess.streams import BATCH_CAP, ROW_BLOCK, map_row_blocks, substream
 
 
-def cross_frames(axes):
-    """Helper-axis cross product, normalized with np.linalg.norm."""
-    axes = np.asarray(axes, dtype=float)
-    helper = np.zeros_like(axes)
-    use_y = np.abs(axes[:, 0]) > 0.9
-    helper[use_y, 1] = 1.0
-    helper[~use_y, 0] = 1.0
-    e1 = np.cross(axes, helper)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(axes, e1)
-    return e1, e2
+def spherical_frames(axes):
+    """The spherical frame on whole rows: rho = sqrt(x*x + y*y), or
+    np.hypot(x, y) where x*x + y*y underflows, e1 = (z*cx, z*cy, -rho) and
+    e2 = (-cy, cx, 0) with (cx, cy) = (x, y)/rho, or (1, +0) where rho = 0."""
+    x, y, z = np.asarray(axes, dtype=float).T
+    rho2 = x * x + y * y
+    rho = np.where(rho2 < np.finfo(float).tiny, np.hypot(x, y), np.sqrt(rho2))
+    pole = rho == 0.0
+    with np.errstate(invalid="ignore"):
+        cx, cy = np.where(pole, 1.0, x / rho), np.where(pole, 0.0, y / rho)
+    return np.stack([z * cx, z * cy, -rho], axis=1), np.stack([-cy, cx, np.zeros_like(z)], axis=1)
 
 
 def contract2_sin(phi):
@@ -73,11 +73,14 @@ def contract2_sin(phi):
 
 
 def broadcast_directions_at_angle(axes, cos_theta, phi):
-    """(n, 3) broadcasting form of directions_at_angle on the cross frames."""
-    e1, e2 = cross_frames(axes)
-    t = cos_theta[:, None]
-    s = np.sqrt(np.clip(1.0 - cos_theta * cos_theta, 0.0, None))[:, None]
-    return t * axes + s * (np.cos(phi)[:, None] * e1 + contract2_sin(phi)[:, None] * e2)
+    """(n, 3) broadcasting form of directions_at_angle on the spherical
+    frames; the z column, where e2_z = 0, has no sin(phi) term."""
+    e1, e2 = spherical_frames(axes)
+    s = np.sqrt(np.clip(1.0 - cos_theta * cos_theta, 0.0, None))
+    s_cos, s_sin = s * np.cos(phi), s * contract2_sin(phi)
+    out = s_cos[:, None] * e1 + s_sin[:, None] * e2 + cos_theta[:, None] * axes
+    out[:, 2] = s_cos * e1[:, 2] + cos_theta * axes[:, 2]
+    return out
 
 
 def stacked_random_directions(rng, n):
@@ -113,14 +116,6 @@ def normalized_tabulated(thetas, values):
     return TabulatedStrategy(thetas, values / mass)
 
 
-def unit_rows_with_x(x, rng):
-    """Unit rows with the given x components and random (y, z) directions."""
-    x = np.asarray(x, dtype=float)
-    psi = rng.uniform(0.0, 2.0 * math.pi, size=len(x))
-    r = np.sqrt(1.0 - x * x)
-    return np.column_stack([x, r * np.cos(psi), r * np.sin(psi)])
-
-
 def assert_same_bytes(got, want):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -131,24 +126,38 @@ def assert_same_bytes(got, want):
 
 def frame_cases():
     rng = substream(11)
-    edge = 0.9
-    near = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
-    signed = near + [-x for x in near]
+    # (x, y) near the z axis: x*x + y*y underflows below about 2^-511, and
+    # is subnormal or zero below about 2^-537
+    xy = np.concatenate([[(1e-200, -3e-200), (5e-324, 0.0), (0.0, -5e-324), (2.0**-511, 2.0**-511)],
+                         rng.choice([-1.0, 1.0], (256, 2)) * 10.0 ** rng.uniform(-320.0, -100.0, (256, 2))])
+    z = np.sqrt(1.0 - np.sum(xy * xy, axis=1)) * rng.choice([-1.0, 1.0], len(xy))
+    zeros = (0.0, -0.0)
     return {
         "random": random_directions(substream(10), 1 << 16),
         "axes": np.concatenate([np.eye(3), -np.eye(3)]),
-        "x_at_0.9": unit_rows_with_x(np.repeat(signed, 8), rng),
-        "x_dominant": unit_rows_with_x(rng.uniform(0.9, 1.0, 256) * rng.choice([-1.0, 1.0], 256), rng),
+        "poles": np.array([[x, y, z] for x in zeros for y in zeros for z in (1.0, -1.0)]),
+        "near_poles": np.column_stack([xy, z]),
     }
 
 
 @pytest.mark.parametrize("case", sorted(frame_cases()))
-def test_frames_are_byte_identical_to_cross_products(case):
+def test_frames_are_byte_identical_to_spherical_frames(case):
     axes = frame_cases()[case]
     e1, e2 = orthonormal_frames(axes)
-    r1, r2 = cross_frames(axes)
+    r1, r2 = spherical_frames(axes)
     assert_same_bytes(e1, r1)
     assert_same_bytes(e2, r2)
+
+
+@pytest.mark.parametrize("case", sorted(frame_cases()))
+def test_frames_are_right_handed_and_orthonormal_within_1e_15(case):
+    axes = frame_cases()[case]
+    e1, e2 = orthonormal_frames(axes)
+    for u, v in ((e1, e2), (e1, axes), (e2, axes)):
+        assert np.max(np.abs(np.sum(u * v, axis=1))) <= 1e-15
+    for u in (e1, e2):
+        assert np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)) <= 1e-15
+    assert np.max(np.abs(np.cross(e1, e2) - axes)) <= 1e-15
 
 
 def test_directions_at_angle_is_byte_identical_and_c_contiguous():
@@ -206,9 +215,12 @@ def test_bracket_check_repairs_a_wrong_guide(shift):
 
 
 def test_cos4_cdf_has_flat_cells_and_a_saturated_tail():
+    # every flat cell is in the tail, where a cell's mass (below 1e-17)
+    # no longer moves the running sum: the 19 cells among the 20 nodes at 1,
+    # and the one before them
     xp = cos4_strategy()._cdf
     xp = xp / xp[-1]
-    assert np.count_nonzero(np.diff(xp) == 0.0) == 27
+    assert np.count_nonzero(np.diff(xp) == 0.0) == 20
     assert np.count_nonzero(xp == 1.0) == 20
 
 
@@ -259,11 +271,10 @@ def members(*weighted):
 
 
 def member_sets():
-    """Decompositions with each choice of azimuth terms, by `frame_z`: the
-    poles have e1_z = e2_z = +-0, a y-z pair e2_z = +-0, an x-z pair with
-    |x| <= 0.9 e1_z = +-0 (x-hat helper axis), an x-z pair with |x| > 0.9
-    e2_z = +-0 (y-hat helper axis); the generic set, a pole among them,
-    keeps both."""
+    """Decompositions in several positions: the poles have e1_z = +-0, so
+    `frame_z` drops their cos(phi) term; every other set keeps it (e2_z is
+    0 for every axis, so no set has a sin(phi) term). The generic set has a
+    pole among its members."""
     return {
         "poles": standard_decomposition(0.8),
         "y-z pair": symmetric_decomposition(0.8),
@@ -273,13 +284,13 @@ def member_sets():
     }
 
 
-# the azimuth functions a block of each member set evaluates, by name
+# the azimuth terms a block of each member set evaluates, by name
 AZIMUTH_TERMS = {
     "poles": set(),
     "y-z pair": {"cos"},
-    "x-z pair": {"sin"},
+    "x-z pair": {"cos"},
     "x-dominant pair": {"cos"},
-    "generic": {"cos", "sin"},
+    "generic": {"cos"},
 }
 
 
@@ -302,10 +313,11 @@ def test_z_at_angle_is_column_2_of_directions_at_angle(p):
     dirs = np.concatenate([standard_decomposition(p).directions, symmetric_decomposition(p).directions,
                            unit_axes, random_directions(rng, 64)])
     e1, e2 = orthonormal_frames(dirs)
-    # the pole members' frames lie in the x-y plane, with signed zeros in z
+    # the pole members' frames lie in the x-y plane, with signed zeros in z;
+    # e2_z is 0 for every member
     on_pole = np.abs(dirs[:, 2]) == 1.0
     assert np.count_nonzero(on_pole) >= 4
-    assert not np.any(e1[on_pole, 2]) and not np.any(e2[on_pole, 2])
+    assert not np.any(e1[on_pole, 2]) and not np.any(e2[:, 2])
     n = 4096
     idx = rng.integers(0, len(dirs), size=n)
     cos_t = rng.uniform(-1.0, 1.0, size=n)
@@ -313,7 +325,7 @@ def test_z_at_angle_is_column_2_of_directions_at_angle(p):
     # angles whose products give signed zeros
     cos_t[:8] = [1.0, -1.0, 0.0, -0.0, 1.0, -1.0, 0.0, -0.0]
     phi[:8] = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, math.pi, 0.0, 0.5 * math.pi, 0.0]
-    got = z_at_angle(dirs[:, 2].take(idx), e1[:, 2].take(idx), e2[:, 2].take(idx), cos_t, phi)
+    got = z_at_angle(dirs[:, 2].take(idx), e1[:, 2].take(idx), cos_t, phi)
     assert_same_bytes(got, directions_at_angle(dirs[idx], cos_t, phi)[:, 2].copy())
 
 
@@ -327,10 +339,11 @@ def test_reduced_term_z_equals_column_2_of_directions_at_angle(p):
         assert not np.any(symmetric_decomposition(p).directions[:, 2])
     for decomposition in arms:
         dirs = decomposition.directions
-        a_z, e1_z, e2_z = frame_z(dirs)
-        # a dropped frame coordinate is +-0 for every member
-        for got, full in zip((e1_z, e2_z), orthonormal_frames(dirs)):
-            assert not np.any(full[:, 2]) if got is None else got.tobytes() == full[:, 2].tobytes()
+        a_z, e1_z = frame_z(dirs)
+        # a dropped frame coordinate is +-0 for every member, and e2_z always is
+        e1, e2 = orthonormal_frames(dirs)
+        assert not np.any(e1[:, 2]) if e1_z is None else e1_z.tobytes() == e1[:, 2].tobytes()
+        assert not np.any(e2[:, 2])
         n = 4096
         idx = rng.integers(0, len(dirs), size=n)
         cos_t = rng.uniform(-1.0, 1.0, size=n)
@@ -338,12 +351,12 @@ def test_reduced_term_z_equals_column_2_of_directions_at_angle(p):
         # cos_theta = 0 rows, and angles whose products give signed zeros
         cos_t[:8] = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.0, -0.0]
         phi[:8] = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, math.pi, 0.0, 0.5 * math.pi, 0.0]
-        picked = [None if c is None else c.take(idx) for c in (a_z, e1_z, e2_z)]
+        picked = [None if c is None else c.take(idx) for c in (a_z, e1_z)]
         got = z_at_angle(*picked, cos_t, phi)
         want = directions_at_angle(dirs[idx], cos_t, phi)[:, 2].copy()
         # == does not tell +0 from -0, and neither does the cap test z >= cap_cos
         assert np.array_equal(got, want)
-        if e1_z is not None and e2_z is not None:
+        if e1_z is not None:
             assert_same_bytes(got, want)
 
 
@@ -764,8 +777,8 @@ def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, mon
         monkeypatch.undo()
         cos_theta = (np.cos(interp_inverse_cdf(strategy, u)) if tag == "cos4"
                      else _ab_inverse_cdf(strategy.form, u))
-        a_z, e1_z, e2_z = (None if c is None else c[idx] for c in frame_z(dirs))
-        assert got == np.count_nonzero(z_at_angle(a_z, e1_z, e2_z, cos_theta, phi) >= cap_cos)
+        a_z, e1_z = (None if c is None else c[idx] for c in frame_z(dirs))
+        assert got == np.count_nonzero(z_at_angle(a_z, e1_z, cos_theta, phi) >= cap_cos)
         # the u step decided some rows itself
         assert exact_rows == [exact_rows[0]] and exact_rows[0] < m
 
@@ -812,8 +825,8 @@ def test_polar_step_counts_planted_rows_at_a_given_up_bound_as_the_z_coordinate(
                         lambda fn, rng, m, columns, rows, draws=PlantedDraws(pick, u, phi): [fn(draws, 0, m)])
     got = batch_hits(None, m)
     monkeypatch.undo()
-    a_z, e1_z, e2_z = (None if c is None else c[idx] for c in frame_z(dirs))
-    z = z_at_angle(a_z, e1_z, e2_z, _ab_inverse_cdf(strategy.form, u), phi)
+    a_z, e1_z = (None if c is None else c[idx] for c in frame_z(dirs))
+    z = z_at_angle(a_z, e1_z, _ab_inverse_cdf(strategy.form, u), phi)
     assert got == np.count_nonzero(z >= cap_cos)
     assert exact_rows == [m]
 
@@ -864,9 +877,9 @@ class TrigRecorder:
         return getattr(np, name)
 
 
-# the numpy functions each azimuth term looks up: sin(phi) is taken from
-# cos(phi), and its sign from copysign, which nothing else in `bloch` calls
-TERM_FUNCTIONS = {"cos": {"cos"}, "sin": {"cos", "copysign"}}
+# the numpy functions each azimuth term looks up: the z coordinate has no
+# sin(phi) term, so a block never looks up copysign, which sin(phi) takes
+TERM_FUNCTIONS = {"cos": {"cos"}}
 
 
 @pytest.mark.parametrize("name", sorted(AZIMUTH_TERMS))

@@ -100,8 +100,8 @@ def member_direction(draw, zeroed):
 
 @st.composite
 def decompositions(draw):
-    """Up to four members, often sharing zero coordinates, where `frame_z`
-    drops azimuth terms; None mixes them member by member."""
+    """Up to four members, often sharing zero coordinates (where all are
+    poles, `frame_z` drops the cos(phi) term); None mixes them member by member."""
     shared = draw(st.sampled_from([None, *ZEROED]))
     zeroed = st.sampled_from(ZEROED) if shared is None else st.just(shared)
     dirs = draw(st.lists(zeroed.flatmap(member_direction), min_size=1, max_size=4))
