@@ -15,9 +15,14 @@ strategy (MP, AB with a_frac = 0.5, cos4) and arm, set-up included, in the
 blocks it makes itself (2^15 rows on the angle path, 2^14 for MP). The arms
 are the standard and symmetric decompositions at the benchmark's weight and
 cap, and the generic arm, the symmetric pair turned 1 rad about z. The
-standard arm's members are poles, whose z coordinate takes no azimuth term
-(see `bloch.frame_z`); the other two arms' members take cos(phi), and no z
-coordinate takes sin(phi).
+standard arm's members are poles, whose rows the u step decides from the
+polar uniform alone but for about 3e-6 of them; the z coordinate of a row
+left to the exact step takes cos(phi), and no z coordinate takes sin(phi).
+
+Before anything is timed, one array of BATCH_CAP doubles is allocated and
+freed, as `monte_carlo_fidelity` frees its score array: glibc then raises
+its mmap threshold above the 128 KiB temporaries of a 2^14-row block, which
+are otherwise mapped and faulted in anew on every call.
 
 Every timed call runs once untimed, then the 11 repeats go round-robin:
 each round times every call once, in a fixed order. So a noisy stretch of a
@@ -218,6 +223,7 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="Key of this run in the output file.")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to add the run to.")
     args = parser.parse_args(argv)
+    np.empty(streams.BATCH_CAP)  # freed at once; see the module docstring
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record.setdefault("rows", ROWS)
     record.setdefault("driver_trials", DRIVER_TRIALS)

@@ -314,30 +314,10 @@ def directions_at_angle(axes: np.ndarray, cos_theta: np.ndarray, phi: np.ndarray
     return out
 
 
-def frame_z(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(a_z, e1_z) for `z_at_angle` about the rows of `axes`: the z
-    coordinates of the axes and of their `orthonormal_frames` e1, with None
-    for e1_z where it is zero (+0 or -0) in every row, i.e. every axis is a
-    pole. (e2_z is 0 for every axis.)
-    """
-    axes = np.asarray(axes, dtype=float)
-    e1_z = orthonormal_frames(axes)[0][:, 2]
-    return axes[:, 2], (e1_z if np.any(e1_z) else None)
-
-
-def z_at_angle(a_z: np.ndarray, e1_z: np.ndarray | None, cos_theta: np.ndarray,
-               phi: np.ndarray | None) -> np.ndarray:
+def z_at_angle(a_z: np.ndarray, e1_z: np.ndarray, cos_theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Column 2 of `directions_at_angle`, (s*cos(phi))*e1_z + t*a_z, from the
     z coordinates of the axes and of their `orthonormal_frames` e1 (1-d
-    arrays), with the same bytes.
-
-    An e1_z of None stands for a column of zeros (`frame_z`): then neither
-    cos(phi) nor s is evaluated, z = t*a_z and phi may be None. A zero term
-    only adds a signed zero, so for finite phi such a z differs from column
-    2 at most in the sign of a zero, and compares == to it.
-    """
-    if e1_z is None:
-        return np.multiply(cos_theta, a_z)
+    arrays), with the same bytes."""
     z = np.empty(len(cos_theta))
     _coordinates_at_angle(cos_theta, phi, [(a_z, e1_z, None)], [z])
     return z

@@ -150,9 +150,9 @@ def uniform_azimuths(rng: np.random.Generator, n: int) -> np.ndarray:
 class EstimatorStrategy(ABC):
     """Isotropic estimator: output density depends only on the angle to the input.
 
-    UNIFORMS is the number of uniform columns `sample_batch` draws, one
-    double per row each, in a fixed order; the drivers size their row
-    blocks' draws by it (`streams.map_row_blocks`).
+    `sample_batch` draws whole columns of uniforms, one double per row each,
+    in a fixed order, from the generator of the row block it is handed
+    (`streams.map_row_blocks`).
 
     A strategy whose guess is the input's `directions_at_angle` at a drawn
     (cos t, azimuth) pair draws a polar column u, then the azimuth column
@@ -165,7 +165,6 @@ class EstimatorStrategy(ABC):
     strategies leave `polar_cos` None.
     """
 
-    UNIFORMS: int
     polar_cos = None
 
     @abstractmethod
@@ -174,9 +173,9 @@ class EstimatorStrategy(ABC):
 
     @abstractmethod
     def sample_batch(self, inputs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Guess directions for an (n, 3) array of inputs, one guess per row:
-        UNIFORMS calls `rng.random(n)` / `rng.uniform(low, high, n)`, in a
-        fixed order."""
+        """Guess directions for an (n, 3) array of inputs, one guess per row,
+        from calls `rng.random(n)` / `rng.uniform(low, high, n)` in a fixed
+        order."""
 
     @abstractmethod
     def bin_probabilities(self, theta_edges: np.ndarray) -> np.ndarray:
@@ -188,8 +187,6 @@ class ABFormStrategy(EstimatorStrategy):
 
     Inverse CDF in cos t plus a uniform azimuth.
     """
-
-    UNIFORMS = 2  # CDF value, azimuth
 
     def __init__(self, form: GuessingForm):
         self.form = form.require_normalized()
@@ -222,7 +219,6 @@ class MassarPopescuStrategy(ABFormStrategy):
     sampled by the measurement itself.
     """
 
-    UNIFORMS = 3  # axis z, axis azimuth, Born draw
     # the guess is a measured axis, not an angle about the input
     polar_cos = None
 
@@ -256,8 +252,6 @@ class TabulatedStrategy(EstimatorStrategy):
     sec. III.2) and the same bracket and slope as `np.interp` on that CDF, so
     the angles are byte-identical to `np.interp`'s.
     """
-
-    UNIFORMS = 2  # CDF value, azimuth
 
     REFINEMENT = 8193  # internal CDF nodes before merging the user grid
     # a user node this close to a refinement node, in refinement steps, is
@@ -477,13 +471,13 @@ def collect_histogram(
         raise QGuessError(f"bins must be >= 2, got {bins}")
     edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(0.0, math.pi))
 
-    def block_counts(draws, lo, hi):
-        inputs = random_directions(draws, hi - lo)
-        outcomes = strategy.sample_batch(inputs, draws)
+    def block_counts(rng, lo, hi):
+        inputs = random_directions(rng, hi - lo)
+        outcomes = strategy.sample_batch(inputs, rng)
         return np.histogram(angles_between(inputs, outcomes), bins=edges)[0]
 
     def batch_counts(rng, m):
-        return sum(streams.map_row_blocks(block_counts, rng, m, 2 + strategy.UNIFORMS))
+        return sum(streams.map_row_blocks(block_counts, rng, m))
 
     counts = np.zeros(bins, dtype=np.int64)
     for c in streams.map_batches(batch_counts, seed, trials, workers):

@@ -215,13 +215,15 @@ def monte_carlo_fidelity(
         raise QGuessError(f"need at least 2 trials, got {trials}")
 
     def moments(rng, m):
+        # freeing this array raises glibc's mmap threshold above the blocks'
+        # temporaries; streams.BATCH_CAP gives the cost of dropping it
         s = np.empty(m)
 
-        def block_dots(draws, lo, hi):
-            inputs = random_directions(draws, hi - lo)
-            s[lo:hi] = dots(inputs, strategy.sample_batch(inputs, draws))
+        def block_dots(rng, lo, hi):
+            inputs = random_directions(rng, hi - lo)
+            s[lo:hi] = dots(inputs, strategy.sample_batch(inputs, rng))
 
-        streams.map_row_blocks(block_dots, rng, m, 2 + strategy.UNIFORMS)
+        streams.map_row_blocks(block_dots, rng, m)
         s += 1.0
         s /= 2.0
         total = float(np.sum(s))

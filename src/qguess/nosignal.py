@@ -22,7 +22,6 @@ apart from cap frequencies alone.
 from __future__ import annotations
 
 import math
-import numbers
 import statistics
 from dataclasses import asdict, dataclass
 
@@ -64,7 +63,8 @@ VERDICT_INDETERMINATE = "indeterminate"
 # streams.ROW_BLOCK rows the handovers took a share of each call that swung
 # with the host's load. Twice the rows halve the calls per trial. A block's
 # peak, reached before its exact z, is 2.9-3.6 arrays of its rows, where
-# ten were alive at streams.ROW_BLOCK rows, so it takes less memory.
+# ten were alive at streams.ROW_BLOCK rows, so it takes less memory. Like
+# streams.ROW_BLOCK, it is part of the reproducibility contract.
 CAP_ROW_BLOCK = 2 * streams.ROW_BLOCK
 
 # Margin on a guess's z coordinate within which the polar step of the
@@ -81,8 +81,7 @@ CAP_THETA_MARGIN = 1e-9
 
 def fibonacci_directions(n: int) -> np.ndarray:
     """n quasi-uniform unit vectors (Fibonacci sphere lattice), as an (n, 3) array."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise QGuessError(f"direction count must be an integer, got {n!r}")
+    streams.require_integer("direction count", n)
     if n < 1:
         raise QGuessError(f"need at least one direction, got {n}")
     i = np.arange(n)
@@ -293,7 +292,8 @@ def _cap_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition,
     """Batch function for `streams.map_batches`: fn(rng, m) counts the
     guesses inside the cap about +z over m preparations of the
     decomposition, drawn one row block at a time (`streams.map_row_blocks`):
-    a member pick (`_member_index`), then the strategy's guess.
+    a member pick (`_member_index`), then what the block reads of the
+    strategy's guess.
 
     Only the guess's z coordinate is counted, and `z >= cap_cos` is the
     count of `sample_batch`. A strategy with `polar_cos` counts most rows
@@ -306,16 +306,16 @@ def _cap_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition,
     if strategy.polar_cos is None:
         rows = streams.ROW_BLOCK
 
-        def block_hits(draws, lo, hi):
-            idx = _member_index(cum, draws.random(hi - lo))
-            z = strategy.sample_batch(dirs.take(idx, axis=0), draws)[:, 2]
+        def block_hits(rng, lo, hi):
+            idx = _member_index(cum, rng.random(hi - lo))
+            z = strategy.sample_batch(dirs.take(idx, axis=0), rng)[:, 2]
             return int(np.count_nonzero(z >= cap_cos))
     else:
         rows = CAP_ROW_BLOCK
         block_hits = _u_block_hits(strategy, dirs, cum, cap_cos)
 
     def batch_hits(rng, m):
-        return sum(streams.map_row_blocks(block_hits, rng, m, 1 + strategy.UNIFORMS, rows))
+        return sum(streams.map_row_blocks(block_hits, rng, m, rows))
 
     return batch_hits
 
@@ -423,16 +423,15 @@ def _u_block_hits(strategy: EstimatorStrategy, dirs: np.ndarray, cum: np.ndarray
 
     Exact step, on the rows in the windows alone: their cos t (`polar_cos`
     of their u, the bytes the whole column gives them), the picked members'
-    z coordinates from frames made once per arm (`bloch.frame_z`) and their
-    azimuths give `bloch.z_at_angle`, column 2 of `sample_batch`, tested
-    `>= cap_cos`. The z coordinate has no sin(phi) term (e2_z is 0), and
-    where every member is a pole its cos(phi) term is left out too (e1_z is
-    +-0); that can change only the sign of a zero z, which the test cannot
-    see. Then no azimuth is read, and the block skips the azimuth column
-    (`streams._BlockDraws.skip`).
+    z coordinates and those of their frames' e1, made once per arm
+    (`bloch.orthonormal_frames`), and azimuths drawn for these rows alone
+    give `bloch.z_at_angle`, column 2 of `sample_batch`, tested
+    `>= cap_cos`. The z coordinate has no sin(phi) term (e2_z is 0). So a
+    block of n rows draws 2n + k uniforms: the picks, the polar column and
+    the k azimuths of its exact rows.
     """
-    members_z = bloch.frame_z(dirs)
-    reads_azimuth = members_z[1] is not None
+    a_z = dirs[:, 2]
+    e1_z = bloch.orthonormal_frames(dirs)[0][:, 2]
     alpha = np.arctan2(np.hypot(dirs[:, 0], dirs[:, 1]), dirs[:, 2])
     u_low, u_high, hits_low, hits_high = _u_windows(strategy, alpha, cap_cos)
     # rows of a member whose rows there are misses compare with 0 or 1, which no u is beyond
@@ -440,10 +439,10 @@ def _u_block_hits(strategy: EstimatorStrategy, dirs: np.ndarray, cum: np.ndarray
     hit_high = _shared(np.where(hits_high, u_high, 1.0)) if hits_high.any() else None
     u_low, u_high = _shared(u_low), _shared(u_high)
 
-    def block_hits(draws, lo, hi):
+    def block_hits(rng, lo, hi):
         n = hi - lo
-        idx = _member_index(cum, draws.random(n))
-        u = draws.random(n)
+        idx = _member_index(cum, rng.random(n))
+        u = rng.random(n)
         hits = 0
         if hit_low is not None:
             hits += np.count_nonzero(u < _per_row(hit_low, idx))
@@ -455,13 +454,8 @@ def _u_block_hits(strategy: EstimatorStrategy, dirs: np.ndarray, cum: np.ndarray
         del exact
         cos_theta = strategy.polar_cos(u.take(rows))
         del u
-        if reads_azimuth:
-            phi = uniform_azimuths(draws, n).take(rows)
-        else:
-            draws.skip(n)
-            phi = None
         idx = idx.take(rows)
-        z = bloch.z_at_angle(*(None if c is None else c.take(idx) for c in members_z), cos_theta, phi)
+        z = bloch.z_at_angle(a_z.take(idx), e1_z.take(idx), cos_theta, uniform_azimuths(rng, len(rows)))
         return int(hits + np.count_nonzero(z >= cap_cos))
 
     return block_hits
@@ -495,6 +489,7 @@ def run_discrimination_experiment(
         raise QGuessError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")
     if trials < 2:
         raise QGuessError(f"need at least 2 trials, got {trials}")
+    streams.require_integer("stream_block", stream_block)
     cap_cos = math.cos(cap_half_angle)
     arms = [
         (_cap_hits(strategy, standard_decomposition(p), cap_cos), 2 * stream_block),

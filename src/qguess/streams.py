@@ -10,19 +10,18 @@ threads, up to one per usable core, and hands their per-batch results back
 in worker order.
 
 Trials are chunked into batches of at most BATCH_CAP rows (a constant, never
-derived from the workload). A batch of m rows that draws k uniform columns
-owns words [0, k*m) of its place in the substream, column c at words
-[c*m, (c+1)*m): the words whole-batch calls `random(m)`, `uniform(lo, hi, m)`
-would read one after the other, one 64-bit word per double. The drivers
-never hold a whole column. Philox is counter-based (Salmon et al. 2011,
-"Parallel random numbers: as easy as 1, 2, 3"), so `map_row_blocks` puts
-one generator at the start of each column and reads the batch ROW_BLOCK
-rows at a time; every row gets the same draws as in the whole-batch order.
+derived from the workload), and a batch into row blocks (`map_row_blocks`).
+The layout is block-major: each row block draws from its worker's one
+generator, after the blocks before it, exactly the uniforms it reads, one
+64-bit word per double, in the order it reads them. So the block size is
+part of the reproducibility contract, and a block that needs fewer draws,
+such as the azimuths of the rows it leaves undecided, reads only those.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
 import os
 
@@ -48,23 +47,45 @@ MAX_SEED = 2**64 - 1
 #   AVX2 and AVX-512 levels on x86-64; the other two, `nosignal` reports,
 #   differ in a value that goes through np.arccos. aarch64 and other numpy
 #   versions are not measured.
-STREAM_CONTRACT = 3
+# - Contract 4 draws block-major (`map_row_blocks`), where contract 3 gave
+#   each uniform column of a batch its own stretch of words, and the angle
+#   path of the discrimination draws azimuths only for the rows it leaves to
+#   the exact z. Reports with more trials per worker than one row block, and
+#   AB and cos4 discrimination counts, move; the 5 pinned kernel outputs do not.
+STREAM_CONTRACT = 4
 
-# fixed internal batch cap; part of the reproducibility contract
+# Fixed internal batch cap; part of the reproducibility contract, since
+# `monte_carlo_fidelity` sums one score array per batch. The batches stay
+# for that array's sake too: freeing a 4 MiB mapped array raises glibc's
+# dynamic mmap threshold to its size, after which the 128 KiB temporaries
+# of a row block come from the heap instead of being mapped, faulted in and
+# unmapped on every call. A prototype that folded the batches into blocks,
+# and so freed no such array, ran the mc-admissible benchmark about 20%
+# slower (op_s.p50 0.85 -> 1.02 s, 6/6 pairs, 2-core x86-64 host); with
+# MALLOC_MMAP_THRESHOLD_ fixed, it ran as fast as this design.
 BATCH_CAP = 1 << 19
 
 # Rows per block of a batch (`map_row_blocks`): a block's draws and
 # temporaries stay cache-sized, and a batch in flight holds one block of them
-# beside what its driver keeps per row. Element-wise arithmetic gives the
-# same bytes at any block size. Each numpy call releases and
-# retakes the interpreter lock, so with two workers on threads the block
-# also sets how often they hand the lock over: 2^14 rows took that from
-# about 4200 waits per mc-admissible round (2^13) to about 1200.
+# beside what its driver keeps per row. A block's draws follow the blocks
+# before it, so the block size is part of the reproducibility contract. Each
+# numpy call releases and retakes the interpreter lock, so with two workers
+# on threads the block also sets how often they hand the lock over: 2^14
+# rows took that from about 4200 waits per mc-admissible round (2^13) to
+# about 1200.
 ROW_BLOCK = 1 << 14
+
+
+def require_integer(name: str, value) -> None:
+    """Raise QGuessError unless value is an integer (numpy's too) and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise QGuessError(f"{name} must be an integer, got {value!r}")
 
 
 def substream(seed: int, worker: int = 0, block: int = 0) -> np.random.Generator:
     """Generator for one (seed, worker, block) cell of the stream lattice."""
+    for name, value in (("seed", seed), ("worker", worker), ("block", block)):
+        require_integer(name, value)
     if not 0 <= seed <= MAX_SEED:
         raise QGuessError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if worker < 0 or block < 0:
@@ -76,6 +97,8 @@ def substream(seed: int, worker: int = 0, block: int = 0) -> np.random.Generator
 
 def split_trials(trials: int, workers: int) -> list[int]:
     """Per-worker trial counts: as even as possible, remainder to low indices."""
+    require_integer("trials", trials)
+    require_integer("workers", workers)
     if trials < 1:
         raise QGuessError(f"trials must be >= 1, got {trials}")
     if workers < 1:
@@ -105,88 +128,11 @@ def worker_batches(seed: int, trials: int, workers: int, block: int = 0):
             yield rng, m
 
 
-def _column_generator(state: dict, words: int) -> np.random.Generator:
-    """Generator `words` 64-bit words past the Philox `state`."""
-    bits = np.random.Philox(key=state["state"]["key"])
-    bits.state = state
-    _skip_words(bits, words)
-    return np.random.Generator(bits)
-
-
-def _skip_words(bits: np.random.Philox, words: int) -> None:
-    """Move `bits` on by `words` 64-bit words, to the state reading them
-    would leave.
-
-    Philox fills a buffer of four words per counter step: the words still
-    buffered are read off, `advance` then skips whole steps (and empties the
-    buffer), and `random_raw` reads the rest, generating the last step, so
-    the buffer holds that step's words as after reading.
-    """
-    buffered = 4 - bits.state["buffer_pos"]
-    if words > buffered:
-        steps, rest = divmod(words - buffered - 1, 4)
-        bits.random_raw(buffered)
-        bits.advance(steps)
-        words = rest + 1
-    bits.random_raw(words)
-
-
-class _BlockDraws:
-    """The draws of one row block: its j-th `random`, `uniform` or `skip`
-    call reads, or passes over, the block's rows of uniform column j."""
-
-    def __init__(self, columns: list, rows: int):
-        self._columns = columns
-        self._rows = rows
-        self.calls = 0
-
-    def _column(self, size) -> np.random.Generator:
-        if self.calls == len(self._columns):
-            raise RuntimeError(f"a row block drew more than its {len(self._columns)} uniform columns")
-        if size != self._rows:
-            raise RuntimeError(f"a row block of {self._rows} rows drew {size} uniforms")
-        self.calls += 1
-        return self._columns[self.calls - 1]
-
-    def random(self, size):
-        return self._column(size).random(size)
-
-    def uniform(self, low, high, size):
-        return self._column(size).uniform(low, high, size)
-
-    def skip(self, size) -> None:
-        """Pass over the block's rows of the next column without computing
-        them: the column's generator moves on `size` words, as a `random`
-        call would move it, and every other column keeps its draws."""
-        _skip_words(self._column(size).bit_generator, size)
-
-
-def map_row_blocks(fn, rng: np.random.Generator, m: int, columns: int, rows: int = ROW_BLOCK) -> list:
-    """[fn(draws, lo, hi) for each block [lo, hi) of `rows` rows (the last
-    one ragged) of a batch of m rows].
-
-    The batch draws `columns` uniform columns. One generator is put at the
-    start of each, word offsets 0, m, ..., (columns - 1) * m from `rng`, and
-    read block after block: the j-th `random` / `uniform` call `fn` makes on
-    `draws` returns rows [lo, hi) of column j, the same doubles the j-th
-    whole-batch call would return for those rows, and a `skip` in its place
-    passes over them. So any code that draws
-    whole columns from a generator runs unchanged on one block, and `rng`
-    is left columns * m words on, as whole-batch draws would leave it. A
-    block that makes more or fewer than `columns` draw calls (skips
-    included) raises RuntimeError.
-    """
-    state = rng.bit_generator.state
-    gens = [_column_generator(state, c * m) for c in range(columns)]
-    out = []
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        draws = _BlockDraws(gens, hi - lo)
-        out.append(fn(draws, lo, hi))
-        if draws.calls != columns:
-            raise RuntimeError(f"a row block drew {draws.calls} of its {columns} uniform columns")
-    rng.bit_generator.state = gens[-1].bit_generator.state
-    return out
+def map_row_blocks(fn, rng: np.random.Generator, m: int, rows: int = ROW_BLOCK) -> list:
+    """[fn(rng, lo, hi) for each block [lo, hi) of `rows` rows (the last one
+    ragged) of a batch of m rows], in order: each block draws from `rng`
+    after the blocks before it."""
+    return [fn(rng, lo, min(lo + rows, m)) for lo in range(0, m, rows)]
 
 
 def usable_cores() -> int:

@@ -25,7 +25,7 @@ import pytest
 from click.testing import CliRunner
 
 import qguess
-from qguess.bloch import BlochVector, EnsembleDecomposition, frame_z, random_directions, z_at_angle
+from qguess.bloch import BlochVector, EnsembleDecomposition, orthonormal_frames, random_directions, z_at_angle
 from qguess.cli import main
 from qguess.estimator import ABFormStrategy, GuessingForm, MassarPopescuStrategy
 from qguess.nosignal import cos4_strategy
@@ -55,7 +55,9 @@ def kernel_outputs() -> dict:
     idx = rng.integers(0, len(generic.members), size=KERNEL_ROWS)
     cos_t = rng.uniform(-1.0, 1.0, size=KERNEL_ROWS)
     phi = rng.uniform(0.0, 2.0 * math.pi, size=KERNEL_ROWS)
-    out["z_at_angle.generic"] = z_at_angle(*(c.take(idx) for c in frame_z(generic.directions)), cos_t, phi)
+    dirs = generic.directions
+    out["z_at_angle.generic"] = z_at_angle(dirs[:, 2].take(idx), orthonormal_frames(dirs)[0][:, 2].take(idx),
+                                           cos_t, phi)
     return out
 
 

@@ -3,14 +3,14 @@ whole rows: the frame against the spherical frame written with `np.where`,
 the tabulated inverse CDF against `np.interp` over the normalized CDF, the
 kernels against their whole-batch forms at the block edges, the
 discrimination's member pick and z coordinate against `np.searchsorted` and
-column 2 of the full guess (`==` where azimuth terms with zero frame
-coordinates are left out), its u step against that z at the step's
-edges, a skipped column against a read one, and the drivers, which draw
-each batch one row block at a time, against their whole-batch bodies. Equality is on
+column 2 of the full guess, its u step against that z at the step's edges,
+and the drivers, which draw each batch one row block at a time, against
+block-major references that draw each block whole. Equality is on
 `tobytes()`, so a last-ulp or signed-zero difference fails. The whole-batch
-forms take sin(phi) as stream contracts 2 and 3 do (`contract2_sin`,
+forms take sin(phi) as stream contracts 2 to 4 do (`contract2_sin`,
 written out here rather than imported)."""
 
+import contextlib
 import math
 import tracemalloc
 
@@ -23,7 +23,6 @@ from qguess.bloch import (
     angles_between,
     directions_at_angle,
     dots,
-    frame_z,
     orthonormal_frames,
     random_directions,
     z_at_angle,
@@ -271,10 +270,9 @@ def members(*weighted):
 
 
 def member_sets():
-    """Decompositions in several positions: the poles have e1_z = +-0, so
-    `frame_z` drops their cos(phi) term; every other set keeps it (e2_z is
-    0 for every axis, so no set has a sin(phi) term). The generic set has a
-    pole among its members."""
+    """Decompositions in several positions: the poles have e1_z = +-0, every
+    other set's members have e1_z != 0 (e2_z is 0 for every axis, so no set
+    has a sin(phi) term). The generic set has a pole among its members."""
     return {
         "poles": standard_decomposition(0.8),
         "y-z pair": symmetric_decomposition(0.8),
@@ -284,14 +282,10 @@ def member_sets():
     }
 
 
-# the azimuth terms a block of each member set evaluates, by name
-AZIMUTH_TERMS = {
-    "poles": set(),
-    "y-z pair": {"cos"},
-    "x-z pair": {"cos"},
-    "x-dominant pair": {"cos"},
-    "generic": {"cos"},
-}
+def member_z(dirs):
+    """(a_z, e1_z): the z coordinates of the members and of their spherical
+    frames' e1, as `bloch.z_at_angle` takes them."""
+    return dirs[:, 2], spherical_frames(dirs)[0][:, 2]
 
 
 @pytest.mark.parametrize("p", DISCRIMINATION_P)
@@ -311,7 +305,7 @@ def test_z_at_angle_is_column_2_of_directions_at_angle(p):
     rng = substream(25)
     unit_axes = np.concatenate([np.eye(3), -np.eye(3)])
     dirs = np.concatenate([standard_decomposition(p).directions, symmetric_decomposition(p).directions,
-                           unit_axes, random_directions(rng, 64)])
+                           *(d.directions for d in member_sets().values()), unit_axes, random_directions(rng, 64)])
     e1, e2 = orthonormal_frames(dirs)
     # the pole members' frames lie in the x-y plane, with signed zeros in z;
     # e2_z is 0 for every member
@@ -329,37 +323,6 @@ def test_z_at_angle_is_column_2_of_directions_at_angle(p):
     assert_same_bytes(got, directions_at_angle(dirs[idx], cos_t, phi)[:, 2].copy())
 
 
-@pytest.mark.parametrize("p", DISCRIMINATION_P)
-def test_reduced_term_z_equals_column_2_of_directions_at_angle(p):
-    # p = 0.5 puts the tilted pair on the equator (a_z = 0, so t*a_z = +-0);
-    # p = 0 and 1 put it on a pole
-    rng = substream(26)
-    arms = [standard_decomposition(p), symmetric_decomposition(p), *member_sets().values()]
-    if p == 0.5:
-        assert not np.any(symmetric_decomposition(p).directions[:, 2])
-    for decomposition in arms:
-        dirs = decomposition.directions
-        a_z, e1_z = frame_z(dirs)
-        # a dropped frame coordinate is +-0 for every member, and e2_z always is
-        e1, e2 = orthonormal_frames(dirs)
-        assert not np.any(e1[:, 2]) if e1_z is None else e1_z.tobytes() == e1[:, 2].tobytes()
-        assert not np.any(e2[:, 2])
-        n = 4096
-        idx = rng.integers(0, len(dirs), size=n)
-        cos_t = rng.uniform(-1.0, 1.0, size=n)
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        # cos_theta = 0 rows, and angles whose products give signed zeros
-        cos_t[:8] = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.0, -0.0]
-        phi[:8] = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, math.pi, 0.0, 0.5 * math.pi, 0.0]
-        picked = [None if c is None else c.take(idx) for c in (a_z, e1_z)]
-        got = z_at_angle(*picked, cos_t, phi)
-        want = directions_at_angle(dirs[idx], cos_t, phi)[:, 2].copy()
-        # == does not tell +0 from -0, and neither does the cap test z >= cap_cos
-        assert np.array_equal(got, want)
-        if e1_z is not None:
-            assert_same_bytes(got, want)
-
-
 def test_z_at_angle_writes_only_its_result():
     # one component is built in its output and a scratch array; the inputs,
     # here reused for directions_at_angle, keep their bytes
@@ -367,11 +330,11 @@ def test_z_at_angle_writes_only_its_result():
     for decomposition in member_sets().values():
         dirs = decomposition.directions
         idx = rng.integers(0, len(dirs), size=1000)
-        picked = [None if c is None else c.take(idx) for c in frame_z(dirs)]
+        picked = [c.take(idx) for c in member_z(dirs)]
         cos_t, phi = rng.uniform(-1.0, 1.0, size=1000), rng.uniform(0.0, 2.0 * math.pi, size=1000)
-        inputs = [a.copy() for a in (*(c for c in picked if c is not None), cos_t, phi)]
+        inputs = [a.copy() for a in (*picked, cos_t, phi)]
         got = z_at_angle(*picked, cos_t, phi)
-        for before, after in zip(inputs, (*(c for c in picked if c is not None), cos_t, phi)):
+        for before, after in zip(inputs, (*picked, cos_t, phi)):
             assert_same_bytes(after, before)
         assert np.array_equal(got, directions_at_angle(dirs[idx], cos_t, phi)[:, 2])
 
@@ -449,116 +412,39 @@ def test_mp_flip_gives_the_bytes_of_np_negative_signed_zeros_included(monkeypatc
 
 
 # ---------------------------------------------------------------------------
-# counter-addressed row blocks: the block loop reads a batch's columns as the
-# whole-batch draws would, from any starting point of the generator
-
-BLOCK_COLUMN_ROWS = [1, 2, 3, 5, 7, ROW_BLOCK - 1, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3]
-
-
-@pytest.mark.parametrize("m", BLOCK_COLUMN_ROWS)
-@pytest.mark.parametrize("drawn", [0, 1, 2, 3, 5])
-def test_row_blocks_read_the_whole_batch_columns(drawn, m):
-    # `drawn` words already taken leave the Philox buffer part used, and most
-    # m put the columns at word offsets that are not multiples of 4
-    rng, ref = substream(21, 1, 2), substream(21, 1, 2)
-    rng.random(drawn)
-    ref.random(drawn)
-    blocks = map_row_blocks(
-        lambda draws, lo, hi: (lo, hi, draws.random(hi - lo), draws.uniform(-1.0, 1.0, size=hi - lo),
-                               draws.random(hi - lo)),
-        rng, m, 3)
-    want = [ref.random(m), ref.uniform(-1.0, 1.0, size=m), ref.random(m)]
-    assert [(lo, hi) for lo, hi, *_ in blocks] == [
-        (lo, min(lo + ROW_BLOCK, m)) for lo in range(0, m, ROW_BLOCK)]
-    for c in range(3):
-        assert_same_bytes(np.concatenate([cols[c] for _, _, *cols in blocks]), want[c])
-    # the batch generator is left where the whole-batch draws leave it
-    assert rng.random() == ref.random()
-
+# the block loop: each row block draws from the batch's generator after the
+# blocks before it
 
 @pytest.mark.parametrize("m", [1, 6, 7, 22])
-@pytest.mark.parametrize("rows", [1, 3, 7])
-def test_row_blocks_of_any_size_read_the_whole_batch_columns(rows, m):
+@pytest.mark.parametrize("rows", [1, 3, 7, ROW_BLOCK])
+def test_row_blocks_draw_in_block_order(rows, m):
     rng, ref = substream(21, 3, 1), substream(21, 3, 1)
-    blocks = map_row_blocks(lambda draws, lo, hi: (lo, hi, draws.random(hi - lo), draws.random(hi - lo)),
-                            rng, m, 2, rows)
-    assert [(lo, hi) for lo, hi, *_ in blocks] == [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
-    want = [ref.random(m), ref.random(m)]
-    for c in range(2):
-        assert_same_bytes(np.concatenate([cols[c] for _, _, *cols in blocks]), want[c])
+    blocks = map_row_blocks(lambda rng, lo, hi: (lo, hi, rng.random(hi - lo), rng.random(2 * (hi - lo))),
+                            rng, m, rows)
+    assert [(lo, hi) for lo, hi, _, _ in blocks] == [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
+    for lo, hi, a, b in blocks:
+        assert_same_bytes(a, ref.random(hi - lo))
+        assert_same_bytes(b, ref.random(2 * (hi - lo)))
     assert rng.random() == ref.random()
-
-
-@pytest.mark.parametrize("calls", [1, 3])
-def test_row_block_with_the_wrong_number_of_draw_calls_raises(calls):
-    def block(draws, lo, hi):
-        for _ in range(calls):
-            draws.random(hi - lo)
-
-    with pytest.raises(RuntimeError, match="uniform columns"):
-        map_row_blocks(block, substream(22), 10, 2)
-
-
-def test_row_block_draw_of_the_wrong_size_raises():
-    with pytest.raises(RuntimeError, match="drew 4 uniforms"):
-        map_row_blocks(lambda draws, lo, hi: draws.random(4), substream(22), 10, 1)
-
-
-def philox_state(rng):
-    """The generator's Philox state, arrays as lists, for == comparison."""
-    state = rng.bit_generator.state
-    return {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
-            "buffer": state["buffer"].tolist()}
-
-
-@pytest.mark.parametrize("m", BLOCK_COLUMN_ROWS)
-@pytest.mark.parametrize("drawn", [0, 1, 3])
-@pytest.mark.parametrize("skipped", [1, 2])
-def test_a_skipped_column_leaves_every_draw_and_the_generator_as_reading_it(skipped, drawn, m):
-    def block(draws, lo, hi, skip):
-        cols = []
-        for c in range(3):
-            if skip and c == skipped:
-                draws.skip(hi - lo)
-            else:
-                cols.append(draws.random(hi - lo))
-        return cols
-
-    rng, ref = substream(21, 2, 3), substream(21, 2, 3)
-    rng.random(drawn)
-    ref.random(drawn)
-    got = map_row_blocks(lambda draws, lo, hi: block(draws, lo, hi, True), rng, m, 3)
-    want = map_row_blocks(lambda draws, lo, hi: block(draws, lo, hi, False), ref, m, 3)
-    read = [c for c in range(3) if c != skipped]
-    for k, c in enumerate(read):
-        assert_same_bytes(np.concatenate([cols[k] for cols in got]), np.concatenate([cols[c] for cols in want]))
-    assert philox_state(rng) == philox_state(ref)
-    assert rng.random() == ref.random()
-
-
-def test_row_block_that_neither_reads_nor_skips_a_column_raises():
-    with pytest.raises(RuntimeError, match="drew 1 of its 2 uniform columns"):
-        map_row_blocks(lambda draws, lo, hi: draws.skip(hi - lo), substream(22), 10, 2)
-
-
-def test_row_block_skip_of_the_wrong_size_raises():
-    with pytest.raises(RuntimeError, match="drew 4 uniforms"):
-        map_row_blocks(lambda draws, lo, hi: draws.skip(4), substream(22), 10, 1)
 
 
 # ---------------------------------------------------------------------------
-# drivers against their whole-batch bodies: each batch draws its columns
-# whole from the generator, and the reductions are the drivers' own
+# drivers against block-major references: each block draws its inputs and
+# guesses whole from the batch's generator, and the reductions are the
+# drivers' own
 
-def whole_batch_fidelity_and_counts(strategy, trials, seed, workers, bins=50):
+def block_major_fidelity_and_counts(strategy, trials, seed, workers, bins=50):
     """monte_carlo_fidelity's (value, std_error) and collect_histogram's
     counts: both drivers draw the same inputs and guesses for one (seed,
-    workers), so one pass of whole batches serves both."""
+    workers), ROW_BLOCK rows at a time, so one pass serves both."""
     edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(0.0, math.pi))
 
     def batch(rng, m):
-        inputs = random_directions(rng, m)
-        outcomes = strategy.sample_batch(inputs, rng)
+        inputs, outcomes = [], []
+        for lo in range(0, m, ROW_BLOCK):
+            inputs.append(random_directions(rng, min(ROW_BLOCK, m - lo)))
+            outcomes.append(strategy.sample_batch(inputs[-1], rng))
+        inputs, outcomes = np.concatenate(inputs), np.concatenate(outcomes)
         counts = np.histogram(angles_between(inputs, outcomes), bins=edges)[0]
         s = dots(inputs, outcomes)
         s += 1.0
@@ -578,20 +464,44 @@ def whole_batch_fidelity_and_counts(strategy, trials, seed, workers, bins=50):
     return (mean, math.sqrt(variance / trials)), counts
 
 
-def whole_batch_cap_hits(strategy, decomposition, trials, seed, workers, block=0, caps=(0.2,)):
-    """One arm's cap hits from whole batches: the member pick by
-    np.searchsorted, then the strategy's whole guesses; one count per cap
-    half-angle in `caps`."""
+def block_major_cap_hits(strategy, decomposition, trials, seed, workers, block=0, caps=(0.2,)):
+    """One arm's cap hits, block after block: the member pick by
+    np.searchsorted, then the strategy's whole guesses for the block; one
+    count per cap half-angle in `caps`. The blocks have the discrimination's
+    sizes, CAP_ROW_BLOCK rows for an angle strategy and ROW_BLOCK for MP.
+
+    The angle path draws azimuths only for the rows it leaves to the exact
+    z, so for an angle strategy the two read the same draws only under
+    `constant_azimuths`."""
     cum = np.cumsum(decomposition.weights)
     dirs = decomposition.directions
+    rows = ROW_BLOCK if strategy.polar_cos is None else CAP_ROW_BLOCK
 
     def batch_hits(rng, m):
-        idx = np.minimum(np.searchsorted(cum, rng.random(m), side="right"), len(dirs) - 1)
-        z = strategy.sample_batch(dirs[idx], rng)[:, 2]
-        return np.array([np.count_nonzero(z >= math.cos(cap)) for cap in caps])
+        hits = np.zeros(len(caps), dtype=np.int64)
+        for lo in range(0, m, rows):
+            n = min(rows, m - lo)
+            idx = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(dirs) - 1)
+            z = strategy.sample_batch(dirs[idx], rng)[:, 2]
+            hits += [np.count_nonzero(z >= math.cos(cap)) for cap in caps]
+        return hits
 
     return sum(streams.map_batches(batch_hits, seed, trials, workers, block=block)).tolist()
 
+
+@contextlib.contextmanager
+def constant_azimuths(phi0):
+    """Every azimuth an angle strategy's guesses and the angle path take is
+    phi0, drawn from no generator."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (estimator, nosignal):
+            patch.setattr(module, "uniform_azimuths", lambda rng, n: np.full(n, phi0))
+        yield
+
+
+# azimuths on and between the frame's axes, and a generic one
+AZIMUTHS = [0.0, math.pi / 2.0, math.pi, 1.5 * math.pi, 2.0]
+GENERIC_AZIMUTH = AZIMUTHS[-1]
 
 DRIVER_TRIALS = [2, ROW_BLOCK - 1, ROW_BLOCK + 1, BATCH_CAP + 44666, 2 * BATCH_CAP + 7]
 
@@ -601,31 +511,32 @@ def strategies():
     return {tag: strategy for tag, (strategy, _) in sampler_pairs().items()}
 
 
-def assert_discrimination_matches_whole_batch(strategy, trials, workers, p=0.8):
-    disc = run_discrimination_experiment(strategy, p, trials=trials, seed=23, workers=workers)
-    [std], [sym] = (whole_batch_cap_hits(strategy, decomposition, trials, 23, workers, block=block)
-                    for block, decomposition in enumerate([standard_decomposition(p), symmetric_decomposition(p)]))
+def assert_discrimination_matches_block_major(strategy, trials, workers, p=0.8):
+    with constant_azimuths(GENERIC_AZIMUTH):
+        disc = run_discrimination_experiment(strategy, p, trials=trials, seed=23, workers=workers)
+        [std], [sym] = (block_major_cap_hits(strategy, decomposition, trials, 23, workers, block=block)
+                        for block, decomposition in enumerate([standard_decomposition(p), symmetric_decomposition(p)]))
     assert (disc.freq_standard, disc.freq_symmetric) == (std / trials, sym / trials)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("trials", DRIVER_TRIALS)
 @pytest.mark.parametrize("tag", ["mp", "ab", "cos4"])
-def test_blocked_drivers_match_their_whole_batch_bodies(strategies, tag, trials, workers):
+def test_blocked_drivers_match_their_block_major_bodies(strategies, tag, trials, workers):
     strategy = strategies[tag]
-    moments, counts = whole_batch_fidelity_and_counts(strategy, trials, 23, workers)
+    moments, counts = block_major_fidelity_and_counts(strategy, trials, 23, workers)
     rep = monte_carlo_fidelity(strategy, trials=trials, seed=23, workers=workers)
     assert (rep.value, rep.std_error) == moments
     hist = collect_histogram(strategy, trials=trials, seed=23, workers=workers)
     assert_same_bytes(hist.counts, counts)
-    assert_discrimination_matches_whole_batch(strategy, trials, workers)
+    assert_discrimination_matches_block_major(strategy, trials, workers)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0])
 @pytest.mark.parametrize("tag", ["mp", "ab", "cos4"])
-def test_blocked_discrimination_matches_its_whole_batch_body_at_the_end_weights(strategies, tag, p):
+def test_blocked_discrimination_matches_its_block_major_body_at_the_end_weights(strategies, tag, p):
     # zero-weight members, and the tilted pair on one pole
-    assert_discrimination_matches_whole_batch(strategies[tag], ROW_BLOCK + 1, 1, p=p)
+    assert_discrimination_matches_block_major(strategies[tag], ROW_BLOCK + 1, 1, p=p)
 
 
 def test_mp_discrimination_never_takes_the_angle_path(strategies, monkeypatch):
@@ -638,22 +549,50 @@ def test_mp_discrimination_never_takes_the_angle_path(strategies, monkeypatch):
     assert callable(strategies["ab"].polar_cos) and callable(strategies["cos4"].polar_cos)
     monkeypatch.setattr(bloch, "orthonormal_frames", refuse)
     monkeypatch.setattr(bloch, "z_at_angle", refuse)
-    assert_discrimination_matches_whole_batch(strategies["mp"], ROW_BLOCK + 1, 1)
+    assert_discrimination_matches_block_major(strategies["mp"], ROW_BLOCK + 1, 1)
 
 
-# the cap hits of any member set against the whole-batch oracle, at caps
+# the cap hits of any member set against the block-major oracle, at caps
 # inside, at and beyond the equator
 CAPS = (0.2, math.pi / 2.0, 2.5)
 
 
-@pytest.mark.parametrize("name", sorted(AZIMUTH_TERMS))
-@pytest.mark.parametrize("trials", [ROW_BLOCK + 1, CAP_ROW_BLOCK + 1, BATCH_CAP + 44666])
+@pytest.mark.parametrize("phi0", AZIMUTHS)
+@pytest.mark.parametrize("name", sorted(member_sets()))
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
-def test_cap_hits_match_the_whole_batch_oracle_for_every_member_set(strategies, tag, trials, name):
+def test_cap_hits_match_the_block_major_oracle_for_every_member_set(strategies, tag, name, phi0):
     strategy, decomposition = strategies[tag], member_sets()[name]
-    got = [sum(streams.map_batches(_cap_hits(strategy, decomposition, math.cos(cap)), 27, trials, 1))
-           for cap in CAPS]
-    assert got == whole_batch_cap_hits(strategy, decomposition, trials, 27, 1, caps=CAPS)
+    trials = BATCH_CAP + 44666
+    with constant_azimuths(phi0):
+        got = [sum(streams.map_batches(_cap_hits(strategy, decomposition, math.cos(cap)), 27, trials, 1))
+               for cap in CAPS]
+        assert got == block_major_cap_hits(strategy, decomposition, trials, 27, 1, caps=CAPS)
+
+
+@pytest.mark.parametrize("decomposition", [standard_decomposition(0.9), symmetric_decomposition(0.9)],
+                         ids=["poles", "tilted"])
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_angle_path_block_draws_its_picks_its_polar_column_and_its_exact_azimuths(
+        strategies, monkeypatch, tag, decomposition):
+    # a block of n rows moves the generator 2n + k words, k the rows it
+    # leaves to the exact z; four batches of the pole arm leave a few
+    strategy = strategies[tag]
+    real_polar_cos = strategy.polar_cos
+    exact_rows = []
+
+    def record(u_rows):
+        exact_rows.append(len(u_rows))
+        return real_polar_cos(u_rows)
+
+    batch_hits = _cap_hits(strategy, decomposition, math.cos(0.2))
+    monkeypatch.setattr(strategy, "polar_cos", record)
+    rng, ref = substream(37), substream(37)
+    m = 4 * BATCH_CAP
+    batch_hits(rng, m)
+    assert len(exact_rows) == m // CAP_ROW_BLOCK and sum(exact_rows) > 0
+    for k in exact_rows:
+        ref.random(2 * CAP_ROW_BLOCK + k)
+    assert rng.random() == ref.random()
 
 
 def test_angle_path_counts_in_cap_row_blocks_and_mp_in_row_blocks(strategies, monkeypatch):
@@ -693,9 +632,9 @@ def test_angle_path_block_holds_six_arrays_of_its_rows(strategies, p):
 
 
 class PlantedDraws:
-    """The draws of one row block, handed out from given columns in order:
-    `random` and `uniform` return the next column as it is, `skip` passes
-    over it."""
+    """The generator of one row block, handing out given columns in order:
+    `random` and `uniform` return the next column as it is, and must ask for
+    all of it."""
 
     def __init__(self, *columns):
         self._columns = list(columns)
@@ -711,8 +650,12 @@ class PlantedDraws:
     def uniform(self, low, high, size):
         return self._next(size)
 
-    def skip(self, size):
-        self._next(size)
+
+def planted_block(monkeypatch, *columns):
+    """Make `streams.map_row_blocks` run a batch as one block that draws
+    `columns`."""
+    monkeypatch.setattr(streams, "map_row_blocks",
+                        lambda fn, rng, m, rows, draws=PlantedDraws(*columns): [fn(draws, 0, m)])
 
 
 def planted_uniforms(strategy, decomposition, cap_cos):
@@ -750,7 +693,8 @@ def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, mon
     # the polar column holds the planted u, once for each member: the
     # member alone (its bounds are shared), then with its antipode (the two
     # members' bounds differ, so each row takes its member's); the count
-    # must be the z coordinate's over all rows
+    # must be the z coordinate's over all rows, and the block must draw
+    # the azimuths of the rows in its members' u windows alone
     direction = PLANTED_MEMBERS[member] or (math.sin(cap), 0.0, math.cos(cap))
     antipode = tuple(-c for c in direction)
     strategy, cap_cos = strategies[tag], math.cos(cap)
@@ -763,6 +707,9 @@ def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, mon
         m = len(u)
         pick = np.cumsum(decomposition.weights)[idx] - 0.25
         phi = substream(32).uniform(0.0, 2.0 * math.pi, size=m)
+        alpha = np.arctan2(np.hypot(dirs[:, 0], dirs[:, 1]), dirs[:, 2])
+        u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
+        exact = (u >= u_low[idx]) & (u <= u_high[idx])
         batch_hits = _cap_hits(strategy, decomposition, cap_cos)
         exact_rows = []
 
@@ -771,16 +718,15 @@ def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, mon
             return real_polar_cos(u_rows)
 
         monkeypatch.setattr(strategy, "polar_cos", record)
-        monkeypatch.setattr(streams, "map_row_blocks",
-                            lambda fn, rng, m, columns, rows, draws=PlantedDraws(pick, u, phi): [fn(draws, 0, m)])
+        planted_block(monkeypatch, pick, u, phi[exact])
         got = batch_hits(None, m)
         monkeypatch.undo()
         cos_theta = (np.cos(interp_inverse_cdf(strategy, u)) if tag == "cos4"
                      else _ab_inverse_cdf(strategy.form, u))
-        a_z, e1_z = (None if c is None else c[idx] for c in frame_z(dirs))
+        a_z, e1_z = (c[idx] for c in member_z(dirs))
         assert got == np.count_nonzero(z_at_angle(a_z, e1_z, cos_theta, phi) >= cap_cos)
         # the u step decided some rows itself
-        assert exact_rows == [exact_rows[0]] and exact_rows[0] < m
+        assert exact_rows == [np.count_nonzero(exact)] and exact_rows[0] < m
 
 
 def test_polar_step_counts_planted_rows_at_a_given_up_bound_as_the_z_coordinate(monkeypatch):
@@ -821,11 +767,10 @@ def test_polar_step_counts_planted_rows_at_a_given_up_bound_as_the_z_coordinate(
         return real_polar_cos(u_rows)
 
     monkeypatch.setattr(strategy, "polar_cos", record_rows)
-    monkeypatch.setattr(streams, "map_row_blocks",
-                        lambda fn, rng, m, columns, rows, draws=PlantedDraws(pick, u, phi): [fn(draws, 0, m)])
+    planted_block(monkeypatch, pick, u, phi)
     got = batch_hits(None, m)
     monkeypatch.undo()
-    a_z, e1_z = (None if c is None else c[idx] for c in frame_z(dirs))
+    a_z, e1_z = (c[idx] for c in member_z(dirs))
     z = z_at_angle(a_z, e1_z, _ab_inverse_cdf(strategy.form, u), phi)
     assert got == np.count_nonzero(z >= cap_cos)
     assert exact_rows == [m]
@@ -840,8 +785,9 @@ def test_u_windows_check_their_bounds_with_the_polar_map(strategies, monkeypatch
     real_polar_uniform = strategy.polar_uniform
     monkeypatch.setattr(strategy, "polar_uniform", lambda theta: real_polar_uniform(theta) + 0.01)
     for decomposition in (standard_decomposition(0.9), symmetric_decomposition(0.9)):
-        got = sum(streams.map_batches(_cap_hits(strategy, decomposition, math.cos(0.2)), 35, CAP_ROW_BLOCK, 1))
-        assert [got] == whole_batch_cap_hits(strategy, decomposition, CAP_ROW_BLOCK, 35, 1)
+        with constant_azimuths(GENERIC_AZIMUTH):
+            got = sum(streams.map_batches(_cap_hits(strategy, decomposition, math.cos(0.2)), 35, CAP_ROW_BLOCK, 1))
+            assert [got] == block_major_cap_hits(strategy, decomposition, CAP_ROW_BLOCK, 35, 1)
 
 
 def test_u_step_leaves_few_rows_to_the_inverse_map(strategies, monkeypatch):
@@ -877,21 +823,16 @@ class TrigRecorder:
         return getattr(np, name)
 
 
-# the numpy functions each azimuth term looks up: the z coordinate has no
-# sin(phi) term, so a block never looks up copysign, which sin(phi) takes
-TERM_FUNCTIONS = {"cos": {"cos"}}
-
-
-@pytest.mark.parametrize("name", sorted(AZIMUTH_TERMS))
+@pytest.mark.parametrize("name", sorted(member_sets()))
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
-def test_cap_hits_evaluate_only_the_azimuth_terms_the_members_move(strategies, monkeypatch, tag, name):
+def test_cap_hits_take_cos_phi_and_no_sin_phi(strategies, monkeypatch, tag, name):
+    # the z coordinate has no sin(phi) term, so a block never looks up
+    # copysign, which sin(phi) takes; s = sqrt(1 - t^2) scales cos(phi)
     batch_hits = _cap_hits(strategies[tag], member_sets()[name], math.cos(0.2))
     recorder = TrigRecorder()
     monkeypatch.setattr(bloch, "np", recorder)
     batch_hits(substream(28), ROW_BLOCK + 1)
-    functions = set().union(*(TERM_FUNCTIONS[term] for term in AZIMUTH_TERMS[name]))
-    # s = sqrt(1 - t^2) scales the azimuth terms, so it goes with them
-    assert recorder.called == (functions | {"sqrt"} if functions else set())
+    assert recorder.called == {"cos", "sqrt"}
 
 
 def test_directions_at_angle_keeps_both_azimuth_terms_at_the_poles(monkeypatch):

@@ -12,7 +12,7 @@ from qguess.bloch import BlochVector, EnsembleDecomposition
 from qguess.estimator import ABFormStrategy, GuessingForm, _ab_inverse_cdf, cap_probability
 from qguess.nosignal import _cap_hits, cos4_strategy
 from qguess.streams import ROW_BLOCK, batch_sizes, map_batches, split_trials
-from test_kernels import interp_inverse_cdf, normalized_tabulated, whole_batch_cap_hits
+from test_kernels import block_major_cap_hits, constant_azimuths, interp_inverse_cdf, normalized_tabulated
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -100,8 +100,8 @@ def member_direction(draw, zeroed):
 
 @st.composite
 def decompositions(draw):
-    """Up to four members, often sharing zero coordinates (where all are
-    poles, `frame_z` drops the cos(phi) term); None mixes them member by member."""
+    """Up to four members, often sharing zero coordinates (the poles have
+    e1_z = +-0); None mixes them member by member."""
     shared = draw(st.sampled_from([None, *ZEROED]))
     zeroed = st.sampled_from(ZEROED) if shared is None else st.just(shared)
     dirs = draw(st.lists(zeroed.flatmap(member_direction), min_size=1, max_size=4))
@@ -112,9 +112,11 @@ def decompositions(draw):
 
 @PROPERTY
 @given(decomposition=decompositions(), a_frac=st.one_of(st.none(), a_fractions),
-       cap=st.floats(1e-4, math.pi), trials=st.integers(1, ROW_BLOCK + 2))
-def test_cap_hits_of_any_decomposition_match_the_whole_batch_oracle(decomposition, a_frac, cap, trials):
+       cap=st.floats(1e-4, math.pi), trials=st.integers(1, ROW_BLOCK + 2),
+       phi0=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+def test_cap_hits_of_any_decomposition_match_the_block_major_oracle(decomposition, a_frac, cap, trials, phi0):
     # a_frac None draws the tabulated cos4 sampler
     strategy = COS4 if a_frac is None else ABFormStrategy(GuessingForm.from_a_fraction(a_frac))
-    got = sum(map_batches(_cap_hits(strategy, decomposition, math.cos(cap)), 29, trials, 1))
-    assert [got] == whole_batch_cap_hits(strategy, decomposition, trials, 29, 1, caps=(cap,))
+    with constant_azimuths(phi0):
+        got = sum(map_batches(_cap_hits(strategy, decomposition, math.cos(cap)), 29, trials, 1))
+        assert [got] == block_major_cap_hits(strategy, decomposition, trials, 29, 1, caps=(cap,))

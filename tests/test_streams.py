@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qguess import streams
+from qguess.errors import QGuessError
 from qguess.estimator import MassarPopescuStrategy, collect_histogram
 from qguess.merit import monte_carlo_fidelity
 from qguess.nosignal import cos4_strategy, run_discrimination_experiment
@@ -44,6 +45,34 @@ def test_substream_validation():
         substream(2**64)
     with pytest.raises(ValueError):
         substream(0, worker=-1)
+
+
+# each integer argument of the streams, given through the outermost call
+# that takes it; numpy would truncate a float seed to an integer one
+NON_INTEGER_CALLS = {
+    "seed": lambda bad: monte_carlo_fidelity(MassarPopescuStrategy(), trials=1000, seed=bad),
+    "worker": lambda bad: substream(0, worker=bad),
+    "block": lambda bad: substream(0, block=bad),
+    "trials": lambda bad: monte_carlo_fidelity(MassarPopescuStrategy(), trials=bad),
+    "workers": lambda bad: collect_histogram(MassarPopescuStrategy(), trials=1000, workers=bad),
+    # twice the stream block is an integer block even for 1.5 or True
+    "stream_block": lambda bad: run_discrimination_experiment(MassarPopescuStrategy(), 0.8, trials=100,
+                                                              stream_block=bad),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 1000.0, True])
+@pytest.mark.parametrize("argument", sorted(NON_INTEGER_CALLS))
+def test_stream_arguments_must_be_integers(argument, bad):
+    # (a trial count below 2, as 1.5 and True are, fails the driver's range check first)
+    with pytest.raises(QGuessError):
+        NON_INTEGER_CALLS[argument](bad)
+
+
+def test_numpy_integers_are_stream_arguments():
+    a = substream(np.uint64(123), worker=np.int64(2), block=np.int32(5)).random(4)
+    assert np.array_equal(a, substream(123, worker=2, block=5).random(4))
+    assert split_trials(np.int64(10), np.int8(3)) == [4, 3, 3]
 
 
 def test_split_trials_even_with_low_remainder():
