@@ -428,6 +428,30 @@ def test_row_blocks_draw_in_block_order(rows, m):
     assert rng.random() == ref.random()
 
 
+BLOCK_COLUMN_ROWS = [1, 2, 3, 5, 7, ROW_BLOCK - 1, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3]
+
+
+@pytest.mark.parametrize("m", BLOCK_COLUMN_ROWS)
+@pytest.mark.parametrize("drawn", [0, 1, 2, 3, 5])
+def test_row_blocks_draw_in_block_order_from_any_generator_position(drawn, m):
+    # `drawn` words already taken leave the Philox buffer part used; the
+    # default blocks of ROW_BLOCK rows draw three columns of two kinds each
+    rng, ref = substream(21, 1, 2), substream(21, 1, 2)
+    rng.random(drawn)
+    ref.random(drawn)
+    blocks = map_row_blocks(
+        lambda rng, lo, hi: (lo, hi, rng.random(hi - lo), rng.uniform(-1.0, 1.0, size=hi - lo),
+                             rng.random(hi - lo)),
+        rng, m)
+    assert [(lo, hi) for lo, hi, *_ in blocks] == [
+        (lo, min(lo + ROW_BLOCK, m)) for lo in range(0, m, ROW_BLOCK)]
+    for lo, hi, a, b, c in blocks:
+        assert_same_bytes(a, ref.random(hi - lo))
+        assert_same_bytes(b, ref.uniform(-1.0, 1.0, size=hi - lo))
+        assert_same_bytes(c, ref.random(hi - lo))
+    assert rng.random() == ref.random()
+
+
 # ---------------------------------------------------------------------------
 # drivers against block-major references: each block draws its inputs and
 # guesses whole from the batch's generator, and the reductions are the
@@ -592,6 +616,35 @@ def test_angle_path_block_draws_its_picks_its_polar_column_and_its_exact_azimuth
     assert len(exact_rows) == m // CAP_ROW_BLOCK and sum(exact_rows) > 0
     for k in exact_rows:
         ref.random(2 * CAP_ROW_BLOCK + k)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("m", [CAP_ROW_BLOCK - 1, 2 * CAP_ROW_BLOCK + 3])
+@pytest.mark.parametrize("name", sorted(member_sets()))
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_angle_path_blocks_of_any_member_set_draw_2n_plus_k_words(strategies, monkeypatch, tag, name, m):
+    # every block, the ragged last one included, takes its picks, its polar
+    # column and the azimuths of the k rows it leaves to the exact z, from a
+    # generator already part used
+    strategy = strategies[tag]
+    real_polar_cos = strategy.polar_cos
+    exact_rows = []
+
+    def record(u_rows):
+        exact_rows.append(len(u_rows))
+        return real_polar_cos(u_rows)
+
+    batch_hits = _cap_hits(strategy, member_sets()[name], math.cos(0.2))
+    monkeypatch.setattr(strategy, "polar_cos", record)
+    rng, ref = substream(38, 1), substream(38, 1)
+    rng.random(3)
+    ref.random(3)
+    batch_hits(rng, m)
+    sizes = [min(CAP_ROW_BLOCK, m - lo) for lo in range(0, m, CAP_ROW_BLOCK)]
+    assert len(exact_rows) == len(sizes)
+    for n, k in zip(sizes, exact_rows):
+        assert 0 <= k <= n
+        ref.random(2 * n + k)
     assert rng.random() == ref.random()
 
 
