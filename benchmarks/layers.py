@@ -2,16 +2,16 @@
 
 Run from anywhere, against the checkout this file sits in:
 
-    python benchmarks/layers.py --label change --out BENCH_16.json
+    python benchmarks/layers.py --label change --out BENCH_18.json
 
-Each kernel is timed on one full batch of 2^19 rows, handed to it one
-block of 2^14 rows at a time as the drivers do, and each driver at the
-benchmark's sizes with workers 1 and 2. The `cos_sin` arm, the (cos, sin)
-pair of an azimuth column as the direction kernels take it
-(`bloch._cos_sin`), runs beside `np_cos_np_sin`, the same column through
-`np.cos` and `np.sin`. The discrimination's per-arm batch
-function, `nosignal._cap_hits`, is timed on one 2^19-row batch per
-strategy (MP, AB with a_frac = 0.5, cos4) and arm, set-up included, in the
+Each kernel is timed on 2^19 rows, handed to it one block of 2^14 rows at
+a time as the drivers do, and each driver at the benchmark's sizes with
+workers 1 and 2. The `cos_sin` arm, the (cos, sin) pair of an azimuth
+column of half-turns as the direction kernels take it (`bloch._cos_sin`),
+runs beside `cos_sin.contract4`, the pair as stream contracts 2 to 4 took
+it: `np.cos` of azimuths on [0, 2pi), then the same sqrt path with the sign
+of pi - phi. The discrimination's per-worker function,
+`nosignal._cap_hits`, is timed on 2^19 rows per strategy (MP, AB with a_frac = 0.5, cos4) and arm, set-up included, in the
 blocks it makes itself (2^15 rows on the angle path, 2^14 for MP). The arms
 are the standard and symmetric decompositions at the benchmark's weight and
 cap, and the generic arm, the symmetric pair turned 1 rad about z. The
@@ -19,10 +19,11 @@ standard arm's members are poles, whose rows the u step decides from the
 polar uniform alone but for about 3e-6 of them; the z coordinate of a row
 left to the exact step takes cos(phi), and no z coordinate takes sin(phi).
 
-Before anything is timed, one array of BATCH_CAP doubles is allocated and
-freed, as `monte_carlo_fidelity` frees its score array: glibc then raises
-its mmap threshold above the 128 KiB temporaries of a 2^14-row block, which
-are otherwise mapped and faulted in anew on every call.
+Before anything is timed, the library's own allocator step runs
+(`streams._prime_heap`, which the drivers' block loop runs once per
+process): glibc then raises its mmap threshold above the 128 KiB
+temporaries of a 2^14-row block, which are otherwise mapped and faulted in
+anew on every call.
 
 Every timed call runs once untimed, then the 11 repeats go round-robin:
 each round times every call once, in a fixed order. So a noisy stretch of a
@@ -37,9 +38,9 @@ two calls, taken in different rounds, need not share one.
 The kernels are also run once on one block under tracemalloc for their peak
 allocation; for `sample_batch` that run draws its input directions too, as
 a driver's block does. Each driver is run once more under tracemalloc on
-one full batch (trials = BATCH_CAP, one worker) for the peak of a batch in
-flight; the discrimination experiment draws one batch per arm, and both
-arms may be in flight at once. The results are stored under
+2^19 trials at one worker for the peak of a worker in flight; the
+discrimination experiment runs one worker per arm, and both arms may be in
+flight at once. The results are stored under
 `runs[<label>]` of the `--out` file, next to the runs already there, with
 the machine facts (cores, numpy and Python versions), so running this
 script in two checkouts with the same `--out` gives one comparable file.
@@ -106,6 +107,20 @@ def peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
+def contract4_cos_sin(phi):
+    """(cos phi, sin phi) for phi in [0, 2pi) as stream contracts 2 to 4 took
+    them: c = np.cos(phi) and s = copysign(sqrt((1 - c)(1 + c)), pi - phi),
+    with as many temporaries as `bloch._cos_sin`."""
+    c = np.cos(phi)
+    s = np.subtract(1.0, c)
+    tmp = np.add(1.0, c)
+    s *= tmp
+    np.sqrt(s, out=s)
+    np.subtract(math.pi, phi, out=tmp)
+    np.copysign(s, tmp, out=s)
+    return c, s
+
+
 def kernels() -> tuple[dict, dict]:
     """({name: timed call}, {name: peak MB of one block})."""
     mp = estimator.MassarPopescuStrategy()
@@ -115,18 +130,19 @@ def kernels() -> tuple[dict, dict]:
     axes = bloch.random_directions(rng, ROWS)
     other = bloch.random_directions(rng, ROWS)
     cos_t = rng.uniform(-1.0, 1.0, size=ROWS)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=ROWS)
+    h = rng.uniform(-1.0, 1.0, size=ROWS)
+    phi = math.pi * (h + 1.0)  # the contract-4 azimuths of the same draws, on [0, 2pi)
     u = rng.random(ROWS)
 
-    # name: kernel call on the rows `r` of the batch
+    # name: kernel call on the rows `r` of the ROWS
     calls = {
         "random_directions": lambda r: bloch.random_directions(rng, r.stop - r.start),
-        # one azimuth column: sin from cos (stream contract 2) against numpy's pair
-        "cos_sin": lambda r: bloch._cos_sin(phi[r]),
-        "np_cos_np_sin": lambda r: (np.cos(phi[r]), np.sin(phi[r])),
+        # one azimuth column: the half-turn fold (stream contract 5) against np.cos on [0, 2pi)
+        "cos_sin": lambda r: bloch._cos_sin(h[r]),
+        "cos_sin.contract4": lambda r: contract4_cos_sin(phi[r]),
         "orthonormal_frames": lambda r: bloch.orthonormal_frames(axes[r]),
         "dots": lambda r: bloch.dots(axes[r], other[r]),
-        "directions_at_angle": lambda r: bloch.directions_at_angle(axes[r], cos_t[r], phi[r]),
+        "directions_at_angle": lambda r: bloch.directions_at_angle(axes[r], cos_t[r], h[r]),
         "inverse_cdf.cos4": lambda r: cos4.inverse_cdf(u[r]),
         "sample_batch.mp": lambda r: mp.sample_batch(axes[r], rng),
         "sample_batch.ab": lambda r: ab.sample_batch(axes[r], rng),
@@ -195,7 +211,7 @@ def batch_peaks() -> dict:
     mp = estimator.MassarPopescuStrategy()
     ab = estimator.ABFormStrategy(estimator.GuessingForm.from_a_fraction(0.5))
     cos4 = nosignal.cos4_strategy()
-    trials = streams.BATCH_CAP
+    trials = ROWS
     out = {}
     for tag, strategy in (("mp", mp), ("ab", ab)):
         out[f"monte_carlo_fidelity.{tag}"] = peak_mb(
@@ -223,7 +239,7 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="Key of this run in the output file.")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to add the run to.")
     args = parser.parse_args(argv)
-    np.empty(streams.BATCH_CAP)  # freed at once; see the module docstring
+    streams._prime_heap()  # see the module docstring
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record.setdefault("rows", ROWS)
     record.setdefault("driver_trials", DRIVER_TRIALS)

@@ -195,14 +195,15 @@ def density_from_mixture(ens: EnsembleDecomposition) -> DensityOperator:
 def random_directions(rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 3) array of directions uniform on the sphere.
 
-    Draw order is fixed (all z first, then all azimuths), so the output is a
-    pure function of the generator state.
+    Draw order is fixed (all z first, then all azimuths, as half-turns h in
+    [-1, 1): the azimuth is pi*h), so the output is a pure function of the
+    generator state.
     """
     z = rng.uniform(-1.0, 1.0, size=n)
     # the azimuth column is dropped as soon as its (cos, sin) pair is made,
     # and s is built in place, so at most seven arrays of n rows are alive;
     # 1 - z*z needs no clip, as |z| <= 1 keeps it non-negative
-    cos_phi, sin_phi = _cos_sin(rng.uniform(0.0, 2.0 * math.pi, size=n))
+    cos_phi, sin_phi = _cos_sin(rng.uniform(-1.0, 1.0, size=n))
     out = np.empty((n, 3))
     s = np.multiply(z, z)
     np.subtract(1.0, s, out=s)
@@ -213,25 +214,40 @@ def random_directions(rng: np.random.Generator, n: int) -> np.ndarray:
     return out
 
 
-def _cos_sin(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cos phi, sin phi) for azimuths phi in [0, 2pi), from one `np.cos`:
-    c = cos phi and s = copysign(sqrt((1 - c)(1 + c)), pi - phi).
+def _cos_half_turn(h: np.ndarray) -> np.ndarray:
+    """cos(pi*h) for half-turns h in [-1, 1], as sin(pi*(1/2 - |h|)): the
+    argument of `np.sin` lies in [-pi/2, pi/2].
 
-    A float64 sine costs as much as a cosine (about 26 ns per double with
-    numpy 2.4 on x86-64, against 1.4 ns for `np.sqrt`), and every drawn
-    azimuth needs both. |c^2 + s^2 - 1| stays within 2^-52, and
-    |s - sin phi| <= 2^-53/|sin phi| + 2^-51: the rounding of c is what
-    1 - c loses where |sin phi| is small. The sign is that of sin phi
-    wherever |sin phi| >= 1e-15; at phi = pi exactly (the double nearest
-    pi), s is +0.
+    Drawn half-turns are multiples of 2^-52, so 1/2 - |h| is exact and the
+    product with pi is the one rounding of the argument. The result is
+    within 2 ulp of cos(pi*h): that rounding, 2^-53 relative plus 3.9e-17
+    from the double pi, adds to the error of `np.sin` (1.8 ulp at most over
+    2^22 draws).
     """
-    c = np.cos(phi)
+    c = np.abs(h)
+    np.subtract(0.5, c, out=c)
+    c *= math.pi
+    return np.sin(c, out=c)
+
+
+def _cos_sin(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos(pi*h), sin(pi*h)) for half-turns h in [-1, 1], from one `np.sin`:
+    c = `_cos_half_turn(h)` and s = copysign(sqrt((1 - c)(1 + c)), h).
+
+    With numpy 2.4 on x86-64, `np.sin` on [-pi/2, pi/2] takes about 10 ns
+    per double, `np.cos` on [0, 2pi) about 15 ns and `np.sqrt` 1.5 ns, and
+    every drawn azimuth needs both terms. |c^2 + s^2 - 1| stays within
+    2^-52, and |s - sin(pi*h)| <= 2^-53/|sin(pi*h)| + 2^-51: the rounding of
+    c is what 1 - c loses where |sin(pi*h)| is small. s takes the sign of h,
+    which is that of sin(pi*h) wherever |sin(pi*h)| >= 1e-15. At h = -1,
+    -1/2, 0 and 1/2 the pair is exactly (-1, -0), (0, -1), (1, 0) and (0, 1).
+    """
+    c = _cos_half_turn(h)
     s = np.subtract(1.0, c)
     tmp = np.add(1.0, c)
     s *= tmp
     np.sqrt(s, out=s)
-    np.subtract(math.pi, phi, out=tmp)
-    np.copysign(s, tmp, out=s)
+    np.copysign(s, h, out=s)
     return c, s
 
 
@@ -296,9 +312,9 @@ def orthonormal_frames(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1.T, e2.T
 
 
-def directions_at_angle(axes: np.ndarray, cos_theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Unit vectors at polar angle arccos(cos_theta) and azimuth phi in
-    [0, 2pi) about each axis.
+def directions_at_angle(axes: np.ndarray, cos_theta: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Unit vectors at polar angle arccos(cos_theta) and azimuth phi = pi*h,
+    h a half-turn in [-1, 1], about each axis.
 
     Row i is t*a + (s*cos(phi))*e1 + (s*sin(phi))*e2 with t = cos_theta[i]
     and s = sqrt(1 - t^2), (e1, e2) the axis's `orthonormal_frames`,
@@ -310,35 +326,34 @@ def directions_at_angle(axes: np.ndarray, cos_theta: np.ndarray, phi: np.ndarray
     out = np.empty((len(cos_theta), 3))
     e1, e2 = orthonormal_frames(axes)
     components = [(axes[:, k], e1[:, k], e2[:, k]) for k in range(2)] + [(axes[:, 2], e1[:, 2], None)]
-    _coordinates_at_angle(cos_theta, phi, components, out.T)
+    _coordinates_at_angle(cos_theta, h, components, out.T)
     return out
 
 
-def z_at_angle(a_z: np.ndarray, e1_z: np.ndarray, cos_theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def z_at_angle(a_z: np.ndarray, e1_z: np.ndarray, cos_theta: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Column 2 of `directions_at_angle`, (s*cos(phi))*e1_z + t*a_z, from the
     z coordinates of the axes and of their `orthonormal_frames` e1 (1-d
     arrays), with the same bytes."""
     z = np.empty(len(cos_theta))
-    _coordinates_at_angle(cos_theta, phi, [(a_z, e1_z, None)], [z])
+    _coordinates_at_angle(cos_theta, h, [(a_z, e1_z, None)], [z])
     return z
 
 
-def _coordinates_at_angle(cos_theta, phi, components, out) -> None:
+def _coordinates_at_angle(cos_theta, h, components, out) -> None:
     """For each (a_k, e1_k, e2_k) of `components` and 1-d array of `out`,
     write coordinate k of t*a + (s*cos(phi))*e1 + (s*sin(phi))*e2 to that
     array: (s*cos(phi))*e1_k, plus (s*sin(phi))*e2_k, plus t*a_k, in that
-    order, with s = sqrt(1 - t^2) clipped at 0 before the root. An e2_k of
-    None drops its term, and sin(phi) is evaluated only if some component
-    has one. sin(phi) is derived from cos(phi) and takes its sign from
-    pi - phi (`_cos_sin`), so the azimuths must lie in [0, 2pi), as drawn.
-    The azimuth terms are scaled by s in place, and s's array then serves
-    as the one scratch array. The one place this formula is evaluated, so
-    every caller gets the same bytes.
+    order, with phi = pi*h and s = sqrt(1 - t^2) clipped at 0 before the
+    root. An e2_k of None drops its term, and sin(phi) is evaluated only if
+    some component has one. Both come from `_cos_sin`, which takes the
+    half-turns h in [-1, 1], as drawn. The azimuth terms are scaled by s in
+    place, and s's array then serves as the one scratch array. The one place
+    this formula is evaluated, so every caller gets the same bytes.
     """
     if any(e2_k is not None for _, _, e2_k in components):
-        cos_phi, sin_phi = _cos_sin(phi)
+        cos_phi, sin_phi = _cos_sin(h)
     else:
-        cos_phi, sin_phi = np.cos(phi), None
+        cos_phi, sin_phi = _cos_half_turn(h), None
     tmp = np.multiply(cos_theta, cos_theta)
     np.subtract(1.0, tmp, out=tmp)
     np.clip(tmp, 0.0, None, out=tmp)

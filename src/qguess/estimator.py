@@ -140,8 +140,9 @@ def _ab_inverse_cdf(form: GuessingForm, u: np.ndarray) -> np.ndarray:
 
 
 def uniform_azimuths(rng: np.random.Generator, n: int) -> np.ndarray:
-    """The azimuth column of an angle strategy's draws: n uniforms on [0, 2pi)."""
-    return rng.uniform(0.0, TWO_PI, size=n)
+    """The azimuth column of an angle strategy's draws: n half-turns h,
+    uniform on [-1, 1), for the azimuths pi*h (`bloch._cos_sin`)."""
+    return rng.uniform(-1.0, 1.0, size=n)
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +463,12 @@ def collect_histogram(
     """Monte Carlo outcome-angle histogram with isotropically drawn inputs.
 
     Trials are split across per-worker substreams of (seed, worker), which
-    run on concurrent threads (`streams.map_batches`); each batch is drawn
-    and binned one row block at a time (`streams.map_row_blocks`), and the
-    counts aggregate by summation, so the result is bit-identical for a
-    fixed worker count whatever the thread count.
+    run on concurrent threads (`streams.map_batches`); each worker's trials
+    are drawn and binned one row block at a time (`streams.map_row_blocks`),
+    and the counts aggregate by summation, so the result is bit-identical
+    for a fixed worker count whatever the thread count.
     """
+    streams.require_integer("bins", bins)
     if bins < 2:
         raise QGuessError(f"bins must be >= 2, got {bins}")
     edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(0.0, math.pi))
@@ -476,11 +478,11 @@ def collect_histogram(
         outcomes = strategy.sample_batch(inputs, rng)
         return np.histogram(angles_between(inputs, outcomes), bins=edges)[0]
 
-    def batch_counts(rng, m):
+    def worker_counts(rng, m):
         return sum(streams.map_row_blocks(block_counts, rng, m))
 
     counts = np.zeros(bins, dtype=np.int64)
-    for c in streams.map_batches(batch_counts, seed, trials, workers):
+    for c in streams.map_batches(worker_counts, seed, trials, workers):
         counts += c
     return DensityHistogram(edges, counts, trials)
 

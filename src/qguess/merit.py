@@ -203,38 +203,34 @@ def monte_carlo_fidelity(
 ) -> MeritReport:
     """Sample mean of cos^2(t/2) over isotropic inputs, with standard error.
 
-    Inputs are drawn uniformly, guesses from the strategy. Each batch yields
-    its (sum s, sum s^2); the worker substreams run on concurrent threads
-    (`streams.map_batches`) and the batch sums are added in worker-then-batch
-    order, so the value is bit-identical for a fixed (seed, workers) whatever
-    the thread count. A batch is drawn one row block at a time
-    (`streams.map_row_blocks`) into one score array of the batch's length,
-    summed whole: `np.sum`'s pairwise order depends on the length summed.
+    Inputs are drawn uniformly, guesses from the strategy, one row block at
+    a time (`streams.map_row_blocks`), and each block yields its
+    (sum s, sum s^2); the worker substreams run on concurrent threads
+    (`streams.map_batches`) and the block sums are added in worker-then-block
+    order, so the value is bit-identical for a fixed (seed, workers)
+    whatever the thread count.
     """
     if trials < 2:
         raise QGuessError(f"need at least 2 trials, got {trials}")
 
-    def moments(rng, m):
-        # freeing this array raises glibc's mmap threshold above the blocks'
-        # temporaries; streams.BATCH_CAP gives the cost of dropping it
-        s = np.empty(m)
-
-        def block_dots(rng, lo, hi):
-            inputs = random_directions(rng, hi - lo)
-            s[lo:hi] = dots(inputs, strategy.sample_batch(inputs, rng))
-
-        streams.map_row_blocks(block_dots, rng, m)
+    def block_moments(rng, lo, hi):
+        inputs = random_directions(rng, hi - lo)
+        s = dots(inputs, strategy.sample_batch(inputs, rng))
         s += 1.0
         s /= 2.0
         total = float(np.sum(s))
-        s *= s  # s^2 in place: a batch holds one score array
+        s *= s
         return total, float(np.sum(s))
+
+    def worker_moments(rng, m):
+        return streams.map_row_blocks(block_moments, rng, m)
 
     total = 0.0
     total_sq = 0.0
-    for batch_sum, batch_sum_sq in streams.map_batches(moments, seed, trials, workers):
-        total += batch_sum
-        total_sq += batch_sum_sq
+    for blocks in streams.map_batches(worker_moments, seed, trials, workers):
+        for block_sum, block_sum_sq in blocks:
+            total += block_sum
+            total_sq += block_sum_sq
     mean = total / trials
     variance = max(total_sq - trials * mean * mean, 0.0) / (trials - 1)
     return MeritReport(value=mean, std_error=math.sqrt(variance / trials), trials=trials)

@@ -478,8 +478,8 @@ def run_discrimination_experiment(
     the frequency gap as a two-sample z statistic with binomial standard
     errors; with both errors zero the run carries no information and is
     indeterminate. Both decompositions' workers run concurrently, in one
-    `streams.map_arms` call, and each arm's hits are summed in worker-then-
-    batch order. A guess counts by its z coordinate alone (`_cap_hits`):
+    `streams.map_arms` call, and each arm's hits are summed in worker order.
+    A guess counts by its z coordinate alone (`_cap_hits`):
     for a strategy with `polar_cos` (the two-parameter and tabulated
     samplers) most rows are counted from the drawn polar uniform, and the
     rest from a z computed from the drawn angles and the members' frames,

@@ -14,7 +14,7 @@ import pytest
 from qguess import merit, nosignal
 from qguess.estimator import ABFormStrategy, GuessingForm, MassarPopescuStrategy
 from qguess.nosignal import cos4_strategy
-from qguess.streams import BATCH_CAP, ROW_BLOCK
+from qguess.streams import ROW_BLOCK
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -82,10 +82,10 @@ def test_traced_fidelity_run_records_each_layer(tracing, strategy, tag):
     ids=["mp", "ab", "cos4"],
 )
 def test_traced_threaded_run_counts_exactly(tracing, strategy, tag):
-    # two workers of two batches each: the batches run on two threads, and
+    # two workers of one batch each: the batches run on two threads, and
     # the tracer's counts stay exact (its span parents and self times do not,
     # since it keeps one span stack for all threads)
-    trials = 2 * BATCH_CAP + 3
+    trials = 8 * ROW_BLOCK + 3
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -94,31 +94,31 @@ def test_traced_threaded_run_counts_exactly(tracing, strategy, tag):
         tracer.uninstall()
     agg = tracing.aggregate(tracer.spans, tracer.counts)
     assert agg["merit.monte_carlo_fidelity.calls"] == 1
-    assert agg["streams.worker_batches.batches"] == 4
+    assert agg["streams.worker_batches.batches"] == 2
     assert agg["streams.substream.calls"] == 2
     assert agg[f"estimator.sample_batch.{tag}.rows"] == trials
-    # sample_batch runs once per row block: a full batch has BATCH_CAP //
-    # ROW_BLOCK blocks, each worker's ragged batch of 2 or 1 rows one
-    assert agg[f"estimator.sample_batch.{tag}.calls"] == 2 * (BATCH_CAP // ROW_BLOCK + 1)
+    # sample_batch runs once per row block: each worker's 4 * ROW_BLOCK + 2
+    # or + 1 rows are 4 full blocks and a ragged one
+    assert agg[f"estimator.sample_batch.{tag}.calls"] == 2 * 5
     assert agg["bloch.random_directions.rows"] == (2 * trials if tag == "mp" else trials)
 
 
 def test_traced_discrimination_builds_frames_once_per_arm(tracing):
-    # one batch and one ragged batch per arm: the members' frames are built
-    # once per arm, on its two members, not per batch or row block, and the
+    # one batch of several row blocks per arm: the members' frames are built
+    # once per arm, on its two members, not per row block, and the
     # cos4 guesses are counted by their z coordinate alone, so neither
     # sample_batch nor directions_at_angle runs
     strategy = cos4_strategy()
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        nosignal.run_discrimination_experiment(strategy, 0.9, trials=BATCH_CAP + 3, seed=1)
+        nosignal.run_discrimination_experiment(strategy, 0.9, trials=4 * nosignal.CAP_ROW_BLOCK + 3, seed=1)
     finally:
         tracer.uninstall()
     agg = tracing.aggregate(tracer.spans, tracer.counts)
     assert agg["nosignal.run_discrimination_experiment.calls"] == 1
     assert agg["bloch.orthonormal_frames.calls"] == 2
     assert agg["bloch.orthonormal_frames.rows"] == 4
-    assert agg["streams.worker_batches.batches"] == 4
+    assert agg["streams.worker_batches.batches"] == 2
     assert agg["streams.substream.calls"] == 2
     assert not [key for key in agg if key.startswith(("estimator.sample_batch.", "bloch.directions_at_angle."))]

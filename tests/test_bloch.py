@@ -175,60 +175,63 @@ def test_directions_at_angle_hits_requested_angle():
     rng = substream(6)
     axes = random_directions(rng, 500)
     cos_t = rng.uniform(-1.0, 1.0, size=500)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=500)
-    out = directions_at_angle(axes, cos_t, phi)
+    h = rng.uniform(-1.0, 1.0, size=500)
+    out = directions_at_angle(axes, cos_t, h)
     assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) <= 1e-12
     assert np.allclose(dots(out, axes), cos_t, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# the azimuth pair of stream contract 2: sin(phi) from cos(phi)
+# the azimuth pair of stream contract 5: half-turns h, phi = pi*h, with
+# cos(phi) = sin(pi*(1/2 - |h|)) and sin(phi) from cos(phi)
 
-def within_sin_bound(s, sin):
-    """|s - sin| <= 2^-53/|sin| + 2^-51: the rounding of cos(phi) is what
-    1 - cos(phi) loses where |sin(phi)| is small."""
-    with np.errstate(divide="ignore"):
-        return np.all(np.abs(s - sin) <= 2.0**-53 / np.abs(sin) + 2.0**-51)
-
-
-def test_cos_sin_is_a_unit_pair_within_its_bound_of_np_sin():
-    phi = substream(30).uniform(0.0, 2.0 * math.pi, size=1 << 20)
-    c, s = _cos_sin(phi)
-    assert c.tobytes() == np.cos(phi).tobytes()
+def test_cos_sin_of_half_turns_against_a_long_double_reference():
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.skip("long double is no wider than double here")
+    h = substream(30).uniform(-1.0, 1.0, size=1 << 22)
+    c, s = _cos_sin(h)
+    hl = h.astype(np.longdouble)
+    pi = np.arccos(np.longdouble(-1.0))
+    # cos(pi*h) through the exact identity cos(pi*h) = sin(pi*(1/2 - |h|)),
+    # which keeps the reference's relative precision near the zeros of cos;
+    # np.cos of pi*h in long double checks the identity itself
+    cos_ref = np.sin(pi * (0.5 - np.abs(hl)))
+    sin_ref = np.sin(pi * hl)
+    assert np.max(np.abs(cos_ref - np.cos(pi * hl))) <= 1e-18
+    # c within 2 ulp (1.8 seen): the argument's one rounding, 2^-53 relative
+    # plus 3.9e-17 from the double pi, adds to that of np.sin
+    ulp = np.spacing(np.abs(cos_ref.astype(float)))
+    assert np.max(np.abs(c - cos_ref) / ulp) <= 2.0
     assert np.max(np.abs(c * c + s * s - 1.0)) <= 2.0**-52
-    assert within_sin_bound(s, np.sin(phi))
+    decided = np.abs(sin_ref) >= 1e-15
+    assert np.array_equal(np.signbit(s[decided]), np.signbit(sin_ref[decided]))
+    # the rounding of c is what 1 - c loses where |sin(phi)| is small
+    sin_ref = sin_ref.astype(float)
+    with np.errstate(divide="ignore"):
+        assert np.all(np.abs(s - sin_ref) <= 2.0**-53 / np.abs(sin_ref) + 2.0**-51)
 
 
-def test_cos_sin_takes_the_sign_of_sin_at_the_axes_and_about_pi():
-    about_pi = [math.pi]
-    below = above = math.pi
-    for _ in range(50):
-        below, above = np.nextafter(below, 0.0), np.nextafter(above, 4.0)
-        about_pi += [below, above]
-    phi = np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, np.nextafter(2.0 * math.pi, 0.0), *about_pi])
-    _, s = _cos_sin(phi)
-    sin = np.sin(phi)
-    # signs of zeros included: s is +0 at 0 and at pi (where np.sin gives
-    # 1.2e-16), -0 just below 2pi, and +-0 within 1e-14 of pi, where
-    # cos(phi) rounds to -1
-    assert np.array_equal(np.signbit(s), np.signbit(sin))
-    assert within_sin_bound(s, sin)
+def test_cos_sin_is_exact_on_the_axes():
+    c, s = _cos_sin(np.array([-1.0, -0.5, 0.0, 0.5]))
+    # signs of zeros included: cos(-pi) = -1 with sin -0, and cos(+-pi/2) = +0
+    assert c.tobytes() == np.array([-1.0, 0.0, 1.0, 0.0]).tobytes()
+    assert s.tobytes() == np.array([-0.0, -1.0, 0.0, 1.0]).tobytes()
 
 
 # numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so the other SIMD
 # level runs in a child process
 AZIMUTH_DIGESTS = """
-import hashlib, math
+import hashlib
 from qguess import bloch, streams
-phi = streams.substream(31).uniform(0.0, 2.0 * math.pi, size=1 << 16)
-for a in (*bloch._cos_sin(phi), bloch.random_directions(streams.substream(32), 1 << 16)):
+h = streams.substream(31).uniform(-1.0, 1.0, size=1 << 16)
+for a in (*bloch._cos_sin(h), bloch.random_directions(streams.substream(32), 1 << 16)):
     print(hashlib.sha256(a.tobytes()).hexdigest())
 """
 
 
 def test_cos_sin_and_random_directions_keep_their_bytes_at_avx2():
-    phi = substream(31).uniform(0.0, 2.0 * math.pi, size=1 << 16)
-    arrays = (*_cos_sin(phi), random_directions(substream(32), 1 << 16))
+    h = substream(31).uniform(-1.0, 1.0, size=1 << 16)
+    arrays = (*_cos_sin(h), random_directions(substream(32), 1 << 16))
     here = "".join(hashlib.sha256(a.tobytes()).hexdigest() + "\n" for a in arrays)
     src = str(Path(qguess.__file__).resolve().parent.parent)
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",

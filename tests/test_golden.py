@@ -15,7 +15,6 @@ digest is recomputed once more in a child process at numpy's AVX2 level.
 
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -54,10 +53,10 @@ def kernel_outputs() -> dict:
     rng = substream(9)
     idx = rng.integers(0, len(generic.members), size=KERNEL_ROWS)
     cos_t = rng.uniform(-1.0, 1.0, size=KERNEL_ROWS)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=KERNEL_ROWS)
+    h = rng.uniform(-1.0, 1.0, size=KERNEL_ROWS)
     dirs = generic.directions
     out["z_at_angle.generic"] = z_at_angle(dirs[:, 2].take(idx), orthonormal_frames(dirs)[0][:, 2].take(idx),
-                                           cos_t, phi)
+                                           cos_t, h)
     return out
 
 

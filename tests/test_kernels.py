@@ -7,8 +7,8 @@ column 2 of the full guess, its u step against that z at the step's edges,
 and the drivers, which draw each batch one row block at a time, against
 block-major references that draw each block whole. Equality is on
 `tobytes()`, so a last-ulp or signed-zero difference fails. The whole-batch
-forms take sin(phi) as stream contracts 2 to 4 do (`contract2_sin`,
-written out here rather than imported)."""
+forms take the azimuth pair of a half-turn as stream contract 5 does
+(`contract5_cos_sin`, written out here rather than imported)."""
 
 import contextlib
 import math
@@ -48,7 +48,7 @@ from qguess.nosignal import (
     cos4_strategy,
     run_discrimination_experiment,
 )
-from qguess.streams import BATCH_CAP, ROW_BLOCK, map_row_blocks, substream
+from qguess.streams import ROW_BLOCK, map_row_blocks, substream
 
 
 def spherical_frames(axes):
@@ -64,19 +64,21 @@ def spherical_frames(axes):
     return np.stack([z * cx, z * cy, -rho], axis=1), np.stack([-cy, cx, np.zeros_like(z)], axis=1)
 
 
-def contract2_sin(phi):
-    """sin(phi) for phi in [0, 2pi) as stream contract 2 evaluates it, from
-    c = cos(phi): copysign(sqrt((1 - c)(1 + c)), pi - phi)."""
-    c = np.cos(phi)
-    return np.copysign(np.sqrt((1.0 - c) * (1.0 + c)), math.pi - phi)
+def contract5_cos_sin(h):
+    """(cos(phi), sin(phi)) of the azimuth phi = pi*h, h in [-1, 1], as
+    stream contract 5 evaluates them: c = sin(pi*(1/2 - |h|)) and
+    copysign(sqrt((1 - c)(1 + c)), h)."""
+    c = np.sin(math.pi * (0.5 - np.abs(h)))
+    return c, np.copysign(np.sqrt((1.0 - c) * (1.0 + c)), h)
 
 
-def broadcast_directions_at_angle(axes, cos_theta, phi):
+def broadcast_directions_at_angle(axes, cos_theta, h):
     """(n, 3) broadcasting form of directions_at_angle on the spherical
     frames; the z column, where e2_z = 0, has no sin(phi) term."""
     e1, e2 = spherical_frames(axes)
     s = np.sqrt(np.clip(1.0 - cos_theta * cos_theta, 0.0, None))
-    s_cos, s_sin = s * np.cos(phi), s * contract2_sin(phi)
+    cos_phi, sin_phi = contract5_cos_sin(h)
+    s_cos, s_sin = s * cos_phi, s * sin_phi
     out = s_cos[:, None] * e1 + s_sin[:, None] * e2 + cos_theta[:, None] * axes
     out[:, 2] = s_cos * e1[:, 2] + cos_theta * axes[:, 2]
     return out
@@ -85,9 +87,9 @@ def broadcast_directions_at_angle(axes, cos_theta, phi):
 def stacked_random_directions(rng, n):
     """Whole-batch form of random_directions: one np.stack of the three columns."""
     z = rng.uniform(-1.0, 1.0, size=n)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    cos_phi, sin_phi = contract5_cos_sin(rng.uniform(-1.0, 1.0, size=n))
     s = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    return np.stack([s * np.cos(phi), s * contract2_sin(phi), z], axis=1)
+    return np.stack([s * cos_phi, s * sin_phi, z], axis=1)
 
 
 def clipped_dots(a, b):
@@ -163,12 +165,12 @@ def test_directions_at_angle_is_byte_identical_and_c_contiguous():
     rng = substream(12)
     axes = np.concatenate([random_directions(rng, 4096), frame_cases()["axes"]])
     cos_t = rng.uniform(-1.0, 1.0, size=len(axes))
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=len(axes))
-    out = directions_at_angle(axes, cos_t, phi)
+    h = rng.uniform(-1.0, 1.0, size=len(axes))
+    out = directions_at_angle(axes, cos_t, h)
     assert out.flags.c_contiguous
-    assert_same_bytes(out, broadcast_directions_at_angle(axes, cos_t, phi))
+    assert_same_bytes(out, broadcast_directions_at_angle(axes, cos_t, h))
     # a Fortran-ordered input still yields C-ordered output with the same bytes
-    out_f = directions_at_angle(np.asfortranarray(axes), cos_t, phi)
+    out_f = directions_at_angle(np.asfortranarray(axes), cos_t, h)
     assert out_f.flags.c_contiguous
     assert_same_bytes(out_f, out)
 
@@ -228,8 +230,8 @@ def test_tabulated_sample_batch_matches_interp_path():
     inputs = random_directions(substream(14), 2048)
     rng = substream(15)
     u = rng.random(len(inputs))
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=len(inputs))
-    want = broadcast_directions_at_angle(inputs, np.cos(interp_inverse_cdf(strategy, u)), phi)
+    h = rng.uniform(-1.0, 1.0, size=len(inputs))
+    want = broadcast_directions_at_angle(inputs, np.cos(interp_inverse_cdf(strategy, u)), h)
     assert_same_bytes(strategy.sample_batch(inputs, substream(15)), want)
 
 
@@ -253,10 +255,10 @@ def test_directions_at_angle_blocks_match_whole_batch(n):
     rng = substream(17)
     axes = stacked_random_directions(rng, n)
     cos_t = rng.uniform(-1.0, 1.0, size=n)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    out = directions_at_angle(axes, cos_t, phi)
+    h = rng.uniform(-1.0, 1.0, size=n)
+    out = directions_at_angle(axes, cos_t, h)
     assert out.flags.c_contiguous
-    assert_same_bytes(out, broadcast_directions_at_angle(axes, cos_t, phi))
+    assert_same_bytes(out, broadcast_directions_at_angle(axes, cos_t, h))
 
 
 # the weights of the discrimination tests: p = 0 and 1 give zero-weight
@@ -315,12 +317,12 @@ def test_z_at_angle_is_column_2_of_directions_at_angle(p):
     n = 4096
     idx = rng.integers(0, len(dirs), size=n)
     cos_t = rng.uniform(-1.0, 1.0, size=n)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    h = rng.uniform(-1.0, 1.0, size=n)
     # angles whose products give signed zeros
     cos_t[:8] = [1.0, -1.0, 0.0, -0.0, 1.0, -1.0, 0.0, -0.0]
-    phi[:8] = [0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi, math.pi, 0.0, 0.5 * math.pi, 0.0]
-    got = z_at_angle(dirs[:, 2].take(idx), e1[:, 2].take(idx), cos_t, phi)
-    assert_same_bytes(got, directions_at_angle(dirs[idx], cos_t, phi)[:, 2].copy())
+    h[:8] = [0.0, 0.5, -1.0, -0.5, -1.0, 0.0, 0.5, 0.0]
+    got = z_at_angle(dirs[:, 2].take(idx), e1[:, 2].take(idx), cos_t, h)
+    assert_same_bytes(got, directions_at_angle(dirs[idx], cos_t, h)[:, 2].copy())
 
 
 def test_z_at_angle_writes_only_its_result():
@@ -331,12 +333,12 @@ def test_z_at_angle_writes_only_its_result():
         dirs = decomposition.directions
         idx = rng.integers(0, len(dirs), size=1000)
         picked = [c.take(idx) for c in member_z(dirs)]
-        cos_t, phi = rng.uniform(-1.0, 1.0, size=1000), rng.uniform(0.0, 2.0 * math.pi, size=1000)
-        inputs = [a.copy() for a in (*picked, cos_t, phi)]
-        got = z_at_angle(*picked, cos_t, phi)
-        for before, after in zip(inputs, (*picked, cos_t, phi)):
+        cos_t, h = rng.uniform(-1.0, 1.0, size=1000), rng.uniform(-1.0, 1.0, size=1000)
+        inputs = [a.copy() for a in (*picked, cos_t, h)]
+        got = z_at_angle(*picked, cos_t, h)
+        for before, after in zip(inputs, (*picked, cos_t, h)):
             assert_same_bytes(after, before)
-        assert np.array_equal(got, directions_at_angle(dirs[idx], cos_t, phi)[:, 2])
+        assert np.array_equal(got, directions_at_angle(dirs[idx], cos_t, h)[:, 2])
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
@@ -362,8 +364,8 @@ def test_dots_give_the_same_bytes_in_any_memory_layout(n):
 def ab_sample_batch(form):
     def sample(inputs, rng):
         t = _ab_inverse_cdf(form, rng.random(len(inputs)))
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=len(inputs))
-        return broadcast_directions_at_angle(inputs, t, phi)
+        h = rng.uniform(-1.0, 1.0, size=len(inputs))
+        return broadcast_directions_at_angle(inputs, t, h)
 
     return sample
 
@@ -371,8 +373,8 @@ def ab_sample_batch(form):
 def cos4_sample_batch(strategy):
     def sample(inputs, rng):
         u = rng.random(len(inputs))
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=len(inputs))
-        return broadcast_directions_at_angle(inputs, np.cos(interp_inverse_cdf(strategy, u)), phi)
+        h = rng.uniform(-1.0, 1.0, size=len(inputs))
+        return broadcast_directions_at_angle(inputs, np.cos(interp_inverse_cdf(strategy, u)), h)
 
     return sample
 
@@ -460,28 +462,27 @@ def test_row_blocks_draw_in_block_order_from_any_generator_position(drawn, m):
 def block_major_fidelity_and_counts(strategy, trials, seed, workers, bins=50):
     """monte_carlo_fidelity's (value, std_error) and collect_histogram's
     counts: both drivers draw the same inputs and guesses for one (seed,
-    workers), ROW_BLOCK rows at a time, so one pass serves both."""
+    workers), ROW_BLOCK rows at a time, so one pass serves both. The score
+    sums are taken per block and added in worker-then-block order; the
+    counts are binned over a worker's whole batch."""
     edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(0.0, math.pi))
 
     def batch(rng, m):
-        inputs, outcomes = [], []
+        inputs, outcomes, sums = [], [], []
         for lo in range(0, m, ROW_BLOCK):
             inputs.append(random_directions(rng, min(ROW_BLOCK, m - lo)))
             outcomes.append(strategy.sample_batch(inputs[-1], rng))
-        inputs, outcomes = np.concatenate(inputs), np.concatenate(outcomes)
-        counts = np.histogram(angles_between(inputs, outcomes), bins=edges)[0]
-        s = dots(inputs, outcomes)
-        s += 1.0
-        s /= 2.0
-        total = float(np.sum(s))
-        s *= s
-        return total, float(np.sum(s)), counts
+            s = (1.0 + dots(inputs[-1], outcomes[-1])) / 2.0
+            sums.append((float(np.sum(s)), float(np.sum(s * s))))
+        counts = np.histogram(angles_between(np.concatenate(inputs), np.concatenate(outcomes)), bins=edges)[0]
+        return sums, counts
 
     total = total_sq = 0.0
     counts = np.zeros(bins, dtype=np.int64)
-    for batch_sum, batch_sum_sq, batch_counts in streams.map_batches(batch, seed, trials, workers):
-        total += batch_sum
-        total_sq += batch_sum_sq
+    for sums, batch_counts in streams.map_batches(batch, seed, trials, workers):
+        for block_sum, block_sum_sq in sums:
+            total += block_sum
+            total_sq += block_sum_sq
         counts += batch_counts
     mean = total / trials
     variance = max(total_sq - trials * mean * mean, 0.0) / (trials - 1)
@@ -514,20 +515,20 @@ def block_major_cap_hits(strategy, decomposition, trials, seed, workers, block=0
 
 
 @contextlib.contextmanager
-def constant_azimuths(phi0):
+def constant_azimuths(h0):
     """Every azimuth an angle strategy's guesses and the angle path take is
-    phi0, drawn from no generator."""
+    the half-turn h0, drawn from no generator."""
     with pytest.MonkeyPatch.context() as patch:
         for module in (estimator, nosignal):
-            patch.setattr(module, "uniform_azimuths", lambda rng, n: np.full(n, phi0))
+            patch.setattr(module, "uniform_azimuths", lambda rng, n: np.full(n, h0))
         yield
 
 
-# azimuths on and between the frame's axes, and a generic one
-AZIMUTHS = [0.0, math.pi / 2.0, math.pi, 1.5 * math.pi, 2.0]
+# azimuths on and between the frame's axes, and a generic one (2 rad), as half-turns
+AZIMUTHS = [0.0, 0.5, -1.0, -0.5, 2.0 / math.pi]
 GENERIC_AZIMUTH = AZIMUTHS[-1]
 
-DRIVER_TRIALS = [2, ROW_BLOCK - 1, ROW_BLOCK + 1, BATCH_CAP + 44666, 2 * BATCH_CAP + 7]
+DRIVER_TRIALS = [2, ROW_BLOCK - 1, ROW_BLOCK + 1, 32 * ROW_BLOCK + 44666, 64 * ROW_BLOCK + 7]
 
 
 @pytest.fixture(scope="module")
@@ -581,13 +582,13 @@ def test_mp_discrimination_never_takes_the_angle_path(strategies, monkeypatch):
 CAPS = (0.2, math.pi / 2.0, 2.5)
 
 
-@pytest.mark.parametrize("phi0", AZIMUTHS)
+@pytest.mark.parametrize("h0", AZIMUTHS)
 @pytest.mark.parametrize("name", sorted(member_sets()))
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
-def test_cap_hits_match_the_block_major_oracle_for_every_member_set(strategies, tag, name, phi0):
+def test_cap_hits_match_the_block_major_oracle_for_every_member_set(strategies, tag, name, h0):
     strategy, decomposition = strategies[tag], member_sets()[name]
-    trials = BATCH_CAP + 44666
-    with constant_azimuths(phi0):
+    trials = 32 * ROW_BLOCK + 44666
+    with constant_azimuths(h0):
         got = [sum(streams.map_batches(_cap_hits(strategy, decomposition, math.cos(cap)), 27, trials, 1))
                for cap in CAPS]
         assert got == block_major_cap_hits(strategy, decomposition, trials, 27, 1, caps=CAPS)
@@ -599,7 +600,7 @@ def test_cap_hits_match_the_block_major_oracle_for_every_member_set(strategies, 
 def test_angle_path_block_draws_its_picks_its_polar_column_and_its_exact_azimuths(
         strategies, monkeypatch, tag, decomposition):
     # a block of n rows moves the generator 2n + k words, k the rows it
-    # leaves to the exact z; four batches of the pole arm leave a few
+    # leaves to the exact z; 2^21 rows of the pole arm leave a few
     strategy = strategies[tag]
     real_polar_cos = strategy.polar_cos
     exact_rows = []
@@ -611,7 +612,7 @@ def test_angle_path_block_draws_its_picks_its_polar_column_and_its_exact_azimuth
     batch_hits = _cap_hits(strategy, decomposition, math.cos(0.2))
     monkeypatch.setattr(strategy, "polar_cos", record)
     rng, ref = substream(37), substream(37)
-    m = 4 * BATCH_CAP
+    m = 128 * ROW_BLOCK
     batch_hits(rng, m)
     assert len(exact_rows) == m // CAP_ROW_BLOCK and sum(exact_rows) > 0
     for k in exact_rows:
@@ -682,6 +683,25 @@ def test_angle_path_block_holds_six_arrays_of_its_rows(strategies, p):
         finally:
             tracemalloc.stop()
         assert peak <= 6.25 * 8 * CAP_ROW_BLOCK
+
+
+@pytest.mark.parametrize("driver", [monte_carlo_fidelity, collect_histogram], ids=["fidelity", "histogram"])
+@pytest.mark.parametrize("tag", ["mp", "ab"])
+def test_driver_peak_does_not_grow_with_the_trials(strategies, tag, driver):
+    # a worker reduces each row block as it goes, so the peak traced
+    # allocation at 8 blocks stays within one block-sized array of that at
+    # 2 blocks, where a score array of the worker's trials would add six
+    strategy = strategies[tag]
+    driver(strategy, trials=2 * ROW_BLOCK, seed=3)  # the one-time allocator step goes first
+    peaks = []
+    for trials in (2 * ROW_BLOCK, 8 * ROW_BLOCK):
+        tracemalloc.start()
+        try:
+            driver(strategy, trials=trials, seed=3, workers=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 8 * ROW_BLOCK, peaks
 
 
 class PlantedDraws:
@@ -759,7 +779,7 @@ def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, mon
         u = np.tile(u, len(dirs))
         m = len(u)
         pick = np.cumsum(decomposition.weights)[idx] - 0.25
-        phi = substream(32).uniform(0.0, 2.0 * math.pi, size=m)
+        h = substream(32).uniform(-1.0, 1.0, size=m)
         alpha = np.arctan2(np.hypot(dirs[:, 0], dirs[:, 1]), dirs[:, 2])
         u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
         exact = (u >= u_low[idx]) & (u <= u_high[idx])
@@ -771,13 +791,13 @@ def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, mon
             return real_polar_cos(u_rows)
 
         monkeypatch.setattr(strategy, "polar_cos", record)
-        planted_block(monkeypatch, pick, u, phi[exact])
+        planted_block(monkeypatch, pick, u, h[exact])
         got = batch_hits(None, m)
         monkeypatch.undo()
         cos_theta = (np.cos(interp_inverse_cdf(strategy, u)) if tag == "cos4"
                      else _ab_inverse_cdf(strategy.form, u))
         a_z, e1_z = (c[idx] for c in member_z(dirs))
-        assert got == np.count_nonzero(z_at_angle(a_z, e1_z, cos_theta, phi) >= cap_cos)
+        assert got == np.count_nonzero(z_at_angle(a_z, e1_z, cos_theta, h) >= cap_cos)
         # the u step decided some rows itself
         assert exact_rows == [np.count_nonzero(exact)] and exact_rows[0] < m
 
@@ -811,7 +831,7 @@ def test_polar_step_counts_planted_rows_at_a_given_up_bound_as_the_z_coordinate(
     u = np.tile(u, len(dirs))
     m = len(u)
     pick = np.cumsum(decomposition.weights)[idx] - 0.25
-    phi = substream(36).uniform(0.0, 2.0 * math.pi, size=m)
+    h = substream(36).uniform(-1.0, 1.0, size=m)
     exact_rows = []
     real_polar_cos = strategy.polar_cos
 
@@ -820,11 +840,11 @@ def test_polar_step_counts_planted_rows_at_a_given_up_bound_as_the_z_coordinate(
         return real_polar_cos(u_rows)
 
     monkeypatch.setattr(strategy, "polar_cos", record_rows)
-    planted_block(monkeypatch, pick, u, phi)
+    planted_block(monkeypatch, pick, u, h)
     got = batch_hits(None, m)
     monkeypatch.undo()
     a_z, e1_z = (c[idx] for c in member_z(dirs))
-    z = z_at_angle(a_z, e1_z, _ab_inverse_cdf(strategy.form, u), phi)
+    z = z_at_angle(a_z, e1_z, _ab_inverse_cdf(strategy.form, u), h)
     assert got == np.count_nonzero(z >= cap_cos)
     assert exact_rows == [m]
 
@@ -844,7 +864,7 @@ def test_u_windows_check_their_bounds_with_the_polar_map(strategies, monkeypatch
 
 
 def test_u_step_leaves_few_rows_to_the_inverse_map(strategies, monkeypatch):
-    # cos4 at p = 0.9 and a cap of 0.2, one batch per arm: the pole arm
+    # cos4 at p = 0.9 and a cap of 0.2, 2^19 rows per arm: the pole arm
     # hands at most 1e-4 of its rows to the inverse CDF, the tilted arm 30%
     strategy = strategies["cos4"]
     real_inverse_cdf = strategy.inverse_cdf
@@ -857,39 +877,89 @@ def test_u_step_leaves_few_rows_to_the_inverse_map(strategies, monkeypatch):
             return real_inverse_cdf(u)
 
         monkeypatch.setattr(strategy, "inverse_cdf", record)
-        batch_hits(substream(33), BATCH_CAP)
+        m = 32 * ROW_BLOCK
+        batch_hits(substream(33), m)
         monkeypatch.undo()
-        assert len(rows) == BATCH_CAP // CAP_ROW_BLOCK
-        assert sum(rows) <= share * BATCH_CAP
+        assert len(rows) == m // CAP_ROW_BLOCK
+        assert sum(rows) <= share * m
 
 
 class TrigRecorder:
     """numpy as `bloch` sees it, noting which of cos, sin, copysign and sqrt
-    are looked up."""
+    are looked up, and the least and greatest argument of every np.sin and
+    np.cos call."""
 
     def __init__(self):
         self.called = set()
+        self.arguments = []
 
     def __getattr__(self, name):
         if name in ("cos", "sin", "copysign", "sqrt"):
             self.called.add(name)
-        return getattr(np, name)
+        fn = getattr(np, name)
+        if name not in ("cos", "sin"):
+            return fn
+
+        def trig(x, *args, **kwargs):
+            if np.size(x):
+                self.arguments.append((float(np.min(x)), float(np.max(x))))
+            return fn(x, *args, **kwargs)
+
+        return trig
+
+    def assert_arguments_within_a_quarter_turn(self):
+        assert all(-math.pi / 2.0 <= lo and hi <= math.pi / 2.0 for lo, hi in self.arguments)
+
+
+# half-turns at the ends of [-1, 1], on the frame's axes and next to them
+EDGE_HALF_TURNS = np.concatenate([[-1.0, -0.5, 0.0, 0.5, 1.0], np.nextafter([-1.0, -0.5, 0.0, 0.5, 1.0], 0.0),
+                                  np.nextafter([-0.5, 0.0, 0.5], 2.0)])
+
+
+def angle_kernel_calls():
+    """{name: zero-argument call} of each direction kernel on drawn and edge azimuths."""
+    rng = substream(28)
+    n = ROW_BLOCK + 5
+    axes = random_directions(rng, n)
+    cos_t = rng.uniform(-1.0, 1.0, size=n)
+    h = np.concatenate([EDGE_HALF_TURNS, rng.uniform(-1.0, 1.0, size=n - len(EDGE_HALF_TURNS))])
+    a_z, e1_z = member_z(axes)
+    return {
+        "random_directions": lambda: random_directions(substream(28), n),
+        "directions_at_angle": lambda: directions_at_angle(axes, cos_t, h),
+        "z_at_angle": lambda: z_at_angle(a_z, e1_z, cos_t, h),
+    }
+
+
+@pytest.mark.parametrize("kernel", sorted(angle_kernel_calls()))
+def test_direction_kernels_take_trig_within_a_quarter_turn(monkeypatch, kernel):
+    # cos(phi) is sin(pi*(1/2 - |h|)), so no kernel calls np.cos, and z has
+    # no sin(phi) term, so z_at_angle never looks up copysign
+    call = angle_kernel_calls()[kernel]
+    recorder = TrigRecorder()
+    monkeypatch.setattr(bloch, "np", recorder)
+    call()
+    assert recorder.called == ({"sin", "sqrt"} if kernel == "z_at_angle" else {"sin", "copysign", "sqrt"})
+    assert recorder.arguments
+    recorder.assert_arguments_within_a_quarter_turn()
 
 
 @pytest.mark.parametrize("name", sorted(member_sets()))
-@pytest.mark.parametrize("tag", ["ab", "cos4"])
-def test_cap_hits_take_cos_phi_and_no_sin_phi(strategies, monkeypatch, tag, name):
-    # the z coordinate has no sin(phi) term, so a block never looks up
-    # copysign, which sin(phi) takes; s = sqrt(1 - t^2) scales cos(phi)
+@pytest.mark.parametrize("tag", ["mp", "ab", "cos4"])
+def test_cap_hits_take_trig_within_a_quarter_turn_and_no_sin_phi(strategies, monkeypatch, tag, name):
+    # the z coordinate has no sin(phi) term, so an angle-path block never
+    # looks up copysign, which sin(phi) takes; s = sqrt(1 - t^2) scales
+    # cos(phi). MP's whole guesses take random_directions
     batch_hits = _cap_hits(strategies[tag], member_sets()[name], math.cos(0.2))
     recorder = TrigRecorder()
     monkeypatch.setattr(bloch, "np", recorder)
-    batch_hits(substream(28), ROW_BLOCK + 1)
-    assert recorder.called == {"cos", "sqrt"}
+    batch_hits(substream(28), CAP_ROW_BLOCK + 1)
+    assert recorder.called == ({"sin", "copysign", "sqrt"} if tag == "mp" else {"sin", "sqrt"})
+    recorder.assert_arguments_within_a_quarter_turn()
 
 
 def test_directions_at_angle_keeps_both_azimuth_terms_at_the_poles(monkeypatch):
     recorder = TrigRecorder()
     monkeypatch.setattr(bloch, "np", recorder)
-    directions_at_angle(member_sets()["poles"].directions, np.array([0.5, -0.5]), np.array([1.0, 2.0]))
-    assert recorder.called == {"cos", "copysign", "sqrt"}
+    directions_at_angle(member_sets()["poles"].directions, np.array([0.5, -0.5]), np.array([0.3, 0.6]))
+    assert recorder.called == {"sin", "copysign", "sqrt"}

@@ -1,5 +1,5 @@
-"""Property tests (hypothesis, derandomized) for trial splitting, the
-closed-form samplers, the tabulated inverse CDF's guide-table bracket and
+"""Property tests (hypothesis, derandomized) for trial splitting, row
+blocks, the closed-form samplers, the tabulated inverse CDF's guide-table bracket and
 the discrimination's cap counts over arbitrary decompositions."""
 
 import math
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qguess.bloch import BlochVector, EnsembleDecomposition
 from qguess.estimator import ABFormStrategy, GuessingForm, _ab_inverse_cdf, cap_probability
 from qguess.nosignal import _cap_hits, cos4_strategy
-from qguess.streams import ROW_BLOCK, batch_sizes, map_batches, split_trials
+from qguess.streams import ROW_BLOCK, map_batches, map_row_blocks, split_trials
 from test_kernels import block_major_cap_hits, constant_azimuths, interp_inverse_cdf, normalized_tabulated
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -31,12 +31,15 @@ def test_split_trials_partitions_evenly(trials, workers):
 
 
 @PROPERTY
-@given(n=st.integers(0, 10**7), cap=st.integers(1, 1 << 20))
-def test_batch_sizes_partition_into_full_batches(n, cap):
-    sizes = batch_sizes(n, cap)
-    assert sum(sizes) == n
-    assert all(m == cap for m in sizes[:-1])
-    assert all(0 < m <= cap for m in sizes)
+@given(m=st.integers(0, 10**5), rows=st.integers(1, 1 << 20))
+def test_row_blocks_partition_into_full_blocks(m, rows):
+    blocks = map_row_blocks(lambda rng, lo, hi: (lo, hi), None, m, rows)
+    ends = [hi for _, hi in blocks]
+    # consecutive blocks from row 0 to row m
+    assert [lo for lo, _ in blocks] == [0, *ends][:len(blocks)]
+    assert ends[-1:] == ([m] if m else [])
+    assert all(hi - lo == rows for lo, hi in blocks[:-1])
+    assert all(0 < hi - lo <= rows for lo, hi in blocks)
 
 
 @PROPERTY
@@ -113,10 +116,10 @@ def decompositions(draw):
 @PROPERTY
 @given(decomposition=decompositions(), a_frac=st.one_of(st.none(), a_fractions),
        cap=st.floats(1e-4, math.pi), trials=st.integers(1, ROW_BLOCK + 2),
-       phi0=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
-def test_cap_hits_of_any_decomposition_match_the_block_major_oracle(decomposition, a_frac, cap, trials, phi0):
+       h0=st.floats(-1.0, 1.0))
+def test_cap_hits_of_any_decomposition_match_the_block_major_oracle(decomposition, a_frac, cap, trials, h0):
     # a_frac None draws the tabulated cos4 sampler
     strategy = COS4 if a_frac is None else ABFormStrategy(GuessingForm.from_a_fraction(a_frac))
-    with constant_azimuths(phi0):
+    with constant_azimuths(h0):
         got = sum(map_batches(_cap_hits(strategy, decomposition, math.cos(cap)), 29, trials, 1))
         assert [got] == block_major_cap_hits(strategy, decomposition, trials, 29, 1, caps=(cap,))

@@ -1,4 +1,4 @@
-"""Substream determinism, trial chunking, and the threaded batch map."""
+"""Substream determinism, trial splitting, and the threaded worker map."""
 
 import concurrent.futures
 import os
@@ -12,10 +12,8 @@ from qguess import streams
 from qguess.errors import QGuessError
 from qguess.estimator import MassarPopescuStrategy, collect_histogram
 from qguess.merit import monte_carlo_fidelity
-from qguess.nosignal import cos4_strategy, run_discrimination_experiment
+from qguess.nosignal import CAP_ROW_BLOCK, cos4_strategy, run_discrimination_experiment
 from qguess.streams import (
-    BATCH_CAP,
-    batch_sizes,
     map_arms,
     map_batches,
     split_trials,
@@ -55,13 +53,15 @@ NON_INTEGER_CALLS = {
     "block": lambda bad: substream(0, block=bad),
     "trials": lambda bad: monte_carlo_fidelity(MassarPopescuStrategy(), trials=bad),
     "workers": lambda bad: collect_histogram(MassarPopescuStrategy(), trials=1000, workers=bad),
+    # numpy's histogram would raise its own TypeError for 2.5 or 3.0
+    "bins": lambda bad: collect_histogram(MassarPopescuStrategy(), trials=1000, bins=bad),
     # twice the stream block is an integer block even for 1.5 or True
     "stream_block": lambda bad: run_discrimination_experiment(MassarPopescuStrategy(), 0.8, trials=100,
                                                               stream_block=bad),
 }
 
 
-@pytest.mark.parametrize("bad", [1.5, 1000.0, True])
+@pytest.mark.parametrize("bad", [1.5, 2.5, 3.0, 1000.0, True])
 @pytest.mark.parametrize("argument", sorted(NON_INTEGER_CALLS))
 def test_stream_arguments_must_be_integers(argument, bad):
     # (a trial count below 2, as 1.5 and True are, fails the driver's range check first)
@@ -86,22 +86,12 @@ def test_split_trials_even_with_low_remainder():
         split_trials(5, 0)
 
 
-def test_batch_sizes_fixed_cap():
-    assert batch_sizes(10, cap=4) == [4, 4, 2]
-    assert batch_sizes(8, cap=4) == [4, 4]
-    assert batch_sizes(3, cap=4) == [3]
-    assert sum(batch_sizes(BATCH_CAP * 2 + 17)) == BATCH_CAP * 2 + 17
-
-
-def test_worker_batches_cover_all_trials():
-    total = 0
-    seen = []
-    for rng, m in worker_batches(seed=1, trials=10, workers=4):
-        total += m
-        seen.append(float(rng.random()))
-    assert total == 10
-    # zero-trial workers are skipped entirely
-    assert len(seen) == len([n for n in split_trials(10, 4) if n])
+def test_worker_batches_yield_one_batch_per_worker_with_trials():
+    # a worker's trials are one batch, drawn from its own substream; a
+    # worker assigned no trials yields nothing
+    for trials, workers, sizes in ((20, 3, [7, 7, 6]), (2, 4, [1, 1])):
+        got = [(m, rng.random(3).tolist()) for rng, m in worker_batches(5, trials, workers, block=2)]
+        assert got == [(m, substream(5, w, 2).random(3).tolist()) for w, m in enumerate(sizes)]
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +120,11 @@ def test_usable_cores_is_the_affinity_set():
     assert usable_cores() == len(os.sched_getaffinity(0))
 
 
-def test_map_batches_returns_worker_then_batch_order(monkeypatch):
-    monkeypatch.setattr(streams, "batch_sizes", lambda n: batch_sizes(n, cap=4))
-    got = map_batches(lambda rng, m: (m, float(rng.random())), seed=5, trials=21, workers=3)
-    want = [(m, float(rng.random())) for rng, m in worker_batches(5, 21, 3)]
+def test_map_batches_returns_worker_order():
+    got = map_batches(lambda rng, m: (m, float(rng.random())), seed=5, trials=20, workers=3)
+    want = [(m, float(rng.random())) for rng, m in worker_batches(5, 20, 3)]
     assert got == want
-    assert [m for m, _ in got] == [4, 3, 4, 3, 4, 3]
+    assert [m for m, _ in got] == [7, 7, 6]
 
 
 def test_map_batches_raises_a_batch_error():
@@ -148,21 +137,22 @@ def test_map_batches_raises_a_batch_error():
         map_batches(fail_on_second_worker, seed=0, trials=7, workers=2)
 
 
+# several row blocks per worker at 5 workers, so the block order inside a
+# worker counts too (the cap counts' blocks are the larger)
+DRIVER_TRIALS = 5 * CAP_ROW_BLOCK + 17
 DRIVERS = {
     "monte_carlo_fidelity": lambda workers: monte_carlo_fidelity(
-        MassarPopescuStrategy(), trials=20_000, seed=3, workers=workers),
+        MassarPopescuStrategy(), trials=DRIVER_TRIALS, seed=3, workers=workers),
     "collect_histogram": lambda workers: collect_histogram(
-        MassarPopescuStrategy(), trials=20_000, seed=3, workers=workers).counts.tobytes(),
+        MassarPopescuStrategy(), trials=DRIVER_TRIALS, seed=3, workers=workers).counts.tobytes(),
     "cap_hits": lambda workers: run_discrimination_experiment(
-        cos4_strategy(), 0.8, trials=20_000, seed=3, workers=workers).as_dict(),
+        cos4_strategy(), 0.8, trials=DRIVER_TRIALS, seed=3, workers=workers).as_dict(),
 }
 
 
 @pytest.mark.parametrize("workers", [2, 3, 5])
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_threaded_drivers_equal_the_serial_run(monkeypatch, pool_sizes, driver, workers):
-    # several batches per worker, so the batch order inside a worker counts too
-    monkeypatch.setattr(streams, "batch_sizes", lambda n: batch_sizes(n, cap=1500))
     run = DRIVERS[driver]
     cores = usable_cores()
     threaded = run(workers)
@@ -254,9 +244,8 @@ def test_more_groups_than_threads_do_not_deadlock(monkeypatch, pool_sizes):
     assert pool_sizes[-1] == 2
 
 
-def test_map_arms_returns_each_arm_in_worker_then_batch_order(monkeypatch):
-    monkeypatch.setattr(streams, "batch_sizes", lambda n: batch_sizes(n, cap=4))
+def test_map_arms_returns_each_arm_in_worker_order():
     arms = [(lambda rng, m: (0, m, float(rng.random())), 3), (lambda rng, m: (1, m, float(rng.random())), 8)]
     got = map_arms(arms, seed=5, trials=13, workers=2)
     assert got == [map_batches(fn, 5, 13, 2, block=block) for fn, block in arms]
-    assert [m for _, m, _ in got[1]] == [4, 3, 4, 2]
+    assert [[(arm, m) for arm, m, _ in results] for results in got] == [[(0, 7), (0, 6)], [(1, 7), (1, 6)]]
