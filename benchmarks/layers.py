@@ -10,9 +10,11 @@ workers 1 and 2. The `cos_sin` arm, the (cos, sin) pair of an azimuth
 column of half-turns as the direction kernels take it (`bloch._cos_sin`),
 runs beside `cos_sin.contract4`, the pair as stream contracts 2 to 4 took
 it: `np.cos` of azimuths on [0, 2pi), then the same sqrt path with the sign
-of pi - phi. The discrimination's per-worker function,
-`nosignal._cap_hits`, is timed on 2^19 rows per strategy (MP, AB with a_frac = 0.5, cos4) and arm, set-up included, in the
-blocks it makes itself (2^15 rows on the angle path, 2^14 for MP). The arms
+of pi - phi. The discrimination's block function, from
+`nosignal._cap_hits`, is timed on 2^19 rows per strategy (MP, AB with
+a_frac = 0.5, cos4) and arm, set-up included, through `streams.map_blocks`
+with one worker, in blocks of the rows `_cap_hits` gives with it (2^15 on
+the angle path, 2^14 for MP). The arms
 are the standard and symmetric decompositions at the benchmark's weight and
 cap, and the generic arm, the symmetric pair turned 1 rad about z. The
 standard arm's members are poles, whose rows the u step decides from the
@@ -20,7 +22,7 @@ polar uniform alone but for about 3e-6 of them; the z coordinate of a row
 left to the exact step takes cos(phi), and no z coordinate takes sin(phi).
 
 Before anything is timed, the library's own allocator step runs
-(`streams._prime_heap`, which the drivers' block loop runs once per
+(`streams._prime_heap`, which `streams.map_blocks` runs once per
 process): glibc then raises its mmap threshold above the 128 KiB
 temporaries of a 2^14-row block, which are otherwise mapped and faulted in
 anew on every call.
@@ -182,9 +184,14 @@ def cap_hits() -> dict:
         "ab": estimator.ABFormStrategy(estimator.GuessingForm.from_a_fraction(0.5)),
         "cos4": nosignal.cos4_strategy(),
     }
+
+    def count(strategy, decomposition):
+        block_hits, rows = nosignal._cap_hits(strategy, decomposition, cap_cos)
+        [hits] = streams.map_blocks([(block_hits, 0, rows)], 1, ROWS, 1)
+        return sum(hits)
+
     return {
-        f"cap_hits.{tag}.{arm}": lambda s=strategy, d=decomposition: nosignal._cap_hits(s, d, cap_cos)(
-            streams.substream(1), ROWS)
+        f"cap_hits.{tag}.{arm}": lambda s=strategy, d=decomposition: count(s, d)
         for tag, strategy in strategies.items() for arm, decomposition in arms.items()
     }
 

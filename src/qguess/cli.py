@@ -56,6 +56,16 @@ class RuntimeFailure(click.ClickException):
     exit_code = 3
 
 
+class FiniteFloatRange(click.FloatRange):
+    """click.FloatRange that rejects nan too, which fails no range comparison."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return rv
+
+
 def guarded(f):
     @functools.wraps(f)
     def wrapper(*args, **kwargs):
@@ -87,7 +97,7 @@ def strategy_options(f):
     f = click.option(
         "--A-frac",
         "a_frac",
-        type=click.FloatRange(0.0, 1.0),
+        type=FiniteFloatRange(0.0, 1.0),
         default=1.0,
         show_default=True,
         help="With --strategy ab: A = A-frac/2pi and B = (1 - A-frac)/2pi.",
@@ -209,10 +219,10 @@ def density(strategy, a_frac, trials, seed, workers, bins, out):
 @main.command()
 @strategy_options
 @run_options
-@click.option("--p", "p_values", type=click.FloatRange(0.0, 1.0), multiple=True,
+@click.option("--p", "p_values", type=FiniteFloatRange(0.0, 1.0), multiple=True,
               default=DEFAULT_P_GRID, show_default=True,
               help="Mixing weights to test; repeat the flag for several.")
-@click.option("--cap", type=click.FloatRange(0.0, math.pi, min_open=True),
+@click.option("--cap", type=FiniteFloatRange(0.0, math.pi, min_open=True),
               default=DEFAULT_CAP_HALF_ANGLE, show_default=True,
               help="Counting-cap half-angle about +z, radians.")
 @out_option

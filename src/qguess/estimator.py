@@ -153,7 +153,7 @@ class EstimatorStrategy(ABC):
 
     `sample_batch` draws whole columns of uniforms, one double per row each,
     in a fixed order, from the generator of the row block it is handed
-    (`streams.map_row_blocks`).
+    (`streams.map_blocks`).
 
     A strategy whose guess is the input's `directions_at_angle` at a drawn
     (cos t, azimuth) pair draws a polar column u, then the azimuth column
@@ -419,10 +419,14 @@ class DensityHistogram:
     trials: int
 
     def __post_init__(self):
+        streams.require_integer("trials", self.trials)
         edges = np.asarray(self.theta_edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if len(edges) != len(counts) + 1 or len(counts) < 1:
-            raise QGuessError("need len(theta_edges) == len(counts) + 1")
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iuf" or not np.all(np.isfinite(counts)) or np.any(counts % 1 != 0):
+            raise QGuessError(f"counts must be integers, got {self.counts!r}")
+        counts = counts.astype(np.int64)
+        if edges.ndim != 1 or counts.ndim != 1 or len(edges) != len(counts) + 1 or len(counts) < 1:
+            raise QGuessError("need 1-d theta_edges and counts with len(theta_edges) == len(counts) + 1")
         if edges[0] != 0.0 or abs(edges[-1] - math.pi) > 1e-12:
             raise QGuessError("theta grid must span [0, pi]")
         widths = np.diff(edges)
@@ -431,7 +435,6 @@ class DensityHistogram:
         if counts.min() < 0 or counts.sum() != self.trials:
             raise QGuessError("counts must be non-negative and sum to the trial count")
         edges = edges.copy()
-        counts = counts.copy()
         edges.setflags(write=False)
         counts.setflags(write=False)
         object.__setattr__(self, "theta_edges", edges)
@@ -462,11 +465,10 @@ def collect_histogram(
 ) -> DensityHistogram:
     """Monte Carlo outcome-angle histogram with isotropically drawn inputs.
 
-    Trials are split across per-worker substreams of (seed, worker), which
-    run on concurrent threads (`streams.map_batches`); each worker's trials
-    are drawn and binned one row block at a time (`streams.map_row_blocks`),
-    and the counts aggregate by summation, so the result is bit-identical
-    for a fixed worker count whatever the thread count.
+    Trials are split across per-worker substreams of (seed, worker), drawn
+    and binned in row blocks of streams.ROW_BLOCK rows (`streams.map_blocks`),
+    and the block counts aggregate by summation, so the result is
+    bit-identical for a fixed worker count whatever the thread count.
     """
     streams.require_integer("bins", bins)
     if bins < 2:
@@ -478,13 +480,8 @@ def collect_histogram(
         outcomes = strategy.sample_batch(inputs, rng)
         return np.histogram(angles_between(inputs, outcomes), bins=edges)[0]
 
-    def worker_counts(rng, m):
-        return sum(streams.map_row_blocks(block_counts, rng, m))
-
-    counts = np.zeros(bins, dtype=np.int64)
-    for c in streams.map_batches(worker_counts, seed, trials, workers):
-        counts += c
-    return DensityHistogram(edges, counts, trials)
+    [blocks] = streams.map_blocks([(block_counts, 0, streams.ROW_BLOCK)], seed, trials, workers)
+    return DensityHistogram(edges, np.sum(blocks, axis=0), trials)
 
 
 def histogram_chi2(hist: DensityHistogram, bin_probs: np.ndarray) -> tuple[float, int]:
@@ -492,9 +489,12 @@ def histogram_chi2(hist: DensityHistogram, bin_probs: np.ndarray) -> tuple[float
 
     Returns (chi2, dof) with dof = bins - 1; bins with zero expected mass and
     zero observed count are skipped, a count where none is expected gives inf.
-    A non-finite or negative probability raises QGuessError.
+    Probabilities that are not one finite, non-negative value per bin raise
+    QGuessError.
     """
     bin_probs = np.asarray(bin_probs, dtype=float)
+    if bin_probs.shape != hist.counts.shape:
+        raise QGuessError(f"need {hist.bins} bin probabilities, got shape {bin_probs.shape}")
     if not np.all(bin_probs >= 0.0) or not np.all(np.isfinite(bin_probs)):
         raise QGuessError("bin probabilities must be finite and non-negative")
     expected = hist.trials * bin_probs
@@ -511,8 +511,11 @@ def histogram_csv(hist: DensityHistogram, analytic_density: np.ndarray) -> str:
 
     `analytic_density` is the strategy's bin-averaged density per steradian
     (bin probability / bin solid angle), directly comparable to the empirical
-    column.
+    column: one value per bin, or QGuessError.
     """
+    analytic_density = np.asarray(analytic_density, dtype=float)
+    if analytic_density.shape != hist.counts.shape:
+        raise QGuessError(f"need {hist.bins} analytic densities, got shape {analytic_density.shape}")
     lines = ["theta_lo,theta_hi,solid_angle,count,empirical_density,analytic_density"]
     edges = hist.theta_edges
     emp = hist.empirical_density

@@ -113,11 +113,15 @@ def average_fidelity_exact(form: GuessingForm) -> float:
 
 def average_merit(form: GuessingForm, merit: MeritFunction) -> float:
     """Sphere average of the merit against the density, by 24-point
-    Gauss-Legendre on each panel between the merit's kinks."""
+    Gauss-Legendre on each panel between the merit's kinks; a non-finite
+    average (the merit scored nan or inf) raises QGuessError."""
     form.require_normalized()
     theta, weights = composite_gauss_legendre([0.0, *merit.quad_points(), math.pi], 24)
     y = merit.score(theta) * guessing_density(form, theta) * np.sin(theta)
-    return TWO_PI * float(np.sum(y * weights))
+    average = TWO_PI * float(np.sum(y * weights))
+    if not math.isfinite(average):
+        raise QGuessError(f"average merit must be finite, got {average}")
+    return average
 
 
 def expected_fidelity(strategy: EstimatorStrategy) -> float:
@@ -203,13 +207,13 @@ def monte_carlo_fidelity(
 ) -> MeritReport:
     """Sample mean of cos^2(t/2) over isotropic inputs, with standard error.
 
-    Inputs are drawn uniformly, guesses from the strategy, one row block at
-    a time (`streams.map_row_blocks`), and each block yields its
-    (sum s, sum s^2); the worker substreams run on concurrent threads
-    (`streams.map_batches`) and the block sums are added in worker-then-block
+    Inputs are drawn uniformly and guesses from the strategy, in row blocks
+    of streams.ROW_BLOCK rows (`streams.map_blocks`); each block yields its
+    (sum s, sum s^2), and the block sums are added in worker-then-block
     order, so the value is bit-identical for a fixed (seed, workers)
     whatever the thread count.
     """
+    streams.require_integer("trials", trials)
     if trials < 2:
         raise QGuessError(f"need at least 2 trials, got {trials}")
 
@@ -222,15 +226,12 @@ def monte_carlo_fidelity(
         s *= s
         return total, float(np.sum(s))
 
-    def worker_moments(rng, m):
-        return streams.map_row_blocks(block_moments, rng, m)
-
+    [blocks] = streams.map_blocks([(block_moments, 0, streams.ROW_BLOCK)], seed, trials, workers)
     total = 0.0
     total_sq = 0.0
-    for blocks in streams.map_batches(worker_moments, seed, trials, workers):
-        for block_sum, block_sum_sq in blocks:
-            total += block_sum
-            total_sq += block_sum_sq
+    for block_sum, block_sum_sq in blocks:
+        total += block_sum
+        total_sq += block_sum_sq
     mean = total / trials
     variance = max(total_sq - trials * mean * mean, 0.0) / (trials - 1)
     return MeritReport(value=mean, std_error=math.sqrt(variance / trials), trials=trials)

@@ -117,6 +117,7 @@ def constraint_residual(density, p: float, m_grid) -> ConstraintResidual:
 
     `density` must map an ndarray of angles to densities (vectorized). The
     four reference directions come from the two decompositions at weight p.
+    A density that gives a non-finite residual raises QGuessError.
     """
     dirs = _direction_array(m_grid)
     std = standard_decomposition(p)
@@ -127,7 +128,10 @@ def constraint_residual(density, p: float, m_grid) -> ConstraintResidual:
 
     lhs = 0.5 * dens_to(sym.directions[0]) + 0.5 * dens_to(sym.directions[1])
     rhs = p * dens_to(std.directions[0]) + (1.0 - p) * dens_to(std.directions[1])
-    return ConstraintResidual(p=p, residuals=np.abs(lhs - rhs))
+    residuals = np.abs(lhs - rhs)
+    if not np.all(np.isfinite(residuals)):
+        raise QGuessError(f"constraint residuals must be finite, got {residuals.max()} at p = {p}")
+    return ConstraintResidual(p=p, residuals=residuals)
 
 
 def constraint_residual_grid(density, p_values=DEFAULT_P_GRID) -> list[ConstraintResidual]:
@@ -191,8 +195,8 @@ def cap_frequency(density, axis_angle: float, cap_half_angle: float) -> float:
 
     Quadrature over the cap: polar angle by composite Gauss-Legendre,
     azimuth by the midpoint rule (periodic, so spectrally accurate). A
-    non-finite axis angle, or a cap half-angle outside (0, pi], raises
-    QGuessError.
+    non-finite axis angle, a cap half-angle outside (0, pi], or a density
+    that makes the frequency non-finite raises QGuessError.
     """
     if not math.isfinite(axis_angle):
         raise QGuessError(f"axis angle must be finite, got {axis_angle}")
@@ -205,7 +209,10 @@ def cap_frequency(density, axis_angle: float, cap_half_angle: float) -> float:
         axis_angle
     ) * np.cos(v)[None, :]
     vals = np.asarray(density(np.arccos(np.clip(cos_t, -1.0, 1.0))))
-    return float(np.sum(wu * np.sin(u) * vals.sum(axis=1)) * (TWO_PI / n_v))
+    frequency = float(np.sum(wu * np.sin(u) * vals.sum(axis=1)) * (TWO_PI / n_v))
+    if not math.isfinite(frequency):
+        raise QGuessError(f"cap frequency must be finite, got {frequency}")
+    return frequency
 
 
 def expected_cap_frequencies(density, p: float, cap_half_angle: float) -> tuple[float, float]:
@@ -231,8 +238,6 @@ def required_trials(density, p: float, cap_half_angle: float = DEFAULT_CAP_HALF_
     """
     f_std, f_sym = expected_cap_frequencies(density, p, cap_half_angle)
     gap = abs(f_std - f_sym)
-    if not math.isfinite(gap):
-        raise QGuessError(f"cap frequencies must be finite, got {f_std} and {f_sym}")
     if gap == 0.0:
         raise QGuessError("decompositions have identical cap frequencies; no finite trial count separates them")
     z_power = statistics.NormalDist().inv_cdf(DETECTION_POWER)
@@ -289,11 +294,10 @@ def _member_index(cum: np.ndarray, pick: np.ndarray) -> np.ndarray:
 
 
 def _cap_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition, cap_cos: float):
-    """Batch function for `streams.map_batches`: fn(rng, m) counts the
-    guesses inside the cap about +z over m preparations of the
-    decomposition, drawn one row block at a time (`streams.map_row_blocks`):
-    a member pick (`_member_index`), then what the block reads of the
-    strategy's guess.
+    """(block_fn, rows) for `streams.map_blocks`: block_fn(rng, lo, hi)
+    counts the guesses inside the cap about +z over the hi - lo
+    preparations of the decomposition in one row block: a member pick
+    (`_member_index`), then what the block reads of the strategy's guess.
 
     Only the guess's z coordinate is counted, and `z >= cap_cos` is the
     count of `sample_batch`. A strategy with `polar_cos` counts most rows
@@ -313,11 +317,7 @@ def _cap_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition,
     else:
         rows = CAP_ROW_BLOCK
         block_hits = _u_block_hits(strategy, dirs, cum, cap_cos)
-
-    def batch_hits(rng, m):
-        return sum(streams.map_row_blocks(block_hits, rng, m, rows))
-
-    return batch_hits
+    return block_hits, rows
 
 
 def _polar_bounds(cap_cos: float) -> tuple[float, float]:
@@ -478,7 +478,7 @@ def run_discrimination_experiment(
     the frequency gap as a two-sample z statistic with binomial standard
     errors; with both errors zero the run carries no information and is
     indeterminate. Both decompositions' workers run concurrently, in one
-    `streams.map_arms` call, and each arm's hits are summed in worker order.
+    `streams.map_blocks` call, and each arm's block hits are summed.
     A guess counts by its z coordinate alone (`_cap_hits`):
     for a strategy with `polar_cos` (the two-parameter and tabulated
     samplers) most rows are counted from the drawn polar uniform, and the
@@ -487,15 +487,16 @@ def run_discrimination_experiment(
     """
     if not 0.0 < cap_half_angle <= math.pi:
         raise QGuessError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")
+    streams.require_integer("trials", trials)
     if trials < 2:
         raise QGuessError(f"need at least 2 trials, got {trials}")
     streams.require_integer("stream_block", stream_block)
     cap_cos = math.cos(cap_half_angle)
-    arms = [
-        (_cap_hits(strategy, standard_decomposition(p), cap_cos), 2 * stream_block),
-        (_cap_hits(strategy, symmetric_decomposition(p), cap_cos), 2 * stream_block + 1),
-    ]
-    hits_std, hits_sym = (sum(hits) for hits in streams.map_arms(arms, seed, trials, workers))
+    arms = []
+    for arm, decomposition in enumerate((standard_decomposition(p), symmetric_decomposition(p))):
+        block_hits, rows = _cap_hits(strategy, decomposition, cap_cos)
+        arms.append((block_hits, 2 * stream_block + arm, rows))
+    hits_std, hits_sym = (sum(hits) for hits in streams.map_blocks(arms, seed, trials, workers))
 
     f_std = hits_std / trials
     f_sym = hits_sym / trials

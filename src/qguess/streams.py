@@ -5,17 +5,17 @@ counter-based generator: the Philox key is (seed, worker index) and distinct
 experiment arms get distinct high counter words, so streams are separated by
 2^128 counter steps and can never overlap. Results are therefore
 bit-reproducible for a fixed (seed, worker count) and independent of how the
-work is scheduled: `map_batches` runs the workers' substreams on concurrent
-threads, up to one per usable core, and hands their results back in worker
-order.
+work is scheduled.
 
-Each worker's trials are one batch, drawn in row blocks of ROW_BLOCK rows
-(`map_row_blocks`). The layout is block-major: each row block draws from its
-worker's one generator, after the blocks before it, exactly the uniforms it
-reads, one 64-bit word per double, in the order it reads them, and a driver
-reduces each block as it goes (a count, a pair of sums). So the block size
-is part of the reproducibility contract, and a block that needs fewer draws,
-such as the azimuths of the rows it leaves undecided, reads only those.
+Each worker's trials are one batch, drawn in row blocks, and every driver is
+a block function plus a reduction: `map_blocks` runs the workers on
+concurrent threads, up to one per usable core, and hands back the block
+results in worker-then-block order. The layout is block-major: each row
+block draws from its worker's one generator, after the blocks before it,
+exactly the uniforms it reads, one 64-bit word per double, in the order it
+reads them. So the block size is part of the reproducibility contract, and
+a block that needs fewer draws, such as the azimuths of the rows it leaves
+undecided, reads only those.
 """
 
 from __future__ import annotations
@@ -37,21 +37,21 @@ MAX_SEED = 2**64 - 1
 # - 2: sin(phi) derived from cos(phi).
 # - 3: spherical frames (`bloch.orthonormal_frames`), cos^4 by exact
 #   products and merged tabulation nodes.
-# - 4: block-major draws (`map_row_blocks`); the discrimination's angle path
+# - 4: block-major draws (`map_blocks`); the discrimination's angle path
 #   draws azimuths only for the rows it leaves to the exact z.
 # - 5: azimuths drawn as half-turns h in [-1, 1), phi = pi*h, with cos(phi)
 #   taken as sin(pi*(1/2 - |h|)) (`bloch._cos_sin`); `monte_carlo_fidelity`
 #   sums its scores per row block.
 STREAM_CONTRACT = 5
 
-# Rows per block (`map_row_blocks`): a block's draws and temporaries stay
-# cache-sized, and a worker in flight holds one block of them beside its
-# driver's running reduction. A block's draws follow the blocks before it,
-# so the block size is part of the reproducibility contract. Each numpy
-# call releases and retakes the interpreter lock, so with two workers on
-# threads the block also sets how often they hand the lock over: 2^14 rows
-# took that from about 4200 waits per mc-admissible round (2^13) to about
-# 1200.
+# Rows per block of the drivers' `map_blocks` arms: a block's draws and
+# temporaries stay cache-sized, and a worker in flight holds one block of
+# them beside its driver's running reduction. A block's draws follow the
+# blocks before it, so the block size is part of the reproducibility
+# contract. Each numpy call releases and retakes the interpreter lock, so
+# with two workers on threads the block also sets how often they hand the
+# lock over: 2^14 rows took that from about 4200 waits per mc-admissible
+# round (2^13) to about 1200.
 ROW_BLOCK = 1 << 14
 
 
@@ -104,7 +104,7 @@ def worker_batches(seed: int, trials: int, workers: int, block: int = 0):
 # would be mapped, faulted in and unmapped anew. Freeing a mapped chunk
 # raises that threshold to the chunk's size, and the heap's trim threshold
 # to twice it, so the temporaries then stay on the heap. So once per
-# process, before its first block, `map_row_blocks` frees one untouched
+# process, before its first block, `map_blocks` frees one untouched
 # 4 MiB array, which faults no page in. A round of the mc-admissible
 # benchmark's calls took 0.58 s with this step and 0.79 s without it
 # (medians of 5 alternating fresh processes, 2-core x86-64 host).
@@ -112,14 +112,6 @@ def worker_batches(seed: int, trials: int, workers: int, block: int = 0):
 def _prime_heap() -> None:
     """Free one untouched 4 MiB array, once per process (see above)."""
     np.empty(1 << 19)
-
-
-def map_row_blocks(fn, rng: np.random.Generator, m: int, rows: int = ROW_BLOCK) -> list:
-    """[fn(rng, lo, hi) for each block [lo, hi) of `rows` rows (the last one
-    ragged) of a batch of m rows], in order: each block draws from `rng`
-    after the blocks before it."""
-    _prime_heap()
-    return [fn(rng, lo, min(lo + rows, m)) for lo in range(0, m, rows)]
 
 
 def usable_cores() -> int:
@@ -130,47 +122,38 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def map_batches(fn, seed: int, trials: int, workers: int, block: int = 0) -> list:
-    """[fn(rng, m) for every worker's (rng, m) of worker_batches], in worker order.
+def map_blocks(arms, seed: int, trials: int, workers: int) -> list[list]:
+    """One list per arm (fn, block, rows): fn(rng, lo, hi) for each block
+    [lo, hi) of `rows` rows, the last one ragged, of each worker's (rng, m)
+    of worker_batches(seed, trials, workers, block), in worker-then-block
+    order: a reduction over them is bit-identical to a serial loop's.
 
-    The substreams are made here, in the calling thread; the workers then run
-    on the process's pool of at most usable_cores() threads (`_thread_pool`),
-    or inline when one core is usable or one worker has trials. numpy
-    releases the interpreter lock in its Philox draws and ufuncs, so the
-    workers overlap. A worker depends only on its own substream, and the
-    results come back in the order a serial loop would produce them, so a
-    reduction over them is bit-identical to that loop's.
+    The substreams are made in the calling thread. All arms' workers then
+    go in one submission to the process's pool of at most usable_cores()
+    threads (`_thread_pool`), or run inline when one core is usable or one
+    worker has trials; numpy releases the interpreter lock in its draws and
+    ufuncs, so they overlap. A pool task never submits to the pool: one that
+    waited on tasks queued behind it could deadlock a pool of waiting threads.
     """
-    return map_arms([(fn, block)], seed, trials, workers)[0]
-
-
-def map_arms(arms, seed: int, trials: int, workers: int) -> list[list]:
-    """map_batches(fn, seed, trials, workers, block) for each (fn, block) in
-    `arms`, as one list per arm.
-
-    Every arm's workers go to the pool in one submission, so the arms run
-    concurrently as well as their workers. A pool task never submits to the
-    pool: a task that waited on tasks queued behind it could deadlock a pool
-    whose threads all wait.
-    """
-    tasks = [(arm, fn, rng, m) for arm, (fn, block) in enumerate(arms)
+    tasks = [(arm, fn, rng, m, rows) for arm, (fn, block, rows) in enumerate(arms)
              for rng, m in worker_batches(seed, trials, workers, block)]
 
     def run(task):
-        _, fn, rng, m = task
-        return fn(rng, m)
+        _, fn, rng, m, rows = task
+        return [fn(rng, lo, min(lo + rows, m)) for lo in range(0, m, rows)]
 
+    _prime_heap()
     if min(len(tasks), usable_cores()) <= 1:
         results = [run(task) for task in tasks]
     else:
         results = list(_thread_pool().map(run, tasks))
     out = [[] for _ in arms]
-    for (arm, *_), result in zip(tasks, results):
-        out[arm].append(result)
+    for (arm, *_), blocks in zip(tasks, results):
+        out[arm].extend(blocks)
     return out
 
 
-# (process id, usable cores) -> the pool map_batches submits to
+# (process id, usable cores) -> the pool map_blocks submits to
 _POOLS: dict = {}
 
 

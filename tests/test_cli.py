@@ -246,14 +246,16 @@ def test_runtime_failures_exit_3(runner):
         ["nosignal", "--cap", "nan"],
         ["nosignal", "--p", "nan"],
         ["fidelity", "--strategy", "ab", "--A-frac", "nan"],
+        ["fidelity", "--A-frac", "nan"],
     ],
-    ids=["cap", "p", "a-frac"],
+    ids=["cap", "p", "a-frac", "a-frac-unused"],
 )
-def test_nan_parameters_exit_3(runner, args):
-    # click's FloatRange lets NaN through; the library rejects it
+def test_nan_parameters_exit_2(runner, args):
+    # click's FloatRange lets NaN through, as it fails no comparison; the
+    # flags reject it at parse time, even where the strategy ignores it
     result = runner.invoke(main, [*args, "--trials", "100"])
-    assert result.exit_code == 3
-    assert "nan" in result.output
+    assert result.exit_code == 2
+    assert "'nan' is not a finite number" in result.output
 
 
 @pytest.mark.parametrize(

@@ -7,12 +7,35 @@ import numpy as np
 import pytest
 
 from qguess.errors import QGuessError
-from qguess.estimator import DensityHistogram, MassarPopescuStrategy, collect_histogram, histogram_chi2
-from qguess.merit import monte_carlo_fidelity
-from qguess.nosignal import cap_frequency, cos4_density, fibonacci_directions, run_discrimination_experiment
+from qguess.estimator import (
+    DensityHistogram,
+    GuessingForm,
+    MassarPopescuStrategy,
+    collect_histogram,
+    histogram_chi2,
+    histogram_csv,
+)
+from qguess.merit import FidelityMerit, average_merit, monte_carlo_fidelity
+from qguess.nosignal import (
+    cap_frequency,
+    constraint_residual,
+    cos4_density,
+    fibonacci_directions,
+    run_discrimination_experiment,
+)
 from qguess.streams import split_trials, substream
 
 EDGES = np.linspace(0.0, math.pi, 3)
+
+
+def nan_density(theta):
+    return np.full(np.shape(theta), math.nan)
+
+
+class NanMerit(FidelityMerit):
+    def score(self, theta):
+        return nan_density(theta)
+
 
 SITES = {
     "collect_histogram(bins=1)": lambda: collect_histogram(MassarPopescuStrategy(), trials=10, bins=1),
@@ -32,6 +55,22 @@ SITES = {
     "histogram span": lambda: DensityHistogram(np.linspace(0.1, math.pi, 3), [1, 1], 2),
     "histogram widths": lambda: DensityHistogram([0.0, 1.0, math.pi], [1, 1], 2),
     "histogram counts sum": lambda: DensityHistogram(EDGES, [1, 1], 3),
+    # numpy would truncate these counts to [2, 2], or fail on nan with its own error
+    "histogram fractional counts": lambda: DensityHistogram(EDGES, [2.5, 2.5], 4),
+    "histogram nan count": lambda: DensityHistogram(EDGES, [math.nan, 2], 2),
+    "histogram 2-d counts": lambda: DensityHistogram(EDGES, [[1], [1]], 2),
+    "histogram 2-d edges": lambda: DensityHistogram(EDGES[:, None], [1, 1], 2),
+    "histogram float trials": lambda: DensityHistogram(EDGES, [2, 2], 4.0),
+    "histogram bool trials": lambda: DensityHistogram(EDGES, [1, 0], True),
+    "histogram_chi2 short probabilities": lambda: histogram_chi2(DensityHistogram(EDGES, [1, 1], 2), [1.0]),
+    "histogram_chi2 long probabilities": lambda: histogram_chi2(
+        DensityHistogram(EDGES, [1, 1], 2), [0.5, 0.25, 0.25]),
+    "histogram_csv short density": lambda: histogram_csv(DensityHistogram(EDGES, [1, 1], 2), [0.1]),
+    "histogram_csv long density": lambda: histogram_csv(DensityHistogram(EDGES, [1, 1], 2), [0.1, 0.1, 0.1]),
+    # a density or merit that gives nan
+    "constraint_residual(nan density)": lambda: constraint_residual(nan_density, 0.8, fibonacci_directions(10)),
+    "cap_frequency(nan density)": lambda: cap_frequency(nan_density, 0.0, 0.2),
+    "average_merit(nan merit)": lambda: average_merit(GuessingForm.from_a_fraction(1.0), NanMerit()),
     "substream seed": lambda: substream(-1),
     "substream worker": lambda: substream(0, worker=-1),
     "split_trials trials": lambda: split_trials(0, 1),

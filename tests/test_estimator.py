@@ -193,6 +193,9 @@ def test_histogram_validation():
         DensityHistogram(edges, np.array([1, 2, 3, 4, 5]), 16)  # counts do not sum
     with pytest.raises(ValueError):
         DensityHistogram(edges + 0.1, np.array([1, 2, 3, 4, 5]), 15)  # wrong span
+    # integer-valued float counts are counts
+    hist = DensityHistogram(edges, [1.0, 2.0, 3.0, 4.0, 5.0], np.int64(15))
+    assert hist.counts.dtype == np.int64 and hist.counts.tolist() == [1, 2, 3, 4, 5]
 
 
 def test_histogram_solid_angles_sum_to_sphere():

@@ -48,7 +48,7 @@ from qguess.nosignal import (
     cos4_strategy,
     run_discrimination_experiment,
 )
-from qguess.streams import ROW_BLOCK, map_row_blocks, substream
+from qguess.streams import ROW_BLOCK, map_blocks, substream
 
 
 def spherical_frames(axes):
@@ -414,20 +414,20 @@ def test_mp_flip_gives_the_bytes_of_np_negative_signed_zeros_included(monkeypatc
 
 
 # ---------------------------------------------------------------------------
-# the block loop: each row block draws from the batch's generator after the
+# the block loop: each row block draws from its worker's generator after the
 # blocks before it
 
 @pytest.mark.parametrize("m", [1, 6, 7, 22])
 @pytest.mark.parametrize("rows", [1, 3, 7, ROW_BLOCK])
 def test_row_blocks_draw_in_block_order(rows, m):
-    rng, ref = substream(21, 3, 1), substream(21, 3, 1)
-    blocks = map_row_blocks(lambda rng, lo, hi: (lo, hi, rng.random(hi - lo), rng.random(2 * (hi - lo))),
-                            rng, m, rows)
-    assert [(lo, hi) for lo, hi, _, _ in blocks] == [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
-    for lo, hi, a, b in blocks:
+    ref = substream(21, 0, 1)
+    [blocks] = map_blocks([(lambda rng, lo, hi: (lo, hi, rng, rng.random(hi - lo), rng.random(2 * (hi - lo))),
+                            1, rows)], 21, m, 1)
+    assert [(lo, hi) for lo, hi, *_ in blocks] == [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
+    for lo, hi, _, a, b in blocks:
         assert_same_bytes(a, ref.random(hi - lo))
         assert_same_bytes(b, ref.random(2 * (hi - lo)))
-    assert rng.random() == ref.random()
+    assert blocks[-1][2].random() == ref.random()
 
 
 BLOCK_COLUMN_ROWS = [1, 2, 3, 5, 7, ROW_BLOCK - 1, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3]
@@ -436,22 +436,40 @@ BLOCK_COLUMN_ROWS = [1, 2, 3, 5, 7, ROW_BLOCK - 1, ROW_BLOCK + 1, 2 * ROW_BLOCK 
 @pytest.mark.parametrize("m", BLOCK_COLUMN_ROWS)
 @pytest.mark.parametrize("drawn", [0, 1, 2, 3, 5])
 def test_row_blocks_draw_in_block_order_from_any_generator_position(drawn, m):
-    # `drawn` words already taken leave the Philox buffer part used; the
-    # default blocks of ROW_BLOCK rows draw three columns of two kinds each
-    rng, ref = substream(21, 1, 2), substream(21, 1, 2)
-    rng.random(drawn)
+    # the first block takes `drawn` words before its columns, which leaves
+    # the Philox buffer part used; the default blocks of ROW_BLOCK rows draw
+    # three columns of two kinds each
+    ref = substream(21, 0, 2)
     ref.random(drawn)
-    blocks = map_row_blocks(
-        lambda rng, lo, hi: (lo, hi, rng.random(hi - lo), rng.uniform(-1.0, 1.0, size=hi - lo),
-                             rng.random(hi - lo)),
-        rng, m)
+
+    def block(rng, lo, hi):
+        if lo == 0:
+            rng.random(drawn)
+        return lo, hi, rng, rng.random(hi - lo), rng.uniform(-1.0, 1.0, size=hi - lo), rng.random(hi - lo)
+
+    [blocks] = map_blocks([(block, 2, ROW_BLOCK)], 21, m, 1)
     assert [(lo, hi) for lo, hi, *_ in blocks] == [
         (lo, min(lo + ROW_BLOCK, m)) for lo in range(0, m, ROW_BLOCK)]
-    for lo, hi, a, b, c in blocks:
+    for lo, hi, _, a, b, c in blocks:
         assert_same_bytes(a, ref.random(hi - lo))
         assert_same_bytes(b, ref.uniform(-1.0, 1.0, size=hi - lo))
         assert_same_bytes(c, ref.random(hi - lo))
-    assert rng.random() == ref.random()
+    assert blocks[-1][2].random() == ref.random()
+
+
+def serial_hits(arm, rng, m):
+    """The cap hits of `_cap_hits`'s (block function, rows) over m rows of
+    one generator, block after block, as one worker of `streams.map_blocks`
+    counts them."""
+    block_hits, rows = arm
+    return sum(block_hits(rng, lo, min(lo + rows, m)) for lo in range(0, m, rows))
+
+
+def mapped_hits(strategy, decomposition, cap_cos, seed, trials):
+    """One worker's cap hits of one decomposition, through `streams.map_blocks`."""
+    block_hits, rows = _cap_hits(strategy, decomposition, cap_cos)
+    [hits] = map_blocks([(block_hits, 0, rows)], seed, trials, 1)
+    return sum(hits)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +497,8 @@ def block_major_fidelity_and_counts(strategy, trials, seed, workers, bins=50):
 
     total = total_sq = 0.0
     counts = np.zeros(bins, dtype=np.int64)
-    for sums, batch_counts in streams.map_batches(batch, seed, trials, workers):
+    for rng, m in streams.worker_batches(seed, trials, workers):
+        sums, batch_counts = batch(rng, m)
         for block_sum, block_sum_sq in sums:
             total += block_sum
             total_sq += block_sum_sq
@@ -511,7 +530,7 @@ def block_major_cap_hits(strategy, decomposition, trials, seed, workers, block=0
             hits += [np.count_nonzero(z >= math.cos(cap)) for cap in caps]
         return hits
 
-    return sum(streams.map_batches(batch_hits, seed, trials, workers, block=block)).tolist()
+    return sum(batch_hits(rng, m) for rng, m in streams.worker_batches(seed, trials, workers, block)).tolist()
 
 
 @contextlib.contextmanager
@@ -589,8 +608,7 @@ def test_cap_hits_match_the_block_major_oracle_for_every_member_set(strategies, 
     strategy, decomposition = strategies[tag], member_sets()[name]
     trials = 32 * ROW_BLOCK + 44666
     with constant_azimuths(h0):
-        got = [sum(streams.map_batches(_cap_hits(strategy, decomposition, math.cos(cap)), 27, trials, 1))
-               for cap in CAPS]
+        got = [mapped_hits(strategy, decomposition, math.cos(cap), 27, trials) for cap in CAPS]
         assert got == block_major_cap_hits(strategy, decomposition, trials, 27, 1, caps=CAPS)
 
 
@@ -609,11 +627,11 @@ def test_angle_path_block_draws_its_picks_its_polar_column_and_its_exact_azimuth
         exact_rows.append(len(u_rows))
         return real_polar_cos(u_rows)
 
-    batch_hits = _cap_hits(strategy, decomposition, math.cos(0.2))
+    arm = _cap_hits(strategy, decomposition, math.cos(0.2))
     monkeypatch.setattr(strategy, "polar_cos", record)
     rng, ref = substream(37), substream(37)
     m = 128 * ROW_BLOCK
-    batch_hits(rng, m)
+    serial_hits(arm, rng, m)
     assert len(exact_rows) == m // CAP_ROW_BLOCK and sum(exact_rows) > 0
     for k in exact_rows:
         ref.random(2 * CAP_ROW_BLOCK + k)
@@ -635,12 +653,12 @@ def test_angle_path_blocks_of_any_member_set_draw_2n_plus_k_words(strategies, mo
         exact_rows.append(len(u_rows))
         return real_polar_cos(u_rows)
 
-    batch_hits = _cap_hits(strategy, member_sets()[name], math.cos(0.2))
+    arm = _cap_hits(strategy, member_sets()[name], math.cos(0.2))
     monkeypatch.setattr(strategy, "polar_cos", record)
     rng, ref = substream(38, 1), substream(38, 1)
     rng.random(3)
     ref.random(3)
-    batch_hits(rng, m)
+    serial_hits(arm, rng, m)
     sizes = [min(CAP_ROW_BLOCK, m - lo) for lo in range(0, m, CAP_ROW_BLOCK)]
     assert len(exact_rows) == len(sizes)
     for n, k in zip(sizes, exact_rows):
@@ -663,7 +681,7 @@ def test_angle_path_counts_in_cap_row_blocks_and_mp_in_row_blocks(strategies, mo
             return real(cum, pick)
 
         monkeypatch.setattr(nosignal, "_member_index", record)
-        _cap_hits(strategies[tag], symmetric_decomposition(0.8), math.cos(0.2))(substream(30), m)
+        mapped_hits(strategies[tag], symmetric_decomposition(0.8), math.cos(0.2), 30, m)
         rows = ROW_BLOCK if tag == "mp" else CAP_ROW_BLOCK
         assert sizes == [min(rows, m - lo) for lo in range(0, m, rows)]
 
@@ -674,11 +692,12 @@ def test_angle_path_block_holds_six_arrays_of_its_rows(strategies, p):
     # ten were when the path counted in ROW_BLOCK rows; the peak, 2.9-3.6
     # arrays, comes before the exact z
     for decomposition in (standard_decomposition(p), symmetric_decomposition(p)):
-        batch_hits = _cap_hits(strategies["cos4"], decomposition, math.cos(0.2))
-        batch_hits(substream(31), CAP_ROW_BLOCK)
+        block_hits, rows = _cap_hits(strategies["cos4"], decomposition, math.cos(0.2))
+        assert rows == CAP_ROW_BLOCK
+        block_hits(substream(31), 0, rows)
         tracemalloc.start()
         try:
-            batch_hits(substream(31), CAP_ROW_BLOCK)
+            block_hits(substream(31), 0, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -722,13 +741,6 @@ class PlantedDraws:
 
     def uniform(self, low, high, size):
         return self._next(size)
-
-
-def planted_block(monkeypatch, *columns):
-    """Make `streams.map_row_blocks` run a batch as one block that draws
-    `columns`."""
-    monkeypatch.setattr(streams, "map_row_blocks",
-                        lambda fn, rng, m, rows, draws=PlantedDraws(*columns): [fn(draws, 0, m)])
 
 
 def planted_uniforms(strategy, decomposition, cap_cos):
@@ -783,7 +795,7 @@ def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, mon
         alpha = np.arctan2(np.hypot(dirs[:, 0], dirs[:, 1]), dirs[:, 2])
         u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
         exact = (u >= u_low[idx]) & (u <= u_high[idx])
-        batch_hits = _cap_hits(strategy, decomposition, cap_cos)
+        block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
         exact_rows = []
 
         def record(u_rows, exact_rows=exact_rows):
@@ -791,8 +803,7 @@ def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, mon
             return real_polar_cos(u_rows)
 
         monkeypatch.setattr(strategy, "polar_cos", record)
-        planted_block(monkeypatch, pick, u, h[exact])
-        got = batch_hits(None, m)
+        got = block_hits(PlantedDraws(pick, u, h[exact]), 0, m)
         monkeypatch.undo()
         cos_theta = (np.cos(interp_inverse_cdf(strategy, u)) if tag == "cos4"
                      else _ab_inverse_cdf(strategy.form, u))
@@ -818,7 +829,7 @@ def test_polar_step_counts_planted_rows_at_a_given_up_bound_as_the_z_coordinate(
         return checked[toward][1]
 
     monkeypatch.setattr(nosignal, "_checked_bound", record)
-    batch_hits = _cap_hits(strategy, decomposition, cap_cos)
+    block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
     monkeypatch.undo()
     before, after = checked[-math.inf]
     assert np.all((before > 0.0) & (before < 1e-12)) and np.all(after == 0.0)
@@ -840,8 +851,7 @@ def test_polar_step_counts_planted_rows_at_a_given_up_bound_as_the_z_coordinate(
         return real_polar_cos(u_rows)
 
     monkeypatch.setattr(strategy, "polar_cos", record_rows)
-    planted_block(monkeypatch, pick, u, h)
-    got = batch_hits(None, m)
+    got = block_hits(PlantedDraws(pick, u, h), 0, m)
     monkeypatch.undo()
     a_z, e1_z = (c[idx] for c in member_z(dirs))
     z = z_at_angle(a_z, e1_z, _ab_inverse_cdf(strategy.form, u), h)
@@ -859,7 +869,7 @@ def test_u_windows_check_their_bounds_with_the_polar_map(strategies, monkeypatch
     monkeypatch.setattr(strategy, "polar_uniform", lambda theta: real_polar_uniform(theta) + 0.01)
     for decomposition in (standard_decomposition(0.9), symmetric_decomposition(0.9)):
         with constant_azimuths(GENERIC_AZIMUTH):
-            got = sum(streams.map_batches(_cap_hits(strategy, decomposition, math.cos(0.2)), 35, CAP_ROW_BLOCK, 1))
+            got = mapped_hits(strategy, decomposition, math.cos(0.2), 35, CAP_ROW_BLOCK)
             assert [got] == block_major_cap_hits(strategy, decomposition, CAP_ROW_BLOCK, 35, 1)
 
 
@@ -869,7 +879,7 @@ def test_u_step_leaves_few_rows_to_the_inverse_map(strategies, monkeypatch):
     strategy = strategies["cos4"]
     real_inverse_cdf = strategy.inverse_cdf
     for decomposition, share in ((standard_decomposition(0.9), 1e-4), (symmetric_decomposition(0.9), 0.3)):
-        batch_hits = _cap_hits(strategy, decomposition, math.cos(0.2))
+        arm = _cap_hits(strategy, decomposition, math.cos(0.2))
         rows = []
 
         def record(u, rows=rows):
@@ -878,7 +888,7 @@ def test_u_step_leaves_few_rows_to_the_inverse_map(strategies, monkeypatch):
 
         monkeypatch.setattr(strategy, "inverse_cdf", record)
         m = 32 * ROW_BLOCK
-        batch_hits(substream(33), m)
+        serial_hits(arm, substream(33), m)
         monkeypatch.undo()
         assert len(rows) == m // CAP_ROW_BLOCK
         assert sum(rows) <= share * m
@@ -950,10 +960,10 @@ def test_cap_hits_take_trig_within_a_quarter_turn_and_no_sin_phi(strategies, mon
     # the z coordinate has no sin(phi) term, so an angle-path block never
     # looks up copysign, which sin(phi) takes; s = sqrt(1 - t^2) scales
     # cos(phi). MP's whole guesses take random_directions
-    batch_hits = _cap_hits(strategies[tag], member_sets()[name], math.cos(0.2))
+    arm = _cap_hits(strategies[tag], member_sets()[name], math.cos(0.2))
     recorder = TrigRecorder()
     monkeypatch.setattr(bloch, "np", recorder)
-    batch_hits(substream(28), CAP_ROW_BLOCK + 1)
+    serial_hits(arm, substream(28), CAP_ROW_BLOCK + 1)
     assert recorder.called == ({"sin", "copysign", "sqrt"} if tag == "mp" else {"sin", "sqrt"})
     recorder.assert_arguments_within_a_quarter_turn()
 

@@ -10,9 +10,15 @@ from hypothesis import strategies as st
 
 from qguess.bloch import BlochVector, EnsembleDecomposition
 from qguess.estimator import ABFormStrategy, GuessingForm, _ab_inverse_cdf, cap_probability
-from qguess.nosignal import _cap_hits, cos4_strategy
-from qguess.streams import ROW_BLOCK, map_batches, map_row_blocks, split_trials
-from test_kernels import block_major_cap_hits, constant_azimuths, interp_inverse_cdf, normalized_tabulated
+from qguess.nosignal import cos4_strategy
+from qguess.streams import ROW_BLOCK, map_blocks, split_trials
+from test_kernels import (
+    block_major_cap_hits,
+    constant_azimuths,
+    interp_inverse_cdf,
+    mapped_hits,
+    normalized_tabulated,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -31,15 +37,21 @@ def test_split_trials_partitions_evenly(trials, workers):
 
 
 @PROPERTY
-@given(m=st.integers(0, 10**5), rows=st.integers(1, 1 << 20))
-def test_row_blocks_partition_into_full_blocks(m, rows):
-    blocks = map_row_blocks(lambda rng, lo, hi: (lo, hi), None, m, rows)
-    ends = [hi for _, hi in blocks]
-    # consecutive blocks from row 0 to row m
-    assert [lo for lo, _ in blocks] == [0, *ends][:len(blocks)]
-    assert ends[-1:] == ([m] if m else [])
-    assert all(hi - lo == rows for lo, hi in blocks[:-1])
-    assert all(0 < hi - lo <= rows for lo, hi in blocks)
+@given(trials=st.integers(1, 10**5), workers=st.integers(1, 4), rows=st.integers(1, 1 << 20))
+def test_row_blocks_partition_each_batch_into_full_blocks(trials, workers, rows):
+    [blocks] = map_blocks([(lambda rng, lo, hi: (lo, hi), 0, rows)], 0, trials, workers)
+    # each worker's batch, from its block at row 0, is consecutive blocks up
+    # to its row m
+    batches = []
+    for lo, hi in blocks:
+        if lo == 0:
+            batches.append([])
+        batches[-1].append((lo, hi))
+    assert [batch[-1][1] for batch in batches] == [m for m in split_trials(trials, workers) if m]
+    for batch in batches:
+        assert [lo for lo, _ in batch] == [0, *(hi for _, hi in batch[:-1])]
+        assert all(hi - lo == rows for lo, hi in batch[:-1])
+        assert all(0 < hi - lo <= rows for lo, hi in batch)
 
 
 @PROPERTY
@@ -121,5 +133,5 @@ def test_cap_hits_of_any_decomposition_match_the_block_major_oracle(decompositio
     # a_frac None draws the tabulated cos4 sampler
     strategy = COS4 if a_frac is None else ABFormStrategy(GuessingForm.from_a_fraction(a_frac))
     with constant_azimuths(h0):
-        got = sum(map_batches(_cap_hits(strategy, decomposition, math.cos(cap)), 29, trials, 1))
+        got = mapped_hits(strategy, decomposition, math.cos(cap), 29, trials)
         assert [got] == block_major_cap_hits(strategy, decomposition, trials, 29, 1, caps=(cap,))

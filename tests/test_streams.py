@@ -14,8 +14,7 @@ from qguess.estimator import MassarPopescuStrategy, collect_histogram
 from qguess.merit import monte_carlo_fidelity
 from qguess.nosignal import CAP_ROW_BLOCK, cos4_strategy, run_discrimination_experiment
 from qguess.streams import (
-    map_arms,
-    map_batches,
+    map_blocks,
     split_trials,
     substream,
     usable_cores,
@@ -61,10 +60,11 @@ NON_INTEGER_CALLS = {
 }
 
 
-@pytest.mark.parametrize("bad", [1.5, 2.5, 3.0, 1000.0, True])
+@pytest.mark.parametrize("bad", [1.5, 2.5, 3.0, 1000.0, True, None, "5"])
 @pytest.mark.parametrize("argument", sorted(NON_INTEGER_CALLS))
 def test_stream_arguments_must_be_integers(argument, bad):
-    # (a trial count below 2, as 1.5 and True are, fails the driver's range check first)
+    # the drivers check that a trial count is an integer before its range,
+    # which None and "5" cannot be compared with
     with pytest.raises(QGuessError):
         NON_INTEGER_CALLS[argument](bad)
 
@@ -95,12 +95,12 @@ def test_worker_batches_yield_one_batch_per_worker_with_trials():
 
 
 # ---------------------------------------------------------------------------
-# map_batches: threads change the schedule, never the result
+# map_blocks: threads change the schedule, never the result
 
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """max_workers of every thread pool map_batches builds, starting from no
+    """max_workers of every thread pool map_blocks builds, starting from no
     pool kept."""
     monkeypatch.setattr(streams, "_POOLS", {})
     seen = []
@@ -120,21 +120,42 @@ def test_usable_cores_is_the_affinity_set():
     assert usable_cores() == len(os.sched_getaffinity(0))
 
 
-def test_map_batches_returns_worker_order():
-    got = map_batches(lambda rng, m: (m, float(rng.random())), seed=5, trials=20, workers=3)
-    want = [(m, float(rng.random())) for rng, m in worker_batches(5, 20, 3)]
+def draw_block(arm):
+    """Block function that returns its arm, its rows and the uniforms it draws."""
+    return lambda rng, lo, hi: (arm, lo, hi, rng.random(hi - lo).tolist())
+
+
+@pytest.mark.parametrize("workers, spans", [
+    (2, [[(0, 4), (4, 8), (8, 12), (0, 4), (4, 8), (8, 11)],
+         [(0, 5), (5, 10), (10, 12), (0, 5), (5, 10), (10, 11)]]),
+    (3, [[(0, 4), (4, 8), (0, 4), (4, 8), (0, 4), (4, 7)],
+         [(0, 5), (5, 8), (0, 5), (5, 8), (0, 5), (5, 7)]]),
+])
+def test_map_blocks_returns_each_arm_in_worker_then_block_order(workers, spans):
+    # two arms of 4- and 5-row blocks over 23 trials, ragged last blocks
+    # included: each arm's blocks and draws are those of a serial loop over
+    # its workers' batches
+    arms = [(draw_block(0), 3, 4), (draw_block(1), 8, 5)]
+    got = map_blocks(arms, seed=5, trials=23, workers=workers)
+    assert [[(lo, hi) for _, lo, hi, _ in blocks] for blocks in got] == spans
+    want = []
+    for arm, (_, block, rows) in enumerate(arms):
+        want.append([])
+        for rng, m in worker_batches(5, 23, workers, block):
+            for lo in range(0, m, rows):
+                hi = min(lo + rows, m)
+                want[-1].append((arm, lo, hi, rng.random(hi - lo).tolist()))
     assert got == want
-    assert [m for m, _ in got] == [7, 7, 6]
 
 
-def test_map_batches_raises_a_batch_error():
-    def fail_on_second_worker(rng, m):
-        if m == 3:
-            raise RuntimeError("batch failed")
-        return m
+def test_map_blocks_raises_a_block_error():
+    def fail_on_second_worker(rng, lo, hi):
+        if hi == 3:
+            raise RuntimeError("block failed")
+        return hi
 
-    with pytest.raises(RuntimeError, match="batch failed"):
-        map_batches(fail_on_second_worker, seed=0, trials=7, workers=2)
+    with pytest.raises(RuntimeError, match="block failed"):
+        map_blocks([(fail_on_second_worker, 0, 10)], seed=0, trials=7, workers=2)
 
 
 # several row blocks per worker at 5 workers, so the block order inside a
@@ -188,20 +209,20 @@ def test_the_pool_and_its_threads_are_kept(monkeypatch, pool_sizes):
     forked child) builds its own."""
     cores = usable_cores()
     if cores < 2:
-        pytest.skip("one usable core: map_batches runs inline")
+        pytest.skip("one usable core: map_blocks runs inline")
     threads = set()
 
-    def record(rng, m):
+    def record(rng, lo, hi):
         threads.add(threading.current_thread())
-        return m
+        return hi - lo
 
     for seed in range(6):
-        assert map_batches(record, seed=seed, trials=10, workers=2) == [5, 5]
+        assert map_blocks([(record, 0, 5)], seed=seed, trials=10, workers=2) == [[5, 5]]
     assert pool_sizes == [cores]
     assert threading.main_thread() not in threads
     assert len(threads) <= 2
     monkeypatch.setattr(os, "getpid", lambda: -1)
-    map_batches(record, seed=0, trials=10, workers=2)
+    map_blocks([(record, 0, 5)], seed=0, trials=10, workers=2)
     assert pool_sizes == [cores, cores]
 
 
@@ -211,7 +232,7 @@ def test_one_worker_runs_inline(pool_sizes):
 
 
 # ---------------------------------------------------------------------------
-# the two discrimination arms share one map_arms submission
+# the two discrimination arms share one map_blocks submission
 
 
 def discriminate(workers):
@@ -242,10 +263,3 @@ def test_more_groups_than_threads_do_not_deadlock(monkeypatch, pool_sizes):
     assert not runner.is_alive(), "discrimination run did not finish: the pool deadlocked"
     assert got == [want]
     assert pool_sizes[-1] == 2
-
-
-def test_map_arms_returns_each_arm_in_worker_order():
-    arms = [(lambda rng, m: (0, m, float(rng.random())), 3), (lambda rng, m: (1, m, float(rng.random())), 8)]
-    got = map_arms(arms, seed=5, trials=13, workers=2)
-    assert got == [map_batches(fn, 5, 13, 2, block=block) for fn, block in arms]
-    assert [[(arm, m) for arm, m, _ in results] for results in got] == [[(0, 7), (0, 6)], [(1, 7), (1, 6)]]
