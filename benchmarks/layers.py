@@ -2,7 +2,7 @@
 
 Run from anywhere, against the checkout this file sits in:
 
-    python benchmarks/layers.py --label change --out BENCH_18.json
+    python benchmarks/layers.py --label change --out BENCH_20.json
 
 Each kernel is timed on 2^19 rows, handed to it one block of 2^14 rows at
 a time as the drivers do, and each driver at the benchmark's sizes with
@@ -18,8 +18,12 @@ the angle path, 2^14 for MP). The arms
 are the standard and symmetric decompositions at the benchmark's weight and
 cap, and the generic arm, the symmetric pair turned 1 rad about z. The
 standard arm's members are poles, whose rows the u step decides from the
-polar uniform alone but for about 3e-6 of them; the z coordinate of a row
-left to the exact step takes cos(phi), and no z coordinate takes sin(phi).
+polar uniform alone but for about 3e-6 of them; the tilted members' rows in
+their u windows go to the azimuth step, and the z coordinate of a row it
+leaves to the exact step takes cos(phi), and no z coordinate takes sin(phi).
+The `cap_setup` arms time `_cap_hits` alone for the same strategies and
+arms: the set-up each discrimination call makes per arm, with the u
+windows and the azimuth step's tables.
 
 Before anything is timed, the library's own allocator step runs
 (`streams._prime_heap`, which `streams.map_blocks` runs once per
@@ -172,8 +176,8 @@ def turned_about_z(decomposition, angle: float):
         for w, d in decomposition.members))
 
 
-def cap_hits() -> dict:
-    cap_cos = math.cos(SIGNAL_CAP)
+def cap_arms() -> list:
+    """(name, strategy, decomposition) of each strategy and arm of the cap counts."""
     arms = {
         "standard": ensembles.standard_decomposition(SIGNAL_P),
         "symmetric": ensembles.symmetric_decomposition(SIGNAL_P),
@@ -184,16 +188,29 @@ def cap_hits() -> dict:
         "ab": estimator.ABFormStrategy(estimator.GuessingForm.from_a_fraction(0.5)),
         "cos4": nosignal.cos4_strategy(),
     }
+    return [(f"{tag}.{arm}", strategy, decomposition)
+            for tag, strategy in strategies.items() for arm, decomposition in arms.items()]
+
+
+def cap_hits() -> dict:
+    cap_cos = math.cos(SIGNAL_CAP)
 
     def count(strategy, decomposition):
         block_hits, rows = nosignal._cap_hits(strategy, decomposition, cap_cos)
         [hits] = streams.map_blocks([(block_hits, 0, rows)], 1, ROWS, 1)
         return sum(hits)
 
-    return {
-        f"cap_hits.{tag}.{arm}": lambda s=strategy, d=decomposition: count(s, d)
-        for tag, strategy in strategies.items() for arm, decomposition in arms.items()
-    }
+    return {f"cap_hits.{name}": lambda s=strategy, d=decomposition: count(s, d)
+            for name, strategy, decomposition in cap_arms()}
+
+
+def cap_setup() -> dict:
+    """The set-up of each `_cap_hits` arm alone, which every discrimination
+    call makes once per arm: the member frames, the u windows and, on the
+    angle path, the azimuth step's tables."""
+    cap_cos = math.cos(SIGNAL_CAP)
+    return {f"cap_setup.{name}": lambda s=strategy, d=decomposition: nosignal._cap_hits(s, d, cap_cos)
+            for name, strategy, decomposition in cap_arms()}
 
 
 def drivers() -> dict:
@@ -252,7 +269,7 @@ def main(argv=None) -> int:
     record.setdefault("driver_trials", DRIVER_TRIALS)
     record.setdefault("repeats", REPEATS)
     kernel_calls, kernel_peaks = kernels()
-    layers = {"kernels": kernel_calls, "cap_hits": cap_hits(), "drivers": drivers()}
+    layers = {"kernels": kernel_calls, "cap_hits": cap_hits(), "cap_setup": cap_setup(), "drivers": drivers()}
     times = round_robin({name: fn for calls in layers.values() for name, fn in calls.items()})
     run = {"machine": machine(), "reference": times[REFERENCE]}
     for layer, calls in layers.items():

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import streams
 from .bloch import (
     ALGEBRA_TOL,
     ROUNDTRIP_TOL,
@@ -76,6 +77,7 @@ class AliceBasis:
 
 
 def _check_probability(p: float) -> float:
+    streams.require_real("probability", p)
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise InvalidProbabilityError(f"probability must lie in [0, 1], got {p}")

@@ -106,6 +106,7 @@ def cap_probability(form: GuessingForm, cap_half_angle: float) -> float:
     The integrand is linear in cos t, so the antiderivative is quadratic in
     cos t; for the full sphere and a normalized form this returns 1.
     """
+    streams.require_real("cap half-angle", cap_half_angle)
     if not 0.0 < cap_half_angle <= math.pi:
         raise InvalidFormError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")
     c = math.cos(cap_half_angle)

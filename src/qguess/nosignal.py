@@ -68,7 +68,8 @@ VERDICT_INDETERMINATE = "indeterminate"
 CAP_ROW_BLOCK = 2 * streams.ROW_BLOCK
 
 # Margin on a guess's z coordinate within which the polar step of the
-# angle path leaves a row to the exact z (`_polar_bounds`).
+# angle path leaves a row to the next steps (`_polar_bounds`), and by which
+# the azimuth step's thresholds clear the cap's edge (`_cell_thresholds`).
 CAP_Z_MARGIN = 1e-6
 
 # Margin on the polar angle by which `_u_windows` widens the polar step's
@@ -77,6 +78,17 @@ CAP_Z_MARGIN = 1e-6
 # polar angle away from the poles, far below the window itself (about
 # 1e-5 rad wide at a cap of 0.2).
 CAP_THETA_MARGIN = 1e-9
+
+# Equal cells of u per member window in the azimuth step of the angle path
+# (`_azimuth_cells`). More cells leave fewer rows to the exact z and cost
+# more set-up per arm: 4096 to 512 cells left 0.13-0.95% of the cos4
+# tilted arm's window rows at p = 0.9 and a cap of 0.2.
+CAP_AZIMUTH_CELLS = 1024
+
+# Narrowest u cell of the azimuth step: 2^12 ulps of 1, so the rounding of a
+# row's cell index and of the cell edges moves a row by far less than a
+# cell. A narrower window leaves all its rows to the exact z.
+CAP_MIN_CELL = 2.0 ** -40
 
 
 def fibonacci_directions(n: int) -> np.ndarray:
@@ -200,6 +212,7 @@ def cap_frequency(density, axis_angle: float, cap_half_angle: float) -> float:
     """
     if not math.isfinite(axis_angle):
         raise QGuessError(f"axis angle must be finite, got {axis_angle}")
+    streams.require_real("cap half-angle", cap_half_angle)
     if not 0.0 < cap_half_angle <= math.pi:
         raise QGuessError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")
     u, wu = composite_gauss_legendre(np.linspace(0.0, cap_half_angle, 17), 24)
@@ -301,9 +314,11 @@ def _cap_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition,
 
     Only the guess's z coordinate is counted, and `z >= cap_cos` is the
     count of `sample_batch`. A strategy with `polar_cos` counts most rows
-    from the drawn polar uniform alone and builds no guess
-    (`_u_block_hits`), in CAP_ROW_BLOCK rows. Other strategies run
-    `sample_batch` on the picked members, in streams.ROW_BLOCK rows.
+    from the drawn polar uniform, and most of the rest from their drawn
+    azimuth, and builds no guess (`_u_block_hits`), in CAP_ROW_BLOCK rows;
+    its set-up, the u windows and the azimuth step's tables, is made here,
+    once per call. Other strategies run `sample_batch` on the picked
+    members, in streams.ROW_BLOCK rows.
     """
     cum = np.cumsum(decomposition.weights)
     dirs = decomposition.directions
@@ -339,8 +354,9 @@ def _polar_bounds(cap_cos: float) -> tuple[float, float]:
 def _u_windows(strategy: EstimatorStrategy, alpha: np.ndarray, cap_cos: float):
     """(u_low, u_high, hits_low, hits_high), one entry per member at polar
     angle alpha about +z: rows whose drawn polar uniform u lies in
-    [u_low, u_high] are left to the exact z, and rows below or above that
-    window are all cap hits or all misses, as hits_low and hits_high say.
+    [u_low, u_high] are left to the azimuth and exact steps, and rows below
+    or above that window are all cap hits or all misses, as hits_low and
+    hits_high say.
 
     Polar step: a row at angle theta about its member is a sure hit when
     |theta + alpha - pi| > hit_beyond and otherwise a sure miss when
@@ -359,7 +375,7 @@ def _u_windows(strategy: EstimatorStrategy, alpha: np.ndarray, cap_cos: float):
     strategy's own `polar_cos`: the first u beyond it must give a cos t
     strictly beyond cos(w_lo) or cos(w_hi), on its side. A bound that fails
     gives up its side (0 below, 1 above: no u is drawn beyond them), and its
-    rows go to the exact z. Both maps from u to cos t are monotone up to a
+    rows stay in the window. Both maps from u to cos t are monotone up to a
     few ulps of cos t (the tabulated one within each CDF cell, and across a
     cell edge theta falls back at most an ulp), so every row beyond a
     checked bound has its cos t on the bound's side to within about 3e-15,
@@ -406,8 +422,85 @@ def _shared(values: np.ndarray):
 
 
 def _per_row(value, idx: np.ndarray):
-    """Each row's member's value: a shared float as it is."""
-    return value if isinstance(value, float) else value.take(idx)
+    """Each row's member's value: a shared number as it is."""
+    return value.take(idx) if isinstance(value, np.ndarray) else value
+
+
+def _cell_thresholds(strategy: EstimatorStrategy, a_z: float, e1_z: float, u_low: float, u_high: float,
+                     cap_cos: float) -> tuple[np.ndarray, np.ndarray]:
+    """(h_hit, h_miss), CAP_AZIMUTH_CELLS + 1 half-turn thresholds each, for
+    the rows of a member with z coordinates a_z and e1_z < 0 whose u lies in
+    [u_low, u_high]: a row in cell c (`_azimuth_cells`) is a sure hit at
+    |h| >= h_hit[c] and a sure miss at |h| < h_miss[c].
+
+    The cells' edges are CAP_AZIMUTH_CELLS + 1 equally spaced u from u_low
+    to u_high, and cell c's polar angles run from the strategy's own
+    arccos(polar_cos) at edge c - 1 to that at edge c + 2 (clipped to the
+    ends; entry CAP_AZIMUTH_CELLS is the last cell's again): the rounding of
+    a row's cell index moves it at most one cell. Over a range of polar
+    angles of half-width w about its middle m, a row's z = cos(theta) a_z +
+    sin(theta) cos(pi h) e1_z lies within w of z at m, since |dz/dtheta| <=
+    1. So the row is a sure hit where z at m is at least cap_cos +
+    CAP_Z_MARGIN + w, which, as e1_z < 0, is cos(pi h) <= c_hit, and a sure
+    miss where z at m is below cap_cos - CAP_Z_MARGIN - w, cos(pi h) >
+    c_miss. The margin covers the few ulps by which polar_cos falls back
+    (1e-7 rad at the poles) and the rounding of z and of the thresholds
+    (1e-15 in z). A c_hit below -1 gives 2 (no row) and one above 1 gives 0
+    (every row); likewise for c_miss. h_miss <= h_hit in every cell.
+    """
+    cells = CAP_AZIMUTH_CELLS
+    # a given-up bound is 1, which no drawn u reaches
+    edges = np.minimum(np.linspace(u_low, u_high, cells + 1), np.nextafter(1.0, 0.0))
+    theta = np.arccos(np.clip(strategy.polar_cos(edges), -1.0, 1.0))
+    c = np.arange(cells + 1)
+    first, last = theta[np.maximum(c - 1, 0)], theta[np.minimum(c + 2, cells)]
+    middle, half = (first + last) / 2.0, np.abs(last - first) / 2.0
+    z_mid = np.cos(middle) * a_z
+    spread = np.sin(middle) * -e1_z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_hit = (z_mid - (cap_cos + CAP_Z_MARGIN + half)) / spread
+        c_miss = (z_mid - (cap_cos - CAP_Z_MARGIN - half)) / spread
+    # a NaN (z at m on the threshold, at a spread of 0) decides no row
+    h_hit = np.where(c_hit >= -1.0, np.arccos(np.clip(c_hit, -1.0, 1.0)) / math.pi, 2.0)
+    h_miss = np.where(c_miss <= 1.0, np.arccos(np.clip(c_miss, -1.0, 1.0)) / math.pi, 0.0)
+    h_miss[c_miss < -1.0] = 2.0
+    return h_hit, np.minimum(h_miss, h_hit)
+
+
+def _azimuth_cells(strategy: EstimatorStrategy, a_z: np.ndarray, e1_z: np.ndarray, u_low: np.ndarray,
+                   u_high: np.ndarray, cap_cos: float):
+    """(low, scale, offset, h_hit, h_miss) of the azimuth step, or None when
+    no member takes it: a window row's cell is int((u - low) * scale) +
+    offset, of its member, and `_cell_thresholds` decides it by its |h|.
+
+    One table per distinct (a_z, e1_z, u_low, u_high) of the members with
+    e1_z != 0 and a window of CAP_MIN_CELL or more per cell; the tilted pair
+    shares one. Members at a pole (e1_z = 0, where z does not depend on the
+    azimuth) or with a narrower window get scale 0 and the offset of a last
+    cell that decides no row. low, scale and offset are numbers when every
+    member has the same, else one entry per member.
+    """
+    cells = CAP_AZIMUTH_CELLS
+    low, scale = np.zeros(len(a_z)), np.zeros(len(a_z))
+    offset = np.empty(len(a_z), dtype=np.intp)
+    tables, first_cell = [], {}
+    for m, key in enumerate(zip(a_z, e1_z, u_low, u_high)):
+        width = key[3] - key[2]
+        if key[1] == 0.0 or not width >= cells * CAP_MIN_CELL:
+            offset[m] = -1
+            continue
+        if key not in first_cell:
+            first_cell[key] = len(tables) * (cells + 1)
+            tables.append(_cell_thresholds(strategy, *key, cap_cos))
+        low[m], scale[m], offset[m] = key[2], cells / width, first_cell[key]
+    if not tables:
+        return None
+    offset[offset < 0] = len(tables) * (cells + 1)
+    h_hit = np.concatenate([hit for hit, _ in tables] + [[2.0]])
+    h_miss = np.concatenate([miss for _, miss in tables] + [[0.0]])
+    if np.all(offset == offset[0]):
+        return float(low[0]), float(scale[0]), int(offset[0]), h_hit, h_miss
+    return low, scale, offset, h_hit, h_miss
 
 
 def _u_block_hits(strategy: EstimatorStrategy, dirs: np.ndarray, cum: np.ndarray, cap_cos: float):
@@ -419,21 +512,27 @@ def _u_block_hits(strategy: EstimatorStrategy, dirs: np.ndarray, cum: np.ndarray
     at p = 0.9 and a cap of 0.2 that is all but about 3e-6 of the pole
     arm's rows and 71.5% of the tilted arm's. A bound the members share is
     compared as one number (the tilted pair has one alpha); otherwise each
-    row takes its member's.
+    row takes its member's. The k rows in the windows get azimuths, drawn
+    for them alone, as half-turns h.
 
-    Exact step, on the rows in the windows alone: their cos t (`polar_cos`
-    of their u, the bytes the whole column gives them), the picked members'
-    z coordinates and those of their frames' e1, made once per arm
-    (`bloch.orthonormal_frames`), and azimuths drawn for these rows alone
-    give `bloch.z_at_angle`, column 2 of `sample_batch`, tested
-    `>= cap_cos`. The z coordinate has no sin(phi) term (e2_z is 0). So a
-    block of n rows draws 2n + k uniforms: the picks, the polar column and
-    the k azimuths of its exact rows.
+    Azimuth step, for members off the poles (`_azimuth_cells`, tables made
+    once per arm): a window row's u cell gives two thresholds, and the row
+    is a sure hit at |h| >= h_hit and a sure miss at |h| < h_miss. For the
+    cos4 tilted arm above that leaves 0.48% of the window rows.
+
+    Exact step, on the rows left: their cos t (`polar_cos` of their u, the
+    bytes the whole column gives them), the picked members' z coordinates
+    and those of their frames' e1, made once per arm
+    (`bloch.orthonormal_frames`), and their h give `bloch.z_at_angle`,
+    column 2 of `sample_batch`, tested `>= cap_cos`. The z coordinate has no
+    sin(phi) term (e2_z is 0). So a block of n rows draws 2n + k uniforms:
+    the picks, the polar column and the k azimuths of its window rows.
     """
     a_z = dirs[:, 2]
     e1_z = bloch.orthonormal_frames(dirs)[0][:, 2]
     alpha = np.arctan2(np.hypot(dirs[:, 0], dirs[:, 1]), dirs[:, 2])
     u_low, u_high, hits_low, hits_high = _u_windows(strategy, alpha, cap_cos)
+    cells = _azimuth_cells(strategy, a_z, e1_z, u_low, u_high, cap_cos)
     # rows of a member whose rows there are misses compare with 0 or 1, which no u is beyond
     hit_low = _shared(np.where(hits_low, u_low, 0.0)) if hits_low.any() else None
     hit_high = _shared(np.where(hits_high, u_high, 1.0)) if hits_high.any() else None
@@ -452,10 +551,23 @@ def _u_block_hits(strategy: EstimatorStrategy, dirs: np.ndarray, cum: np.ndarray
         exact &= u <= _per_row(u_high, idx)
         rows = np.flatnonzero(exact)
         del exact
-        cos_theta = strategy.polar_cos(u.take(rows))
-        del u
+        u = u.take(rows)
         idx = idx.take(rows)
-        z = bloch.z_at_angle(a_z.take(idx), e1_z.take(idx), cos_theta, uniform_azimuths(rng, len(rows)))
+        h = uniform_azimuths(rng, len(rows))
+        if cells is not None:
+            low, scale, offset, h_hit, h_miss = cells
+            cell = u - _per_row(low, idx)
+            cell *= _per_row(scale, idx)
+            cell = cell.astype(np.intp)
+            cell += _per_row(offset, idx)
+            turn = np.abs(h)
+            sure = turn >= h_hit.take(cell)
+            hits += np.count_nonzero(sure)
+            rows = turn >= h_miss.take(cell)
+            rows ^= sure
+            rows = np.flatnonzero(rows)
+            u, idx, h = u.take(rows), idx.take(rows), h.take(rows)
+        z = bloch.z_at_angle(a_z.take(idx), e1_z.take(idx), strategy.polar_cos(u), h)
         return int(hits + np.count_nonzero(z >= cap_cos))
 
     return block_hits
@@ -481,10 +593,13 @@ def run_discrimination_experiment(
     `streams.map_blocks` call, and each arm's block hits are summed.
     A guess counts by its z coordinate alone (`_cap_hits`):
     for a strategy with `polar_cos` (the two-parameter and tabulated
-    samplers) most rows are counted from the drawn polar uniform, and the
-    rest from a z computed from the drawn angles and the members' frames,
-    made once per arm, without `sample_batch`.
+    samplers) most rows are counted from the drawn polar uniform, most of
+    the rest from their drawn azimuth against per-cell thresholds, and the
+    few left from a z computed from the drawn angles and the members'
+    frames, without `sample_batch`. The windows, thresholds and frames are
+    made once per arm, in each call.
     """
+    streams.require_real("cap half-angle", cap_half_angle)
     if not 0.0 < cap_half_angle <= math.pi:
         raise QGuessError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")
     streams.require_integer("trials", trials)

@@ -61,6 +61,13 @@ def require_integer(name: str, value) -> None:
         raise QGuessError(f"{name} must be an integer, got {value!r}")
 
 
+def require_real(name: str, value) -> None:
+    """Raise QGuessError unless value is a real number (numpy's too) and not
+    a bool: `float` would take True as 1 and "0.5" as 0.5."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise QGuessError(f"{name} must be a real number, got {value!r}")
+
+
 def substream(seed: int, worker: int = 0, block: int = 0) -> np.random.Generator:
     """Generator for one (seed, worker, block) cell of the stream lattice."""
     for name, value in (("seed", seed), ("worker", worker), ("block", block)):

@@ -6,11 +6,19 @@ import math
 import numpy as np
 import pytest
 
+from qguess.ensembles import (
+    build_psi,
+    rotated_alice_basis,
+    standard_decomposition,
+    symmetric_decomposition,
+    tilt_angle,
+)
 from qguess.errors import QGuessError
 from qguess.estimator import (
     DensityHistogram,
     GuessingForm,
     MassarPopescuStrategy,
+    cap_probability,
     collect_histogram,
     histogram_chi2,
     histogram_csv,
@@ -75,6 +83,21 @@ SITES = {
     "substream worker": lambda: substream(0, worker=-1),
     "split_trials trials": lambda: split_trials(0, 1),
     "split_trials workers": lambda: split_trials(5, 0),
+    # float() would take a bool as 0 or 1 and a numeric string as its number
+    "build_psi(True)": lambda: build_psi(True),
+    "standard_decomposition('0.5')": lambda: standard_decomposition("0.5"),
+    "symmetric_decomposition(True)": lambda: symmetric_decomposition(True),
+    "tilt_angle(np.True_)": lambda: tilt_angle(np.True_),
+    "rotated_alice_basis('0.5')": lambda: rotated_alice_basis("0.5"),
+    "run_discrimination_experiment(p=True)": lambda: run_discrimination_experiment(
+        MassarPopescuStrategy(), True, trials=100),
+    "run_discrimination_experiment(p='0.5')": lambda: run_discrimination_experiment(
+        MassarPopescuStrategy(), "0.5", trials=100),
+    "run_discrimination_experiment(cap_half_angle=True)": lambda: run_discrimination_experiment(
+        MassarPopescuStrategy(), 0.8, cap_half_angle=True, trials=100),
+    "cap_frequency(cap_half_angle=True)": lambda: cap_frequency(cos4_density, 0.0, True),
+    "cap_frequency(cap_half_angle='0.2')": lambda: cap_frequency(cos4_density, 0.0, "0.2"),
+    "cap_probability(cap_half_angle=True)": lambda: cap_probability(GuessingForm.from_a_fraction(1.0), True),
 }
 
 

@@ -3,9 +3,9 @@ whole rows: the frame against the spherical frame written with `np.where`,
 the tabulated inverse CDF against `np.interp` over the normalized CDF, the
 kernels against their whole-batch forms at the block edges, the
 discrimination's member pick and z coordinate against `np.searchsorted` and
-column 2 of the full guess, its u step against that z at the step's edges,
-and the drivers, which draw each batch one row block at a time, against
-block-major references that draw each block whole. Equality is on
+column 2 of the full guess, its u and azimuth steps against that z at the
+steps' edges, and the drivers, which draw each batch one row block at a
+time, against block-major references that draw each block whole. Equality is on
 `tobytes()`, so a last-ulp or signed-zero difference fails. The whole-batch
 forms take the azimuth pair of a half-turn as stream contract 5 does
 (`contract5_cos_sin`, written out here rather than imported)."""
@@ -612,30 +612,47 @@ def test_cap_hits_match_the_block_major_oracle_for_every_member_set(strategies, 
         assert got == block_major_cap_hits(strategy, decomposition, trials, 27, 1, caps=CAPS)
 
 
-@pytest.mark.parametrize("decomposition", [standard_decomposition(0.9), symmetric_decomposition(0.9)],
-                         ids=["poles", "tilted"])
-@pytest.mark.parametrize("tag", ["ab", "cos4"])
-def test_angle_path_block_draws_its_picks_its_polar_column_and_its_exact_azimuths(
-        strategies, monkeypatch, tag, decomposition):
-    # a block of n rows moves the generator 2n + k words, k the rows it
-    # leaves to the exact z; 2^21 rows of the pole arm leave a few
-    strategy = strategies[tag]
-    real_polar_cos = strategy.polar_cos
-    exact_rows = []
+def record_window_and_exact_rows(strategy, monkeypatch):
+    """([k], [j]): the rows of each block's `uniform_azimuths` draw, which
+    are the k rows in its members' u windows, and the rows of each block's
+    `polar_cos` call, which the azimuth step leaves to the exact z."""
+    window_rows, exact_rows = [], []
+    real_azimuths, real_polar_cos = nosignal.uniform_azimuths, strategy.polar_cos
 
-    def record(u_rows):
+    def azimuths(rng, n):
+        window_rows.append(n)
+        return real_azimuths(rng, n)
+
+    def polar_cos(u_rows):
         exact_rows.append(len(u_rows))
         return real_polar_cos(u_rows)
 
-    arm = _cap_hits(strategy, decomposition, math.cos(0.2))
-    monkeypatch.setattr(strategy, "polar_cos", record)
+    monkeypatch.setattr(nosignal, "uniform_azimuths", azimuths)
+    monkeypatch.setattr(strategy, "polar_cos", polar_cos)
+    return window_rows, exact_rows
+
+
+@pytest.mark.parametrize("arm", ["poles", "tilted"])
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_angle_path_block_draws_its_picks_its_polar_column_and_its_exact_azimuths(
+        strategies, monkeypatch, tag, arm):
+    # a block of n rows moves the generator 2n + k words, k the rows in its
+    # members' u windows, whose azimuths it draws; 2^21 rows of the pole arm
+    # leave a few. The azimuth step leaves under 1% of the tilted arm's
+    # window rows to polar_cos and the exact z
+    strategy = strategies[tag]
+    decomposition = {"poles": standard_decomposition, "tilted": symmetric_decomposition}[arm](0.9)
+    arm_hits = _cap_hits(strategy, decomposition, math.cos(0.2))
+    window_rows, exact_rows = record_window_and_exact_rows(strategy, monkeypatch)
     rng, ref = substream(37), substream(37)
     m = 128 * ROW_BLOCK
-    serial_hits(arm, rng, m)
-    assert len(exact_rows) == m // CAP_ROW_BLOCK and sum(exact_rows) > 0
-    for k in exact_rows:
+    serial_hits(arm_hits, rng, m)
+    assert len(window_rows) == m // CAP_ROW_BLOCK and sum(window_rows) > 0
+    for k in window_rows:
         ref.random(2 * CAP_ROW_BLOCK + k)
     assert rng.random() == ref.random()
+    if arm == "tilted":
+        assert sum(exact_rows) < 0.01 * sum(window_rows)
 
 
 @pytest.mark.parametrize("m", [CAP_ROW_BLOCK - 1, 2 * CAP_ROW_BLOCK + 3])
@@ -643,25 +660,17 @@ def test_angle_path_block_draws_its_picks_its_polar_column_and_its_exact_azimuth
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
 def test_angle_path_blocks_of_any_member_set_draw_2n_plus_k_words(strategies, monkeypatch, tag, name, m):
     # every block, the ragged last one included, takes its picks, its polar
-    # column and the azimuths of the k rows it leaves to the exact z, from a
+    # column and the azimuths of the k rows in its members' u windows, from a
     # generator already part used
-    strategy = strategies[tag]
-    real_polar_cos = strategy.polar_cos
-    exact_rows = []
-
-    def record(u_rows):
-        exact_rows.append(len(u_rows))
-        return real_polar_cos(u_rows)
-
-    arm = _cap_hits(strategy, member_sets()[name], math.cos(0.2))
-    monkeypatch.setattr(strategy, "polar_cos", record)
+    arm = _cap_hits(strategies[tag], member_sets()[name], math.cos(0.2))
+    window_rows, _ = record_window_and_exact_rows(strategies[tag], monkeypatch)
     rng, ref = substream(38, 1), substream(38, 1)
     rng.random(3)
     ref.random(3)
     serial_hits(arm, rng, m)
     sizes = [min(CAP_ROW_BLOCK, m - lo) for lo in range(0, m, CAP_ROW_BLOCK)]
-    assert len(exact_rows) == len(sizes)
-    for n, k in zip(sizes, exact_rows):
+    assert len(window_rows) == len(sizes)
+    for n, k in zip(sizes, window_rows):
         assert 0 <= k <= n
         ref.random(2 * n + k)
     assert rng.random() == ref.random()
@@ -783,7 +792,6 @@ def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, mon
     direction = PLANTED_MEMBERS[member] or (math.sin(cap), 0.0, math.cos(cap))
     antipode = tuple(-c for c in direction)
     strategy, cap_cos = strategies[tag], math.cos(cap)
-    real_polar_cos = strategy.polar_cos
     for decomposition in (members((1.0, direction)), members((0.5, direction), (0.5, antipode))):
         dirs = decomposition.directions
         u = planted_uniforms(strategy, decomposition, cap_cos)
@@ -796,13 +804,7 @@ def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, mon
         u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
         exact = (u >= u_low[idx]) & (u <= u_high[idx])
         block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
-        exact_rows = []
-
-        def record(u_rows, exact_rows=exact_rows):
-            exact_rows.append(len(u_rows))
-            return real_polar_cos(u_rows)
-
-        monkeypatch.setattr(strategy, "polar_cos", record)
+        window_rows, _ = record_window_and_exact_rows(strategy, monkeypatch)
         got = block_hits(PlantedDraws(pick, u, h[exact]), 0, m)
         monkeypatch.undo()
         cos_theta = (np.cos(interp_inverse_cdf(strategy, u)) if tag == "cos4"
@@ -810,14 +812,118 @@ def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, mon
         a_z, e1_z = (c[idx] for c in member_z(dirs))
         assert got == np.count_nonzero(z_at_angle(a_z, e1_z, cos_theta, h) >= cap_cos)
         # the u step decided some rows itself
-        assert exact_rows == [np.count_nonzero(exact)] and exact_rows[0] < m
+        assert window_rows == [np.count_nonzero(exact)] and window_rows[0] < m
+
+
+def doubles_around(x):
+    """Each of x, and the two doubles either side of it: shape (len(x), 5)."""
+    below = np.nextafter(x, -math.inf)
+    above = np.nextafter(x, math.inf)
+    return np.stack([np.nextafter(below, -math.inf), below, x, above, np.nextafter(above, math.inf)], axis=1)
+
+
+def planted_cell_rows(strategy, decomposition, cap_cos):
+    """(idx, u, h), rows of the members that take the azimuth step: u on
+    each edge of the member's cells (`nosignal._azimuth_cells`) and two
+    doubles either side, within its u window, each with h on the two
+    thresholds of the cells on both sides of that edge and two doubles
+    either side of them; every other row's h is negated. None when no
+    member takes the step."""
+    dirs = decomposition.directions
+    alpha = np.arctan2(np.hypot(dirs[:, 0], dirs[:, 1]), dirs[:, 2])
+    u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
+    cells = nosignal._azimuth_cells(strategy, *member_z(dirs), u_low, u_high, cap_cos)
+    if cells is None:
+        return None
+    offset, h_hit, h_miss = np.broadcast_to(cells[2], len(dirs)), cells[3], cells[4]
+    n = nosignal.CAP_AZIMUTH_CELLS
+    rows = []
+    for m in range(len(dirs)):
+        if offset[m] == len(h_hit) - 1:  # the cell that decides no row
+            continue
+        table = slice(offset[m], offset[m] + n + 1)
+        # the thresholds of the cells either side of each edge: (n + 1, 20)
+        h = doubles_around(np.stack([h_hit[table], h_miss[table]], axis=1)).reshape(n + 1, 10)
+        h = np.concatenate([h[np.maximum(np.arange(n + 1) - 1, 0)], h], axis=1)
+        u = doubles_around(np.linspace(u_low[m], u_high[m], n + 1))
+        u, h = np.broadcast_arrays(u[:, :, None], h[:, None, :])
+        u, h = u.ravel(), h.ravel().copy()
+        h[::2] *= -1.0
+        keep = (u >= u_low[m]) & (u <= u_high[m]) & (u < 1.0) & (h >= -1.0) & (h < 1.0)
+        rows.append((np.full(np.count_nonzero(keep), m), u[keep], h[keep]))
+    return tuple(np.concatenate(column) for column in zip(*rows))
+
+
+@pytest.mark.parametrize("cap", [1e-4, 0.2, math.pi - 1e-9])
+@pytest.mark.parametrize("member", sorted(PLANTED_MEMBERS))
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_azimuth_step_counts_planted_cell_rows_as_the_z_coordinate(strategies, monkeypatch, tag, member, cap):
+    # the u and h columns hold the planted rows, for the member alone and
+    # with its antipode (each row takes its member's cells); every row is in
+    # its member's u window, and the count must be the z coordinate's. A
+    # pole member takes no azimuth step
+    direction = PLANTED_MEMBERS[member] or (math.sin(cap), 0.0, math.cos(cap))
+    antipode = tuple(-c for c in direction)
+    strategy, cap_cos = strategies[tag], math.cos(cap)
+    for decomposition in (members((1.0, direction)), members((0.5, direction), (0.5, antipode))):
+        planted = planted_cell_rows(strategy, decomposition, cap_cos)
+        if planted is None:
+            assert member in ("+z", "-z")
+            continue
+        idx, u, h = planted
+        m = len(u)
+        pick = np.cumsum(decomposition.weights)[idx] - 0.25
+        block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
+        window_rows, exact_rows = record_window_and_exact_rows(strategy, monkeypatch)
+        got = block_hits(PlantedDraws(pick, u, h), 0, m)
+        monkeypatch.undo()
+        cos_theta = (np.cos(interp_inverse_cdf(strategy, u)) if tag == "cos4"
+                     else _ab_inverse_cdf(strategy.form, u))
+        a_z, e1_z = (c[idx] for c in member_z(decomposition.directions))
+        assert got == np.count_nonzero(z_at_angle(a_z, e1_z, cos_theta, h) >= cap_cos)
+        # the azimuth step decided some rows itself, but where the member and
+        # the cap are both within 1e-4 of a pole: there z moves by 1e-8 with
+        # the azimuth, below CAP_Z_MARGIN
+        assert window_rows == [m] and (exact_rows[0] < m or (member == "cap" and cap != 0.2))
+
+
+@pytest.mark.parametrize("cap", [1e-4, 0.2, math.pi - 1e-9])
+@pytest.mark.parametrize("member", ["cap", "generic"])
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_cell_thresholds_hold_one_cell_beyond_each_cell(strategies, tag, member, cap):
+    # a row's cell index may round one off, so each cell's thresholds must
+    # decide the rows of the cells either side of it too: at u on the far
+    # edges of those cells and h on the cell's thresholds and two doubles
+    # either side of them, a sure row's z is CAP_Z_MARGIN / 2 or more beyond
+    # the cap's edge
+    strategy, cap_cos = strategies[tag], math.cos(cap)
+    dirs = members((1.0, PLANTED_MEMBERS[member] or (math.sin(cap), 0.0, math.cos(cap)))).directions
+    alpha = np.arctan2(np.hypot(dirs[:, 0], dirs[:, 1]), dirs[:, 2])
+    u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
+    a_z, e1_z = member_z(dirs)
+    n = nosignal.CAP_AZIMUTH_CELLS
+    h_hit, h_miss = nosignal._cell_thresholds(strategy, a_z[0], e1_z[0], u_low[0], u_high[0], cap_cos)
+    edges = np.linspace(u_low[0], u_high[0], n + 1)
+    c = np.arange(n + 1)
+    u = np.stack([edges[np.maximum(c - 1, 0)], edges[np.minimum(c + 2, n)]], axis=1)
+    h = doubles_around(np.stack([h_hit, h_miss], axis=1)).reshape(n + 1, 10)
+    h = np.concatenate([h, -h], axis=1)
+    u, h, hit, miss = np.broadcast_arrays(u[:, :, None], h[:, None, :], h_hit[:, None, None], h_miss[:, None, None])
+    keep = (u < 1.0) & (h >= -1.0) & (h < 1.0)
+    u, h, hit, miss = u[keep], h[keep], hit[keep], miss[keep]
+    cos_theta = np.cos(interp_inverse_cdf(strategy, u)) if tag == "cos4" else _ab_inverse_cdf(strategy.form, u)
+    z = z_at_angle(np.full(len(u), a_z[0]), np.full(len(u), e1_z[0]), cos_theta, h)
+    sure_hit, sure_miss = np.abs(h) >= hit, np.abs(h) < miss
+    assert np.all(z[sure_hit] >= cap_cos + nosignal.CAP_Z_MARGIN / 2.0)
+    assert np.all(z[sure_miss] < cap_cos - nosignal.CAP_Z_MARGIN / 2.0)
+    assert np.any(sure_hit | sure_miss) or cap != 0.2
 
 
 def test_polar_step_counts_planted_rows_at_a_given_up_bound_as_the_z_coordinate(monkeypatch):
     # AB with a_frac 1.0, the tilted pair at p = 0.975 and a cap of
     # np.linspace(1e-4, pi, 60)[53]: the low u bound, 8.3e-13, fails its
     # check and is given up, so the rows on and around it, planted in the
-    # polar column, all go to the exact z and count as the z coordinate does
+    # polar column, all stay in the window and count as the z coordinate does
     strategy = ABFormStrategy(GuessingForm.from_a_fraction(1.0))
     decomposition = symmetric_decomposition(0.975)
     cap_cos = math.cos(np.linspace(1e-4, math.pi, 60)[53])
@@ -843,20 +949,13 @@ def test_polar_step_counts_planted_rows_at_a_given_up_bound_as_the_z_coordinate(
     m = len(u)
     pick = np.cumsum(decomposition.weights)[idx] - 0.25
     h = substream(36).uniform(-1.0, 1.0, size=m)
-    exact_rows = []
-    real_polar_cos = strategy.polar_cos
-
-    def record_rows(u_rows):
-        exact_rows.append(len(u_rows))
-        return real_polar_cos(u_rows)
-
-    monkeypatch.setattr(strategy, "polar_cos", record_rows)
+    window_rows, _ = record_window_and_exact_rows(strategy, monkeypatch)
     got = block_hits(PlantedDraws(pick, u, h), 0, m)
     monkeypatch.undo()
     a_z, e1_z = (c[idx] for c in member_z(dirs))
     z = z_at_angle(a_z, e1_z, _ab_inverse_cdf(strategy.form, u), h)
     assert got == np.count_nonzero(z >= cap_cos)
-    assert exact_rows == [m]
+    assert window_rows == [m]
 
 
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
