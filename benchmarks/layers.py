@@ -13,7 +13,7 @@ it: `np.cos` of azimuths on [0, 2pi), then the same sqrt path with the sign
 of pi - phi. The discrimination's block function, from
 `nosignal._cap_hits`, is timed on 2^19 rows per strategy (MP, AB with
 a_frac = 0.5, cos4) and arm, set-up included, through `streams.map_blocks`
-with one worker, in blocks of the rows `_cap_hits` gives with it (2^15 on
+with one worker, in blocks of the rows `_cap_hits` gives with it (2^16 on
 the angle path, 2^14 for MP). The arms
 are the standard and symmetric decompositions at the benchmark's weight and
 cap, and the generic arm, the symmetric pair turned 1 rad about z. The

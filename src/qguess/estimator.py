@@ -85,6 +85,7 @@ class GuessingForm:
     @classmethod
     def from_a_fraction(cls, a_frac: float) -> "GuessingForm":
         """Normalized form with A = a_frac/2pi, B = (1 - a_frac)/2pi."""
+        streams.require_real("a_frac", a_frac)
         if not 0.0 <= a_frac <= 1.0:
             raise InvalidFormError(f"a_frac must lie in [0, 1], got {a_frac}")
         return cls(a_frac / TWO_PI, (1.0 - a_frac) / TWO_PI)

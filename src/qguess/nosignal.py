@@ -59,13 +59,13 @@ VERDICT_INDETERMINATE = "indeterminate"
 
 # Rows per block of the discrimination's angle path (`_cap_hits`). The two
 # arms run on two threads, and each numpy call hands the interpreter lock
-# over; the angle path does few float operations per call, so at
-# streams.ROW_BLOCK rows the handovers took a share of each call that swung
-# with the host's load. Twice the rows halve the calls per trial. A block's
-# peak, reached before its exact z, is 2.9-3.6 arrays of its rows, where
-# ten were alive at streams.ROW_BLOCK rows, so it takes less memory. Like
+# over; the angle path does few float operations per call, so fewer, longer
+# calls leave less of a block to the handovers. One signal-detect call took
+# a median of 20.0 ms at 2^15 rows, 17.7 ms at 2^16 and 16.6 ms at 2^17
+# (30 interleaved calls each, one process, 2-core x86-64 host). At 2^16 a
+# block's peak is 1.4-2.1 arrays of its rows, about 1 MB per arm. Like
 # streams.ROW_BLOCK, it is part of the reproducibility contract.
-CAP_ROW_BLOCK = 2 * streams.ROW_BLOCK
+CAP_ROW_BLOCK = 4 * streams.ROW_BLOCK
 
 # Margin on a guess's z coordinate within which the polar step of the
 # angle path leaves a row to the next steps (`_polar_bounds`), and by which
@@ -210,6 +210,7 @@ def cap_frequency(density, axis_angle: float, cap_half_angle: float) -> float:
     non-finite axis angle, a cap half-angle outside (0, pi], or a density
     that makes the frequency non-finite raises QGuessError.
     """
+    streams.require_real("axis angle", axis_angle)
     if not math.isfinite(axis_angle):
         raise QGuessError(f"axis angle must be finite, got {axis_angle}")
     streams.require_real("cap half-angle", cap_half_angle)
@@ -313,26 +314,97 @@ def _cap_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition,
     (`_member_index`), then what the block reads of the strategy's guess.
 
     Only the guess's z coordinate is counted, and `z >= cap_cos` is the
-    count of `sample_batch`. A strategy with `polar_cos` counts most rows
-    from the drawn polar uniform, and most of the rest from their drawn
-    azimuth, and builds no guess (`_u_block_hits`), in CAP_ROW_BLOCK rows;
-    its set-up, the u windows and the azimuth step's tables, is made here,
-    once per call. Other strategies run `sample_batch` on the picked
-    members, in streams.ROW_BLOCK rows.
+    count of `sample_batch`. A strategy with `polar_cos` takes its member
+    and its polar uniform from one drawn word per row, counts most rows
+    from that word, and most of the rest from their drawn azimuth, and
+    builds no guess (`_u_block_hits`), in CAP_ROW_BLOCK rows; its set-up,
+    the merged members, the u windows and the azimuth step's tables, is
+    made here, once per call. Other strategies run `sample_batch` on the
+    picked members, in streams.ROW_BLOCK rows.
     """
+    if strategy.polar_cos is not None:
+        return _u_block_hits(strategy, decomposition, cap_cos), CAP_ROW_BLOCK
     cum = np.cumsum(decomposition.weights)
     dirs = decomposition.directions
-    if strategy.polar_cos is None:
-        rows = streams.ROW_BLOCK
 
-        def block_hits(rng, lo, hi):
-            idx = _member_index(cum, rng.random(hi - lo))
-            z = strategy.sample_batch(dirs.take(idx, axis=0), rng)[:, 2]
-            return int(np.count_nonzero(z >= cap_cos))
-    else:
-        rows = CAP_ROW_BLOCK
-        block_hits = _u_block_hits(strategy, dirs, cum, cap_cos)
-    return block_hits, rows
+    def block_hits(rng, lo, hi):
+        idx = _member_index(cum, rng.random(hi - lo))
+        z = strategy.sample_batch(dirs.take(idx, axis=0), rng)[:, 2]
+        return int(np.count_nonzero(z >= cap_cos))
+
+    return block_hits, streams.ROW_BLOCK
+
+
+def _merged_members(decomposition: EnsembleDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a_z, e1_z, weights) of the members as the angle path reads them.
+
+    The count reads a member only through the z coordinates of its
+    direction and of its frame's e1 (`bloch.z_at_angle`), so members with
+    the same pair, such as a pair turned about z, are one member, whose
+    weight is the sum of theirs in member order. The merged members keep
+    the order of their first member, and those of no positive weight are
+    dropped.
+    """
+    dirs = decomposition.directions
+    pairs = zip(dirs[:, 2].tolist(), bloch.orthonormal_frames(dirs)[0][:, 2].tolist())
+    merged: dict = {}
+    for pair, weight in zip(pairs, decomposition.weights.tolist()):
+        merged[pair] = merged.get(pair, 0.0) + weight
+    kept = [(pair, weight) for pair, weight in merged.items() if weight > 0.0]
+    a_z, e1_z = np.array([pair for pair, _ in kept]).T
+    return a_z, e1_z, np.array([weight for _, weight in kept])
+
+
+# the largest double below 1, where a recycled polar uniform is clipped
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+def _recycled_uniforms(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cum, lower, scale) of members with these weights, for one drawn
+    word w per row: the row's member is `_member_index(cum, w)`, whose rows
+    have w in [lower, cum) ([lower, 1) for the last member), and its polar
+    uniform is `_recycled(w, lower, scale)` of that member.
+
+    Given the member, (w - lower) / weight is uniform and independent of
+    the member (the inversion trick; Devroye 1986, *Non-Uniform Random
+    Variate Generation*), so scale is 1 / weight, and 1 / (1 - lower) for
+    the last member, since cum[-1] may miss 1 by rounding. A width below
+    the least normal double is taken at that double, so no scale is
+    infinite: no drawn w but its lower end reaches such a member.
+    """
+    cum = np.cumsum(weights)
+    lower = np.concatenate([[0.0], cum[:-1]])
+    width = np.append(weights[:-1], 1.0 - lower[-1])
+    return cum, lower, 1.0 / np.maximum(width, np.finfo(float).tiny)
+
+
+def _recycled(w, lower, scale) -> np.ndarray:
+    """The polar uniform of drawn words w: (w - lower) * scale of their
+    member, clipped below 1, so in [0, 1) for every w of the member."""
+    u = np.subtract(w, lower)
+    u *= scale
+    return np.minimum(u, _BELOW_ONE, out=u)
+
+
+def _w_edges(t, lower, upper, scale) -> np.ndarray:
+    """The least w in [lower, upper] whose `_recycled` polar uniform is t
+    or more, and upper where no w below upper has one, entry by entry
+    (broadcast). `_recycled` is non-decreasing in w, so a w of the member's
+    [lower, upper) lies below its edge exactly when its u lies below t.
+
+    The edge starts at lower + t / scale, where u is t but for rounding,
+    and moves one double at a time until the double below it maps below t
+    and it maps to t or more: the rounding puts the start within a few
+    doubles of the edge.
+    """
+    w = np.clip(lower + t / scale, lower, upper)
+    while True:
+        below = np.nextafter(w, -math.inf)
+        down = (w > lower) & (_recycled(below, lower, scale) >= t)
+        up = (w < upper) & (_recycled(w, lower, scale) < t)
+        if not (down.any() or up.any()):
+            return w
+        w = np.where(down, below, np.where(up, np.nextafter(w, math.inf), w))
 
 
 def _polar_bounds(cap_cos: float) -> tuple[float, float]:
@@ -503,17 +575,39 @@ def _azimuth_cells(strategy: EstimatorStrategy, a_z: np.ndarray, e1_z: np.ndarra
     return low, scale, offset, h_hit, h_miss
 
 
-def _u_block_hits(strategy: EstimatorStrategy, dirs: np.ndarray, cum: np.ndarray, cap_cos: float):
+def _window_rows(w: np.ndarray, windows) -> np.ndarray:
+    """Indices of the words w inside any of the [a, b) of `windows`."""
+    inside = np.zeros(len(w), dtype=bool)
+    for a, b in windows:
+        one = w >= a
+        one &= w < b
+        inside |= one
+    return np.flatnonzero(inside)
+
+
+def _u_block_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition, cap_cos: float):
     """Block function of `_cap_hits` for a strategy with `polar_cos`.
 
+    Members: the decomposition's members merged by what the count reads of
+    them (`_merged_members`); the cos4 tilted pair is one member. A block
+    of n rows draws one word w per row, which gives the row's member J,
+    `_member_index(cum, w)`, and its polar uniform u = (w - lower[J]) *
+    scale[J], below 1 (`_recycled_uniforms`). Given J = j, u lies on a grid
+    of step 2^-53 / w_j, w_j the member's weight, so on any interval of u
+    the law of (J, u) differs from that of a member drawn by weight and an
+    independent uniform u by at most about 2^-53 per member: the bound in
+    total variation over such events.
+
     u step: the members' polar angles alpha about +z give, once per arm,
-    each member's window of the drawn polar uniform u (`_u_windows`), and
-    rows outside their member's window are counted from u alone. For cos4
-    at p = 0.9 and a cap of 0.2 that is all but about 3e-6 of the pole
-    arm's rows and 71.5% of the tilted arm's. A bound the members share is
-    compared as one number (the tilted pair has one alpha); otherwise each
-    row takes its member's. The k rows in the windows get azimuths, drawn
-    for them alone, as half-turns h.
+    each member's window of u (`_u_windows`), and rows outside their
+    member's window are counted from u alone. u is non-decreasing in w
+    within a member, so the window ends and the bounds of the sure hits
+    are made once per arm into edges on w (`_w_edges`), and the step
+    compares the drawn words with them: neither the member nor u is formed
+    for a row it decides. For cos4 at p = 0.9 and a cap of 0.2 it decides
+    all but about 3e-6 of the pole arm's rows and 71.5% of the tilted
+    arm's. The k rows in the windows take their member and u, and
+    azimuths, drawn for them alone, as half-turns h.
 
     Azimuth step, for members off the poles (`_azimuth_cells`, tables made
     once per arm): a window row's u cell gives two thresholds, and the row
@@ -521,43 +615,55 @@ def _u_block_hits(strategy: EstimatorStrategy, dirs: np.ndarray, cum: np.ndarray
     cos4 tilted arm above that leaves 0.48% of the window rows.
 
     Exact step, on the rows left: their cos t (`polar_cos` of their u, the
-    bytes the whole column gives them), the picked members' z coordinates
-    and those of their frames' e1, made once per arm
-    (`bloch.orthonormal_frames`), and their h give `bloch.z_at_angle`,
-    column 2 of `sample_batch`, tested `>= cap_cos`. The z coordinate has no
-    sin(phi) term (e2_z is 0). So a block of n rows draws 2n + k uniforms:
-    the picks, the polar column and the k azimuths of its window rows.
+    bytes the whole column gives them), their members' z coordinates and
+    those of their frames' e1, and their h give `bloch.z_at_angle`, column
+    2 of `sample_batch`, tested `>= cap_cos`. The z coordinate has no
+    sin(phi) term (e2_z is 0). A block returns as soon as a step leaves no
+    row, so it draws n + k words, k its window rows, and a block with no
+    window row draws no azimuth and calls neither `polar_cos` nor
+    `z_at_angle`.
     """
-    a_z = dirs[:, 2]
-    e1_z = bloch.orthonormal_frames(dirs)[0][:, 2]
-    alpha = np.arctan2(np.hypot(dirs[:, 0], dirs[:, 1]), dirs[:, 2])
-    u_low, u_high, hits_low, hits_high = _u_windows(strategy, alpha, cap_cos)
+    a_z, e1_z, weights = _merged_members(decomposition)
+    # -e1_z is a member's distance from the z axis (`bloch.orthonormal_frames`)
+    u_low, u_high, hits_low, hits_high = _u_windows(strategy, np.arctan2(-e1_z, a_z), cap_cos)
     cells = _azimuth_cells(strategy, a_z, e1_z, u_low, u_high, cap_cos)
-    # rows of a member whose rows there are misses compare with 0 or 1, which no u is beyond
-    hit_low = _shared(np.where(hits_low, u_low, 0.0)) if hits_low.any() else None
-    hit_high = _shared(np.where(hits_high, u_high, 1.0)) if hits_high.any() else None
-    u_low, u_high = _shared(u_low), _shared(u_high)
+    cum, lower, scale = _recycled_uniforms(weights)
+    upper = np.append(cum[:-1], 1.0)
+    # a member's rows below w_low are hits if hits_low, and misses if not;
+    # its window is [w_low, w_high); likewise from w_high on
+    w_low, w_high = _w_edges(np.stack([u_low, np.nextafter(u_high, math.inf)]), lower, upper, scale).tolist()
+    # the sure hits as sums of c * count(w < edge); no drawn w lies below 0 or reaches 1
+    edges: dict = {}
+    for j, (start, end) in enumerate(zip(lower.tolist(), upper.tolist())):
+        for hits, (a, b) in ((hits_low[j], (start, w_low[j])), (hits_high[j], (w_high[j], end))):
+            if hits:
+                edges[b] = edges.get(b, 0) + 1
+                edges[a] = edges.get(a, 0) - 1
+    every_row = sum(c for edge, c in edges.items() if edge >= 1.0)
+    hit_edges = [(edge, c) for edge, c in edges.items() if c and 0.0 < edge < 1.0]
+    windows = [(a, b) for a, b in zip(w_low, w_high) if a < b]
+    a_z, e1_z = _shared(a_z), _shared(e1_z)
+    one_member = len(cum) == 1
 
     def block_hits(rng, lo, hi):
-        n = hi - lo
-        idx = _member_index(cum, rng.random(n))
-        u = rng.random(n)
-        hits = 0
-        if hit_low is not None:
-            hits += np.count_nonzero(u < _per_row(hit_low, idx))
-        if hit_high is not None:
-            hits += np.count_nonzero(u > _per_row(hit_high, idx))
-        exact = u >= _per_row(u_low, idx)
-        exact &= u <= _per_row(u_high, idx)
-        rows = np.flatnonzero(exact)
-        del exact
-        u = u.take(rows)
-        idx = idx.take(rows)
+        w = rng.random(hi - lo)
+        hits = every_row * len(w)
+        for edge, c in hit_edges:
+            hits += c * np.count_nonzero(w < edge)
+        rows = _window_rows(w, windows)
+        if not rows.size:
+            return int(hits)
+        u = w.take(rows)
+        if one_member:  # lower 0 and scale 1: u is the word itself
+            idx = None
+        else:
+            idx = _member_index(cum, u)
+            u = _recycled(u, lower.take(idx), scale.take(idx))
         h = uniform_azimuths(rng, len(rows))
         if cells is not None:
-            low, scale, offset, h_hit, h_miss = cells
+            low, cell_scale, offset, h_hit, h_miss = cells
             cell = u - _per_row(low, idx)
-            cell *= _per_row(scale, idx)
+            cell *= _per_row(cell_scale, idx)
             cell = cell.astype(np.intp)
             cell += _per_row(offset, idx)
             turn = np.abs(h)
@@ -566,8 +672,11 @@ def _u_block_hits(strategy: EstimatorStrategy, dirs: np.ndarray, cum: np.ndarray
             rows = turn >= h_miss.take(cell)
             rows ^= sure
             rows = np.flatnonzero(rows)
-            u, idx, h = u.take(rows), idx.take(rows), h.take(rows)
-        z = bloch.z_at_angle(a_z.take(idx), e1_z.take(idx), strategy.polar_cos(u), h)
+            if not rows.size:
+                return int(hits)
+            u, h = u.take(rows), h.take(rows)
+            idx = None if one_member else idx.take(rows)
+        z = bloch.z_at_angle(_per_row(a_z, idx), _per_row(e1_z, idx), strategy.polar_cos(u), h)
         return int(hits + np.count_nonzero(z >= cap_cos))
 
     return block_hits
@@ -593,11 +702,15 @@ def run_discrimination_experiment(
     `streams.map_blocks` call, and each arm's block hits are summed.
     A guess counts by its z coordinate alone (`_cap_hits`):
     for a strategy with `polar_cos` (the two-parameter and tabulated
-    samplers) most rows are counted from the drawn polar uniform, most of
-    the rest from their drawn azimuth against per-cell thresholds, and the
-    few left from a z computed from the drawn angles and the members'
-    frames, without `sample_batch`. The windows, thresholds and frames are
-    made once per arm, in each call.
+    samplers) one drawn word per row gives both its member and its polar
+    uniform u (`_u_block_hits`). Member j's u then lies on a grid of step
+    2^-53 / w_j, w_j its weight, which moves the law of (member, u) by at
+    most about 2^-53 per member on any interval of u. Most rows are
+    counted from their word, most of the rest from their drawn azimuth
+    against per-cell thresholds, and the few left from a z computed from
+    the drawn angles and the members' frames, without `sample_batch`. The
+    windows, edges, thresholds and frames are made once per arm, in each
+    call.
     """
     streams.require_real("cap half-angle", cap_half_angle)
     if not 0.0 < cap_half_angle <= math.pi:

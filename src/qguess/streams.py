@@ -42,7 +42,10 @@ MAX_SEED = 2**64 - 1
 # - 5: azimuths drawn as half-turns h in [-1, 1), phi = pi*h, with cos(phi)
 #   taken as sin(pi*(1/2 - |h|)) (`bloch._cos_sin`); `monte_carlo_fidelity`
 #   sums its scores per row block.
-STREAM_CONTRACT = 5
+# - 6: the discrimination's angle path draws one word per row for the
+#   member and its polar uniform (`nosignal._recycled_uniforms`), over the
+#   members merged by what the count reads of them, in blocks of 2^16 rows.
+STREAM_CONTRACT = 6
 
 # Rows per block of the drivers' `map_blocks` arms: a block's draws and
 # temporaries stay cache-sized, and a worker in flight holds one block of

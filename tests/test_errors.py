@@ -98,6 +98,10 @@ SITES = {
     "cap_frequency(cap_half_angle=True)": lambda: cap_frequency(cos4_density, 0.0, True),
     "cap_frequency(cap_half_angle='0.2')": lambda: cap_frequency(cos4_density, 0.0, "0.2"),
     "cap_probability(cap_half_angle=True)": lambda: cap_probability(GuessingForm.from_a_fraction(1.0), True),
+    "GuessingForm.from_a_fraction(True)": lambda: GuessingForm.from_a_fraction(True),
+    "GuessingForm.from_a_fraction('0.5')": lambda: GuessingForm.from_a_fraction("0.5"),
+    "cap_frequency(axis_angle=True)": lambda: cap_frequency(cos4_density, True, 0.2),
+    "cap_frequency(axis_angle='0.5')": lambda: cap_frequency(cos4_density, "0.5", 0.2),
 }
 
 

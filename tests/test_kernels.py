@@ -5,7 +5,9 @@ kernels against their whole-batch forms at the block edges, the
 discrimination's member pick and z coordinate against `np.searchsorted` and
 column 2 of the full guess, its u and azimuth steps against that z at the
 steps' edges, and the drivers, which draw each batch one row block at a
-time, against block-major references that draw each block whole. Equality is on
+time, against block-major references that draw each block whole; the
+discrimination's angle path against one that takes each row's member and
+polar uniform from one word. Equality is on
 `tobytes()`, so a last-ulp or signed-zero difference fails. The whole-batch
 forms take the azimuth pair of a half-turn as stream contract 5 does
 (`contract5_cos_sin`, written out here rather than imported)."""
@@ -274,13 +276,19 @@ def members(*weighted):
 def member_sets():
     """Decompositions in several positions: the poles have e1_z = +-0, every
     other set's members have e1_z != 0 (e2_z is 0 for every axis, so no set
-    has a sin(phi) term). The generic set has a pole among its members."""
+    has a sin(phi) term). The generic set and the turned duplicates have a
+    pole among their members."""
     return {
         "poles": standard_decomposition(0.8),
         "y-z pair": symmetric_decomposition(0.8),
         "x-z pair": members((0.5, (0.6, 0.0, 0.8)), (0.5, (-0.6, 0.0, 0.8))),
         "x-dominant pair": members((0.4, (0.95, 0.0, 0.3)), (0.6, (-0.95, 0.0, -0.3))),
         "generic": members((0.3, (0.3, 0.4, 0.5)), (0.5, (-0.2, 0.1, -0.4)), (0.2, (0.0, 0.0, 1.0))),
+        # members turned about z by quarter turns (one member to the angle
+        # path) and by 1 rad, a zero weight and an antipodal pole
+        "turned duplicates": members((0.2, (0.6, 0.0, 0.8)), (0.0, (0.3, 0.4, 0.5)), (0.15, (0.0, 0.6, 0.8)),
+                                     (0.25, (-0.6, 0.0, 0.8)), (0.1, (0.0, 0.0, -1.0)),
+                                     (0.3, (0.6 * math.cos(1.0), 0.6 * math.sin(1.0), 0.8))),
     }
 
 
@@ -300,6 +308,18 @@ def test_member_index_matches_searchsorted(p):
         picks = picks[(picks >= 0.0) & (picks <= 1.0)]
         want = np.minimum(np.searchsorted(cum, picks, side="right"), len(cum) - 1)
         assert_same_bytes(_member_index(cum, picks), want)
+
+
+def test_last_member_words_give_its_whole_polar_range_when_the_weights_miss_one():
+    # weights summing to 1 - 2^-40: the last member's words run from its
+    # lower end up to 1, not to the sum, and its u = (w - lower) / (1 - lower)
+    # from 0 to below 1
+    cum, lower, scale = nosignal._recycled_uniforms(np.array([0.5, 0.5 - 2.0 ** -40]))
+    w = np.array([0.5, 0.75, 1.0 - 2.0 ** -40, np.nextafter(1.0, 0.0)])
+    idx = _member_index(cum, w)
+    assert idx.tolist() == [1, 1, 1, 1]
+    u = nosignal._recycled(w, lower[idx], scale[idx])
+    assert u.tolist() == [0.0, 0.5, 1.0 - 2.0 ** -39, 1.0 - 2.0 ** -52]
 
 
 @pytest.mark.parametrize("p", DISCRIMINATION_P)
@@ -508,25 +528,69 @@ def block_major_fidelity_and_counts(strategy, trials, seed, workers, bins=50):
     return (mean, math.sqrt(variance / trials)), counts
 
 
-def block_major_cap_hits(strategy, decomposition, trials, seed, workers, block=0, caps=(0.2,)):
-    """One arm's cap hits, block after block: the member pick by
-    np.searchsorted, then the strategy's whole guesses for the block; one
-    count per cap half-angle in `caps`. The blocks have the discrimination's
-    sizes, CAP_ROW_BLOCK rows for an angle strategy and ROW_BLOCK for MP.
+def merged_members(decomposition):
+    """(directions, weights) of the members as the angle path counts them:
+    one direction per distinct (a_z, e1_z), in the order of its first
+    member, with the weights of its members summed in member order; merged
+    members of no positive weight dropped."""
+    keys, directions, weights = [], [], []
+    for direction, key, weight in zip(decomposition.directions, zip(*member_z(decomposition.directions)),
+                                      decomposition.weights):
+        if key in keys:
+            weights[keys.index(key)] += weight
+        else:
+            keys.append(key)
+            directions.append(direction)
+            weights.append(weight)
+    kept = [m for m, weight in enumerate(weights) if weight > 0.0]
+    return np.array(directions)[kept], np.array(weights)[kept]
 
-    The angle path draws azimuths only for the rows it leaves to the exact
-    z, so for an angle strategy the two read the same draws only under
-    `constant_azimuths`."""
-    cum = np.cumsum(decomposition.weights)
-    dirs = decomposition.directions
-    rows = ROW_BLOCK if strategy.polar_cos is None else CAP_ROW_BLOCK
+
+def recycled_words(weights, w):
+    """(member, u) of each drawn word w: the member by np.searchsorted over
+    the cumulative weights, and u = (w - lower) * scale of the member,
+    clipped below 1, with lower its cumulative weight before it and scale
+    1 / weight, 1 / (1 - lower) for the last member, and no width taken
+    below the least normal double."""
+    cum = np.cumsum(weights)
+    lower = np.concatenate([[0.0], cum[:-1]])
+    width = np.append(weights[:-1], 1.0 - lower[-1])
+    scale = 1.0 / np.maximum(width, np.finfo(float).tiny)
+    idx = np.minimum(np.searchsorted(cum, w, side="right"), len(cum) - 1)
+    return idx, np.minimum((w - lower[idx]) * scale[idx], np.nextafter(1.0, 0.0))
+
+
+def block_major_cap_hits(strategy, decomposition, trials, seed, workers, block=0, caps=(0.2,)):
+    """One arm's cap hits, block after block; one count per cap half-angle
+    in `caps`. The blocks have the discrimination's sizes, CAP_ROW_BLOCK
+    rows for an angle strategy and ROW_BLOCK for MP.
+
+    MP picks each row's member by np.searchsorted and takes the strategy's
+    whole guesses for the block. An angle strategy draws one word w per
+    row for the merged members (`merged_members`), which gives the member
+    and its polar uniform (`recycled_words`), and counts the z column of
+    `directions_at_angle` at the strategy's polar_cos and an azimuth
+    column. The angle path draws azimuths only for the rows it leaves to
+    the exact z, so for an angle strategy the two read the same draws only
+    under `constant_azimuths`."""
+    if strategy.polar_cos is None:
+        dirs, weights = decomposition.directions, decomposition.weights
+        rows = ROW_BLOCK
+    else:
+        dirs, weights = merged_members(decomposition)
+        rows = CAP_ROW_BLOCK
+
+    def block_z(rng, n):
+        if strategy.polar_cos is None:
+            idx = np.minimum(np.searchsorted(np.cumsum(weights), rng.random(n), side="right"), len(dirs) - 1)
+            return strategy.sample_batch(dirs[idx], rng)[:, 2]
+        idx, u = recycled_words(weights, rng.random(n))
+        return directions_at_angle(dirs[idx], strategy.polar_cos(u), estimator.uniform_azimuths(rng, n))[:, 2]
 
     def batch_hits(rng, m):
         hits = np.zeros(len(caps), dtype=np.int64)
         for lo in range(0, m, rows):
-            n = min(rows, m - lo)
-            idx = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(dirs) - 1)
-            z = strategy.sample_batch(dirs[idx], rng)[:, 2]
+            z = block_z(rng, min(rows, m - lo))
             hits += [np.count_nonzero(z >= math.cos(cap)) for cap in caps]
         return hits
 
@@ -632,14 +696,30 @@ def record_window_and_exact_rows(strategy, monkeypatch):
     return window_rows, exact_rows
 
 
+class CountedDraws:
+    """A generator that notes the kind and size of each draw: ("random", n)
+    or ("uniform", n)."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []
+
+    def random(self, size):
+        self.calls.append(("random", size))
+        return self.rng.random(size)
+
+    def uniform(self, low, high, size):
+        self.calls.append(("uniform", size))
+        return self.rng.uniform(low, high, size)
+
+
 @pytest.mark.parametrize("arm", ["poles", "tilted"])
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
-def test_angle_path_block_draws_its_picks_its_polar_column_and_its_exact_azimuths(
-        strategies, monkeypatch, tag, arm):
-    # a block of n rows moves the generator 2n + k words, k the rows in its
+def test_angle_path_block_draws_one_word_per_row_and_its_exact_azimuths(strategies, monkeypatch, tag, arm):
+    # a block of n rows moves the generator n + k words, k the rows in its
     # members' u windows, whose azimuths it draws; 2^21 rows of the pole arm
-    # leave a few. The azimuth step leaves under 1% of the tilted arm's
-    # window rows to polar_cos and the exact z
+    # leave a few, and every tilted block has some. The azimuth step leaves
+    # under 1% of the tilted arm's window rows to polar_cos and the exact z
     strategy = strategies[tag]
     decomposition = {"poles": standard_decomposition, "tilted": symmetric_decomposition}[arm](0.9)
     arm_hits = _cap_hits(strategy, decomposition, math.cos(0.2))
@@ -647,59 +727,77 @@ def test_angle_path_block_draws_its_picks_its_polar_column_and_its_exact_azimuth
     rng, ref = substream(37), substream(37)
     m = 128 * ROW_BLOCK
     serial_hits(arm_hits, rng, m)
-    assert len(window_rows) == m // CAP_ROW_BLOCK and sum(window_rows) > 0
-    for k in window_rows:
-        ref.random(2 * CAP_ROW_BLOCK + k)
+    assert sum(window_rows) > 0 and all(window_rows)
+    ref.random(m + sum(window_rows))
     assert rng.random() == ref.random()
     if arm == "tilted":
+        assert len(window_rows) == m // CAP_ROW_BLOCK
         assert sum(exact_rows) < 0.01 * sum(window_rows)
+
+
+def block_draws(calls):
+    """[[n] or [n, k]] per block of a CountedDraws record: the block's word
+    column, then its azimuths if it drew any."""
+    blocks = []
+    for kind, size in calls:
+        if kind == "random":
+            blocks.append([size])
+        else:
+            assert kind == "uniform" and len(blocks[-1]) == 1
+            blocks[-1].append(size)
+    return blocks
 
 
 @pytest.mark.parametrize("m", [CAP_ROW_BLOCK - 1, 2 * CAP_ROW_BLOCK + 3])
 @pytest.mark.parametrize("name", sorted(member_sets()))
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
-def test_angle_path_blocks_of_any_member_set_draw_2n_plus_k_words(strategies, monkeypatch, tag, name, m):
-    # every block, the ragged last one included, takes its picks, its polar
-    # column and the azimuths of the k rows in its members' u windows, from a
-    # generator already part used
+def test_angle_path_blocks_of_any_member_set_draw_n_plus_k_words(strategies, tag, name, m):
+    # every block, the ragged last one included, draws one word per row,
+    # then the azimuths of the k rows in its members' u windows when k > 0,
+    # from a generator already part used
     arm = _cap_hits(strategies[tag], member_sets()[name], math.cos(0.2))
-    window_rows, _ = record_window_and_exact_rows(strategies[tag], monkeypatch)
     rng, ref = substream(38, 1), substream(38, 1)
     rng.random(3)
     ref.random(3)
-    serial_hits(arm, rng, m)
-    sizes = [min(CAP_ROW_BLOCK, m - lo) for lo in range(0, m, CAP_ROW_BLOCK)]
-    assert len(window_rows) == len(sizes)
-    for n, k in zip(sizes, window_rows):
-        assert 0 <= k <= n
-        ref.random(2 * n + k)
+    draws = CountedDraws(rng)
+    serial_hits(arm, draws, m)
+    blocks = block_draws(draws.calls)
+    assert [block[0] for block in blocks] == [min(CAP_ROW_BLOCK, m - lo) for lo in range(0, m, CAP_ROW_BLOCK)]
+    assert all(0 < k <= n for n, *window in blocks for k in window)
+    ref.random(sum(map(sum, blocks)))
     assert rng.random() == ref.random()
 
 
 def test_angle_path_counts_in_cap_row_blocks_and_mp_in_row_blocks(strategies, monkeypatch):
-    # the angle path's blocks have CAP_ROW_BLOCK rows; MP's whole guesses
-    # keep streams.ROW_BLOCK. Every block picks its members once.
+    # the angle path's blocks have CAP_ROW_BLOCK rows, and each draws its
+    # column of words once; the tilted pair is one member to it, so no
+    # block picks a member. MP's whole guesses keep streams.ROW_BLOCK, and
+    # every MP block picks its members once.
     assert CAP_ROW_BLOCK > ROW_BLOCK
     m = CAP_ROW_BLOCK + ROW_BLOCK + 1
     real = nosignal._member_index
     for tag in ("cos4", "ab", "mp"):
-        sizes = []
+        picks, draws = [], CountedDraws(substream(30))
 
-        def record(cum, pick, sizes=sizes):
-            sizes.append(len(pick))
+        def record(cum, pick, picks=picks):
+            picks.append(len(pick))
             return real(cum, pick)
 
         monkeypatch.setattr(nosignal, "_member_index", record)
-        mapped_hits(strategies[tag], symmetric_decomposition(0.8), math.cos(0.2), 30, m)
-        rows = ROW_BLOCK if tag == "mp" else CAP_ROW_BLOCK
-        assert sizes == [min(rows, m - lo) for lo in range(0, m, rows)]
+        serial_hits(_cap_hits(strategies[tag], symmetric_decomposition(0.8), math.cos(0.2)), draws, m)
+        if tag == "mp":
+            assert picks == [min(ROW_BLOCK, m - lo) for lo in range(0, m, ROW_BLOCK)]
+        else:
+            assert picks == []
+            assert [block[0] for block in block_draws(draws.calls)] == [CAP_ROW_BLOCK, ROW_BLOCK + 1]
 
 
 @pytest.mark.parametrize("p", [0.5, 0.9])
-def test_angle_path_block_holds_six_arrays_of_its_rows(strategies, p):
-    # at most six float64 arrays of a block's rows are alive at once, where
-    # ten were when the path counted in ROW_BLOCK rows; the peak, 2.9-3.6
-    # arrays, comes before the exact z
+def test_angle_path_block_holds_three_arrays_of_its_rows(strategies, p):
+    # at most three float64 arrays of a block's rows are alive at once: the
+    # block's words, and the few arrays of its window rows. The peak was
+    # 1.4-2.1 arrays, where it was 2.9-3.6 when each row drew two words and
+    # ten when the path counted in ROW_BLOCK rows
     for decomposition in (standard_decomposition(p), symmetric_decomposition(p)):
         block_hits, rows = _cap_hits(strategies["cos4"], decomposition, math.cos(0.2))
         assert rows == CAP_ROW_BLOCK
@@ -710,7 +808,7 @@ def test_angle_path_block_holds_six_arrays_of_its_rows(strategies, p):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6.25 * 8 * CAP_ROW_BLOCK
+        assert peak <= 3 * 8 * CAP_ROW_BLOCK
 
 
 @pytest.mark.parametrize("driver", [monte_carlo_fidelity, collect_histogram], ids=["fidelity", "histogram"])
@@ -735,12 +833,13 @@ def test_driver_peak_does_not_grow_with_the_trials(strategies, tag, driver):
 class PlantedDraws:
     """The generator of one row block, handing out given columns in order:
     `random` and `uniform` return the next column as it is, and must ask for
-    all of it."""
+    all of it; asking for a column beyond the last fails."""
 
     def __init__(self, *columns):
         self._columns = list(columns)
 
     def _next(self, size):
+        assert self._columns, "the block drew a column beyond the planted ones"
         column = self._columns.pop(0)
         assert len(column) == size
         return column.copy()
@@ -752,13 +851,48 @@ class PlantedDraws:
         return self._next(size)
 
 
-def planted_uniforms(strategy, decomposition, cap_cos):
+def angle_path_members(decomposition):
+    """(weights, a_z, e1_z, alpha) of the merged members, alpha the polar
+    angle about +z the angle path takes for a member's u window."""
+    dirs, weights = merged_members(decomposition)
+    a_z, e1_z = member_z(dirs)
+    return weights, a_z, e1_z, np.arctan2(-e1_z, a_z)
+
+
+def planted_words(weights, idx, u):
+    """(keep, w, member, u'): the word w of member idx[i] at which its polar
+    uniform is u[i] but for rounding, for the rows `keep` whose w falls
+    among that member's words, and the member and polar uniform u' the
+    angle path takes from w (`recycled_words`)."""
+    cum = np.cumsum(weights)
+    lower = np.concatenate([[0.0], cum[:-1]])
+    upper = np.append(cum[:-1], 1.0)
+    w = lower[idx] + u * np.append(weights[:-1], 1.0 - lower[-1])[idx]
+    keep = np.flatnonzero((w >= lower[idx]) & (w < upper[idx]))
+    w = w[keep]
+    return (keep, w, *recycled_words(weights, w))
+
+
+def polar_cos_of(strategy, u):
+    """cos t of the polar uniforms u by the strategy's whole-column forms."""
+    if isinstance(strategy, TabulatedStrategy):
+        return np.cos(interp_inverse_cdf(strategy, u))
+    return _ab_inverse_cdf(strategy.form, u)
+
+
+def doubles_around(x):
+    """Each of x, and the two doubles either side of it: shape (len(x), 5)."""
+    below = np.nextafter(x, -math.inf)
+    above = np.nextafter(x, math.inf)
+    return np.stack([np.nextafter(below, -math.inf), below, x, above, np.nextafter(above, math.inf)], axis=1)
+
+
+def planted_uniforms(strategy, alpha, cap_cos):
     """u = 0, and the u on and two doubles either side of: each member's
-    window ends (`_u_windows`), the polar step's thresholds in [0, pi]
-    mapped through `polar_uniform` without the margin, and the flat
-    (zero-mass) cells of a tabulated CDF; all within [0, 1)."""
-    dirs = decomposition.directions
-    alpha = np.arctan2(np.hypot(dirs[:, 0], dirs[:, 1]), dirs[:, 2])
+    window ends (`_u_windows`, members at polar angles alpha), the polar
+    step's thresholds in [0, pi] mapped through `polar_uniform` without the
+    margin, and the flat (zero-mass) cells of a tabulated CDF; all within
+    [0, 1)."""
     u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
     miss_beyond, hit_beyond = _polar_bounds(cap_cos)
     thresholds = np.concatenate([alpha - miss_beyond, alpha + miss_beyond,
@@ -768,11 +902,7 @@ def planted_uniforms(strategy, decomposition, cap_cos):
     if isinstance(strategy, TabulatedStrategy):
         xp = strategy._xp
         centres.append(xp[:-1][np.diff(xp) == 0.0])
-    u = [np.zeros(1)]
-    for c in np.concatenate(centres):
-        below, above = np.nextafter(c, -math.inf), np.nextafter(c, math.inf)
-        u.append([np.nextafter(below, -math.inf), below, c, above, np.nextafter(above, math.inf)])
-    u = np.concatenate(u)
+    u = np.concatenate([np.zeros(1), doubles_around(np.concatenate(centres)).ravel()])
     return u[(u >= 0.0) & (u < 1.0)]
 
 
@@ -784,61 +914,50 @@ PLANTED_MEMBERS = {"+z": (0.0, 0.0, 1.0), "-z": (0.0, 0.0, -1.0), "cap": None, "
 @pytest.mark.parametrize("member", sorted(PLANTED_MEMBERS))
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
 def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, monkeypatch, tag, member, cap):
-    # the polar column holds the planted u, once for each member: the
-    # member alone (its bounds are shared), then with its antipode (the two
-    # members' bounds differ, so each row takes its member's); the count
-    # must be the z coordinate's over all rows, and the block must draw
-    # the azimuths of the rows in its members' u windows alone
+    # the words give the planted u, once for each member: the member alone
+    # (its words are its u), then with its antipode (each member has its
+    # own edges on the words); the count must be the z coordinate's over
+    # all rows, and the block must draw the azimuths of the rows in its
+    # members' u windows alone
     direction = PLANTED_MEMBERS[member] or (math.sin(cap), 0.0, math.cos(cap))
     antipode = tuple(-c for c in direction)
     strategy, cap_cos = strategies[tag], math.cos(cap)
     for decomposition in (members((1.0, direction)), members((0.5, direction), (0.5, antipode))):
-        dirs = decomposition.directions
-        u = planted_uniforms(strategy, decomposition, cap_cos)
-        idx = np.repeat(np.arange(len(dirs)), len(u))
-        u = np.tile(u, len(dirs))
-        m = len(u)
-        pick = np.cumsum(decomposition.weights)[idx] - 0.25
+        weights, a_z, e1_z, alpha = angle_path_members(decomposition)
+        u = planted_uniforms(strategy, alpha, cap_cos)
+        _, w, idx, u = planted_words(weights, np.repeat(np.arange(len(weights)), len(u)), np.tile(u, len(weights)))
+        m = len(w)
         h = substream(32).uniform(-1.0, 1.0, size=m)
-        alpha = np.arctan2(np.hypot(dirs[:, 0], dirs[:, 1]), dirs[:, 2])
         u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
         exact = (u >= u_low[idx]) & (u <= u_high[idx])
         block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
         window_rows, _ = record_window_and_exact_rows(strategy, monkeypatch)
-        got = block_hits(PlantedDraws(pick, u, h[exact]), 0, m)
+        got = block_hits(PlantedDraws(w, h[exact]), 0, m)
         monkeypatch.undo()
-        cos_theta = (np.cos(interp_inverse_cdf(strategy, u)) if tag == "cos4"
-                     else _ab_inverse_cdf(strategy.form, u))
-        a_z, e1_z = (c[idx] for c in member_z(dirs))
-        assert got == np.count_nonzero(z_at_angle(a_z, e1_z, cos_theta, h) >= cap_cos)
-        # the u step decided some rows itself
-        assert window_rows == [np.count_nonzero(exact)] and window_rows[0] < m
-
-
-def doubles_around(x):
-    """Each of x, and the two doubles either side of it: shape (len(x), 5)."""
-    below = np.nextafter(x, -math.inf)
-    above = np.nextafter(x, math.inf)
-    return np.stack([np.nextafter(below, -math.inf), below, x, above, np.nextafter(above, math.inf)], axis=1)
+        assert got == np.count_nonzero(z_at_angle(a_z[idx], e1_z[idx], polar_cos_of(strategy, u), h) >= cap_cos)
+        # the u step decided some rows itself, and a block that it leaves no
+        # window row draws no azimuth
+        k = np.count_nonzero(exact)
+        assert window_rows == ([k] if k else []) and k < m
 
 
 def planted_cell_rows(strategy, decomposition, cap_cos):
-    """(idx, u, h), rows of the members that take the azimuth step: u on
-    each edge of the member's cells (`nosignal._azimuth_cells`) and two
-    doubles either side, within its u window, each with h on the two
-    thresholds of the cells on both sides of that edge and two doubles
-    either side of them; every other row's h is negated. None when no
-    member takes the step."""
-    dirs = decomposition.directions
-    alpha = np.arctan2(np.hypot(dirs[:, 0], dirs[:, 1]), dirs[:, 2])
+    """(w, member, u, h), rows of the merged members that take the azimuth
+    step: u on each edge of the member's cells (`nosignal._azimuth_cells`)
+    and two doubles either side, each with h on the two thresholds of the
+    cells on both sides of that edge and two doubles either side of them;
+    every other row's h is negated. The words w give each row's member and
+    u (`planted_words`), and only the rows whose u is in their member's u
+    window are kept. None when no member takes the step."""
+    weights, a_z, e1_z, alpha = angle_path_members(decomposition)
     u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
-    cells = nosignal._azimuth_cells(strategy, *member_z(dirs), u_low, u_high, cap_cos)
+    cells = nosignal._azimuth_cells(strategy, a_z, e1_z, u_low, u_high, cap_cos)
     if cells is None:
         return None
-    offset, h_hit, h_miss = np.broadcast_to(cells[2], len(dirs)), cells[3], cells[4]
+    offset, h_hit, h_miss = np.broadcast_to(cells[2], len(weights)), cells[3], cells[4]
     n = nosignal.CAP_AZIMUTH_CELLS
     rows = []
-    for m in range(len(dirs)):
+    for m in range(len(weights)):
         if offset[m] == len(h_hit) - 1:  # the cell that decides no row
             continue
         table = slice(offset[m], offset[m] + n + 1)
@@ -851,17 +970,20 @@ def planted_cell_rows(strategy, decomposition, cap_cos):
         h[::2] *= -1.0
         keep = (u >= u_low[m]) & (u <= u_high[m]) & (u < 1.0) & (h >= -1.0) & (h < 1.0)
         rows.append((np.full(np.count_nonzero(keep), m), u[keep], h[keep]))
-    return tuple(np.concatenate(column) for column in zip(*rows))
+    idx, u, h = (np.concatenate(column) for column in zip(*rows))
+    keep, w, idx, u = planted_words(weights, idx, u)
+    inside = (u >= u_low[idx]) & (u <= u_high[idx])
+    return w[inside], idx[inside], u[inside], h[keep][inside]
 
 
 @pytest.mark.parametrize("cap", [1e-4, 0.2, math.pi - 1e-9])
 @pytest.mark.parametrize("member", sorted(PLANTED_MEMBERS))
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
 def test_azimuth_step_counts_planted_cell_rows_as_the_z_coordinate(strategies, monkeypatch, tag, member, cap):
-    # the u and h columns hold the planted rows, for the member alone and
-    # with its antipode (each row takes its member's cells); every row is in
-    # its member's u window, and the count must be the z coordinate's. A
-    # pole member takes no azimuth step
+    # the words and the h column hold the planted rows, for the member alone
+    # and with its antipode (each row takes its member's cells); every row
+    # is in its member's u window, and the count must be the z coordinate's.
+    # A pole member takes no azimuth step
     direction = PLANTED_MEMBERS[member] or (math.sin(cap), 0.0, math.cos(cap))
     antipode = tuple(-c for c in direction)
     strategy, cap_cos = strategies[tag], math.cos(cap)
@@ -870,21 +992,18 @@ def test_azimuth_step_counts_planted_cell_rows_as_the_z_coordinate(strategies, m
         if planted is None:
             assert member in ("+z", "-z")
             continue
-        idx, u, h = planted
-        m = len(u)
-        pick = np.cumsum(decomposition.weights)[idx] - 0.25
+        w, idx, u, h = planted
+        m = len(w)
+        _, a_z, e1_z, _ = angle_path_members(decomposition)
         block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
         window_rows, exact_rows = record_window_and_exact_rows(strategy, monkeypatch)
-        got = block_hits(PlantedDraws(pick, u, h), 0, m)
+        got = block_hits(PlantedDraws(w, h), 0, m)
         monkeypatch.undo()
-        cos_theta = (np.cos(interp_inverse_cdf(strategy, u)) if tag == "cos4"
-                     else _ab_inverse_cdf(strategy.form, u))
-        a_z, e1_z = (c[idx] for c in member_z(decomposition.directions))
-        assert got == np.count_nonzero(z_at_angle(a_z, e1_z, cos_theta, h) >= cap_cos)
+        assert got == np.count_nonzero(z_at_angle(a_z[idx], e1_z[idx], polar_cos_of(strategy, u), h) >= cap_cos)
         # the azimuth step decided some rows itself, but where the member and
         # the cap are both within 1e-4 of a pole: there z moves by 1e-8 with
         # the azimuth, below CAP_Z_MARGIN
-        assert window_rows == [m] and (exact_rows[0] < m or (member == "cap" and cap != 0.2))
+        assert window_rows == [m] and (sum(exact_rows) < m or (member == "cap" and cap != 0.2))
 
 
 @pytest.mark.parametrize("cap", [1e-4, 0.2, math.pi - 1e-9])
@@ -923,7 +1042,8 @@ def test_polar_step_counts_planted_rows_at_a_given_up_bound_as_the_z_coordinate(
     # AB with a_frac 1.0, the tilted pair at p = 0.975 and a cap of
     # np.linspace(1e-4, pi, 60)[53]: the low u bound, 8.3e-13, fails its
     # check and is given up, so the rows on and around it, planted in the
-    # polar column, all stay in the window and count as the z coordinate does
+    # words (the tilted pair is one member, whose words are its u), all
+    # stay in the window and count as the z coordinate does
     strategy = ABFormStrategy(GuessingForm.from_a_fraction(1.0))
     decomposition = symmetric_decomposition(0.975)
     cap_cos = math.cos(np.linspace(1e-4, math.pi, 60)[53])
@@ -942,18 +1062,15 @@ def test_polar_step_counts_planted_rows_at_a_given_up_bound_as_the_z_coordinate(
     u = [0.0, before[0] / 2.0, 2.0 * before[0]]
     for c in (np.nextafter(before[0], -math.inf), before[0], np.nextafter(before[0], math.inf)):
         u += [np.nextafter(c, -math.inf), c, np.nextafter(c, math.inf)]
-    u = np.array(u)
-    dirs = decomposition.directions
-    idx = np.repeat(np.arange(len(dirs)), len(u))
-    u = np.tile(u, len(dirs))
-    m = len(u)
-    pick = np.cumsum(decomposition.weights)[idx] - 0.25
+    weights, a_z, e1_z, _ = angle_path_members(decomposition)
+    assert weights.tolist() == [1.0]
+    w = np.array(u)
+    m = len(w)
     h = substream(36).uniform(-1.0, 1.0, size=m)
     window_rows, _ = record_window_and_exact_rows(strategy, monkeypatch)
-    got = block_hits(PlantedDraws(pick, u, h), 0, m)
+    got = block_hits(PlantedDraws(w, h), 0, m)
     monkeypatch.undo()
-    a_z, e1_z = (c[idx] for c in member_z(dirs))
-    z = z_at_angle(a_z, e1_z, _ab_inverse_cdf(strategy.form, u), h)
+    z = z_at_angle(np.full(m, a_z[0]), np.full(m, e1_z[0]), _ab_inverse_cdf(strategy.form, w), h)
     assert got == np.count_nonzero(z >= cap_cos)
     assert window_rows == [m]
 
@@ -974,7 +1091,8 @@ def test_u_windows_check_their_bounds_with_the_polar_map(strategies, monkeypatch
 
 def test_u_step_leaves_few_rows_to_the_inverse_map(strategies, monkeypatch):
     # cos4 at p = 0.9 and a cap of 0.2, 2^19 rows per arm: the pole arm
-    # hands at most 1e-4 of its rows to the inverse CDF, the tilted arm 30%
+    # hands at most 1e-4 of its rows to the inverse CDF, the tilted arm 30%;
+    # a block calls it at most once, and never on no row
     strategy = strategies["cos4"]
     real_inverse_cdf = strategy.inverse_cdf
     for decomposition, share in ((standard_decomposition(0.9), 1e-4), (symmetric_decomposition(0.9), 0.3)):
@@ -989,8 +1107,35 @@ def test_u_step_leaves_few_rows_to_the_inverse_map(strategies, monkeypatch):
         m = 32 * ROW_BLOCK
         serial_hits(arm, substream(33), m)
         monkeypatch.undo()
-        assert len(rows) == m // CAP_ROW_BLOCK
+        assert len(rows) <= m // CAP_ROW_BLOCK and all(rows)
         assert sum(rows) <= share * m
+
+
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_pole_block_without_window_rows_draws_no_azimuth_and_takes_no_exact_step(strategies, monkeypatch, tag):
+    # a pole-arm block whose words all lie outside their members' u
+    # windows: it counts every row from its word, asks PlantedDraws for no
+    # azimuth column, and calls neither polar_cos nor z_at_angle
+    strategy, cap_cos = strategies[tag], math.cos(0.2)
+    decomposition = standard_decomposition(0.9)
+    block_hits, rows = _cap_hits(strategy, decomposition, cap_cos)
+    weights, a_z, e1_z, alpha = angle_path_members(decomposition)
+    w = substream(39).random(rows)
+    idx, u = recycled_words(weights, w)
+    u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
+    outside = (u < u_low[idx]) | (u > u_high[idx])
+    w, idx, u = w[outside], idx[outside], u[outside]
+    assert len(w) > 0.99 * rows and len(weights) == 2
+
+    def refuse(*args):
+        raise AssertionError("a block with no window row took the exact step")
+
+    monkeypatch.setattr(strategy, "polar_cos", refuse)
+    monkeypatch.setattr(bloch, "z_at_angle", refuse)
+    got = block_hits(PlantedDraws(w), 0, len(w))
+    monkeypatch.undo()
+    h = substream(40).uniform(-1.0, 1.0, size=len(w))
+    assert got == np.count_nonzero(z_at_angle(a_z[idx], e1_z[idx], polar_cos_of(strategy, u), h) >= cap_cos)
 
 
 class TrigRecorder:
@@ -1058,12 +1203,17 @@ def test_direction_kernels_take_trig_within_a_quarter_turn(monkeypatch, kernel):
 def test_cap_hits_take_trig_within_a_quarter_turn_and_no_sin_phi(strategies, monkeypatch, tag, name):
     # the z coordinate has no sin(phi) term, so an angle-path block never
     # looks up copysign, which sin(phi) takes; s = sqrt(1 - t^2) scales
-    # cos(phi). MP's whole guesses take random_directions
+    # cos(phi). A block that leaves no row to the exact z takes no trig.
+    # MP's whole guesses take random_directions
     arm = _cap_hits(strategies[tag], member_sets()[name], math.cos(0.2))
+    _, exact_rows = record_window_and_exact_rows(strategies[tag], monkeypatch)
     recorder = TrigRecorder()
     monkeypatch.setattr(bloch, "np", recorder)
     serial_hits(arm, substream(28), CAP_ROW_BLOCK + 1)
-    assert recorder.called == ({"sin", "copysign", "sqrt"} if tag == "mp" else {"sin", "sqrt"})
+    if tag == "mp":
+        assert recorder.called == {"sin", "copysign", "sqrt"}
+    else:
+        assert recorder.called == ({"sin", "sqrt"} if exact_rows else set())
     recorder.assert_arguments_within_a_quarter_turn()
 
 

@@ -1,6 +1,7 @@
 """Property tests (hypothesis, derandomized) for trial splitting, row
-blocks, the closed-form samplers, the tabulated inverse CDF's guide-table bracket and
-the discrimination's cap counts over arbitrary decompositions."""
+blocks, the closed-form samplers, the tabulated inverse CDF's guide-table bracket,
+the discrimination's recycled polar uniforms and their edges on the drawn
+words, and its cap counts over arbitrary decompositions."""
 
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from qguess.bloch import BlochVector, EnsembleDecomposition
 from qguess.estimator import ABFormStrategy, GuessingForm, _ab_inverse_cdf, cap_probability
-from qguess.nosignal import cos4_strategy
+from qguess.nosignal import _member_index, _recycled, _recycled_uniforms, _w_edges, cos4_strategy
 from qguess.streams import ROW_BLOCK, map_blocks, split_trials
 from test_kernels import (
     block_major_cap_hits,
@@ -135,3 +136,50 @@ def test_cap_hits_of_any_decomposition_match_the_block_major_oracle(decompositio
     with constant_azimuths(h0):
         got = mapped_hits(strategy, decomposition, math.cos(cap), 29, trials)
         assert [got] == block_major_cap_hits(strategy, decomposition, trials, 29, 1, caps=(cap,))
+
+
+# member weights with ties in their cumulative sums (zero weights, and
+# weights far below the ulp of the sum before them) and sums that miss 1
+member_weights = st.lists(st.one_of(st.just(0.0), st.just(1e-300), st.floats(0.0, 1.0)), min_size=1, max_size=6)
+sum_scales = st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12])
+
+
+def scaled_weights(weights, scale):
+    weights = np.asarray(weights)
+    if not weights.sum() > 0.0:
+        weights[-1] = 1.0
+    return weights / weights.sum() * scale
+
+
+def words_around(cum, keys):
+    """Drawn words: the keys, 0, the largest double below 1, and each
+    cumulative weight in [0, 1) with the doubles either side of it."""
+    w = np.concatenate([keys, [0.0, np.nextafter(1.0, 0.0)], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)])
+    return w[(w >= 0.0) & (w < 1.0)]
+
+
+@PROPERTY
+@given(weights=member_weights, scale=sum_scales, keys=unit_keys)
+def test_recycled_polar_uniforms_lie_in_the_unit_interval(weights, scale, keys):
+    cum, lower, factor = _recycled_uniforms(scaled_weights(weights, scale))
+    assert np.all(np.isfinite(factor))
+    w = words_around(cum, keys)
+    idx = _member_index(cum, w)
+    u = _recycled(w, lower[idx], factor[idx])
+    assert np.all((u >= 0.0) & (u < 1.0))
+
+
+@PROPERTY
+@given(weights=member_weights, scale=sum_scales, keys=unit_keys, thresholds=unit_keys)
+def test_word_edges_split_each_members_words_at_the_threshold(weights, scale, keys, thresholds):
+    # a word of a member lies below the member's edge exactly when its
+    # recycled u lies below the threshold, for thresholds in [0, 1] and
+    # just above 1 (a bound no u is beyond)
+    cum, lower, factor = _recycled_uniforms(scaled_weights(weights, scale))
+    upper = np.append(cum[:-1], 1.0)
+    t = np.array(thresholds + [0.0, 1.0, np.nextafter(1.0, 2.0)])
+    edges = _w_edges(t[:, None], lower, upper, factor)
+    w = words_around(np.concatenate([cum, edges.ravel()]), keys)
+    idx = _member_index(cum, w)
+    u = _recycled(w, lower[idx], factor[idx])
+    assert np.array_equal(w[None, :] < edges[:, idx], u[None, :] < t[:, None])
