@@ -2,7 +2,7 @@
 
 Run from anywhere, against the checkout this file sits in:
 
-    python benchmarks/layers.py --label change --out BENCH_20.json
+    python benchmarks/layers.py --label change --out BENCH_23.json
 
 Each kernel is timed on 2^19 rows, handed to it one block of 2^14 rows at
 a time as the drivers do, and each driver at the benchmark's sizes with
@@ -19,11 +19,13 @@ are the standard and symmetric decompositions at the benchmark's weight and
 cap, and the generic arm, the symmetric pair turned 1 rad about z. The
 standard arm's members are poles, whose rows the u step decides from the
 polar uniform alone but for about 3e-6 of them; the tilted members' rows in
-their u windows go to the azimuth step, and the z coordinate of a row it
-leaves to the exact step takes cos(phi), and no z coordinate takes sin(phi).
-The `cap_setup` arms time `_cap_hits` alone for the same strategies and
-arms: the set-up each discrimination call makes per arm, with the u
-windows and the azimuth step's tables.
+their u windows go to the azimuth step, which decides most of them from
+their drawn azimuth against the thresholds of their word's cell, one table
+of 2^12 cells per arm. The z coordinate of a row it leaves to the exact
+step takes cos(phi), and no z coordinate takes sin(phi). The `cap_setup`
+arms time `_cap_hits` alone for the same strategies and arms: the set-up
+each discrimination call makes per arm, with the u windows and the azimuth
+step's table, which the pole arm gets without working out a cell.
 
 Before anything is timed, the library's own allocator step runs
 (`streams._prime_heap`, which `streams.map_blocks` runs once per
@@ -207,7 +209,7 @@ def cap_hits() -> dict:
 def cap_setup() -> dict:
     """The set-up of each `_cap_hits` arm alone, which every discrimination
     call makes once per arm: the member frames, the u windows and, on the
-    angle path, the azimuth step's tables."""
+    angle path, the azimuth step's table."""
     cap_cos = math.cos(SIGNAL_CAP)
     return {f"cap_setup.{name}": lambda s=strategy, d=decomposition: nosignal._cap_hits(s, d, cap_cos)
             for name, strategy, decomposition in cap_arms()}

@@ -63,13 +63,13 @@ VERDICT_INDETERMINATE = "indeterminate"
 # calls leave less of a block to the handovers. One signal-detect call took
 # a median of 20.0 ms at 2^15 rows, 17.7 ms at 2^16 and 16.6 ms at 2^17
 # (30 interleaved calls each, one process, 2-core x86-64 host). At 2^16 a
-# block's peak is 1.4-2.1 arrays of its rows, about 1 MB per arm. Like
+# block's peak is 1.4-1.8 arrays of its rows, about 1 MB per arm. Like
 # streams.ROW_BLOCK, it is part of the reproducibility contract.
 CAP_ROW_BLOCK = 4 * streams.ROW_BLOCK
 
 # Margin on a guess's z coordinate within which the polar step of the
 # angle path leaves a row to the next steps (`_polar_bounds`), and by which
-# the azimuth step's thresholds clear the cap's edge (`_cell_thresholds`).
+# the azimuth step's thresholds clear the cap's edge (`_azimuth_table`).
 CAP_Z_MARGIN = 1e-6
 
 # Margin on the polar angle by which `_u_windows` widens the polar step's
@@ -79,16 +79,13 @@ CAP_Z_MARGIN = 1e-6
 # 1e-5 rad wide at a cap of 0.2).
 CAP_THETA_MARGIN = 1e-9
 
-# Equal cells of u per member window in the azimuth step of the angle path
-# (`_azimuth_cells`). More cells leave fewer rows to the exact z and cost
-# more set-up per arm: 4096 to 512 cells left 0.13-0.95% of the cos4
-# tilted arm's window rows at p = 0.9 and a cap of 0.2.
-CAP_AZIMUTH_CELLS = 1024
-
-# Narrowest u cell of the azimuth step: 2^12 ulps of 1, so the rounding of a
-# row's cell index and of the cell edges moves a row by far less than a
-# cell. A narrower window leaves all its rows to the exact z.
-CAP_MIN_CELL = 2.0 ** -40
+# Equal cells of the drawn word w in the azimuth step of the angle path
+# (`_azimuth_table`). A power of two, so a word's cell, int(w * CAP_CELLS),
+# is exact. More cells leave fewer rows to the exact z and cost more set-up
+# per arm: 2^11 to 2^14 cells left 439, 219, 105 and 49 of the 162 124
+# window rows of the cos4 tilted arm at p = 0.9, a cap of 0.2 and 568 954
+# trials.
+CAP_CELLS = 2 ** 12
 
 
 def fibonacci_directions(n: int) -> np.ndarray:
@@ -316,11 +313,12 @@ def _cap_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition,
     Only the guess's z coordinate is counted, and `z >= cap_cos` is the
     count of `sample_batch`. A strategy with `polar_cos` takes its member
     and its polar uniform from one drawn word per row, counts most rows
-    from that word, and most of the rest from their drawn azimuth, and
-    builds no guess (`_u_block_hits`), in CAP_ROW_BLOCK rows; its set-up,
-    the merged members, the u windows and the azimuth step's tables, is
-    made here, once per call. Other strategies run `sample_batch` on the
-    picked members, in streams.ROW_BLOCK rows.
+    from that word, and most of the rest from their drawn azimuth and
+    their word's cell, forms the member and polar uniform of the rows left
+    alone, and builds no guess (`_u_block_hits`), in CAP_ROW_BLOCK rows;
+    its set-up, the merged members, the u windows and the azimuth step's
+    table, is made here, once per call. Other strategies run
+    `sample_batch` on the picked members, in streams.ROW_BLOCK rows.
     """
     if strategy.polar_cos is not None:
         return _u_block_hits(strategy, decomposition, cap_cos), CAP_ROW_BLOCK
@@ -488,91 +486,60 @@ def _checked_bound(strategy: EstimatorStrategy, bound: np.ndarray, toward: float
     return bound
 
 
-def _shared(values: np.ndarray):
-    """values[0] as a float when every member has it, else the array."""
-    return float(values[0]) if np.all(values == values[0]) else values
+def _azimuth_table(strategy: EstimatorStrategy, a_z: np.ndarray, e1_z: np.ndarray, cum: np.ndarray,
+                   lower: np.ndarray, scale: np.ndarray, w_low: list, w_high: list,
+                   cap_cos: float) -> tuple[np.ndarray, np.ndarray]:
+    """(h_hit, h_miss), CAP_CELLS half-turn thresholds each, of the azimuth
+    step: a window row whose word w lies in cell c = int(w * CAP_CELLS), the
+    words [c, c + 1) / CAP_CELLS, is a sure hit at |h| >= h_hit[c] and a
+    sure miss at |h| < h_miss[c].
 
-
-def _per_row(value, idx: np.ndarray):
-    """Each row's member's value: a shared number as it is."""
-    return value.take(idx) if isinstance(value, np.ndarray) else value
-
-
-def _cell_thresholds(strategy: EstimatorStrategy, a_z: float, e1_z: float, u_low: float, u_high: float,
-                     cap_cos: float) -> tuple[np.ndarray, np.ndarray]:
-    """(h_hit, h_miss), CAP_AZIMUTH_CELLS + 1 half-turn thresholds each, for
-    the rows of a member with z coordinates a_z and e1_z < 0 whose u lies in
-    [u_low, u_high]: a row in cell c (`_azimuth_cells`) is a sure hit at
-    |h| >= h_hit[c] and a sure miss at |h| < h_miss[c].
-
-    The cells' edges are CAP_AZIMUTH_CELLS + 1 equally spaced u from u_low
-    to u_high, and cell c's polar angles run from the strategy's own
-    arccos(polar_cos) at edge c - 1 to that at edge c + 2 (clipped to the
-    ends; entry CAP_AZIMUTH_CELLS is the last cell's again): the rounding of
-    a row's cell index moves it at most one cell. Over a range of polar
-    angles of half-width w about its middle m, a row's z = cos(theta) a_z +
-    sin(theta) cos(pi h) e1_z lies within w of z at m, since |dz/dtheta| <=
-    1. So the row is a sure hit where z at m is at least cap_cos +
-    CAP_Z_MARGIN + w, which, as e1_z < 0, is cos(pi h) <= c_hit, and a sure
-    miss where z at m is below cap_cos - CAP_Z_MARGIN - w, cos(pi h) >
-    c_miss. The margin covers the few ulps by which polar_cos falls back
-    (1e-7 rad at the poles) and the rounding of z and of the thresholds
-    (1e-15 in z). A c_hit below -1 gives 2 (no row) and one above 1 gives 0
-    (every row); likewise for c_miss. h_miss <= h_hit in every cell.
+    Only the cells holding words of the windows [w_low, w_high) of members
+    off the poles (e1_z != 0, so z moves with the azimuth) are worked out,
+    and of those only the cells whose words are all of one member; every
+    other cell has h_hit 2 and h_miss 0, and decides no row, and an arm
+    with no such window, the pole arm, gets that table at once. The cell's
+    index is exact, as CAP_CELLS is a power of two. Within a member u never
+    decreases as w grows, so the polar angles of cell c's rows run from
+    the strategy's own arccos(polar_cos) at the `_recycled` u of its first
+    word to that of its last. Over a range of polar angles of half-width r
+    about its middle m, a row's z = cos(theta) a_z + sin(theta) cos(pi h)
+    e1_z lies within r of z at m, since |dz/dtheta| <= 1. So the row is a
+    sure hit where z at m is at least cap_cos + CAP_Z_MARGIN + r, which,
+    as e1_z < 0, is cos(pi h) <= c_hit, and a sure miss where z at m is
+    below cap_cos - CAP_Z_MARGIN - r, cos(pi h) > c_miss. The margin covers
+    the few ulps by which polar_cos falls back (1e-7 rad at the poles) and
+    the rounding of z and of the thresholds (1e-15 in z). A c_hit below -1
+    gives 2 (no row) and one above 1 gives 0 (every row); likewise for
+    c_miss. h_miss <= h_hit in every cell.
     """
-    cells = CAP_AZIMUTH_CELLS
-    # a given-up bound is 1, which no drawn u reaches
-    edges = np.minimum(np.linspace(u_low, u_high, cells + 1), np.nextafter(1.0, 0.0))
-    theta = np.arccos(np.clip(strategy.polar_cos(edges), -1.0, 1.0))
-    c = np.arange(cells + 1)
-    first, last = theta[np.maximum(c - 1, 0)], theta[np.minimum(c + 2, cells)]
-    middle, half = (first + last) / 2.0, np.abs(last - first) / 2.0
-    z_mid = np.cos(middle) * a_z
-    spread = np.sin(middle) * -e1_z
+    h_hit, h_miss = np.full(CAP_CELLS, 2.0), np.zeros(CAP_CELLS)
+    window = np.zeros(CAP_CELLS, dtype=bool)
+    for a, b, e in zip(w_low, w_high, e1_z.tolist()):
+        if a < b and e != 0.0:
+            window[math.floor(a * CAP_CELLS):math.ceil(b * CAP_CELLS)] = True
+    if not window.any():
+        return h_hit, h_miss
+    cell = np.flatnonzero(window)
+    ends = np.stack([cell, cell + 1]) / CAP_CELLS
+    ends[1] = np.nextafter(ends[1], 0.0)  # each cell's first and last word
+    member = _member_index(cum, ends[0])
+    decided = np.flatnonzero(member == _member_index(cum, ends[1]))
+    cell, member = cell.take(decided), member.take(decided)
+    u = _recycled(ends.take(decided, axis=1), lower.take(member), scale.take(member))
+    start, stop = np.arccos(np.clip(strategy.polar_cos(u.ravel()), -1.0, 1.0)).reshape(u.shape)
+    middle, half = (start + stop) / 2.0, np.abs(stop - start) / 2.0
+    z_mid = np.cos(middle) * a_z.take(member)
+    spread = np.sin(middle) * -e1_z.take(member)
     with np.errstate(divide="ignore", invalid="ignore"):
         c_hit = (z_mid - (cap_cos + CAP_Z_MARGIN + half)) / spread
         c_miss = (z_mid - (cap_cos - CAP_Z_MARGIN - half)) / spread
     # a NaN (z at m on the threshold, at a spread of 0) decides no row
-    h_hit = np.where(c_hit >= -1.0, np.arccos(np.clip(c_hit, -1.0, 1.0)) / math.pi, 2.0)
-    h_miss = np.where(c_miss <= 1.0, np.arccos(np.clip(c_miss, -1.0, 1.0)) / math.pi, 0.0)
-    h_miss[c_miss < -1.0] = 2.0
-    return h_hit, np.minimum(h_miss, h_hit)
-
-
-def _azimuth_cells(strategy: EstimatorStrategy, a_z: np.ndarray, e1_z: np.ndarray, u_low: np.ndarray,
-                   u_high: np.ndarray, cap_cos: float):
-    """(low, scale, offset, h_hit, h_miss) of the azimuth step, or None when
-    no member takes it: a window row's cell is int((u - low) * scale) +
-    offset, of its member, and `_cell_thresholds` decides it by its |h|.
-
-    One table per distinct (a_z, e1_z, u_low, u_high) of the members with
-    e1_z != 0 and a window of CAP_MIN_CELL or more per cell; the tilted pair
-    shares one. Members at a pole (e1_z = 0, where z does not depend on the
-    azimuth) or with a narrower window get scale 0 and the offset of a last
-    cell that decides no row. low, scale and offset are numbers when every
-    member has the same, else one entry per member.
-    """
-    cells = CAP_AZIMUTH_CELLS
-    low, scale = np.zeros(len(a_z)), np.zeros(len(a_z))
-    offset = np.empty(len(a_z), dtype=np.intp)
-    tables, first_cell = [], {}
-    for m, key in enumerate(zip(a_z, e1_z, u_low, u_high)):
-        width = key[3] - key[2]
-        if key[1] == 0.0 or not width >= cells * CAP_MIN_CELL:
-            offset[m] = -1
-            continue
-        if key not in first_cell:
-            first_cell[key] = len(tables) * (cells + 1)
-            tables.append(_cell_thresholds(strategy, *key, cap_cos))
-        low[m], scale[m], offset[m] = key[2], cells / width, first_cell[key]
-    if not tables:
-        return None
-    offset[offset < 0] = len(tables) * (cells + 1)
-    h_hit = np.concatenate([hit for hit, _ in tables] + [[2.0]])
-    h_miss = np.concatenate([miss for _, miss in tables] + [[0.0]])
-    if np.all(offset == offset[0]):
-        return float(low[0]), float(scale[0]), int(offset[0]), h_hit, h_miss
-    return low, scale, offset, h_hit, h_miss
+    hit = np.where(c_hit >= -1.0, np.arccos(np.clip(c_hit, -1.0, 1.0)) / math.pi, 2.0)
+    miss = np.where(c_miss <= 1.0, np.arccos(np.clip(c_miss, -1.0, 1.0)) / math.pi, 0.0)
+    miss[c_miss < -1.0] = 2.0
+    h_hit[cell], h_miss[cell] = hit, np.minimum(miss, hit)
+    return h_hit, h_miss
 
 
 def _window_rows(w: np.ndarray, windows) -> np.ndarray:
@@ -606,16 +573,19 @@ def _u_block_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposit
     compares the drawn words with them: neither the member nor u is formed
     for a row it decides. For cos4 at p = 0.9 and a cap of 0.2 it decides
     all but about 3e-6 of the pole arm's rows and 71.5% of the tilted
-    arm's. The k rows in the windows take their member and u, and
-    azimuths, drawn for them alone, as half-turns h.
+    arm's. The k rows in the windows take azimuths, drawn for them alone,
+    as half-turns h.
 
-    Azimuth step, for members off the poles (`_azimuth_cells`, tables made
-    once per arm): a window row's u cell gives two thresholds, and the row
-    is a sure hit at |h| >= h_hit and a sure miss at |h| < h_miss. For the
-    cos4 tilted arm above that leaves 0.48% of the window rows.
+    Azimuth step (`_azimuth_table`, one table per arm): the cell of a
+    window row's word, int(w * CAP_CELLS), gives two thresholds, and the
+    row is a sure hit at |h| >= h_hit and a sure miss at |h| < h_miss. A
+    cell of a pole member's words, or of two members' words, decides no
+    row. For the cos4 tilted arm above that leaves 0.14% of the window
+    rows.
 
-    Exact step, on the rows left: their cos t (`polar_cos` of their u, the
-    bytes the whole column gives them), their members' z coordinates and
+    Exact step, on the rows left: their member and u, formed for them
+    alone, their cos t (`polar_cos` of their u, the bytes the whole column
+    gives them), their members' z coordinates and
     those of their frames' e1, and their h give `bloch.z_at_angle`, column
     2 of `sample_batch`, tested `>= cap_cos`. The z coordinate has no
     sin(phi) term (e2_z is 0). A block returns as soon as a step leaves no
@@ -624,9 +594,10 @@ def _u_block_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposit
     `z_at_angle`.
     """
     a_z, e1_z, weights = _merged_members(decomposition)
-    # -e1_z is a member's distance from the z axis (`bloch.orthonormal_frames`)
-    u_low, u_high, hits_low, hits_high = _u_windows(strategy, np.arctan2(-e1_z, a_z), cap_cos)
-    cells = _azimuth_cells(strategy, a_z, e1_z, u_low, u_high, cap_cos)
+    # -e1_z is a member's distance from the z axis (`bloch.orthonormal_frames`);
+    # math.atan2's bytes, unlike np.arctan2's, do not follow numpy's SIMD level
+    alpha = np.array([math.atan2(-e, a) for a, e in zip(a_z.tolist(), e1_z.tolist())])
+    u_low, u_high, hits_low, hits_high = _u_windows(strategy, alpha, cap_cos)
     cum, lower, scale = _recycled_uniforms(weights)
     upper = np.append(cum[:-1], 1.0)
     # a member's rows below w_low are hits if hits_low, and misses if not;
@@ -642,8 +613,7 @@ def _u_block_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposit
     every_row = sum(c for edge, c in edges.items() if edge >= 1.0)
     hit_edges = [(edge, c) for edge, c in edges.items() if c and 0.0 < edge < 1.0]
     windows = [(a, b) for a, b in zip(w_low, w_high) if a < b]
-    a_z, e1_z = _shared(a_z), _shared(e1_z)
-    one_member = len(cum) == 1
+    h_hit, h_miss = _azimuth_table(strategy, a_z, e1_z, cum, lower, scale, w_low, w_high, cap_cos)
 
     def block_hits(rng, lo, hi):
         w = rng.random(hi - lo)
@@ -653,30 +623,21 @@ def _u_block_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposit
         rows = _window_rows(w, windows)
         if not rows.size:
             return int(hits)
-        u = w.take(rows)
-        if one_member:  # lower 0 and scale 1: u is the word itself
-            idx = None
-        else:
-            idx = _member_index(cum, u)
-            u = _recycled(u, lower.take(idx), scale.take(idx))
+        w = w.take(rows)
         h = uniform_azimuths(rng, len(rows))
-        if cells is not None:
-            low, cell_scale, offset, h_hit, h_miss = cells
-            cell = u - _per_row(low, idx)
-            cell *= _per_row(cell_scale, idx)
-            cell = cell.astype(np.intp)
-            cell += _per_row(offset, idx)
-            turn = np.abs(h)
-            sure = turn >= h_hit.take(cell)
-            hits += np.count_nonzero(sure)
-            rows = turn >= h_miss.take(cell)
-            rows ^= sure
-            rows = np.flatnonzero(rows)
-            if not rows.size:
-                return int(hits)
-            u, h = u.take(rows), h.take(rows)
-            idx = None if one_member else idx.take(rows)
-        z = bloch.z_at_angle(_per_row(a_z, idx), _per_row(e1_z, idx), strategy.polar_cos(u), h)
+        cell = np.multiply(w, CAP_CELLS).astype(np.intp)
+        turn = np.abs(h)
+        sure = turn >= h_hit.take(cell)
+        hits += np.count_nonzero(sure)
+        rows = turn >= h_miss.take(cell)
+        rows ^= sure
+        rows = np.flatnonzero(rows)
+        if not rows.size:
+            return int(hits)
+        w, h = w.take(rows), h.take(rows)
+        idx = _member_index(cum, w)
+        u = _recycled(w, lower.take(idx), scale.take(idx))
+        z = bloch.z_at_angle(a_z.take(idx), e1_z.take(idx), strategy.polar_cos(u), h)
         return int(hits + np.count_nonzero(z >= cap_cos))
 
     return block_hits
@@ -707,10 +668,10 @@ def run_discrimination_experiment(
     2^-53 / w_j, w_j its weight, which moves the law of (member, u) by at
     most about 2^-53 per member on any interval of u. Most rows are
     counted from their word, most of the rest from their drawn azimuth
-    against per-cell thresholds, and the few left from a z computed from
-    the drawn angles and the members' frames, without `sample_batch`. The
-    windows, edges, thresholds and frames are made once per arm, in each
-    call.
+    against the thresholds of their word's cell, and the few left from a z
+    computed from the drawn angles and the members' frames, without
+    `sample_batch`. The windows, edges, thresholds and frames are made once
+    per arm, in each call.
     """
     streams.require_real("cap half-angle", cap_half_angle)
     if not 0.0 < cap_half_angle <= math.pi:

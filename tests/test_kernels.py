@@ -14,7 +14,11 @@ forms take the azimuth pair of a half-turn as stream contract 5 does
 
 import contextlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -770,34 +774,37 @@ def test_angle_path_blocks_of_any_member_set_draw_n_plus_k_words(strategies, tag
 
 def test_angle_path_counts_in_cap_row_blocks_and_mp_in_row_blocks(strategies, monkeypatch):
     # the angle path's blocks have CAP_ROW_BLOCK rows, and each draws its
-    # column of words once; the tilted pair is one member to it, so no
-    # block picks a member. MP's whole guesses keep streams.ROW_BLOCK, and
-    # every MP block picks its members once.
+    # column of words once; a block forms the member index of the rows it
+    # leaves to the exact z alone. MP's whole guesses keep streams.ROW_BLOCK,
+    # and every MP block picks its members once.
     assert CAP_ROW_BLOCK > ROW_BLOCK
     m = CAP_ROW_BLOCK + ROW_BLOCK + 1
     real = nosignal._member_index
     for tag in ("cos4", "ab", "mp"):
         picks, draws = [], CountedDraws(substream(30))
+        arm = _cap_hits(strategies[tag], symmetric_decomposition(0.8), math.cos(0.2))
 
         def record(cum, pick, picks=picks):
             picks.append(len(pick))
             return real(cum, pick)
 
         monkeypatch.setattr(nosignal, "_member_index", record)
-        serial_hits(_cap_hits(strategies[tag], symmetric_decomposition(0.8), math.cos(0.2)), draws, m)
         if tag == "mp":
+            serial_hits(arm, draws, m)
             assert picks == [min(ROW_BLOCK, m - lo) for lo in range(0, m, ROW_BLOCK)]
         else:
-            assert picks == []
+            _, exact_rows = record_window_and_exact_rows(strategies[tag], monkeypatch)
+            serial_hits(arm, draws, m)
+            assert picks == exact_rows and sum(picks) > 0
             assert [block[0] for block in block_draws(draws.calls)] == [CAP_ROW_BLOCK, ROW_BLOCK + 1]
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("p", [0.5, 0.9])
 def test_angle_path_block_holds_three_arrays_of_its_rows(strategies, p):
     # at most three float64 arrays of a block's rows are alive at once: the
-    # block's words, and the few arrays of its window rows. The peak was
-    # 1.4-2.1 arrays, where it was 2.9-3.6 when each row drew two words and
-    # ten when the path counted in ROW_BLOCK rows
+    # block's words, and the few arrays of its window rows. The peak is
+    # 1.4-1.8 arrays
     for decomposition in (standard_decomposition(p), symmetric_decomposition(p)):
         block_hits, rows = _cap_hits(strategies["cos4"], decomposition, math.cos(0.2))
         assert rows == CAP_ROW_BLOCK
@@ -856,7 +863,7 @@ def angle_path_members(decomposition):
     angle about +z the angle path takes for a member's u window."""
     dirs, weights = merged_members(decomposition)
     a_z, e1_z = member_z(dirs)
-    return weights, a_z, e1_z, np.arctan2(-e1_z, a_z)
+    return weights, a_z, e1_z, np.array([math.atan2(-e, a) for a, e in zip(a_z, e1_z)])
 
 
 def planted_words(weights, idx, u):
@@ -941,39 +948,50 @@ def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, mon
         assert window_rows == ([k] if k else []) and k < m
 
 
+def built_azimuth_table(strategy, decomposition, cap_cos):
+    """(h_hit, h_miss), the azimuth step's table that `_cap_hits` builds
+    for the arm (`nosignal._azimuth_table`)."""
+    tables, real = [], nosignal._azimuth_table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nosignal, "_azimuth_table", lambda *args: tables.append(real(*args)) or tables[-1])
+        _cap_hits(strategy, decomposition, cap_cos)
+    [table] = tables
+    return table
+
+
+def decided_cells(h_hit, h_miss):
+    """The cells of an azimuth table that decide some row."""
+    return np.flatnonzero((h_hit <= 1.0) | (h_miss > 0.0))
+
+
 def planted_cell_rows(strategy, decomposition, cap_cos):
     """(w, member, u, h), rows of the merged members that take the azimuth
-    step: u on each edge of the member's cells (`nosignal._azimuth_cells`)
-    and two doubles either side, each with h on the two thresholds of the
-    cells on both sides of that edge and two doubles either side of them;
-    every other row's h is negated. The words w give each row's member and
-    u (`planted_words`), and only the rows whose u is in their member's u
-    window are kept. None when no member takes the step."""
-    weights, a_z, e1_z, alpha = angle_path_members(decomposition)
-    u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
-    cells = nosignal._azimuth_cells(strategy, a_z, e1_z, u_low, u_high, cap_cos)
-    if cells is None:
+    step: w on each edge of the cells that decide rows (the words
+    c / CAP_CELLS) and on each member's u window ends (`planted_words`),
+    and two doubles either side, each with h on the two thresholds of its
+    own cell and of the cells either side of it and two doubles either side
+    of them; every other row's h is negated. Each w gives its row's member
+    and u (`recycled_words`), and only the rows whose u is in their
+    member's u window are kept. None when no cell decides a row."""
+    h_hit, h_miss = built_azimuth_table(strategy, decomposition, cap_cos)
+    cells = decided_cells(h_hit, h_miss)
+    if not cells.size:
         return None
-    offset, h_hit, h_miss = np.broadcast_to(cells[2], len(weights)), cells[3], cells[4]
-    n = nosignal.CAP_AZIMUTH_CELLS
-    rows = []
-    for m in range(len(weights)):
-        if offset[m] == len(h_hit) - 1:  # the cell that decides no row
-            continue
-        table = slice(offset[m], offset[m] + n + 1)
-        # the thresholds of the cells either side of each edge: (n + 1, 20)
-        h = doubles_around(np.stack([h_hit[table], h_miss[table]], axis=1)).reshape(n + 1, 10)
-        h = np.concatenate([h[np.maximum(np.arange(n + 1) - 1, 0)], h], axis=1)
-        u = doubles_around(np.linspace(u_low[m], u_high[m], n + 1))
-        u, h = np.broadcast_arrays(u[:, :, None], h[:, None, :])
-        u, h = u.ravel(), h.ravel().copy()
-        h[::2] *= -1.0
-        keep = (u >= u_low[m]) & (u <= u_high[m]) & (u < 1.0) & (h >= -1.0) & (h < 1.0)
-        rows.append((np.full(np.count_nonzero(keep), m), u[keep], h[keep]))
-    idx, u, h = (np.concatenate(column) for column in zip(*rows))
-    keep, w, idx, u = planted_words(weights, idx, u)
+    weights, _, _, alpha = angle_path_members(decomposition)
+    u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
+    _, ends, _, _ = planted_words(weights, np.repeat(np.arange(len(weights)), 2), np.stack([u_low, u_high], 1).ravel())
+    w = doubles_around(np.concatenate([np.union1d(cells, cells + 1) / nosignal.CAP_CELLS, ends])).ravel()
+    w = w[(w >= 0.0) & (w < 1.0)]
+    near = np.clip((w * nosignal.CAP_CELLS).astype(np.intp)[:, None] + [-1, 0, 1], 0, nosignal.CAP_CELLS - 1)
+    h = doubles_around(np.concatenate([h_hit[near], h_miss[near]], axis=1).ravel()).reshape(len(w), 30)
+    w, h = np.broadcast_arrays(w[:, None], h)
+    w, h = w.ravel(), h.ravel().copy()
+    h[::2] *= -1.0
+    keep = (h >= -1.0) & (h < 1.0)
+    w, h = w[keep], h[keep]
+    idx, u = recycled_words(weights, w)
     inside = (u >= u_low[idx]) & (u <= u_high[idx])
-    return w[inside], idx[inside], u[inside], h[keep][inside]
+    return w[inside], idx[inside], u[inside], h[inside]
 
 
 @pytest.mark.parametrize("cap", [1e-4, 0.2, math.pi - 1e-9])
@@ -981,16 +999,18 @@ def planted_cell_rows(strategy, decomposition, cap_cos):
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
 def test_azimuth_step_counts_planted_cell_rows_as_the_z_coordinate(strategies, monkeypatch, tag, member, cap):
     # the words and the h column hold the planted rows, for the member alone
-    # and with its antipode (each row takes its member's cells); every row
-    # is in its member's u window, and the count must be the z coordinate's.
-    # A pole member takes no azimuth step
+    # and with its antipode (each word takes its own member); every row is
+    # in its member's u window, and the count must be the z coordinate's.
+    # A pole member's cells decide no row, and nor do those of a member and
+    # a cap both within 1e-4 of a pole: there z moves by 1e-8 with the
+    # azimuth, below CAP_Z_MARGIN
     direction = PLANTED_MEMBERS[member] or (math.sin(cap), 0.0, math.cos(cap))
     antipode = tuple(-c for c in direction)
     strategy, cap_cos = strategies[tag], math.cos(cap)
     for decomposition in (members((1.0, direction)), members((0.5, direction), (0.5, antipode))):
         planted = planted_cell_rows(strategy, decomposition, cap_cos)
         if planted is None:
-            assert member in ("+z", "-z")
+            assert member in ("+z", "-z") or (member == "cap" and cap != 0.2)
             continue
         w, idx, u, h = planted
         m = len(w)
@@ -1000,42 +1020,124 @@ def test_azimuth_step_counts_planted_cell_rows_as_the_z_coordinate(strategies, m
         got = block_hits(PlantedDraws(w, h), 0, m)
         monkeypatch.undo()
         assert got == np.count_nonzero(z_at_angle(a_z[idx], e1_z[idx], polar_cos_of(strategy, u), h) >= cap_cos)
-        # the azimuth step decided some rows itself, but where the member and
-        # the cap are both within 1e-4 of a pole: there z moves by 1e-8 with
-        # the azimuth, below CAP_Z_MARGIN
-        assert window_rows == [m] and (sum(exact_rows) < m or (member == "cap" and cap != 0.2))
+        # the azimuth step decided some rows itself
+        assert window_rows == [m] and sum(exact_rows) < m
+
+
+def cell_words(cells, lower, upper):
+    """The first two, middle and last two words of each cell of the words
+    [c, c + 1) / CAP_CELLS, where they lie in [lower, upper)."""
+    first, end = cells / nosignal.CAP_CELLS, (cells + 1) / nosignal.CAP_CELLS
+    last = np.nextafter(end, 0.0)
+    words = np.stack([first, np.nextafter(first, 1.0), (first + end) / 2.0, np.nextafter(last, 0.0), last], axis=1)
+    return words[(words >= lower) & (words < upper)]
 
 
 @pytest.mark.parametrize("cap", [1e-4, 0.2, math.pi - 1e-9])
 @pytest.mark.parametrize("member", ["cap", "generic"])
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
-def test_cell_thresholds_hold_one_cell_beyond_each_cell(strategies, tag, member, cap):
-    # a row's cell index may round one off, so each cell's thresholds must
-    # decide the rows of the cells either side of it too: at u on the far
-    # edges of those cells and h on the cell's thresholds and two doubles
-    # either side of them, a sure row's z is CAP_Z_MARGIN / 2 or more beyond
-    # the cap's edge
+def test_cell_thresholds_hold_for_every_word_of_the_cell(strategies, tag, member, cap):
+    # a cell's thresholds must decide the rows of every word of the cell,
+    # window or not: at words on its ends and middle, and h on its
+    # thresholds and two doubles either side of them, a sure row's z is
+    # CAP_Z_MARGIN / 2 or more beyond the cap's edge. The member alone
+    # (its words are its u), then with its antipode at weights 0.3 and 0.7
+    # (each member's u recycled from its words)
+    direction = PLANTED_MEMBERS[member] or (math.sin(cap), 0.0, math.cos(cap))
+    antipode = tuple(-c for c in direction)
     strategy, cap_cos = strategies[tag], math.cos(cap)
-    dirs = members((1.0, PLANTED_MEMBERS[member] or (math.sin(cap), 0.0, math.cos(cap)))).directions
-    alpha = np.arctan2(np.hypot(dirs[:, 0], dirs[:, 1]), dirs[:, 2])
+    decided = 0
+    for decomposition in (members((1.0, direction)), members((0.3, antipode), (0.7, direction))):
+        h_hit, h_miss = built_azimuth_table(strategy, decomposition, cap_cos)
+        cells = decided_cells(h_hit, h_miss)
+        w = cell_words(cells, 0.0, 1.0)
+        weights, a_z, e1_z, _ = angle_path_members(decomposition)
+        idx, u = recycled_words(weights, w)
+        c = (w * nosignal.CAP_CELLS).astype(np.intp)
+        h = doubles_around(np.stack([h_hit[c], h_miss[c]], axis=1)).reshape(len(w), 10)
+        h = np.concatenate([h, -h], axis=1)
+        u, h, idx, c = np.broadcast_arrays(u[:, None], h, idx[:, None], c[:, None])
+        keep = (h >= -1.0) & (h < 1.0)
+        u, h, idx, c = u[keep], h[keep], idx[keep], c[keep]
+        z = z_at_angle(a_z[idx], e1_z[idx], polar_cos_of(strategy, u), h)
+        sure_hit, sure_miss = np.abs(h) >= h_hit[c], np.abs(h) < h_miss[c]
+        assert np.all(z[sure_hit] >= cap_cos + nosignal.CAP_Z_MARGIN / 2.0)
+        assert np.all(z[sure_miss] < cap_cos - nosignal.CAP_Z_MARGIN / 2.0)
+        decided += np.count_nonzero(sure_hit | sure_miss)
+    assert decided or cap != 0.2
+
+
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_azimuth_step_leaves_a_cell_of_two_members_words_to_the_exact_z(strategies, monkeypatch, tag):
+    # two members whose boundary lies 2^-20 into cell 1228, so the cell
+    # holds the first member's last words and the second's first, and a cap
+    # of 1 rad. The second member is at the cap's edge, or its antipode is,
+    # so its words in the cell, whose u is near 0, are in its u window; the
+    # first is far from the edge, so its words there, whose u is near 1,
+    # are not (cos4's polar uniform grows with theta, AB's falls). The
+    # cell decides no row, though the first member's thresholds would call
+    # every row a miss and the next cell decides rows, so every window row
+    # of the cell, with h on and around the next cell's thresholds, goes on
+    # to the exact z and counts as the z coordinate does
+    strategy, cap_cos, shared = strategies[tag], math.cos(1.0), 1228
+    at = {angle: (math.sin(angle), 0.0, math.cos(angle)) for angle in (0.5, 1.0, 2.5, math.pi - 1.0)}
+    pair = (at[0.5], at[1.0]) if tag == "cos4" else (at[2.5], at[math.pi - 1.0])
+    boundary = shared / nosignal.CAP_CELLS + 2.0 ** -20
+    decomposition = members((boundary, pair[0]), (1.0 - boundary, pair[1]))
+    h_hit, h_miss = built_azimuth_table(strategy, decomposition, cap_cos)
+    assert (h_hit[shared], h_miss[shared]) == (2.0, 0.0)
+    assert h_hit[shared + 1] <= 1.0 and h_miss[shared + 1] > 0.0
+    weights, a_z, e1_z, alpha = angle_path_members(decomposition)
+    w = cell_words(np.array([shared]), 0.0, 1.0)
+    idx, u = recycled_words(weights, w)
     u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
-    a_z, e1_z = member_z(dirs)
-    n = nosignal.CAP_AZIMUTH_CELLS
-    h_hit, h_miss = nosignal._cell_thresholds(strategy, a_z[0], e1_z[0], u_low[0], u_high[0], cap_cos)
-    edges = np.linspace(u_low[0], u_high[0], n + 1)
-    c = np.arange(n + 1)
-    u = np.stack([edges[np.maximum(c - 1, 0)], edges[np.minimum(c + 2, n)]], axis=1)
-    h = doubles_around(np.stack([h_hit, h_miss], axis=1)).reshape(n + 1, 10)
-    h = np.concatenate([h, -h], axis=1)
-    u, h, hit, miss = np.broadcast_arrays(u[:, :, None], h[:, None, :], h_hit[:, None, None], h_miss[:, None, None])
-    keep = (u < 1.0) & (h >= -1.0) & (h < 1.0)
-    u, h, hit, miss = u[keep], h[keep], hit[keep], miss[keep]
-    cos_theta = np.cos(interp_inverse_cdf(strategy, u)) if tag == "cos4" else _ab_inverse_cdf(strategy.form, u)
-    z = z_at_angle(np.full(len(u), a_z[0]), np.full(len(u), e1_z[0]), cos_theta, h)
-    sure_hit, sure_miss = np.abs(h) >= hit, np.abs(h) < miss
-    assert np.all(z[sure_hit] >= cap_cos + nosignal.CAP_Z_MARGIN / 2.0)
-    assert np.all(z[sure_miss] < cap_cos - nosignal.CAP_Z_MARGIN / 2.0)
-    assert np.any(sure_hit | sure_miss) or cap != 0.2
+    window = (u >= u_low[idx]) & (u <= u_high[idx])
+    assert idx.tolist() == [0, 0, 1, 1, 1] and window.tolist() == [False, False, True, True, True]
+    h = doubles_around(np.array([h_hit[shared + 1], h_miss[shared + 1]])).ravel()
+    w, h = (a.ravel() for a in np.broadcast_arrays(w[window][:, None], np.concatenate([h, -h])[None, :]))
+    idx, u = recycled_words(weights, w)
+    block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
+    window_rows, exact_rows = record_window_and_exact_rows(strategy, monkeypatch)
+    got = block_hits(PlantedDraws(w, h), 0, len(w))
+    monkeypatch.undo()
+    assert window_rows == [len(w)] and exact_rows == [len(w)]
+    assert got == np.count_nonzero(z_at_angle(a_z[idx], e1_z[idx], polar_cos_of(strategy, u), h) >= cap_cos)
+
+
+# numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so each SIMD level
+# runs in its own child process. The script prints a digest of every u
+# window and word edge (`nosignal._w_edges`' input and output) of the cos4
+# and AB (a_frac 0.5) tilted arms at p = i/101, i = 1..100, and a cap of 0.2
+WINDOW_EDGES = """
+import hashlib, math
+import numpy as np
+from qguess import nosignal
+from qguess.ensembles import symmetric_decomposition
+from qguess.estimator import ABFormStrategy, GuessingForm
+edges, real = [], nosignal._w_edges
+
+def record(t, *args):
+    edges.extend([t, real(t, *args)])
+    return edges[-1]
+
+nosignal._w_edges = record
+for strategy in (nosignal.cos4_strategy(), ABFormStrategy(GuessingForm.from_a_fraction(0.5))):
+    for i in range(1, 101):
+        nosignal._cap_hits(strategy, symmetric_decomposition(i / 101), math.cos(0.2))
+print(hashlib.sha256(np.concatenate([e.ravel() for e in edges]).tobytes()).hexdigest())
+"""
+
+
+def test_window_edges_keep_their_bytes_at_avx2():
+    # the members' polar angles, and so the windows and edges made from
+    # them, do not follow numpy's SIMD level: np.arctan2 gives other bytes
+    # at AVX-512 than at AVX2 for some of these tilts
+    src = str(Path(nosignal.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    digests = [subprocess.run([sys.executable, "-c", WINDOW_EDGES], env=level, capture_output=True, text=True,
+                              check=True).stdout
+               for level in (env, {**env, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"})]
+    assert digests[0] == digests[1]
 
 
 def test_polar_step_counts_planted_rows_at_a_given_up_bound_as_the_z_coordinate(monkeypatch):
