@@ -2,7 +2,7 @@
 
 Run from anywhere, against the checkout this file sits in:
 
-    python benchmarks/layers.py --label change --out BENCH_23.json
+    python benchmarks/layers.py --label change --out BENCH_25.json
 
 Each kernel is timed on 2^19 rows, handed to it one block of 2^14 rows at
 a time as the drivers do, and each driver at the benchmark's sizes with
@@ -16,15 +16,19 @@ a_frac = 0.5, cos4) and arm, set-up included, through `streams.map_blocks`
 with one worker, in blocks of the rows `_cap_hits` gives with it (2^16 on
 the angle path, 2^14 for MP). The arms
 are the standard and symmetric decompositions at the benchmark's weight and
-cap, and the generic arm, the symmetric pair turned 1 rad about z. The
-standard arm's members are poles, whose rows the u step decides from the
-polar uniform alone but for about 3e-6 of them; the tilted members' rows in
-their u windows go to the azimuth step, which decides most of them from
-their drawn azimuth against the thresholds of their word's cell, one table
-of 2^12 cells per arm. The z coordinate of a row it leaves to the exact
-step takes cos(phi), and no z coordinate takes sin(phi). The `cap_setup`
-arms time `_cap_hits` alone for the same strategies and arms: the set-up
-each discrimination call makes per arm, with the u windows and the azimuth
+cap, and the generic arm, the symmetric pair turned 1 rad about z. An
+angle-path block draws its rows' counts of sure hits, window words and
+sure misses as one multinomial, then a word and an azimuth for each of
+its k window rows: a multinomial and 2k words, where one word per row
+took n + k. The standard arm's members are poles, whose words lie in
+their u windows but for about 3e-6 of them, so most of its blocks draw
+their counts alone; the tilted members' window rows go to the azimuth
+step, which decides most of them from their drawn azimuth against the
+thresholds of their word's cell, one table of 2^12 cells per arm. The z
+coordinate of a row it leaves to the exact step takes cos(phi), and no z
+coordinate takes sin(phi). The `cap_setup` arms time `_cap_hits` alone
+for the same strategies and arms: the set-up each discrimination call
+makes per arm, with the u windows, the word classes and the azimuth
 step's table, which the pole arm gets without working out a cell.
 
 Before anything is timed, the library's own allocator step runs

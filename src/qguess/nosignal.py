@@ -57,14 +57,16 @@ VERDICT_NOT_DETECTABLE = "not detectable"
 VERDICT_DETECTABLE = "detectable"
 VERDICT_INDETERMINATE = "indeterminate"
 
-# Rows per block of the discrimination's angle path (`_cap_hits`). The two
-# arms run on two threads, and each numpy call hands the interpreter lock
-# over; the angle path does few float operations per call, so fewer, longer
-# calls leave less of a block to the handovers. One signal-detect call took
-# a median of 20.0 ms at 2^15 rows, 17.7 ms at 2^16 and 16.6 ms at 2^17
-# (30 interleaved calls each, one process, 2-core x86-64 host). At 2^16 a
-# block's peak is 1.4-1.8 arrays of its rows, about 1 MB per arm. Like
-# streams.ROW_BLOCK, it is part of the reproducibility contract.
+# Rows per block of the discrimination's angle path (`_cap_hits`). A block
+# draws its rows' class counts at once and words only for its window rows,
+# so its memory follows those rows: it peaks at about 1.8 arrays of its
+# rows in the cos4 tilted arm at p = 0.9 and a cap of 0.2 (0.93 MB at
+# 2^16), and at next to nothing in the pole arm. One signal-detect call
+# took a median of 4.48 ms at 2^16 rows, 4.47 ms at 2^17 (faster in 103
+# of 150 interleaved rounds, median paired ratio 0.973, for twice the
+# memory) and 4.69 ms at one block per worker (8.1 MB per tilted block),
+# one process, 2-core x86-64 host. Like streams.ROW_BLOCK, it is part of
+# the reproducibility contract.
 CAP_ROW_BLOCK = 4 * streams.ROW_BLOCK
 
 # Margin on a guess's z coordinate within which the polar step of the
@@ -312,13 +314,15 @@ def _cap_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition,
 
     Only the guess's z coordinate is counted, and `z >= cap_cos` is the
     count of `sample_batch`. A strategy with `polar_cos` takes its member
-    and its polar uniform from one drawn word per row, counts most rows
-    from that word, and most of the rest from their drawn azimuth and
-    their word's cell, forms the member and polar uniform of the rows left
-    alone, and builds no guess (`_u_block_hits`), in CAP_ROW_BLOCK rows;
-    its set-up, the merged members, the u windows and the azimuth step's
-    table, is made here, once per call. Other strategies run
-    `sample_batch` on the picked members, in streams.ROW_BLOCK rows.
+    and its polar uniform from one word per row; a block draws its rows'
+    counts of sure hits, window words and sure misses as one multinomial,
+    then a word and an azimuth for each window row alone, counts most of
+    those from their azimuth and their word's cell, forms the member and
+    polar uniform of the rows left alone, and builds no guess
+    (`_u_block_hits`), in CAP_ROW_BLOCK rows; its set-up, the merged
+    members, the u windows, the word classes and the azimuth step's table,
+    is made here, once per call. Other strategies run `sample_batch` on
+    the picked members, in streams.ROW_BLOCK rows.
     """
     if strategy.polar_cos is not None:
         return _u_block_hits(strategy, decomposition, cap_cos), CAP_ROW_BLOCK
@@ -542,39 +546,81 @@ def _azimuth_table(strategy: EstimatorStrategy, a_z: np.ndarray, e1_z: np.ndarra
     return h_hit, h_miss
 
 
-def _window_rows(w: np.ndarray, windows) -> np.ndarray:
-    """Indices of the words w inside any of the [a, b) of `windows`."""
-    inside = np.zeros(len(w), dtype=bool)
-    for a, b in windows:
-        one = w >= a
-        one &= w < b
-        inside |= one
-    return np.flatnonzero(inside)
+# numpy draws a double in [0, 1) as a word k / 2^53, k uniform on [0, 2^53)
+_LATTICE = 2 ** 53
+
+
+def _lattice(x: float) -> int:
+    """The count of words k / 2^53 below x, for x in [0, 1]: ceil(x * 2^53),
+    exact because the scaling is by a power of two, and at most 2^53."""
+    return min(math.ceil(x * _LATTICE), _LATTICE)
+
+
+def _word_classes(lower, upper, w_low, w_high, hits_low, hits_high) -> tuple[list, list]:
+    """(hits, windows): the non-empty intervals [a, b) of word indices k, in
+    word order, of the sure hits and of the u windows.
+
+    Member j's words are [lower[j], upper[j]) and its window is [w_low[j],
+    w_high[j]) (`_u_block_hits`); its words below the window are hits if
+    hits_low[j], and those from w_high[j] on if hits_high[j]. Every other
+    word is a sure miss. Each end becomes the count of words below it
+    (`_lattice`), so the intervals partition the words with the misses.
+    """
+    hits, windows = [], []
+    for j, ends in enumerate(zip(lower, w_low, w_high, upper)):
+        start, a, b, end = map(_lattice, ends)
+        if hits_low[j] and start < a:
+            hits.append((start, a))
+        if a < b:
+            windows.append((a, b))
+        if hits_high[j] and b < end:
+            hits.append((b, end))
+    return hits, windows
+
+
+def _window_words(index: np.ndarray, windows: list) -> np.ndarray:
+    """The words the indices name, in place: index i is the i-th word of
+    the `_word_classes` windows taken in order. Past the first window's
+    first word, each word at or past the end of a window skips the gap to
+    the next one."""
+    index += windows[0][0]
+    for (_, end), (start, _) in zip(windows, windows[1:]):
+        index[index >= end] += start - end
+    return index
 
 
 def _u_block_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition, cap_cos: float):
     """Block function of `_cap_hits` for a strategy with `polar_cos`.
 
     Members: the decomposition's members merged by what the count reads of
-    them (`_merged_members`); the cos4 tilted pair is one member. A block
-    of n rows draws one word w per row, which gives the row's member J,
-    `_member_index(cum, w)`, and its polar uniform u = (w - lower[J]) *
-    scale[J], below 1 (`_recycled_uniforms`). Given J = j, u lies on a grid
-    of step 2^-53 / w_j, w_j the member's weight, so on any interval of u
-    the law of (J, u) differs from that of a member drawn by weight and an
-    independent uniform u by at most about 2^-53 per member: the bound in
-    total variation over such events.
+    them (`_merged_members`); the cos4 tilted pair is one member. A row's
+    word w gives its member J, `_member_index(cum, w)`, and its polar
+    uniform u = (w - lower[J]) * scale[J], below 1 (`_recycled_uniforms`).
+    Given J = j, u lies on a grid of step 2^-53 / w_j, w_j the member's
+    weight, so on any interval of u the law of (J, u) differs from that of
+    a member drawn by weight and an independent uniform u by at most about
+    2^-53 per member: the bound in total variation over such events.
 
     u step: the members' polar angles alpha about +z give, once per arm,
     each member's window of u (`_u_windows`), and rows outside their
-    member's window are counted from u alone. u is non-decreasing in w
-    within a member, so the window ends and the bounds of the sure hits
-    are made once per arm into edges on w (`_w_edges`), and the step
-    compares the drawn words with them: neither the member nor u is formed
-    for a row it decides. For cos4 at p = 0.9 and a cap of 0.2 it decides
-    all but about 3e-6 of the pole arm's rows and 71.5% of the tilted
-    arm's. The k rows in the windows take azimuths, drawn for them alone,
-    as half-turns h.
+    member's window are decided by u alone. u is non-decreasing in w within
+    a member, so the window ends and the bounds of the sure hits are made
+    once per arm into edges on w (`_w_edges`), and then into intervals of
+    the words k / 2^53 that numpy draws (`_word_classes`): sure hits, the
+    windows, and sure misses. For cos4 at p = 0.9 and a cap of 0.2 the
+    windows hold about 3e-6 of the pole arm's words and 28.5% of the
+    tilted arm's.
+
+    The n words of a block are iid uniform on the 2^53 words, so the counts
+    of its rows in the three classes are multinomial with the classes'
+    word counts over 2^53, exact doubles, as probabilities; given the
+    counts, the words in each class are iid uniform on its words (Devroye
+    1986, *Non-Uniform Random Variate Generation*, ch. XI). So a block
+    draws the counts, one `multinomial`, counts its sure hits from them,
+    and draws words for its k window rows alone, as indices uniform on the
+    windows' words (`integers`, `_window_words`). Its hit count
+    has the law it has when every row draws its word. The k rows then take
+    azimuths as half-turns h.
 
     Azimuth step (`_azimuth_table`, one table per arm): the cell of a
     window row's word, int(w * CAP_CELLS), gives two thresholds, and the
@@ -585,13 +631,12 @@ def _u_block_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposit
 
     Exact step, on the rows left: their member and u, formed for them
     alone, their cos t (`polar_cos` of their u, the bytes the whole column
-    gives them), their members' z coordinates and
-    those of their frames' e1, and their h give `bloch.z_at_angle`, column
-    2 of `sample_batch`, tested `>= cap_cos`. The z coordinate has no
-    sin(phi) term (e2_z is 0). A block returns as soon as a step leaves no
-    row, so it draws n + k words, k its window rows, and a block with no
-    window row draws no azimuth and calls neither `polar_cos` nor
-    `z_at_angle`.
+    gives them), their members' z coordinates and those of their frames'
+    e1, and their h give `bloch.z_at_angle`, column 2 of `sample_batch`,
+    tested `>= cap_cos`. The z coordinate has no sin(phi) term (e2_z is
+    0). A block returns as soon as a step leaves no row, so it draws a
+    multinomial and 2k words, and a block with no window row draws no word
+    and calls neither `polar_cos` nor `z_at_angle`.
     """
     a_z, e1_z, weights = _merged_members(decomposition)
     # -e1_z is a member's distance from the z axis (`bloch.orthonormal_frames`);
@@ -600,32 +645,21 @@ def _u_block_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposit
     u_low, u_high, hits_low, hits_high = _u_windows(strategy, alpha, cap_cos)
     cum, lower, scale = _recycled_uniforms(weights)
     upper = np.append(cum[:-1], 1.0)
-    # a member's rows below w_low are hits if hits_low, and misses if not;
-    # its window is [w_low, w_high); likewise from w_high on
     w_low, w_high = _w_edges(np.stack([u_low, np.nextafter(u_high, math.inf)]), lower, upper, scale).tolist()
-    # the sure hits as sums of c * count(w < edge); no drawn w lies below 0 or reaches 1
-    edges: dict = {}
-    for j, (start, end) in enumerate(zip(lower.tolist(), upper.tolist())):
-        for hits, (a, b) in ((hits_low[j], (start, w_low[j])), (hits_high[j], (w_high[j], end))):
-            if hits:
-                edges[b] = edges.get(b, 0) + 1
-                edges[a] = edges.get(a, 0) - 1
-    every_row = sum(c for edge, c in edges.items() if edge >= 1.0)
-    hit_edges = [(edge, c) for edge, c in edges.items() if c and 0.0 < edge < 1.0]
-    windows = [(a, b) for a, b in zip(w_low, w_high) if a < b]
+    sure_hits, windows = _word_classes(lower.tolist(), upper.tolist(), w_low, w_high, hits_low, hits_high)
+    hit_words = sum(b - a for a, b in sure_hits)
+    window_words = sum(b - a for a, b in windows)
+    pvals = np.array([hit_words, window_words, _LATTICE - hit_words - window_words]) / _LATTICE
     h_hit, h_miss = _azimuth_table(strategy, a_z, e1_z, cum, lower, scale, w_low, w_high, cap_cos)
 
     def block_hits(rng, lo, hi):
-        w = rng.random(hi - lo)
-        hits = every_row * len(w)
-        for edge, c in hit_edges:
-            hits += c * np.count_nonzero(w < edge)
-        rows = _window_rows(w, windows)
-        if not rows.size:
-            return int(hits)
-        w = w.take(rows)
-        h = uniform_azimuths(rng, len(rows))
-        cell = np.multiply(w, CAP_CELLS).astype(np.intp)
+        hits, k, _ = rng.multinomial(hi - lo, pvals).tolist()
+        if not k:
+            return hits
+        word = _window_words(rng.integers(0, window_words, size=k), windows)
+        h = uniform_azimuths(rng, k)
+        w = np.multiply(word, 1.0 / _LATTICE)
+        cell = word // (_LATTICE // CAP_CELLS)
         turn = np.abs(h)
         sure = turn >= h_hit.take(cell)
         hits += np.count_nonzero(sure)
@@ -663,15 +697,18 @@ def run_discrimination_experiment(
     `streams.map_blocks` call, and each arm's block hits are summed.
     A guess counts by its z coordinate alone (`_cap_hits`):
     for a strategy with `polar_cos` (the two-parameter and tabulated
-    samplers) one drawn word per row gives both its member and its polar
-    uniform u (`_u_block_hits`). Member j's u then lies on a grid of step
-    2^-53 / w_j, w_j its weight, which moves the law of (member, u) by at
-    most about 2^-53 per member on any interval of u. Most rows are
-    counted from their word, most of the rest from their drawn azimuth
-    against the thresholds of their word's cell, and the few left from a z
+    samplers) one word per row gives both its member and its polar uniform
+    u (`_u_block_hits`). Member j's u then lies on a grid of step 2^-53 /
+    w_j, w_j its weight, which moves the law of (member, u) by at most
+    about 2^-53 per member on any interval of u. Most rows are decided by
+    the class of their word, so a block draws its rows' class counts as
+    one multinomial and a word and an azimuth for each of its k window
+    rows alone, 2k words where one word per row took n + k; the count has
+    the same law. Most window rows are counted from their azimuth against
+    the thresholds of their word's cell, and the few left from a z
     computed from the drawn angles and the members' frames, without
-    `sample_batch`. The windows, edges, thresholds and frames are made once
-    per arm, in each call.
+    `sample_batch`. The windows, word classes, thresholds and frames are
+    made once per arm, in each call.
     """
     streams.require_real("cap half-angle", cap_half_angle)
     if not 0.0 < cap_half_angle <= math.pi:

@@ -12,10 +12,11 @@ a block function plus a reduction: `map_blocks` runs the workers on
 concurrent threads, up to one per usable core, and hands back the block
 results in worker-then-block order. The layout is block-major: each row
 block draws from its worker's one generator, after the blocks before it,
-exactly the uniforms it reads, one 64-bit word per double, in the order it
-reads them. So the block size is part of the reproducibility contract, and
-a block that needs fewer draws, such as the azimuths of the rows it leaves
-undecided, reads only those.
+exactly the draws it reads, in the order it reads them. So the block size
+is part of the reproducibility contract, and a block that needs fewer
+draws reads only those: the discrimination's angle path draws its rows'
+class counts at once, then words and azimuths for the rows they leave
+undecided alone.
 """
 
 from __future__ import annotations
@@ -45,7 +46,12 @@ MAX_SEED = 2**64 - 1
 # - 6: the discrimination's angle path draws one word per row for the
 #   member and its polar uniform (`nosignal._recycled_uniforms`), over the
 #   members merged by what the count reads of them, in blocks of 2^16 rows.
-STREAM_CONTRACT = 6
+# - 7: a block of the discrimination's angle path draws its rows' counts
+#   of sure hits, window words and sure misses as one multinomial, then a
+#   word and a half-turn for each of its k window rows alone: a
+#   multinomial and 2k words, where it drew n + k words
+#   (`nosignal._u_block_hits`).
+STREAM_CONTRACT = 7
 
 # Rows per block of the drivers' `map_blocks` arms: a block's draws and
 # temporaries stay cache-sized, and a worker in flight holds one block of

@@ -105,6 +105,20 @@ def test_nosignal_without_information_is_indeterminate_strict_json(runner, cap):
     assert payload["overall_verdict"] == "indeterminate"
 
 
+@pytest.mark.parametrize("cap", ["1e-300", "3.141592653589793"])
+@pytest.mark.parametrize("strategy", [["--strategy", "ab", "--A-frac", "0.5"], ["--strategy", "cos4"]],
+                         ids=["ab", "cos4"])
+def test_nosignal_angle_strategies_run_at_the_edge_inputs(runner, strategy, cap):
+    # two trials over three workers (one of them with none), the weights at
+    # both ends, and caps that hold no guess or every guess
+    args = ["nosignal", *strategy, "--trials", "2", "--workers", "3", "--p", "0", "--p", "1", "--cap", cap]
+    result = invoke(runner, args)
+    assert result.exit_code == 0
+    reports = json.loads(result.output, parse_constant=_reject_non_finite)["reports"]
+    want = 0.0 if cap == "1e-300" else 1.0
+    assert [(r["freq_standard"], r["freq_symmetric"]) for r in reports] == [(want, want)] * 2
+
+
 def test_fit_json_reports_pulls_for_known_forms(runner):
     result = invoke(runner, ["fit", "--trials", "100000", "--seed", "0"])
     payload = json.loads(result.output)

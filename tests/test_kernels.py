@@ -3,11 +3,13 @@ whole rows: the frame against the spherical frame written with `np.where`,
 the tabulated inverse CDF against `np.interp` over the normalized CDF, the
 kernels against their whole-batch forms at the block edges, the
 discrimination's member pick and z coordinate against `np.searchsorted` and
-column 2 of the full guess, its u and azimuth steps against that z at the
-steps' edges, and the drivers, which draw each batch one row block at a
-time, against block-major references that draw each block whole; the
-discrimination's angle path against one that takes each row's member and
-polar uniform from one word. Equality is on
+column 2 of the full guess, its word classes and azimuth step against
+that z at the steps' edges, and the drivers, which draw each batch one row
+block at a time, against block-major references that draw each block
+whole; the discrimination's angle path against one that finds the word
+classes by bisection and draws a block's class counts, then its window
+rows' words and azimuths, and against the binomial law of one word per
+row. Equality is on
 `tobytes()`, so a last-ulp or signed-zero difference fails. The whole-batch
 forms take the azimuth pair of a half-turn as stream contract 5 does
 (`contract5_cos_sin`, written out here rather than imported)."""
@@ -22,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import binom, chi2
 
 from qguess.bloch import (
     BlochVector,
@@ -564,41 +567,153 @@ def recycled_words(weights, w):
     return idx, np.minimum((w - lower[idx]) * scale[idx], np.nextafter(1.0, 0.0))
 
 
+# numpy's doubles in [0, 1) are the words k / 2^53; a word index is such a k
+LATTICE = 2 ** 53
+
+
+def least_word(lo, hi, before):
+    """The least word index k in [lo, hi) at which before(k / 2^53) is
+    false, or hi if there is none; `before` must hold on a prefix of them."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if before(mid / LATTICE):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def lattice_classes(strategy, decomposition, cap_cos):
+    """(hits, windows): the word index intervals [a, b) of the sure hits and
+    of the u windows of the merged members, in word order, empty ones
+    dropped. Each end is found by bisection on the words, with the member
+    and u of `recycled_words`: a member's first and last word, then its
+    first word whose u is at least u_low, and the first whose u is beyond
+    u_high (`_u_windows`). The words below a window are sure hits where
+    `_u_windows` says so, and likewise above it."""
+    weights, _, _, alpha = angle_path_members(decomposition)
+    u_low, u_high, hits_low, hits_high = _u_windows(strategy, alpha, cap_cos)
+
+    def member_and_u(w):
+        idx, u = recycled_words(weights, np.array([w]))
+        return idx[0], u[0]
+
+    hits, windows = [], []
+    for j in range(len(weights)):
+        start = least_word(0, LATTICE, lambda w: member_and_u(w)[0] < j)
+        end = least_word(start, LATTICE, lambda w: member_and_u(w)[0] <= j)
+        a = least_word(start, end, lambda w: member_and_u(w)[1] < u_low[j])
+        b = least_word(a, end, lambda w: member_and_u(w)[1] <= u_high[j])
+        hits += [(start, a)] if hits_low[j] and start < a else []
+        windows += [(a, b)] if a < b else []
+        hits += [(b, end)] if hits_high[j] and b < end else []
+    return hits, windows
+
+
+def in_intervals(words, intervals):
+    """Whether each word index lies in one of the intervals [a, b)."""
+    inside = np.zeros(len(words), dtype=bool)
+    for a, b in intervals:
+        inside |= (words >= a) & (words < b)
+    return inside
+
+
+def word_z(strategy, decomposition, words, h):
+    """The z coordinate of the guesses at these word indices and half-turns:
+    the member and u of `recycled_words`, cos t by the strategy's
+    whole-column forms, and `z_at_angle` over the merged members."""
+    weights, a_z, e1_z, _ = angle_path_members(decomposition)
+    idx, u = recycled_words(weights, np.asarray(words) / LATTICE)
+    return z_at_angle(a_z[idx], e1_z[idx], polar_cos_of(strategy, u), h)
+
+
+def class_words(classes, n):
+    """Word indices on and either side of each end of the classes'
+    intervals and of the word range, and n drawn ones."""
+    ends = np.array([0, LATTICE] + [end for intervals in classes for interval in intervals for end in interval])
+    words = np.concatenate([(ends[:, None] + [-1, 0, 1]).ravel(), substream(41).integers(0, LATTICE, size=n)])
+    return words[(words >= 0) & (words < LATTICE)]
+
+
+def assert_word_classes_hold(strategy, decomposition, cap_cos, classes, words):
+    """Each of these words in a sure-hit interval is a hit and each outside
+    every interval a miss, as `sample_batch`'s z >= cap_cos classes it, at
+    the half-turns of AZIMUTHS and at a drawn one."""
+    hits, windows = classes
+    sure = ~in_intervals(words, windows)
+    words = words[sure]
+    hit = in_intervals(words, hits)
+    h = np.concatenate([np.repeat([AZIMUTHS], len(words), axis=0),
+                        substream(42).uniform(-1.0, 1.0, size=(len(words), 1))], axis=1)
+    z = word_z(strategy, decomposition, np.repeat(words, h.shape[1]), h.ravel()).reshape(h.shape)
+    assert np.array_equal(z >= cap_cos, np.repeat(hit[:, None], h.shape[1], axis=1))
+
+
+def class_probabilities(classes):
+    """[sure hits, window words, sure misses] over 2^53: the classes' word counts."""
+    hit_words, window_words = (sum(b - a for a, b in intervals) for intervals in classes)
+    return np.array([hit_words, window_words, LATTICE - hit_words - window_words]) / LATTICE
+
+
+def angle_block_oracle(strategy, decomposition, cap_cos):
+    """block(rng, n): the cap hits of n rows of an angle strategy's block,
+    with the draws the angle path makes. The classes of `lattice_classes`,
+    checked first against the z coordinate on their ends and drawn words
+    (`assert_word_classes_hold`), give the block's class counts, one
+    rng.multinomial over their word counts; the k window rows then draw
+    indices uniform on the windows' words, placed on them by
+    np.searchsorted, and their azimuths, and count by the z column of
+    `directions_at_angle` at the strategy's polar_cos."""
+    dirs, weights = merged_members(decomposition)
+    classes = lattice_classes(strategy, decomposition, cap_cos)
+    assert_word_classes_hold(strategy, decomposition, cap_cos, classes, class_words(classes, 4096))
+    pvals = class_probabilities(classes)
+    windows = np.array(classes[1], dtype=np.int64).reshape(-1, 2)
+    sizes = windows[:, 1] - windows[:, 0]
+    offsets = np.cumsum(sizes) - sizes
+    window_words = int(sizes.sum())
+
+    def block(rng, n):
+        sure, k, _ = rng.multinomial(n, pvals).tolist()
+        if not k:
+            return sure
+        index = rng.integers(0, window_words, size=k)
+        j = np.searchsorted(offsets, index, side="right") - 1
+        idx, u = recycled_words(weights, (windows[j, 0] + index - offsets[j]) / LATTICE)
+        z = directions_at_angle(dirs[idx], strategy.polar_cos(u), estimator.uniform_azimuths(rng, k))[:, 2]
+        return sure + np.count_nonzero(z >= cap_cos)
+
+    return block
+
+
 def block_major_cap_hits(strategy, decomposition, trials, seed, workers, block=0, caps=(0.2,)):
     """One arm's cap hits, block after block; one count per cap half-angle
-    in `caps`. The blocks have the discrimination's sizes, CAP_ROW_BLOCK
-    rows for an angle strategy and ROW_BLOCK for MP.
+    in `caps`, each from the arm's own substreams. The blocks have the
+    discrimination's sizes, CAP_ROW_BLOCK rows for an angle strategy and
+    ROW_BLOCK for MP.
 
     MP picks each row's member by np.searchsorted and takes the strategy's
-    whole guesses for the block. An angle strategy draws one word w per
-    row for the merged members (`merged_members`), which gives the member
-    and its polar uniform (`recycled_words`), and counts the z column of
-    `directions_at_angle` at the strategy's polar_cos and an azimuth
-    column. The angle path draws azimuths only for the rows it leaves to
-    the exact z, so for an angle strategy the two read the same draws only
-    under `constant_azimuths`."""
-    if strategy.polar_cos is None:
-        dirs, weights = decomposition.directions, decomposition.weights
-        rows = ROW_BLOCK
-    else:
-        dirs, weights = merged_members(decomposition)
-        rows = CAP_ROW_BLOCK
+    whole guesses for the block. An angle strategy's block is
+    `angle_block_oracle`'s: its rows' class counts, then words and
+    azimuths for its window rows alone, each counted by the z column of
+    `directions_at_angle`."""
 
-    def block_z(rng, n):
+    def arm_hits(cap):
+        cap_cos = math.cos(cap)
         if strategy.polar_cos is None:
-            idx = np.minimum(np.searchsorted(np.cumsum(weights), rng.random(n), side="right"), len(dirs) - 1)
-            return strategy.sample_batch(dirs[idx], rng)[:, 2]
-        idx, u = recycled_words(weights, rng.random(n))
-        return directions_at_angle(dirs[idx], strategy.polar_cos(u), estimator.uniform_azimuths(rng, n))[:, 2]
+            cum, dirs = np.cumsum(decomposition.weights), decomposition.directions
 
-    def batch_hits(rng, m):
-        hits = np.zeros(len(caps), dtype=np.int64)
-        for lo in range(0, m, rows):
-            z = block_z(rng, min(rows, m - lo))
-            hits += [np.count_nonzero(z >= math.cos(cap)) for cap in caps]
-        return hits
+            def block_hits(rng, n):
+                idx = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(dirs) - 1)
+                return np.count_nonzero(strategy.sample_batch(dirs[idx], rng)[:, 2] >= cap_cos)
 
-    return sum(batch_hits(rng, m) for rng, m in streams.worker_batches(seed, trials, workers, block)).tolist()
+            rows = ROW_BLOCK
+        else:
+            block_hits, rows = angle_block_oracle(strategy, decomposition, cap_cos), CAP_ROW_BLOCK
+        return sum(block_hits(rng, min(rows, m - lo))
+                   for rng, m in streams.worker_batches(seed, trials, workers, block) for lo in range(0, m, rows))
+
+    return [int(arm_hits(cap)) for cap in caps]
 
 
 @contextlib.contextmanager
@@ -701,80 +816,114 @@ def record_window_and_exact_rows(strategy, monkeypatch):
 
 
 class CountedDraws:
-    """A generator that notes the kind and size of each draw: ("random", n)
-    or ("uniform", n)."""
+    """A generator that notes each draw as (kind, arguments, result), for
+    `random`, `uniform`, `multinomial` and `integers`."""
 
     def __init__(self, rng):
         self.rng = rng
         self.calls = []
 
+    def _note(self, kind, *args):
+        result = getattr(self.rng, kind)(*args)
+        self.calls.append((kind, args, result.copy()))
+        return result
+
     def random(self, size):
-        self.calls.append(("random", size))
-        return self.rng.random(size)
+        return self._note("random", size)
 
     def uniform(self, low, high, size):
-        self.calls.append(("uniform", size))
-        return self.rng.uniform(low, high, size)
+        return self._note("uniform", low, high, size)
+
+    def multinomial(self, n, pvals):
+        return self._note("multinomial", n, pvals)
+
+    def integers(self, low, high, size):
+        return self._note("integers", low, high, size)
+
+
+def block_draws(calls):
+    """[n, k] per angle-path block of a CountedDraws record, its rows and
+    its window rows, after checking that the block drew its class counts,
+    one multinomial over its n rows, then, when k > 0, k word indices on
+    the windows and k half-turns on [-1, 1), and nothing else."""
+    blocks, pending = [], []
+    for kind, args, result in calls:
+        if kind == "multinomial":
+            assert not pending
+            n, k = args[0], int(result[1])
+            assert int(result.sum()) == n
+            blocks.append([n, k])
+            pending = [("integers", k), ("uniform", k)] if k else []
+        else:
+            assert pending and (kind, args[-1]) == pending.pop(0)
+            low, high = args[:2]
+            assert (low, high) == ((0, high) if kind == "integers" else (-1.0, 1.0))
+    assert not pending
+    return blocks
+
+
+def replay(rng, calls):
+    """Make the draws of a CountedDraws record from rng, checking each result."""
+    for kind, args, result in calls:
+        assert_same_bytes(getattr(rng, kind)(*args), result)
 
 
 @pytest.mark.parametrize("arm", ["poles", "tilted"])
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
-def test_angle_path_block_draws_one_word_per_row_and_its_exact_azimuths(strategies, monkeypatch, tag, arm):
-    # a block of n rows moves the generator n + k words, k the rows in its
-    # members' u windows, whose azimuths it draws; 2^21 rows of the pole arm
-    # leave a few, and every tilted block has some. The azimuth step leaves
-    # under 1% of the tilted arm's window rows to polar_cos and the exact z
+def test_angle_path_block_draws_its_class_counts_then_its_window_rows(strategies, monkeypatch, tag, arm):
+    # a block of n rows draws its class counts, then a word index and a
+    # half-turn for each of its k window rows, and the generator moves by
+    # those draws alone. The pole arm's windows hold 1e-6 (AB) and 2.6e-6
+    # (cos4) of the words, so its 2^21 rows have a few window rows or none,
+    # and every tilted block has some. The azimuth step leaves under 1% of
+    # the tilted arm's window rows to polar_cos and the exact z
     strategy = strategies[tag]
     decomposition = {"poles": standard_decomposition, "tilted": symmetric_decomposition}[arm](0.9)
     arm_hits = _cap_hits(strategy, decomposition, math.cos(0.2))
     window_rows, exact_rows = record_window_and_exact_rows(strategy, monkeypatch)
-    rng, ref = substream(37), substream(37)
+    draws, ref = CountedDraws(substream(37)), substream(37)
     m = 128 * ROW_BLOCK
-    serial_hits(arm_hits, rng, m)
-    assert sum(window_rows) > 0 and all(window_rows)
-    ref.random(m + sum(window_rows))
-    assert rng.random() == ref.random()
+    serial_hits(arm_hits, draws, m)
+    blocks = block_draws(draws.calls)
+    assert [k for _, k in blocks if k] == window_rows
+    replay(ref, draws.calls)
+    assert draws.rng.random() == ref.random()
     if arm == "tilted":
-        assert len(window_rows) == m // CAP_ROW_BLOCK
+        assert len(window_rows) == len(blocks) == m // CAP_ROW_BLOCK
         assert sum(exact_rows) < 0.01 * sum(window_rows)
-
-
-def block_draws(calls):
-    """[[n] or [n, k]] per block of a CountedDraws record: the block's word
-    column, then its azimuths if it drew any."""
-    blocks = []
-    for kind, size in calls:
-        if kind == "random":
-            blocks.append([size])
-        else:
-            assert kind == "uniform" and len(blocks[-1]) == 1
-            blocks[-1].append(size)
-    return blocks
 
 
 @pytest.mark.parametrize("m", [CAP_ROW_BLOCK - 1, 2 * CAP_ROW_BLOCK + 3])
 @pytest.mark.parametrize("name", sorted(member_sets()))
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
-def test_angle_path_blocks_of_any_member_set_draw_n_plus_k_words(strategies, tag, name, m):
-    # every block, the ragged last one included, draws one word per row,
-    # then the azimuths of the k rows in its members' u windows when k > 0,
-    # from a generator already part used
-    arm = _cap_hits(strategies[tag], member_sets()[name], math.cos(0.2))
+def test_angle_path_blocks_of_any_member_set_draw_a_multinomial_and_2k_words(strategies, tag, name, m):
+    # every block, the ragged last one included, draws its class counts at
+    # the classes' word counts over 2^53, then the word indices and
+    # half-turns of its k window rows when k > 0, from a generator already
+    # part used
+    strategy, decomposition, cap_cos = strategies[tag], member_sets()[name], math.cos(0.2)
+    arm = _cap_hits(strategy, decomposition, cap_cos)
     rng, ref = substream(38, 1), substream(38, 1)
     rng.random(3)
     ref.random(3)
     draws = CountedDraws(rng)
     serial_hits(arm, draws, m)
     blocks = block_draws(draws.calls)
-    assert [block[0] for block in blocks] == [min(CAP_ROW_BLOCK, m - lo) for lo in range(0, m, CAP_ROW_BLOCK)]
-    assert all(0 < k <= n for n, *window in blocks for k in window)
-    ref.random(sum(map(sum, blocks)))
+    assert [n for n, _ in blocks] == [min(CAP_ROW_BLOCK, m - lo) for lo in range(0, m, CAP_ROW_BLOCK)]
+    classes = lattice_classes(strategy, decomposition, cap_cos)
+    window_words = sum(b - a for a, b in classes[1])
+    for kind, args, _ in draws.calls:
+        if kind == "multinomial":
+            assert_same_bytes(args[1], class_probabilities(classes))
+        elif kind == "integers":
+            assert args[1] == window_words
+    replay(ref, draws.calls)
     assert rng.random() == ref.random()
 
 
 def test_angle_path_counts_in_cap_row_blocks_and_mp_in_row_blocks(strategies, monkeypatch):
     # the angle path's blocks have CAP_ROW_BLOCK rows, and each draws its
-    # column of words once; a block forms the member index of the rows it
+    # class counts once; a block forms the member index of the rows it
     # leaves to the exact z alone. MP's whole guesses keep streams.ROW_BLOCK,
     # and every MP block picks its members once.
     assert CAP_ROW_BLOCK > ROW_BLOCK
@@ -796,15 +945,142 @@ def test_angle_path_counts_in_cap_row_blocks_and_mp_in_row_blocks(strategies, mo
             _, exact_rows = record_window_and_exact_rows(strategies[tag], monkeypatch)
             serial_hits(arm, draws, m)
             assert picks == exact_rows and sum(picks) > 0
-            assert [block[0] for block in block_draws(draws.calls)] == [CAP_ROW_BLOCK, ROW_BLOCK + 1]
+            assert [n for n, _ in block_draws(draws.calls)] == [CAP_ROW_BLOCK, ROW_BLOCK + 1]
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("cap", [1e-300, math.pi])
+@pytest.mark.parametrize("p", [0.0, 0.9, 1.0])
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_discrimination_at_the_edge_caps_matches_its_block_major_body(strategies, tag, p, cap):
+    # 2 trials over 3 workers (one of them with none) and 2 blocks and a
+    # ragged one at one worker, at the end weights too; a cap of pi holds
+    # every guess and one of 1e-300 none
+    strategy, want = strategies[tag], (1.0 if cap == math.pi else 0.0)
+    for trials, workers in ((2, 3), (2 * CAP_ROW_BLOCK + 1, 1)):
+        disc = run_discrimination_experiment(strategy, p, cap_half_angle=cap, trials=trials, seed=45, workers=workers)
+        [std], [sym] = (block_major_cap_hits(strategy, decomposition, trials, 45, workers, block=block, caps=(cap,))
+                        for block, decomposition in enumerate([standard_decomposition(p), symmetric_decomposition(p)]))
+        assert (disc.freq_standard, disc.freq_symmetric) == (std / trials, sym / trials) == (want, want)
+
+
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_a_member_without_words_leaves_no_window_to_draw(strategies, tag):
+    # the middle member's weight, 1e-20, is below one word in 2^53, so it
+    # has no words and no window; the word indices of the window rows skip
+    # it, and the counts are the oracle's
+    strategy, cap_cos = strategies[tag], math.cos(0.2)
+    decomposition = members((0.4, (0.6, 0.0, 0.8)), (1e-20, (0.3, 0.4, 0.5)), (0.6, (-0.6, 0.0, -0.8)))
+    classes = built("_word_classes", strategy, decomposition, cap_cos)
+    assert classes == lattice_classes(strategy, decomposition, cap_cos) and len(classes[1]) == 2
+    trials = 2 * CAP_ROW_BLOCK + 1
+    assert [mapped_hits(strategy, decomposition, cap_cos, 46, trials)] == block_major_cap_hits(
+        strategy, decomposition, trials, 46, 1)
+
+
+@pytest.mark.parametrize("windows", [
+    [(0, 3), (5, 6), (6, 9), (LATTICE - 2, LATTICE)],  # a gap of 0, windows of one word, both ends
+    [(7, 8)],
+    [(2, 5), (6, 7), (9, 12)],
+])
+def test_window_words_run_over_the_windows_in_order(windows):
+    # every index names its word: index i is the i-th word of the windows
+    want = np.concatenate([np.arange(a, b, dtype=np.int64) for a, b in windows])
+    got = nosignal._window_words(np.arange(len(want)), windows)
+    assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(member_sets()))
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_window_words_of_every_member_set_land_on_and_around_each_window_end(strategies, tag, name):
+    # the indices on and either side of each window's first and last word
+    # name the words on and either side of those ends within the windows
+    windows = lattice_classes(strategies[tag], member_sets()[name], math.cos(0.2))[1]
+    sizes = [b - a for a, b in windows]
+    firsts = np.cumsum([0] + sizes[:-1])
+    index = np.unique(np.clip((np.concatenate([firsts, firsts + sizes])[:, None] + [-2, -1, 0, 1]).ravel(),
+                              0, sum(sizes) - 1))
+    j = np.searchsorted(firsts, index, side="right") - 1
+    starts = np.array([a for a, _ in windows], dtype=np.int64)
+    assert_same_bytes(nosignal._window_words(index.copy(), windows), starts[j] + index - firsts[j])
+
+
+@pytest.mark.parametrize("cap", CAPS)
+@pytest.mark.parametrize("name", sorted(member_sets()))
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_class_probabilities_are_the_exact_word_measures_of_the_classes(strategies, tag, name, cap):
+    # the arm's classes are the bisected ones, disjoint and in word order,
+    # and a block draws its counts at each class's count of words over
+    # 2^53, which is exact: the three counts come back from the doubles and
+    # add up to 2^53
+    strategy, decomposition, cap_cos = strategies[tag], member_sets()[name], math.cos(cap)
+    classes = lattice_classes(strategy, decomposition, cap_cos)
+    assert built("_word_classes", strategy, decomposition, cap_cos) == classes
+    ends = [end for interval in sorted(classes[0] + classes[1]) for end in interval]
+    assert ends == sorted(ends) and 0 <= ends[0] and ends[-1] <= LATTICE
+    block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
+    draws = CountedDraws(substream(43))
+    block_hits(draws, 0, 5)
+    [pvals] = [args[1] for kind, args, _ in draws.calls if kind == "multinomial"]
+    hit_words, window_words = (sum(b - a for a, b in intervals) for intervals in classes)
+    counts = [hit_words, window_words, LATTICE - hit_words - window_words]
+    assert pvals.tolist() == [c / LATTICE for c in counts]
+    assert [int(pval * LATTICE) for pval in pvals.tolist()] == counts
+    assert sum(counts) == LATTICE
+
+
+def hit_probability(strategy, decomposition, cap_cos, points=1 << 14):
+    """The chance that a row that draws its own word and half-turn is a cap
+    hit: the sure hits' words over 2^53, plus each window's words over
+    2^53 times the mean, over `points` words spread evenly over the window,
+    of the chance over h that the row is a hit. For a member off the poles
+    (e1_z < 0 and s > 0), z = t a_z + s cos(pi h) e1_z is a hit where
+    cos(pi h) <= c = (cap_cos - t a_z) / (s e1_z), which is a share
+    1 - arccos(c) / pi of the half-turns in [-1, 1), c clipped to [-1, 1];
+    elsewhere z = t a_z does not move with h."""
+    weights, a_z, e1_z, _ = angle_path_members(decomposition)
+    hits, windows = lattice_classes(strategy, decomposition, cap_cos)
+    p = sum(b - a for a, b in hits) / LATTICE
+    for a, b in windows:
+        words = a + np.floor((np.arange(points) + 0.5) * ((b - a) / points))
+        idx, u = recycled_words(weights, words / LATTICE)
+        t = polar_cos_of(strategy, u)
+        spread = np.sqrt(1.0 - t * t) * e1_z[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            share = 1.0 - np.arccos(np.clip((cap_cos - t * a_z[idx]) / spread, -1.0, 1.0)) / math.pi
+        p += (b - a) / LATTICE * np.mean(np.where(spread < 0.0, share, t * a_z[idx] >= cap_cos))
+    return p
+
+
+@pytest.mark.parametrize("arm", ["poles", "tilted"])
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_block_hit_count_has_the_law_of_one_word_per_row(strategies, tag, arm):
+    # 4000 blocks of 16 rows, each from its own substream, at p = 0.9 and a
+    # cap of 1 rad, where both arms have windows and the hits are common:
+    # the hit counts fit Binomial(16, p), p the chance that a row drawing
+    # its own word and half-turn is a hit (`hit_probability`), by a
+    # chi-square below its 0.999 quantile over counts pooled to expect 5 or
+    # more, and their mean lies within 4 standard errors of 16 p
+    strategy, cap_cos = strategies[tag], math.cos(1.0)
+    decomposition = {"poles": standard_decomposition, "tilted": symmetric_decomposition}[arm](0.9)
+    p = hit_probability(strategy, decomposition, cap_cos)
+    block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
+    n, blocks = 16, 4000
+    hits = np.array([block_hits(substream(47, 0, b), 0, n) for b in range(blocks)])
+    expected = blocks * binom.pmf(np.arange(n + 1), n, p)
+    kept = np.flatnonzero(expected >= 5.0)
+    edges = np.concatenate([[0], kept[1:], [n + 1]])
+    observed = np.add.reduceat(np.bincount(hits, minlength=n + 1), edges[:-1])
+    pooled = np.add.reduceat(expected, edges[:-1])
+    assert np.sum((observed - pooled) ** 2 / pooled) < chi2.ppf(0.999, len(pooled) - 1)
+    assert abs(hits.mean() - n * p) < 4.0 * math.sqrt(n * p * (1.0 - p) / blocks)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.9])
 def test_angle_path_block_holds_three_arrays_of_its_rows(strategies, p):
-    # at most three float64 arrays of a block's rows are alive at once: the
-    # block's words, and the few arrays of its window rows. The peak is
-    # 1.4-1.8 arrays
+    # at most three float64 arrays of a block's rows are alive at once: a
+    # block holds arrays of its window rows alone. The peak is about 1.8
+    # arrays in the tilted arm and next to none in the pole arm
     for decomposition in (standard_decomposition(p), symmetric_decomposition(p)):
         block_hits, rows = _cap_hits(strategies["cos4"], decomposition, math.cos(0.2))
         assert rows == CAP_ROW_BLOCK
@@ -838,24 +1114,48 @@ def test_driver_peak_does_not_grow_with_the_trials(strategies, tag, driver):
 
 
 class PlantedDraws:
-    """The generator of one row block, handing out given columns in order:
-    `random` and `uniform` return the next column as it is, and must ask for
-    all of it; asking for a column beyond the last fails."""
+    """The generator of one angle-path row block whose rows are the given
+    word indices and half-turns h: `multinomial` hands out the words'
+    counts in the classes (sure hits, window words, sure misses), and when
+    some are window words, `integers` their indices on the windows' words
+    and `uniform` their h, in that order. Each draw is checked against what
+    the block asks for, the class probabilities included; a draw beyond
+    these fails."""
 
-    def __init__(self, *columns):
-        self._columns = list(columns)
+    def __init__(self, classes, words, h):
+        hits, windows = classes
+        window = in_intervals(words, windows)
+        index = np.zeros(np.count_nonzero(window), dtype=np.int64)
+        offset = 0
+        for a, b in windows:
+            inside = (words[window] >= a) & (words[window] < b)
+            index[inside] = words[window][inside] - a + offset
+            offset += b - a
+        self.pvals, self.window_words = class_probabilities(classes), offset
+        k, hit = len(index), np.count_nonzero(in_intervals(words, hits))
+        self._draws = [("multinomial", np.array([hit, k, len(words) - hit - k]))]
+        if k:
+            self._draws += [("integers", index), ("uniform", h[window])]
 
-    def _next(self, size):
-        assert self._columns, "the block drew a column beyond the planted ones"
-        column = self._columns.pop(0)
-        assert len(column) == size
+    def _next(self, kind, size):
+        assert self._draws, "the block drew beyond the planted draws"
+        planted, column = self._draws.pop(0)
+        assert planted == kind and len(column) == size
         return column.copy()
 
-    def random(self, size):
-        return self._next(size)
+    def multinomial(self, n, pvals):
+        assert_same_bytes(pvals, self.pvals)
+        counts = self._next("multinomial", 3)
+        assert counts.sum() == n
+        return counts
+
+    def integers(self, low, high, size):
+        assert (low, high) == (0, self.window_words)
+        return self._next("integers", size)
 
     def uniform(self, low, high, size):
-        return self._next(size)
+        assert (low, high) == (-1.0, 1.0)
+        return self._next("uniform", size)
 
 
 def angle_path_members(decomposition):
@@ -867,17 +1167,16 @@ def angle_path_members(decomposition):
 
 
 def planted_words(weights, idx, u):
-    """(keep, w, member, u'): the word w of member idx[i] at which its polar
-    uniform is u[i] but for rounding, for the rows `keep` whose w falls
-    among that member's words, and the member and polar uniform u' the
-    angle path takes from w (`recycled_words`)."""
+    """Word indices on and either side of the word of member idx[i] at which
+    its polar uniform is u[i] but for rounding, where that word falls among
+    the member's words."""
     cum = np.cumsum(weights)
     lower = np.concatenate([[0.0], cum[:-1]])
     upper = np.append(cum[:-1], 1.0)
     w = lower[idx] + u * np.append(weights[:-1], 1.0 - lower[-1])[idx]
-    keep = np.flatnonzero((w >= lower[idx]) & (w < upper[idx]))
-    w = w[keep]
-    return (keep, w, *recycled_words(weights, w))
+    w = w[(w >= lower[idx]) & (w < upper[idx])]
+    words = (np.floor(w * LATTICE).astype(np.int64)[:, None] + [-1, 0, 1]).ravel()
+    return words[(words >= 0) & (words < LATTICE)]
 
 
 def polar_cos_of(strategy, u):
@@ -921,42 +1220,47 @@ PLANTED_MEMBERS = {"+z": (0.0, 0.0, 1.0), "-z": (0.0, 0.0, -1.0), "cap": None, "
 @pytest.mark.parametrize("member", sorted(PLANTED_MEMBERS))
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
 def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, monkeypatch, tag, member, cap):
-    # the words give the planted u, once for each member: the member alone
-    # (its words are its u), then with its antipode (each member has its
-    # own edges on the words); the count must be the z coordinate's over
-    # all rows, and the block must draw the azimuths of the rows in its
-    # members' u windows alone
+    # the block's rows are the words on and either side of each end of the
+    # word classes' intervals, those at which the planted u lie, and drawn
+    # words, once for each member: the member alone (its words are its u),
+    # then with its antipode (each member has its own classes). The arm's
+    # classes must be the bisected ones, the count the z coordinate's over
+    # all rows, and the block must draw words and azimuths for the rows in
+    # its members' u windows alone
     direction = PLANTED_MEMBERS[member] or (math.sin(cap), 0.0, math.cos(cap))
     antipode = tuple(-c for c in direction)
     strategy, cap_cos = strategies[tag], math.cos(cap)
     for decomposition in (members((1.0, direction)), members((0.5, direction), (0.5, antipode))):
-        weights, a_z, e1_z, alpha = angle_path_members(decomposition)
+        weights, _, _, alpha = angle_path_members(decomposition)
+        classes = lattice_classes(strategy, decomposition, cap_cos)
+        assert built("_word_classes", strategy, decomposition, cap_cos) == classes
         u = planted_uniforms(strategy, alpha, cap_cos)
-        _, w, idx, u = planted_words(weights, np.repeat(np.arange(len(weights)), len(u)), np.tile(u, len(weights)))
-        m = len(w)
+        words = np.concatenate([class_words(classes, 4096),
+                                planted_words(weights, np.repeat(np.arange(len(weights)), len(u)),
+                                              np.tile(u, len(weights)))])
+        m = len(words)
         h = substream(32).uniform(-1.0, 1.0, size=m)
-        u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
-        exact = (u >= u_low[idx]) & (u <= u_high[idx])
         block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
         window_rows, _ = record_window_and_exact_rows(strategy, monkeypatch)
-        got = block_hits(PlantedDraws(w, h[exact]), 0, m)
+        got = block_hits(PlantedDraws(classes, words, h), 0, m)
         monkeypatch.undo()
-        assert got == np.count_nonzero(z_at_angle(a_z[idx], e1_z[idx], polar_cos_of(strategy, u), h) >= cap_cos)
+        assert got == np.count_nonzero(word_z(strategy, decomposition, words, h) >= cap_cos)
         # the u step decided some rows itself, and a block that it leaves no
-        # window row draws no azimuth
-        k = np.count_nonzero(exact)
+        # window row draws no word and no azimuth
+        k = np.count_nonzero(in_intervals(words, classes[1]))
         assert window_rows == ([k] if k else []) and k < m
 
 
-def built_azimuth_table(strategy, decomposition, cap_cos):
-    """(h_hit, h_miss), the azimuth step's table that `_cap_hits` builds
-    for the arm (`nosignal._azimuth_table`)."""
-    tables, real = [], nosignal._azimuth_table
+def built(name, strategy, decomposition, cap_cos):
+    """What the set-up step `nosignal.<name>` returns when `_cap_hits`
+    builds the arm: "_azimuth_table" gives the azimuth step's (h_hit,
+    h_miss), "_word_classes" the (hits, windows) word classes."""
+    results, real = [], getattr(nosignal, name)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nosignal, "_azimuth_table", lambda *args: tables.append(real(*args)) or tables[-1])
+        mp.setattr(nosignal, name, lambda *args: results.append(real(*args)) or results[-1])
         _cap_hits(strategy, decomposition, cap_cos)
-    [table] = tables
-    return table
+    [result] = results
+    return result
 
 
 def decided_cells(h_hit, h_miss):
@@ -964,42 +1268,44 @@ def decided_cells(h_hit, h_miss):
     return np.flatnonzero((h_hit <= 1.0) | (h_miss > 0.0))
 
 
+# the words of one cell of the azimuth step
+CELL_WORDS = LATTICE // nosignal.CAP_CELLS
+
+
 def planted_cell_rows(strategy, decomposition, cap_cos):
-    """(w, member, u, h), rows of the merged members that take the azimuth
-    step: w on each edge of the cells that decide rows (the words
-    c / CAP_CELLS) and on each member's u window ends (`planted_words`),
-    and two doubles either side, each with h on the two thresholds of its
-    own cell and of the cells either side of it and two doubles either side
-    of them; every other row's h is negated. Each w gives its row's member
-    and u (`recycled_words`), and only the rows whose u is in their
-    member's u window are kept. None when no cell decides a row."""
-    h_hit, h_miss = built_azimuth_table(strategy, decomposition, cap_cos)
+    """(classes, words, h), rows of the merged members that take the
+    azimuth step: word indices on each edge of the cells that decide rows
+    (the first word of a cell, c * CELL_WORDS) and on each end of the u
+    windows (`lattice_classes`), and two either side, each with h on the two
+    thresholds of its own cell and of the cells either side of it and two
+    doubles either side of them; every other row's h is negated. Only the
+    rows whose word is in a window are kept. None when no cell decides a
+    row."""
+    h_hit, h_miss = built("_azimuth_table", strategy, decomposition, cap_cos)
     cells = decided_cells(h_hit, h_miss)
     if not cells.size:
         return None
-    weights, _, _, alpha = angle_path_members(decomposition)
-    u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
-    _, ends, _, _ = planted_words(weights, np.repeat(np.arange(len(weights)), 2), np.stack([u_low, u_high], 1).ravel())
-    w = doubles_around(np.concatenate([np.union1d(cells, cells + 1) / nosignal.CAP_CELLS, ends])).ravel()
-    w = w[(w >= 0.0) & (w < 1.0)]
-    near = np.clip((w * nosignal.CAP_CELLS).astype(np.intp)[:, None] + [-1, 0, 1], 0, nosignal.CAP_CELLS - 1)
-    h = doubles_around(np.concatenate([h_hit[near], h_miss[near]], axis=1).ravel()).reshape(len(w), 30)
-    w, h = np.broadcast_arrays(w[:, None], h)
-    w, h = w.ravel(), h.ravel().copy()
+    classes = lattice_classes(strategy, decomposition, cap_cos)
+    ends = np.array(classes[1], dtype=np.int64).ravel()
+    words = (np.concatenate([np.union1d(cells, cells + 1) * CELL_WORDS, ends])[:, None] + np.arange(-2, 3)).ravel()
+    words = words[(words >= 0) & (words < LATTICE)]
+    near = np.clip((words // CELL_WORDS)[:, None] + [-1, 0, 1], 0, nosignal.CAP_CELLS - 1)
+    h = doubles_around(np.concatenate([h_hit[near], h_miss[near]], axis=1).ravel()).reshape(len(words), 30)
+    words, h = np.broadcast_arrays(words[:, None], h)
+    words, h = words.ravel(), h.ravel().copy()
     h[::2] *= -1.0
     keep = (h >= -1.0) & (h < 1.0)
-    w, h = w[keep], h[keep]
-    idx, u = recycled_words(weights, w)
-    inside = (u >= u_low[idx]) & (u <= u_high[idx])
-    return w[inside], idx[inside], u[inside], h[inside]
+    words, h = words[keep], h[keep]
+    inside = in_intervals(words, classes[1])
+    return classes, words[inside], h[inside]
 
 
 @pytest.mark.parametrize("cap", [1e-4, 0.2, math.pi - 1e-9])
 @pytest.mark.parametrize("member", sorted(PLANTED_MEMBERS))
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
 def test_azimuth_step_counts_planted_cell_rows_as_the_z_coordinate(strategies, monkeypatch, tag, member, cap):
-    # the words and the h column hold the planted rows, for the member alone
-    # and with its antipode (each word takes its own member); every row is
+    # the block's window words and h column hold the planted rows, for the
+    # member alone and with its antipode (each word takes its own member); every row is
     # in its member's u window, and the count must be the z coordinate's.
     # A pole member's cells decide no row, and nor do those of a member and
     # a cap both within 1e-4 of a pole: there z moves by 1e-8 with the
@@ -1012,14 +1318,13 @@ def test_azimuth_step_counts_planted_cell_rows_as_the_z_coordinate(strategies, m
         if planted is None:
             assert member in ("+z", "-z") or (member == "cap" and cap != 0.2)
             continue
-        w, idx, u, h = planted
-        m = len(w)
-        _, a_z, e1_z, _ = angle_path_members(decomposition)
+        classes, words, h = planted
+        m = len(words)
         block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
         window_rows, exact_rows = record_window_and_exact_rows(strategy, monkeypatch)
-        got = block_hits(PlantedDraws(w, h), 0, m)
+        got = block_hits(PlantedDraws(classes, words, h), 0, m)
         monkeypatch.undo()
-        assert got == np.count_nonzero(z_at_angle(a_z[idx], e1_z[idx], polar_cos_of(strategy, u), h) >= cap_cos)
+        assert got == np.count_nonzero(word_z(strategy, decomposition, words, h) >= cap_cos)
         # the azimuth step decided some rows itself
         assert window_rows == [m] and sum(exact_rows) < m
 
@@ -1048,7 +1353,7 @@ def test_cell_thresholds_hold_for_every_word_of_the_cell(strategies, tag, member
     strategy, cap_cos = strategies[tag], math.cos(cap)
     decided = 0
     for decomposition in (members((1.0, direction)), members((0.3, antipode), (0.7, direction))):
-        h_hit, h_miss = built_azimuth_table(strategy, decomposition, cap_cos)
+        h_hit, h_miss = built("_azimuth_table", strategy, decomposition, cap_cos)
         cells = decided_cells(h_hit, h_miss)
         w = cell_words(cells, 0.0, 1.0)
         weights, a_z, e1_z, _ = angle_path_members(decomposition)
@@ -1084,24 +1389,25 @@ def test_azimuth_step_leaves_a_cell_of_two_members_words_to_the_exact_z(strategi
     pair = (at[0.5], at[1.0]) if tag == "cos4" else (at[2.5], at[math.pi - 1.0])
     boundary = shared / nosignal.CAP_CELLS + 2.0 ** -20
     decomposition = members((boundary, pair[0]), (1.0 - boundary, pair[1]))
-    h_hit, h_miss = built_azimuth_table(strategy, decomposition, cap_cos)
+    h_hit, h_miss = built("_azimuth_table", strategy, decomposition, cap_cos)
     assert (h_hit[shared], h_miss[shared]) == (2.0, 0.0)
     assert h_hit[shared + 1] <= 1.0 and h_miss[shared + 1] > 0.0
-    weights, a_z, e1_z, alpha = angle_path_members(decomposition)
-    w = cell_words(np.array([shared]), 0.0, 1.0)
-    idx, u = recycled_words(weights, w)
+    weights, _, _, alpha = angle_path_members(decomposition)
+    # the cell's first two, middle and last two words
+    words = shared * CELL_WORDS + np.array([0, 1, CELL_WORDS // 2, CELL_WORDS - 2, CELL_WORDS - 1])
+    idx, u = recycled_words(weights, words / LATTICE)
     u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
     window = (u >= u_low[idx]) & (u <= u_high[idx])
     assert idx.tolist() == [0, 0, 1, 1, 1] and window.tolist() == [False, False, True, True, True]
     h = doubles_around(np.array([h_hit[shared + 1], h_miss[shared + 1]])).ravel()
-    w, h = (a.ravel() for a in np.broadcast_arrays(w[window][:, None], np.concatenate([h, -h])[None, :]))
-    idx, u = recycled_words(weights, w)
+    words, h = (a.ravel() for a in np.broadcast_arrays(words[window][:, None], np.concatenate([h, -h])[None, :]))
     block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
+    draws = PlantedDraws(lattice_classes(strategy, decomposition, cap_cos), words, h)
     window_rows, exact_rows = record_window_and_exact_rows(strategy, monkeypatch)
-    got = block_hits(PlantedDraws(w, h), 0, len(w))
+    got = block_hits(draws, 0, len(words))
     monkeypatch.undo()
-    assert window_rows == [len(w)] and exact_rows == [len(w)]
-    assert got == np.count_nonzero(z_at_angle(a_z[idx], e1_z[idx], polar_cos_of(strategy, u), h) >= cap_cos)
+    assert window_rows == [len(words)] and exact_rows == [len(words)]
+    assert got == np.count_nonzero(word_z(strategy, decomposition, words, h) >= cap_cos)
 
 
 # numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so each SIMD level
@@ -1144,8 +1450,8 @@ def test_polar_step_counts_planted_rows_at_a_given_up_bound_as_the_z_coordinate(
     # AB with a_frac 1.0, the tilted pair at p = 0.975 and a cap of
     # np.linspace(1e-4, pi, 60)[53]: the low u bound, 8.3e-13, fails its
     # check and is given up, so the rows on and around it, planted in the
-    # words (the tilted pair is one member, whose words are its u), all
-    # stay in the window and count as the z coordinate does
+    # window words (the tilted pair is one member, whose words are its u),
+    # all stay in the window and count as the z coordinate does
     strategy = ABFormStrategy(GuessingForm.from_a_fraction(1.0))
     decomposition = symmetric_decomposition(0.975)
     cap_cos = math.cos(np.linspace(1e-4, math.pi, 60)[53])
@@ -1161,18 +1467,18 @@ def test_polar_step_counts_planted_rows_at_a_given_up_bound_as_the_z_coordinate(
     monkeypatch.undo()
     before, after = checked[-math.inf]
     assert np.all((before > 0.0) & (before < 1e-12)) and np.all(after == 0.0)
-    u = [0.0, before[0] / 2.0, 2.0 * before[0]]
-    for c in (np.nextafter(before[0], -math.inf), before[0], np.nextafter(before[0], math.inf)):
-        u += [np.nextafter(c, -math.inf), c, np.nextafter(c, math.inf)]
+    # the words at 0, half and twice the bound, and on and two either side of it
+    bound = math.ceil(before[0] * LATTICE)
+    words = np.array([0, bound // 2, 2 * bound, *range(bound - 2, bound + 3)])
     weights, a_z, e1_z, _ = angle_path_members(decomposition)
     assert weights.tolist() == [1.0]
-    w = np.array(u)
-    m = len(w)
+    m = len(words)
     h = substream(36).uniform(-1.0, 1.0, size=m)
+    draws = PlantedDraws(lattice_classes(strategy, decomposition, cap_cos), words, h)
     window_rows, _ = record_window_and_exact_rows(strategy, monkeypatch)
-    got = block_hits(PlantedDraws(w, h), 0, m)
+    got = block_hits(draws, 0, m)
     monkeypatch.undo()
-    z = z_at_angle(np.full(m, a_z[0]), np.full(m, e1_z[0]), _ab_inverse_cdf(strategy.form, w), h)
+    z = z_at_angle(np.full(m, a_z[0]), np.full(m, e1_z[0]), _ab_inverse_cdf(strategy.form, words / LATTICE), h)
     assert got == np.count_nonzero(z >= cap_cos)
     assert window_rows == [m]
 
@@ -1215,29 +1521,26 @@ def test_u_step_leaves_few_rows_to_the_inverse_map(strategies, monkeypatch):
 
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
 def test_pole_block_without_window_rows_draws_no_azimuth_and_takes_no_exact_step(strategies, monkeypatch, tag):
-    # a pole-arm block whose words all lie outside their members' u
-    # windows: it counts every row from its word, asks PlantedDraws for no
-    # azimuth column, and calls neither polar_cos nor z_at_angle
+    # a pole-arm block whose drawn words all lie outside their members' u
+    # windows: it counts every row from its class count, asks PlantedDraws
+    # for no word or azimuth, and calls neither polar_cos nor z_at_angle
     strategy, cap_cos = strategies[tag], math.cos(0.2)
     decomposition = standard_decomposition(0.9)
     block_hits, rows = _cap_hits(strategy, decomposition, cap_cos)
-    weights, a_z, e1_z, alpha = angle_path_members(decomposition)
-    w = substream(39).random(rows)
-    idx, u = recycled_words(weights, w)
-    u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
-    outside = (u < u_low[idx]) | (u > u_high[idx])
-    w, idx, u = w[outside], idx[outside], u[outside]
-    assert len(w) > 0.99 * rows and len(weights) == 2
+    classes = lattice_classes(strategy, decomposition, cap_cos)
+    words = substream(39).integers(0, LATTICE, size=rows)
+    words = words[~in_intervals(words, classes[1])]
+    assert len(words) > 0.99 * rows and len(angle_path_members(decomposition)[0]) == 2
 
     def refuse(*args):
         raise AssertionError("a block with no window row took the exact step")
 
     monkeypatch.setattr(strategy, "polar_cos", refuse)
     monkeypatch.setattr(bloch, "z_at_angle", refuse)
-    got = block_hits(PlantedDraws(w), 0, len(w))
+    got = block_hits(PlantedDraws(classes, words, None), 0, len(words))
     monkeypatch.undo()
-    h = substream(40).uniform(-1.0, 1.0, size=len(w))
-    assert got == np.count_nonzero(z_at_angle(a_z[idx], e1_z[idx], polar_cos_of(strategy, u), h) >= cap_cos)
+    h = substream(40).uniform(-1.0, 1.0, size=len(words))
+    assert got == np.count_nonzero(word_z(strategy, decomposition, words, h) >= cap_cos)
 
 
 class TrigRecorder:
