@@ -6,11 +6,9 @@ Run from anywhere, against the checkout this file sits in:
 
 Each kernel is timed on 2^19 rows, handed to it one block of 2^14 rows at
 a time as the drivers do, and each driver at the benchmark's sizes with
-workers 1 and 2. The `cos_sin` arm, the (cos, sin) pair of an azimuth
-column of half-turns as the direction kernels take it (`bloch._cos_sin`),
-runs beside `cos_sin.contract4`, the pair as stream contracts 2 to 4 took
-it: `np.cos` of azimuths on [0, 2pi), then the same sqrt path with the sign
-of pi - phi. The discrimination's block function, from
+workers 1 and 2. The `cos_sin` arm is the (cos, sin) pair of an azimuth
+column of half-turns as the direction kernels take it (`bloch._cos_sin`).
+The discrimination's block function, from
 `nosignal._cap_hits`, is timed on 2^19 rows per strategy (MP, AB with
 a_frac = 0.5, cos4) and arm, set-up included, through `streams.map_blocks`
 with one worker, in blocks of the rows `_cap_hits` gives with it (2^16 on
@@ -119,20 +117,6 @@ def peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-def contract4_cos_sin(phi):
-    """(cos phi, sin phi) for phi in [0, 2pi) as stream contracts 2 to 4 took
-    them: c = np.cos(phi) and s = copysign(sqrt((1 - c)(1 + c)), pi - phi),
-    with as many temporaries as `bloch._cos_sin`."""
-    c = np.cos(phi)
-    s = np.subtract(1.0, c)
-    tmp = np.add(1.0, c)
-    s *= tmp
-    np.sqrt(s, out=s)
-    np.subtract(math.pi, phi, out=tmp)
-    np.copysign(s, tmp, out=s)
-    return c, s
-
-
 def kernels() -> tuple[dict, dict]:
     """({name: timed call}, {name: peak MB of one block})."""
     mp = estimator.MassarPopescuStrategy()
@@ -143,15 +127,13 @@ def kernels() -> tuple[dict, dict]:
     other = bloch.random_directions(rng, ROWS)
     cos_t = rng.uniform(-1.0, 1.0, size=ROWS)
     h = rng.uniform(-1.0, 1.0, size=ROWS)
-    phi = math.pi * (h + 1.0)  # the contract-4 azimuths of the same draws, on [0, 2pi)
     u = rng.random(ROWS)
 
     # name: kernel call on the rows `r` of the ROWS
     calls = {
         "random_directions": lambda r: bloch.random_directions(rng, r.stop - r.start),
-        # one azimuth column: the half-turn fold (stream contract 5) against np.cos on [0, 2pi)
+        # one azimuth column of half-turns
         "cos_sin": lambda r: bloch._cos_sin(h[r]),
-        "cos_sin.contract4": lambda r: contract4_cos_sin(phi[r]),
         "orthonormal_frames": lambda r: bloch.orthonormal_frames(axes[r]),
         "dots": lambda r: bloch.dots(axes[r], other[r]),
         "directions_at_angle": lambda r: bloch.directions_at_angle(axes[r], cos_t[r], h[r]),

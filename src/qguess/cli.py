@@ -32,6 +32,7 @@ from .estimator import (
     DEFAULT_TRIALS,
     GuessingForm,
     MassarPopescuStrategy,
+    chi2_threshold_999,
     collect_histogram,
     histogram_chi2,
     histogram_csv,
@@ -194,8 +195,6 @@ def fidelity(strategy, a_frac, trials, seed, workers, out):
 @guarded
 def density(strategy, a_frac, trials, seed, workers, bins, out):
     """Empirical vs analytic outcome-angle density, with a chi-square summary."""
-    from scipy.special import gammaincinv
-
     est = build_strategy(strategy, a_frac)
     hist = collect_histogram(est, trials=trials, bins=bins, seed=seed, workers=workers)
     probs = est.bin_probabilities(hist.theta_edges)
@@ -211,7 +210,7 @@ def density(strategy, a_frac, trials, seed, workers, bins, out):
         f"# workers={workers}",
         f"# chi2={chi2_val!r}",
         f"# dof={dof}",
-        f"# chi2_threshold_999={float(2.0 * gammaincinv(dof / 2.0, 0.999))!r}",
+        f"# chi2_threshold_999={chi2_threshold_999(dof)!r}",
     ]
     emit(text + _csv_metadata(lines), out)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import statistics
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -506,6 +507,58 @@ def histogram_chi2(hist: DensityHistogram, bin_probs: np.ndarray) -> tuple[float
         return math.inf, hist.bins - 1
     chi2 = float(np.sum((observed[live] - expected[live]) ** 2 / expected[live]))
     return chi2, hist.bins - 1
+
+
+def chi2_threshold_999(dof: int) -> float:
+    """0.999 quantile of the chi-square law with `dof` degrees of freedom.
+
+    The quantile is 2x where Q(a, x) = 1/1000, a = dof/2, and Q is the
+    regularized upper incomplete gamma. Newton steps start from the
+    Wilson-Hilferty approximation (Wilson & Hilferty 1931). Each step takes
+    Q from its continued fraction by the modified Lentz method (Press et al.,
+    *Numerical Recipes*, section 6.2). The quantile lies near a + 3.09 sqrt(a),
+    and every iterate stays more than 3.8 above a + 1, where the fraction's
+    denominators stay positive and it converges within about 50 terms; so
+    the series that serves x < a + 1 is not needed. The prefactor
+    x^a e^-x / Gamma(a) is taken as exp(a (log1p(y) - y) + ln(a/2pi)/2 -
+    stirlerr(a)), y = (x - a)/a, whose terms do not cancel at large a. A dof
+    that is not an integer in [1, 2^53] raises QGuessError: far above 2^53,
+    x and a + 1 round to the same double.
+    """
+    streams.require_integer("dof", dof)
+    if not 1 <= dof <= 2**53:
+        raise QGuessError(f"dof must lie in [1, 2^53], got {dof}")
+    a = dof / 2.0
+    if a >= 10.0:
+        # Stirling's series; its first omitted term is below 2e-14
+        r = 1.0 / (a * a)
+        stirlerr = (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (1.0 / 1680.0 - r / 1188.0)))) / a
+    else:
+        stirlerr = math.lgamma(a) - (a - 0.5) * math.log(a) + a - 0.5 * math.log(2.0 * math.pi)
+    h = 2.0 / (9.0 * dof)
+    x = a * (1.0 - h + statistics.NormalDist().inv_cdf(0.999) * math.sqrt(h)) ** 3
+    while True:
+        y = (x - a) / a
+        g = math.exp(a * (math.log1p(y) - y) + 0.5 * math.log(a / (2.0 * math.pi)) - stirlerr)
+        b = x + 1.0 - a
+        c = math.inf
+        d = frac = 1.0 / b
+        i = 0
+        while True:
+            i += 1
+            an = -i * (i - a)
+            b += 2.0
+            d = 1.0 / (an * d + b)
+            c = b + an / c
+            delta = d * c
+            frac *= delta
+            if abs(delta - 1.0) <= 2.0**-52:
+                break
+        # Q(a, x) = g frac is convex and falling in x, so Newton converges
+        step = x * (frac - 0.001 / g)
+        x += step
+        if abs(step) <= 1e-15 * x:
+            return 2.0 * x
 
 
 def histogram_csv(hist: DensityHistogram, analytic_density: np.ndarray) -> str:

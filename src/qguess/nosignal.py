@@ -165,10 +165,15 @@ def derive_ab_form(density) -> AbDerivation:
 
     A density obeying the decomposition identity matches its endpoint form
     everywhere (deviation at rounding level); curvature in cos t shows up as
-    a non-trivial deviation, largest near t = pi/2.
+    a non-trivial deviation, largest near t = pi/2. A density that is not
+    finite at every grid angle raises QGuessError.
     """
     grid = np.linspace(0.0, math.pi, 1001)
     g = np.asarray(density(grid))
+    finite = np.isfinite(g)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise QGuessError(f"density must be finite on [0, pi], got {g[i]} at t = {grid[i]}")
     form = GuessingForm(float(g[0]), float(g[-1]))
     deviation = np.abs(g - guessing_density(form, grid))
     return AbDerivation(form=form, max_deviation=float(np.max(deviation)))

@@ -51,7 +51,9 @@ MAX_SEED = 2**64 - 1
 #   word and a half-turn for each of its k window rows alone: a
 #   multinomial and 2k words, where it drew n + k words
 #   (`nosignal._u_block_hits`).
-STREAM_CONTRACT = 7
+# - 8: `qguess density`'s chi2_threshold_999 from the stdlib quantile
+#   `estimator.chi2_threshold_999`, not scipy's; no draw moved.
+STREAM_CONTRACT = 8
 
 # Rows per block of the drivers' `map_blocks` arms: a block's draws and
 # temporaries stay cache-sized, and a worker in flight holds one block of

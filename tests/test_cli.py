@@ -277,11 +277,13 @@ def test_nan_parameters_exit_2(runner, args):
     [
         "import qguess.cli",
         "from qguess.nosignal import cos4_density, required_trials; required_trials(cos4_density, 0.9, 0.2)",
+        "import os; from qguess.cli import main; "
+        "main(['density', '--trials', '2000', '--out', os.devnull], standalone_mode=False)",
     ],
-    ids=["cli-import", "required-trials"],
+    ids=["cli-import", "required-trials", "density"],
 )
 def test_cli_import_loads_no_scipy(work):
-    # scipy is imported only inside `qguess density`, the one command that needs it
+    # no command loads scipy: it is a test-only oracle
     code = f"import sys; {work}; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"

@@ -19,6 +19,7 @@ from qguess.estimator import (
     GuessingForm,
     MassarPopescuStrategy,
     cap_probability,
+    chi2_threshold_999,
     collect_histogram,
     histogram_chi2,
     histogram_csv,
@@ -28,6 +29,7 @@ from qguess.nosignal import (
     cap_frequency,
     constraint_residual,
     cos4_density,
+    derive_ab_form,
     fibonacci_directions,
     run_discrimination_experiment,
 )
@@ -38,6 +40,10 @@ EDGES = np.linspace(0.0, math.pi, 3)
 
 def nan_density(theta):
     return np.full(np.shape(theta), math.nan)
+
+
+def cos4_with_a_nan_gap(theta):
+    return np.where((theta > 1.0) & (theta < 1.01), math.nan, cos4_density(theta))
 
 
 class NanMerit(FidelityMerit):
@@ -70,6 +76,11 @@ SITES = {
     "histogram 2-d edges": lambda: DensityHistogram(EDGES[:, None], [1, 1], 2),
     "histogram float trials": lambda: DensityHistogram(EDGES, [2, 2], 4.0),
     "histogram bool trials": lambda: DensityHistogram(EDGES, [1, 0], True),
+    "chi2_threshold_999(0)": lambda: chi2_threshold_999(0),
+    "chi2_threshold_999(-1)": lambda: chi2_threshold_999(-1),
+    "chi2_threshold_999(2.5)": lambda: chi2_threshold_999(2.5),
+    "chi2_threshold_999(True)": lambda: chi2_threshold_999(True),
+    "chi2_threshold_999(2**53 + 1)": lambda: chi2_threshold_999(2**53 + 1),
     "histogram_chi2 short probabilities": lambda: histogram_chi2(DensityHistogram(EDGES, [1, 1], 2), [1.0]),
     "histogram_chi2 long probabilities": lambda: histogram_chi2(
         DensityHistogram(EDGES, [1, 1], 2), [0.5, 0.25, 0.25]),
@@ -78,6 +89,8 @@ SITES = {
     # a density or merit that gives nan
     "constraint_residual(nan density)": lambda: constraint_residual(nan_density, 0.8, fibonacci_directions(10)),
     "cap_frequency(nan density)": lambda: cap_frequency(nan_density, 0.0, 0.2),
+    # finite at both endpoints, so only the grid check sees the gap
+    "derive_ab_form(nan inside [0, pi])": lambda: derive_ab_form(cos4_with_a_nan_gap),
     "average_merit(nan merit)": lambda: average_merit(GuessingForm.from_a_fraction(1.0), NanMerit()),
     "substream seed": lambda: substream(-1),
     "substream worker": lambda: substream(0, worker=-1),

@@ -21,6 +21,7 @@ from qguess.estimator import (
     _linear_cells_sphere_mass,
     ab_bin_probabilities,
     cap_probability,
+    chi2_threshold_999,
     collect_histogram,
     guessing_density,
     histogram_chi2,
@@ -240,6 +241,13 @@ def test_histogram_chi2_flags_impossible_counts():
     hist = DensityHistogram(edges, np.array([1, 1, 1]), 3)
     chi2, _ = histogram_chi2(hist, np.array([0.5, 0.5, 0.0]))
     assert math.isinf(chi2)
+
+
+def test_chi2_threshold_matches_scipy_quantile():
+    # scipy is a test-only oracle: the package takes the quantile from math alone
+    dofs = [*range(1, 2001), 10**4, 10**5, 10**6]
+    thresholds = [chi2_threshold_999(dof) for dof in dofs]
+    np.testing.assert_allclose(thresholds, chi2_dist.ppf(0.999, dofs), rtol=1e-13, atol=0.0)
 
 
 def test_histogram_csv_round_trips():
