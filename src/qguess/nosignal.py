@@ -17,6 +17,32 @@ checks the identity on direction grids, derives the nearest two-parameter
 form from endpoint values, fits the form to sampled histograms with errors,
 and runs the counting experiment that tries to tell the two preparations
 apart from cap frequencies alone.
+
+The experiment counts a guess by its z coordinate alone, `z >= cap_cos`
+as `sample_batch`'s guess gives it. MP's guess is a measured axis, so its
+blocks run `sample_batch`. A strategy with `polar_cos` takes the angle
+path, set up once per arm in each call, and a block returns as soon as a
+step leaves no row:
+
+- Members alike in the z coordinates of their direction and their frame's
+  e1 are merged (`_merged_members`). One drawn word w per row gives its
+  member and its polar uniform u (`_recycled_uniforms`), which moves the
+  law of (member, u) by about 2^-53 per member on any interval of u (the
+  inversion trick; Devroye 1986, *Non-Uniform Random Variate Generation*).
+- u step. Outside a member's window of u its rows are sure hits or sure
+  misses (`_u_windows`). u never decreases with w within a member, so the
+  windows and sure hits are intervals of the word indices k of the words
+  k / 2^53 that numpy draws (`_word_edges`, `_word_classes`).
+- Draws. A block's n words are iid uniform, so its counts of sure hits,
+  window words and sure misses are one multinomial at the classes' word
+  counts over 2^53, exact doubles, and given the counts its k window words
+  are iid uniform on the windows (Devroye 1986, ch. XI). So a block draws
+  the multinomial, then a word index (`_window_words`) and a half-turn h
+  per window row, and its hit count has the law of one word per row.
+- Azimuth step. The cell of a window row's word gives two thresholds on
+  |h|, a sure hit and a sure miss (`_azimuth_table`).
+- Exact step. The rows left form their member, u, cos t (`polar_cos`) and
+  z (`bloch.z_at_angle`, column 2 of `sample_batch`).
 """
 
 from __future__ import annotations
@@ -57,37 +83,31 @@ VERDICT_NOT_DETECTABLE = "not detectable"
 VERDICT_DETECTABLE = "detectable"
 VERDICT_INDETERMINATE = "indeterminate"
 
-# Rows per block of the discrimination's angle path (`_cap_hits`). A block
-# draws its rows' class counts at once and words only for its window rows,
-# so its memory follows those rows: it peaks at about 1.8 arrays of its
-# rows in the cos4 tilted arm at p = 0.9 and a cap of 0.2 (0.93 MB at
-# 2^16), and at next to nothing in the pole arm. One signal-detect call
-# took a median of 4.48 ms at 2^16 rows, 4.47 ms at 2^17 (faster in 103
-# of 150 interleaved rounds, median paired ratio 0.973, for twice the
-# memory) and 4.69 ms at one block per worker (8.1 MB per tilted block),
-# one process, 2-core x86-64 host. Like streams.ROW_BLOCK, it is part of
-# the reproducibility contract.
+# Rows per block of the angle path. A block's memory follows its window
+# rows, about 1.8 arrays of its rows in the cos4 tilted arm at p = 0.9 and
+# a cap of 0.2. Like streams.ROW_BLOCK, it is part of the reproducibility
+# contract.
 CAP_ROW_BLOCK = 4 * streams.ROW_BLOCK
 
-# Margin on a guess's z coordinate within which the polar step of the
-# angle path leaves a row to the next steps (`_polar_bounds`), and by which
-# the azimuth step's thresholds clear the cap's edge (`_azimuth_table`).
+# Margin on a guess's z coordinate by which the u step's bounds
+# (`_polar_bounds`) and the azimuth step's thresholds (`_azimuth_table`)
+# clear the cap's edge.
 CAP_Z_MARGIN = 1e-6
 
-# Margin on the polar angle by which `_u_windows` widens the polar step's
-# window before mapping it to the drawn u, so that the mapped bounds pass
-# their check at once: above the rounding of the maps between u and the
-# polar angle away from the poles, far below the window itself (about
-# 1e-5 rad wide at a cap of 0.2).
+# Margin on the polar angle by which `_u_windows` widens the polar window
+# before mapping it to u, so that the mapped bounds pass their check at
+# once: above the rounding of the maps between u and the polar angle, far
+# below the window itself (about 1e-5 rad wide at a cap of 0.2).
 CAP_THETA_MARGIN = 1e-9
 
-# Equal cells of the drawn word w in the azimuth step of the angle path
-# (`_azimuth_table`). A power of two, so a word's cell, int(w * CAP_CELLS),
-# is exact. More cells leave fewer rows to the exact z and cost more set-up
-# per arm: 2^11 to 2^14 cells left 439, 219, 105 and 49 of the 162 124
-# window rows of the cos4 tilted arm at p = 0.9, a cap of 0.2 and 568 954
-# trials.
+# Equal cells of the drawn words in the azimuth step (`_azimuth_table`). A
+# power of two, so a word's cell is exact. More cells leave fewer rows to
+# the exact z and cost more set-up per arm.
 CAP_CELLS = 2 ** 12
+
+# numpy draws a double in [0, 1) as a word k / 2^53, k uniform on [0, 2^53)
+_LATTICE = 2 ** 53
+_CELL_WORDS = _LATTICE // CAP_CELLS
 
 
 def fibonacci_directions(n: int) -> np.ndarray:
@@ -298,13 +318,9 @@ def verdict_for(z: float) -> str:
 
 
 def _member_index(cum: np.ndarray, pick: np.ndarray) -> np.ndarray:
-    """Member index of each uniform `pick` for the cumulative weights `cum`:
-    the count of cum[j], j < len(cum) - 1, at or below the pick.
-
-    `cum` is non-decreasing (weights are non-negative), so this is
-    `np.minimum(np.searchsorted(cum, pick, "right"), len(cum) - 1)`, one
-    comparison per member and row instead of a binary search per row.
-    """
+    """Member index of each uniform `pick` for the non-decreasing cumulative
+    weights `cum`, `np.minimum(np.searchsorted(cum, pick, "right"), len(cum)
+    - 1)`, by one comparison per member and row."""
     idx = np.zeros(len(pick), dtype=np.intp)
     for c in cum[:-1]:
         idx += pick >= c
@@ -313,22 +329,11 @@ def _member_index(cum: np.ndarray, pick: np.ndarray) -> np.ndarray:
 
 def _cap_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition, cap_cos: float):
     """(block_fn, rows) for `streams.map_blocks`: block_fn(rng, lo, hi)
-    counts the guesses inside the cap about +z over the hi - lo
-    preparations of the decomposition in one row block: a member pick
-    (`_member_index`), then what the block reads of the strategy's guess.
-
-    Only the guess's z coordinate is counted, and `z >= cap_cos` is the
-    count of `sample_batch`. A strategy with `polar_cos` takes its member
-    and its polar uniform from one word per row; a block draws its rows'
-    counts of sure hits, window words and sure misses as one multinomial,
-    then a word and an azimuth for each window row alone, counts most of
-    those from their azimuth and their word's cell, forms the member and
-    polar uniform of the rows left alone, and builds no guess
-    (`_u_block_hits`), in CAP_ROW_BLOCK rows; its set-up, the merged
-    members, the u windows, the word classes and the azimuth step's table,
-    is made here, once per call. Other strategies run `sample_batch` on
-    the picked members, in streams.ROW_BLOCK rows.
-    """
+    counts the guesses with z >= cap_cos over the hi - lo preparations of
+    the decomposition in one row block. A strategy with `polar_cos` takes
+    the angle path (`_u_block_hits`) in CAP_ROW_BLOCK rows; the others pick
+    members (`_member_index`) and run `sample_batch`, in streams.ROW_BLOCK
+    rows."""
     if strategy.polar_cos is not None:
         return _u_block_hits(strategy, decomposition, cap_cos), CAP_ROW_BLOCK
     cum = np.cumsum(decomposition.weights)
@@ -343,15 +348,11 @@ def _cap_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition,
 
 
 def _merged_members(decomposition: EnsembleDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a_z, e1_z, weights) of the members as the angle path reads them.
-
-    The count reads a member only through the z coordinates of its
-    direction and of its frame's e1 (`bloch.z_at_angle`), so members with
-    the same pair, such as a pair turned about z, are one member, whose
-    weight is the sum of theirs in member order. The merged members keep
-    the order of their first member, and those of no positive weight are
-    dropped.
-    """
+    """(a_z, e1_z, weights): the members merged by the z coordinates of
+    their direction and of their frame's e1, all that `bloch.z_at_angle`
+    reads of them, with the weights of each summed in member order. The
+    merged members keep the order of their first member, and those of no
+    positive weight are dropped."""
     dirs = decomposition.directions
     pairs = zip(dirs[:, 2].tolist(), bloch.orthonormal_frames(dirs)[0][:, 2].tolist())
     merged: dict = {}
@@ -367,18 +368,12 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def _recycled_uniforms(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cum, lower, scale) of members with these weights, for one drawn
-    word w per row: the row's member is `_member_index(cum, w)`, whose rows
-    have w in [lower, cum) ([lower, 1) for the last member), and its polar
-    uniform is `_recycled(w, lower, scale)` of that member.
-
-    Given the member, (w - lower) / weight is uniform and independent of
-    the member (the inversion trick; Devroye 1986, *Non-Uniform Random
-    Variate Generation*), so scale is 1 / weight, and 1 / (1 - lower) for
-    the last member, since cum[-1] may miss 1 by rounding. A width below
-    the least normal double is taken at that double, so no scale is
-    infinite: no drawn w but its lower end reaches such a member.
-    """
+    """(cum, lower, scale) of members with these weights: a drawn word w's
+    member is `_member_index(cum, w)`, whose words are [lower, cum) ([lower,
+    1) for the last member), and its polar uniform is `_recycled(w, lower,
+    scale)` of that member. scale is 1 / weight, and 1 / (1 - lower) for
+    the last member, as cum[-1] may miss 1 by rounding; a width below the
+    least normal double is taken at that double, so no scale is infinite."""
     cum = np.cumsum(weights)
     lower = np.concatenate([[0.0], cum[:-1]])
     width = np.append(weights[:-1], 1.0 - lower[-1])
@@ -393,37 +388,34 @@ def _recycled(w, lower, scale) -> np.ndarray:
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
-def _w_edges(t, lower, upper, scale) -> np.ndarray:
-    """The least w in [lower, upper] whose `_recycled` polar uniform is t
-    or more, and upper where no w below upper has one, entry by entry
-    (broadcast). `_recycled` is non-decreasing in w, so a w of the member's
-    [lower, upper) lies below its edge exactly when its u lies below t.
-
-    The edge starts at lower + t / scale, where u is t but for rounding,
-    and moves one double at a time until the double below it maps below t
-    and it maps to t or more: the rounding puts the start within a few
-    doubles of the edge.
-    """
-    w = np.clip(lower + t / scale, lower, upper)
+def _word_edges(lower, scale, u_low, u_high) -> tuple[np.ndarray, ...]:
+    """(start, low, high, end), word indices k of the words k / 2^53 per
+    member, on the last axis (u_low and u_high broadcast): the member's
+    words are [start, end), and [low, high) are those whose `_recycled` u
+    lies in [u_low, u_high]. low is the member's least word whose u is
+    u_low or more, high its least whose u is beyond u_high, or end where
+    there is none."""
+    ends = np.minimum(np.ceil(np.append(lower, 1.0) * _LATTICE), _LATTICE).astype(np.int64)
+    start, end = ends[:-1], ends[1:]
+    t = np.stack(np.broadcast_arrays(u_low, np.nextafter(u_high, math.inf)))
+    # u is non-decreasing in the word, and the estimate within a few words of the edge
+    k = np.clip(np.ceil((lower + t / scale) * _LATTICE).astype(np.int64), start, end)
     while True:
-        below = np.nextafter(w, -math.inf)
-        down = (w > lower) & (_recycled(below, lower, scale) >= t)
-        up = (w < upper) & (_recycled(w, lower, scale) < t)
+        down = (k > start) & (_recycled((k - 1) / _LATTICE, lower, scale) >= t)
+        up = (k < end) & (_recycled(k / _LATTICE, lower, scale) < t)
         if not (down.any() or up.any()):
-            return w
-        w = np.where(down, below, np.where(up, np.nextafter(w, math.inf), w))
+            return start, k[0], k[1], end
+        k += up
+        k -= down
 
 
 def _polar_bounds(cap_cos: float) -> tuple[float, float]:
-    """(miss_beyond, hit_beyond) for the polar step of `_u_windows`.
-
-    A guess at polar angle theta about a member at polar angle alpha about
-    +z lies between |theta - alpha| and pi - |theta + alpha - pi| from +z.
-    So it is a sure miss when |theta - alpha| > acos(cap_cos - CAP_Z_MARGIN)
-    = miss_beyond, and a sure hit when |theta + alpha - pi| >
-    pi - acos(cap_cos + CAP_Z_MARGIN) = hit_beyond. Where the margin leaves
-    [-1, 1], near a cap of pi or 0, the bound is inf: no row is sure.
-    """
+    """(miss_beyond, hit_beyond): a guess at polar angle theta about a
+    member at polar angle alpha lies between |theta - alpha| and
+    pi - |theta + alpha - pi| from +z, so it is a sure miss when
+    |theta - alpha| > acos(cap_cos - CAP_Z_MARGIN) = miss_beyond, and a
+    sure hit when |theta + alpha - pi| > pi - acos(cap_cos + CAP_Z_MARGIN)
+    = hit_beyond. A bound whose argument leaves [-1, 1] is inf."""
     low, high = cap_cos - CAP_Z_MARGIN, cap_cos + CAP_Z_MARGIN
     miss_beyond = math.acos(low) if low >= -1.0 else math.inf
     hit_beyond = math.pi - math.acos(high) if high <= 1.0 else math.inf
@@ -432,106 +424,65 @@ def _polar_bounds(cap_cos: float) -> tuple[float, float]:
 
 def _u_windows(strategy: EstimatorStrategy, alpha: np.ndarray, cap_cos: float):
     """(u_low, u_high, hits_low, hits_high), one entry per member at polar
-    angle alpha about +z: rows whose drawn polar uniform u lies in
-    [u_low, u_high] are left to the azimuth and exact steps, and rows below
-    or above that window are all cap hits or all misses, as hits_low and
-    hits_high say.
-
-    Polar step: a row at angle theta about its member is a sure hit when
-    |theta + alpha - pi| > hit_beyond and otherwise a sure miss when
-    |theta - alpha| > miss_beyond (`_polar_bounds`). What it leaves is the
-    window [w_lo, w_hi] = [max(pi - alpha - hit_beyond, alpha - miss_beyond),
-    min(pi - alpha + hit_beyond, alpha + miss_beyond)], never empty (the
-    bounds sum to more than pi). A sure-hit threshold in [0, pi] lies 2e-6
-    or more inside [alpha - miss_beyond, alpha + miss_beyond] (a guess on it
-    is 2 * CAP_Z_MARGIN above where a sure miss can be), so below the
-    window every row is a hit when the window's lower edge is the hit
-    threshold and a miss otherwise, and likewise above.
-
-    The window, widened by CAP_THETA_MARGIN and clipped to [0, pi], goes
-    through the strategy's `polar_uniform` to the u window, whose ends swap
-    where that map decreases. Then each bound is checked with the
-    strategy's own `polar_cos`: the first u beyond it must give a cos t
-    strictly beyond cos(w_lo) or cos(w_hi), on its side. A bound that fails
-    gives up its side (0 below, 1 above: no u is drawn beyond them), and its
-    rows stay in the window. Both maps from u to cos t are monotone up to a
-    few ulps of cos t (the tabulated one within each CDF cell, and across a
-    cell edge theta falls back at most an ulp), so every row beyond a
-    checked bound has its cos t on the bound's side to within about 3e-15,
-    or 1e-7 rad in theta at the poles. CAP_Z_MARGIN puts the thresholds
-    1e-6 in z, and so at least 1e-6 rad in theta, from where the guess can
-    be on either side of the cap's edge, so a row decided from u is decided
-    as the polar step decides it.
+    angle alpha: rows whose u lies in [u_low, u_high] are left to the next
+    steps, and those below or above are all hits or all misses, as hits_low
+    and hits_high say. `_polar_bounds` leaves the polar window
+    [max(pi - alpha - hit_beyond, alpha - miss_beyond), min(pi - alpha +
+    hit_beyond, alpha + miss_beyond)]; a hit threshold lies 2e-6 or more
+    inside the miss ones, so a side is all hits where its edge is one.
+    One `polar_uniform` call maps the window, widened by CAP_THETA_MARGIN,
+    and 0 and pi to u. One `polar_cos` call checks every bound: the first u
+    beyond it must give a cos t strictly beyond its edge's, or the bound is
+    given up (0 below, 1 above). The maps from u to cos t are monotone up
+    to a few ulps, 1e-7 rad at the poles, which CAP_Z_MARGIN covers.
     """
     miss_beyond, hit_beyond = _polar_bounds(cap_cos)
     hit_lo, hit_hi = math.pi - alpha - hit_beyond, math.pi - alpha + hit_beyond
     miss_lo, miss_hi = alpha - miss_beyond, alpha + miss_beyond
-    w_lo = np.clip(np.maximum(hit_lo, miss_lo), 0.0, math.pi)
-    w_hi = np.clip(np.minimum(hit_hi, miss_hi), 0.0, math.pi)
-    hits_below, hits_above = hit_lo >= miss_lo, hit_hi <= miss_hi
-    u_below = strategy.polar_uniform(np.clip(w_lo - CAP_THETA_MARGIN, 0.0, math.pi))
-    u_above = strategy.polar_uniform(np.clip(w_hi + CAP_THETA_MARGIN, 0.0, math.pi))
-    # below the window cos t > cos(w_lo) (side 1), above it cos t < cos(w_hi) (side -1)
-    ends = strategy.polar_uniform(np.array([0.0, math.pi]))
-    if ends[0] < ends[1]:
-        u_low = _checked_bound(strategy, u_below, -math.inf, 1.0, np.cos(w_lo))
-        u_high = _checked_bound(strategy, u_above, math.inf, -1.0, np.cos(w_hi))
-        return u_low, u_high, hits_below, hits_above
-    u_low = _checked_bound(strategy, u_above, -math.inf, -1.0, np.cos(w_hi))
-    u_high = _checked_bound(strategy, u_below, math.inf, 1.0, np.cos(w_lo))
-    return u_low, u_high, hits_above, hits_below
-
-
-def _checked_bound(strategy: EstimatorStrategy, bound: np.ndarray, toward: float, side: float,
-                   cos_edge: np.ndarray) -> np.ndarray:
-    """`bound` clipped to [0, 1], where the drawn u lie, with each entry
-    whose first u beyond it, toward `toward`, fails side * (polar_cos(u) -
-    cos_edge) > 0 (see `_u_windows`) given up: set to 0 or 1 on that side."""
-    bound = np.clip(bound, 0.0, 1.0)
-    first = np.nextafter(bound, toward)
-    drawn = np.flatnonzero((first >= 0.0) & (first < 1.0))
-    wrong = drawn[side * (strategy.polar_cos(first[drawn]) - cos_edge[drawn]) <= 0.0]
-    bound[wrong] = 0.0 if toward < 0.0 else 1.0
-    return bound
+    edges = np.clip([np.maximum(hit_lo, miss_lo), np.minimum(hit_hi, miss_hi)], 0.0, math.pi)
+    hits = np.array([hit_lo >= miss_lo, hit_hi <= miss_hi])
+    # below the window cos t > cos(edges[0]) (side 1), above it cos t < cos(edges[1]) (side -1)
+    side = np.array([[1.0], [-1.0]])
+    u = strategy.polar_uniform(np.append(np.clip(edges - side * CAP_THETA_MARGIN, 0.0, math.pi), [0.0, math.pi]))
+    bound, cos_edge = np.clip(u[:-2].reshape(edges.shape), 0.0, 1.0), np.cos(edges)
+    if u[-2] >= u[-1]:  # a decreasing map takes u_low from the window's upper edge
+        bound, cos_edge, side, hits = bound[::-1], cos_edge[::-1], side[::-1], hits[::-1]
+    first = np.nextafter(bound, [[-math.inf], [math.inf]])
+    drawn = (first >= 0.0) & (first < 1.0)
+    gap = np.zeros_like(bound)
+    gap[drawn] = strategy.polar_cos(first[drawn]) - cos_edge[drawn]
+    bound = np.where(drawn & (side * gap <= 0.0), [[0.0], [1.0]], bound)
+    return bound[0], bound[1], hits[0], hits[1]
 
 
 def _azimuth_table(strategy: EstimatorStrategy, a_z: np.ndarray, e1_z: np.ndarray, cum: np.ndarray,
-                   lower: np.ndarray, scale: np.ndarray, w_low: list, w_high: list,
+                   lower: np.ndarray, scale: np.ndarray, low: list, high: list,
                    cap_cos: float) -> tuple[np.ndarray, np.ndarray]:
-    """(h_hit, h_miss), CAP_CELLS half-turn thresholds each, of the azimuth
-    step: a window row whose word w lies in cell c = int(w * CAP_CELLS), the
-    words [c, c + 1) / CAP_CELLS, is a sure hit at |h| >= h_hit[c] and a
-    sure miss at |h| < h_miss[c].
+    """(h_hit, h_miss), CAP_CELLS half-turn thresholds each: a window row
+    whose word index lies in cell c, [c, c + 1) * _CELL_WORDS, is a sure
+    hit at |h| >= h_hit[c] and a sure miss at |h| < h_miss[c].
 
-    Only the cells holding words of the windows [w_low, w_high) of members
-    off the poles (e1_z != 0, so z moves with the azimuth) are worked out,
-    and of those only the cells whose words are all of one member; every
-    other cell has h_hit 2 and h_miss 0, and decides no row, and an arm
-    with no such window, the pole arm, gets that table at once. The cell's
-    index is exact, as CAP_CELLS is a power of two. Within a member u never
-    decreases as w grows, so the polar angles of cell c's rows run from
-    the strategy's own arccos(polar_cos) at the `_recycled` u of its first
-    word to that of its last. Over a range of polar angles of half-width r
-    about its middle m, a row's z = cos(theta) a_z + sin(theta) cos(pi h)
-    e1_z lies within r of z at m, since |dz/dtheta| <= 1. So the row is a
-    sure hit where z at m is at least cap_cos + CAP_Z_MARGIN + r, which,
-    as e1_z < 0, is cos(pi h) <= c_hit, and a sure miss where z at m is
-    below cap_cos - CAP_Z_MARGIN - r, cos(pi h) > c_miss. The margin covers
-    the few ulps by which polar_cos falls back (1e-7 rad at the poles) and
-    the rounding of z and of the thresholds (1e-15 in z). A c_hit below -1
-    gives 2 (no row) and one above 1 gives 0 (every row); likewise for
-    c_miss. h_miss <= h_hit in every cell.
+    Only cells holding words of the windows [low, high) of members off the
+    poles (e1_z != 0), all of whose words are one member's, are worked out;
+    every other cell has h_hit 2 and h_miss 0, and without such a window
+    `polar_cos` is not called. A cell's polar angles run between
+    arccos(polar_cos) at the u of its first and last double, half-width r
+    about their middle m, and z = cos(theta) a_z + sin(theta) cos(pi h)
+    e1_z lies within r of z at m. So a row is a sure hit where z at m is
+    cap_cos + CAP_Z_MARGIN + r or more, cos(pi h) <= c_hit as e1_z < 0,
+    and a sure miss where it is below cap_cos - CAP_Z_MARGIN - r, cos(pi h)
+    > c_miss. The margin covers polar_cos's fallback and the rounding.
     """
     h_hit, h_miss = np.full(CAP_CELLS, 2.0), np.zeros(CAP_CELLS)
     window = np.zeros(CAP_CELLS, dtype=bool)
-    for a, b, e in zip(w_low, w_high, e1_z.tolist()):
+    for a, b, e in zip(low, high, e1_z.tolist()):
         if a < b and e != 0.0:
-            window[math.floor(a * CAP_CELLS):math.ceil(b * CAP_CELLS)] = True
+            window[a // _CELL_WORDS:-(-b // _CELL_WORDS)] = True
     if not window.any():
         return h_hit, h_miss
     cell = np.flatnonzero(window)
     ends = np.stack([cell, cell + 1]) / CAP_CELLS
-    ends[1] = np.nextafter(ends[1], 0.0)  # each cell's first and last word
+    ends[1] = np.nextafter(ends[1], 0.0)  # each cell's first and last double
     member = _member_index(cum, ends[0])
     decided = np.flatnonzero(member == _member_index(cum, ends[1]))
     cell, member = cell.take(decided), member.take(decided)
@@ -551,35 +502,16 @@ def _azimuth_table(strategy: EstimatorStrategy, a_z: np.ndarray, e1_z: np.ndarra
     return h_hit, h_miss
 
 
-# numpy draws a double in [0, 1) as a word k / 2^53, k uniform on [0, 2^53)
-_LATTICE = 2 ** 53
-
-
-def _lattice(x: float) -> int:
-    """The count of words k / 2^53 below x, for x in [0, 1]: ceil(x * 2^53),
-    exact because the scaling is by a power of two, and at most 2^53."""
-    return min(math.ceil(x * _LATTICE), _LATTICE)
-
-
-def _word_classes(lower, upper, w_low, w_high, hits_low, hits_high) -> tuple[list, list]:
-    """(hits, windows): the non-empty intervals [a, b) of word indices k, in
-    word order, of the sure hits and of the u windows.
-
-    Member j's words are [lower[j], upper[j]) and its window is [w_low[j],
-    w_high[j]) (`_u_block_hits`); its words below the window are hits if
-    hits_low[j], and those from w_high[j] on if hits_high[j]. Every other
-    word is a sure miss. Each end becomes the count of words below it
-    (`_lattice`), so the intervals partition the words with the misses.
-    """
+def _word_classes(start, low, high, end, hits_low, hits_high) -> tuple[list, list]:
+    """(hits, windows): the non-empty intervals [a, b) of word indices, in
+    word order, of the sure hits and of the u windows, from each member's
+    `_word_edges`. A member's words below its window are hits if hits_low,
+    and those from its end on if hits_high; every other word is a miss."""
     hits, windows = [], []
-    for j, ends in enumerate(zip(lower, w_low, w_high, upper)):
-        start, a, b, end = map(_lattice, ends)
-        if hits_low[j] and start < a:
-            hits.append((start, a))
-        if a < b:
-            windows.append((a, b))
-        if hits_high[j] and b < end:
-            hits.append((b, end))
+    for s, a, b, e, below, above in zip(start, low, high, end, hits_low, hits_high):
+        hits += [(s, a)] if below and s < a else []
+        windows += [(a, b)] if a < b else []
+        hits += [(b, e)] if above and b < e else []
     return hits, windows
 
 
@@ -595,67 +527,21 @@ def _window_words(index: np.ndarray, windows: list) -> np.ndarray:
 
 
 def _u_block_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition, cap_cos: float):
-    """Block function of `_cap_hits` for a strategy with `polar_cos`.
-
-    Members: the decomposition's members merged by what the count reads of
-    them (`_merged_members`); the cos4 tilted pair is one member. A row's
-    word w gives its member J, `_member_index(cum, w)`, and its polar
-    uniform u = (w - lower[J]) * scale[J], below 1 (`_recycled_uniforms`).
-    Given J = j, u lies on a grid of step 2^-53 / w_j, w_j the member's
-    weight, so on any interval of u the law of (J, u) differs from that of
-    a member drawn by weight and an independent uniform u by at most about
-    2^-53 per member: the bound in total variation over such events.
-
-    u step: the members' polar angles alpha about +z give, once per arm,
-    each member's window of u (`_u_windows`), and rows outside their
-    member's window are decided by u alone. u is non-decreasing in w within
-    a member, so the window ends and the bounds of the sure hits are made
-    once per arm into edges on w (`_w_edges`), and then into intervals of
-    the words k / 2^53 that numpy draws (`_word_classes`): sure hits, the
-    windows, and sure misses. For cos4 at p = 0.9 and a cap of 0.2 the
-    windows hold about 3e-6 of the pole arm's words and 28.5% of the
-    tilted arm's.
-
-    The n words of a block are iid uniform on the 2^53 words, so the counts
-    of its rows in the three classes are multinomial with the classes'
-    word counts over 2^53, exact doubles, as probabilities; given the
-    counts, the words in each class are iid uniform on its words (Devroye
-    1986, *Non-Uniform Random Variate Generation*, ch. XI). So a block
-    draws the counts, one `multinomial`, counts its sure hits from them,
-    and draws words for its k window rows alone, as indices uniform on the
-    windows' words (`integers`, `_window_words`). Its hit count
-    has the law it has when every row draws its word. The k rows then take
-    azimuths as half-turns h.
-
-    Azimuth step (`_azimuth_table`, one table per arm): the cell of a
-    window row's word, int(w * CAP_CELLS), gives two thresholds, and the
-    row is a sure hit at |h| >= h_hit and a sure miss at |h| < h_miss. A
-    cell of a pole member's words, or of two members' words, decides no
-    row. For the cos4 tilted arm above that leaves 0.14% of the window
-    rows.
-
-    Exact step, on the rows left: their member and u, formed for them
-    alone, their cos t (`polar_cos` of their u, the bytes the whole column
-    gives them), their members' z coordinates and those of their frames'
-    e1, and their h give `bloch.z_at_angle`, column 2 of `sample_batch`,
-    tested `>= cap_cos`. The z coordinate has no sin(phi) term (e2_z is
-    0). A block returns as soon as a step leaves no row, so it draws a
-    multinomial and 2k words, and a block with no window row draws no word
-    and calls neither `polar_cos` nor `z_at_angle`.
-    """
+    """Block function of `_cap_hits` on the angle path (see the module
+    docstring), with the arm's set-up made once: merged members, u
+    windows, word classes and azimuth table."""
     a_z, e1_z, weights = _merged_members(decomposition)
     # -e1_z is a member's distance from the z axis (`bloch.orthonormal_frames`);
     # math.atan2's bytes, unlike np.arctan2's, do not follow numpy's SIMD level
     alpha = np.array([math.atan2(-e, a) for a, e in zip(a_z.tolist(), e1_z.tolist())])
     u_low, u_high, hits_low, hits_high = _u_windows(strategy, alpha, cap_cos)
     cum, lower, scale = _recycled_uniforms(weights)
-    upper = np.append(cum[:-1], 1.0)
-    w_low, w_high = _w_edges(np.stack([u_low, np.nextafter(u_high, math.inf)]), lower, upper, scale).tolist()
-    sure_hits, windows = _word_classes(lower.tolist(), upper.tolist(), w_low, w_high, hits_low, hits_high)
+    start, low, high, end = (k.tolist() for k in _word_edges(lower, scale, u_low, u_high))
+    sure_hits, windows = _word_classes(start, low, high, end, hits_low, hits_high)
     hit_words = sum(b - a for a, b in sure_hits)
     window_words = sum(b - a for a, b in windows)
     pvals = np.array([hit_words, window_words, _LATTICE - hit_words - window_words]) / _LATTICE
-    h_hit, h_miss = _azimuth_table(strategy, a_z, e1_z, cum, lower, scale, w_low, w_high, cap_cos)
+    h_hit, h_miss = _azimuth_table(strategy, a_z, e1_z, cum, lower, scale, low, high, cap_cos)
 
     def block_hits(rng, lo, hi):
         hits, k, _ = rng.multinomial(hi - lo, pvals).tolist()
@@ -664,13 +550,11 @@ def _u_block_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposit
         word = _window_words(rng.integers(0, window_words, size=k), windows)
         h = uniform_azimuths(rng, k)
         w = np.multiply(word, 1.0 / _LATTICE)
-        cell = word // (_LATTICE // CAP_CELLS)
+        cell = word // _CELL_WORDS
         turn = np.abs(h)
         sure = turn >= h_hit.take(cell)
         hits += np.count_nonzero(sure)
-        rows = turn >= h_miss.take(cell)
-        rows ^= sure
-        rows = np.flatnonzero(rows)
+        rows = np.flatnonzero((turn >= h_miss.take(cell)) ^ sure)
         if not rows.size:
             return int(hits)
         w, h = w.take(rows), h.take(rows)
@@ -695,25 +579,11 @@ def run_discrimination_experiment(
 
     Each run draws `trials` member choices and guesses per decomposition on
     its own substreams (blocks 2*stream_block and 2*stream_block + 1, each
-    split over `workers`), counts guesses inside the cap about +z, and scores
-    the frequency gap as a two-sample z statistic with binomial standard
-    errors; with both errors zero the run carries no information and is
-    indeterminate. Both decompositions' workers run concurrently, in one
-    `streams.map_blocks` call, and each arm's block hits are summed.
-    A guess counts by its z coordinate alone (`_cap_hits`):
-    for a strategy with `polar_cos` (the two-parameter and tabulated
-    samplers) one word per row gives both its member and its polar uniform
-    u (`_u_block_hits`). Member j's u then lies on a grid of step 2^-53 /
-    w_j, w_j its weight, which moves the law of (member, u) by at most
-    about 2^-53 per member on any interval of u. Most rows are decided by
-    the class of their word, so a block draws its rows' class counts as
-    one multinomial and a word and an azimuth for each of its k window
-    rows alone, 2k words where one word per row took n + k; the count has
-    the same law. Most window rows are counted from their azimuth against
-    the thresholds of their word's cell, and the few left from a z
-    computed from the drawn angles and the members' frames, without
-    `sample_batch`. The windows, word classes, thresholds and frames are
-    made once per arm, in each call.
+    split over `workers`; both arms run concurrently in one
+    `streams.map_blocks` call), counts the guesses inside the cap about +z
+    (`_cap_hits`, each arm set up once per call), and scores the frequency
+    gap as a two-sample z statistic with binomial standard errors; with
+    both errors zero the run carries no information and is indeterminate.
     """
     streams.require_real("cap half-angle", cap_half_angle)
     if not 0.0 < cap_half_angle <= math.pi:

@@ -583,27 +583,36 @@ def least_word(lo, hi, before):
     return lo
 
 
-def lattice_classes(strategy, decomposition, cap_cos):
-    """(hits, windows): the word index intervals [a, b) of the sure hits and
-    of the u windows of the merged members, in word order, empty ones
-    dropped. Each end is found by bisection on the words, with the member
-    and u of `recycled_words`: a member's first and last word, then its
-    first word whose u is at least u_low, and the first whose u is beyond
-    u_high (`_u_windows`). The words below a window are sure hits where
-    `_u_windows` says so, and likewise above it."""
+def member_words(strategy, decomposition, cap_cos):
+    """[(start, a, b, end)] of each merged member, word indices found by
+    bisection with the member and u of `recycled_words`: the member's first
+    and last word, then its first word whose u is at least u_low, and the
+    first whose u is beyond u_high (`_u_windows`)."""
     weights, _, _, alpha = angle_path_members(decomposition)
-    u_low, u_high, hits_low, hits_high = _u_windows(strategy, alpha, cap_cos)
+    u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
 
     def member_and_u(w):
         idx, u = recycled_words(weights, np.array([w]))
         return idx[0], u[0]
 
-    hits, windows = [], []
+    words = []
     for j in range(len(weights)):
         start = least_word(0, LATTICE, lambda w: member_and_u(w)[0] < j)
         end = least_word(start, LATTICE, lambda w: member_and_u(w)[0] <= j)
         a = least_word(start, end, lambda w: member_and_u(w)[1] < u_low[j])
-        b = least_word(a, end, lambda w: member_and_u(w)[1] <= u_high[j])
+        words.append((start, a, least_word(a, end, lambda w: member_and_u(w)[1] <= u_high[j]), end))
+    return words
+
+
+def lattice_classes(strategy, decomposition, cap_cos):
+    """(hits, windows): the word index intervals [a, b) of the sure hits and
+    of the u windows of the merged members (`member_words`), in word order,
+    empty ones dropped. The words below a window are sure hits where
+    `_u_windows` says so, and likewise above it."""
+    _, _, _, alpha = angle_path_members(decomposition)
+    _, _, hits_low, hits_high = _u_windows(strategy, alpha, cap_cos)
+    hits, windows = [], []
+    for j, (start, a, b, end) in enumerate(member_words(strategy, decomposition, cap_cos)):
         hits += [(start, a)] if hits_low[j] and start < a else []
         windows += [(a, b)] if a < b else []
         hits += [(b, end)] if hits_high[j] and b < end else []
@@ -1411,36 +1420,43 @@ def test_azimuth_step_leaves_a_cell_of_two_members_words_to_the_exact_z(strategi
 
 
 # numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so each SIMD level
-# runs in its own child process. The script prints a digest of every u
-# window and word edge (`nosignal._w_edges`' input and output) of the cos4
-# and AB (a_frac 0.5) tilted arms at p = i/101, i = 1..100, and a cap of 0.2
-WINDOW_EDGES = """
+# runs in its own child process. The script prints a digest of the word
+# classes and the class probabilities, the bytes that set a block's draws,
+# of the cos4 and AB (a_frac 0.5) tilted arms at p = i/101, i = 1..100, and
+# a cap of 0.2
+WORD_CLASSES = """
 import hashlib, math
 import numpy as np
 from qguess import nosignal
 from qguess.ensembles import symmetric_decomposition
 from qguess.estimator import ABFormStrategy, GuessingForm
-edges, real = [], nosignal._w_edges
+drawn, real = [], nosignal._word_classes
 
-def record(t, *args):
-    edges.extend([t, real(t, *args)])
-    return edges[-1]
+def record(*args):
+    drawn.append(repr(real(*args)).encode())
+    return real(*args)
 
-nosignal._w_edges = record
+class Counts:
+    def multinomial(self, n, pvals):
+        drawn.append(pvals.tobytes())
+        return np.array([n, 0, 0])
+
+nosignal._word_classes = record
 for strategy in (nosignal.cos4_strategy(), ABFormStrategy(GuessingForm.from_a_fraction(0.5))):
     for i in range(1, 101):
-        nosignal._cap_hits(strategy, symmetric_decomposition(i / 101), math.cos(0.2))
-print(hashlib.sha256(np.concatenate([e.ravel() for e in edges]).tobytes()).hexdigest())
+        block_hits, _ = nosignal._cap_hits(strategy, symmetric_decomposition(i / 101), math.cos(0.2))
+        block_hits(Counts(), 0, 1)
+print(hashlib.sha256(b"".join(drawn)).hexdigest())
 """
 
 
 def test_window_edges_keep_their_bytes_at_avx2():
-    # the members' polar angles, and so the windows and edges made from
-    # them, do not follow numpy's SIMD level: np.arctan2 gives other bytes
-    # at AVX-512 than at AVX2 for some of these tilts
+    # the members' polar angles, and so the windows and word classes made
+    # from them, do not follow numpy's SIMD level: np.arctan2 gives other
+    # bytes at AVX-512 than at AVX2 for some of these tilts
     src = str(Path(nosignal.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    digests = [subprocess.run([sys.executable, "-c", WINDOW_EDGES], env=level, capture_output=True, text=True,
+    digests = [subprocess.run([sys.executable, "-c", WORD_CLASSES], env=level, capture_output=True, text=True,
                               check=True).stdout
                for level in (env, {**env, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"})]
     assert digests[0] == digests[1]
@@ -1448,30 +1464,25 @@ def test_window_edges_keep_their_bytes_at_avx2():
 
 def test_polar_step_counts_planted_rows_at_a_given_up_bound_as_the_z_coordinate(monkeypatch):
     # AB with a_frac 1.0, the tilted pair at p = 0.975 and a cap of
-    # np.linspace(1e-4, pi, 60)[53]: the low u bound, 8.3e-13, fails its
-    # check and is given up, so the rows on and around it, planted in the
-    # window words (the tilted pair is one member, whose words are its u),
-    # all stay in the window and count as the z coordinate does
+    # np.linspace(1e-4, pi, 60)[53]: the low u bound, 8.3e-13, the
+    # decreasing polar_uniform of the window's upper edge, fails its check
+    # and is given up, so the rows on and around it, planted in the window
+    # words (the tilted pair is one member, whose words are its u), all stay
+    # in the window and count as the z coordinate does
     strategy = ABFormStrategy(GuessingForm.from_a_fraction(1.0))
     decomposition = symmetric_decomposition(0.975)
     cap_cos = math.cos(np.linspace(1e-4, math.pi, 60)[53])
-    real_checked_bound = nosignal._checked_bound
-    checked = {}
-
-    def record(strategy, bound, toward, *args):
-        checked[toward] = (np.clip(bound, 0.0, 1.0), real_checked_bound(strategy, bound, toward, *args))
-        return checked[toward][1]
-
-    monkeypatch.setattr(nosignal, "_checked_bound", record)
-    block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
-    monkeypatch.undo()
-    before, after = checked[-math.inf]
-    assert np.all((before > 0.0) & (before < 1e-12)) and np.all(after == 0.0)
-    # the words at 0, half and twice the bound, and on and two either side of it
-    bound = math.ceil(before[0] * LATTICE)
-    words = np.array([0, bound // 2, 2 * bound, *range(bound - 2, bound + 3)])
-    weights, a_z, e1_z, _ = angle_path_members(decomposition)
+    weights, a_z, e1_z, alpha = angle_path_members(decomposition)
     assert weights.tolist() == [1.0]
+    u_low, _, _, _ = _u_windows(strategy, alpha, cap_cos)
+    miss_beyond, hit_beyond = _polar_bounds(cap_cos)
+    edge = min(math.pi - alpha[0] + hit_beyond, alpha[0] + miss_beyond, math.pi)
+    before = strategy.polar_uniform(min(edge + nosignal.CAP_THETA_MARGIN, math.pi))
+    assert 0.0 < before < 1e-12 and u_low.tolist() == [0.0]
+    block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
+    # the words at 0, half and twice the bound, and on and two either side of it
+    bound = math.ceil(before * LATTICE)
+    words = np.array([0, bound // 2, 2 * bound, *range(bound - 2, bound + 3)])
     m = len(words)
     h = substream(36).uniform(-1.0, 1.0, size=m)
     draws = PlantedDraws(lattice_classes(strategy, decomposition, cap_cos), words, h)
@@ -1495,6 +1506,33 @@ def test_u_windows_check_their_bounds_with_the_polar_map(strategies, monkeypatch
         with constant_azimuths(GENERIC_AZIMUTH):
             got = mapped_hits(strategy, decomposition, math.cos(0.2), 35, CAP_ROW_BLOCK)
             assert [got] == block_major_cap_hits(strategy, decomposition, CAP_ROW_BLOCK, 35, 1)
+
+
+# the polar_cos calls of each member set's set-up, where they are known
+SET_UP_POLAR_COS = {"poles": 1, "y-z pair": 2}
+
+
+@pytest.mark.parametrize("name", sorted(member_sets()))
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_arm_set_up_maps_the_windows_once_and_checks_them_once(strategies, monkeypatch, tag, name):
+    # the set-up maps every window end, and 0 and pi, in one polar_uniform
+    # call and checks every bound in one polar_cos call; the azimuth table
+    # calls polar_cos once more only when a member off the poles has a
+    # window (the pole arm's members are on the poles, the tilted pair's not)
+    strategy, decomposition, cap_cos = strategies[tag], member_sets()[name], math.cos(0.2)
+    calls = {"polar_uniform": 0, "polar_cos": 0}
+    for attr in calls:
+        def counted(x, attr=attr, real=getattr(strategy, attr)):
+            calls[attr] += 1
+            return real(x)
+
+        monkeypatch.setattr(strategy, attr, counted)
+    _cap_hits(strategy, decomposition, cap_cos)
+    monkeypatch.undo()
+    _, _, e1_z, _ = angle_path_members(decomposition)
+    off_poles = any(a < b and e != 0.0 for (_, a, b, _), e in zip(member_words(strategy, decomposition, cap_cos), e1_z))
+    assert calls == {"polar_uniform": 1, "polar_cos": 1 + off_poles}
+    assert calls["polar_cos"] == SET_UP_POLAR_COS.get(name, calls["polar_cos"])
 
 
 def test_u_step_leaves_few_rows_to_the_inverse_map(strategies, monkeypatch):

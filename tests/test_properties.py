@@ -1,7 +1,7 @@
 """Property tests (hypothesis, derandomized) for trial splitting, row
 blocks, the closed-form samplers, the tabulated inverse CDF's guide-table bracket,
-the discrimination's recycled polar uniforms and their edges on the drawn
-words, and its cap counts over arbitrary decompositions."""
+the discrimination's recycled polar uniforms and their edges in word
+indices, and its cap counts over arbitrary decompositions."""
 
 import math
 
@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from qguess.bloch import BlochVector, EnsembleDecomposition
 from qguess.estimator import ABFormStrategy, GuessingForm, _ab_inverse_cdf, cap_probability
-from qguess.nosignal import _member_index, _recycled, _recycled_uniforms, _w_edges, cos4_strategy
+from qguess.nosignal import _member_index, _recycled, _recycled_uniforms, _word_edges, cos4_strategy
 from qguess.streams import ROW_BLOCK, map_blocks, split_trials
 from test_kernels import (
+    LATTICE,
     block_major_cap_hits,
     constant_azimuths,
     interp_inverse_cdf,
@@ -169,17 +170,30 @@ def test_recycled_polar_uniforms_lie_in_the_unit_interval(weights, scale, keys):
     assert np.all((u >= 0.0) & (u < 1.0))
 
 
+def least_words(lo, hi, before):
+    """test_kernels.least_word entry by entry: the least word index k in
+    [lo, hi) at which before(k / 2^53) is false, or hi, for arrays lo and
+    hi and a `before` that works on arrays and holds on a prefix."""
+    lo, hi = (np.array(x, dtype=np.int64) for x in np.broadcast_arrays(lo, hi))
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        live, ahead = lo < hi, before(mid / LATTICE)
+        lo, hi = np.where(live & ahead, mid + 1, lo), np.where(live & ~ahead, mid, hi)
+    return lo
+
+
 @PROPERTY
-@given(weights=member_weights, scale=sum_scales, keys=unit_keys, thresholds=unit_keys)
-def test_word_edges_split_each_members_words_at_the_threshold(weights, scale, keys, thresholds):
-    # a word of a member lies below the member's edge exactly when its
-    # recycled u lies below the threshold, for thresholds in [0, 1] and
-    # just above 1 (a bound no u is beyond)
+@given(weights=member_weights, scale=sum_scales, thresholds=unit_keys)
+def test_word_edges_are_the_least_words_past_each_bound(weights, scale, thresholds):
+    # each member's words [start, end), and the words [low, high) whose
+    # recycled u lies in [t, t], are the word indices bisection finds, for
+    # bounds t in [0, 1] and just above 1 (a bound no u reaches)
     cum, lower, factor = _recycled_uniforms(scaled_weights(weights, scale))
-    upper = np.append(cum[:-1], 1.0)
-    t = np.array(thresholds + [0.0, 1.0, np.nextafter(1.0, 2.0)])
-    edges = _w_edges(t[:, None], lower, upper, factor)
-    w = words_around(np.concatenate([cum, edges.ravel()]), keys)
-    idx = _member_index(cum, w)
-    u = _recycled(w, lower[idx], factor[idx])
-    assert np.array_equal(w[None, :] < edges[:, idx], u[None, :] < t[:, None])
+    t = np.array(thresholds + [0.0, 1.0, np.nextafter(1.0, 2.0)])[:, None]
+    start, low, high, end = _word_edges(lower, factor, t, t)
+    members = np.arange(len(cum))
+    first = least_words(0, np.full(len(cum), LATTICE), lambda w: _member_index(cum, w) < members)
+    assert start.tolist() == first.tolist()
+    assert end.tolist() == least_words(first, LATTICE, lambda w: _member_index(cum, w) <= members).tolist()
+    assert low.tolist() == least_words(start, end, lambda w: _recycled(w, lower, factor) < t).tolist()
+    assert high.tolist() == least_words(low, end, lambda w: _recycled(w, lower, factor) <= t).tolist()
