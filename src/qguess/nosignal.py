@@ -148,14 +148,17 @@ def constraint_residual(density, p: float, m_grid) -> ConstraintResidual:
 
     `density` must map an ndarray of angles to densities (vectorized). The
     four reference directions come from the two decompositions at weight p.
-    A density that gives a non-finite residual raises QGuessError.
+    A density that gives a non-finite residual raises QGuessError. The
+    angles take `bloch.dots` and `math.acos`, whose bytes, unlike those of
+    `@` and `np.arccos`, do not follow numpy's SIMD level.
     """
     dirs = _direction_array(m_grid)
     std = standard_decomposition(p)
     sym = symmetric_decomposition(p)
 
     def dens_to(ref: np.ndarray) -> np.ndarray:
-        return np.asarray(density(np.arccos(np.clip(dirs @ ref, -1.0, 1.0))))
+        cosines = bloch.dots(dirs, np.broadcast_to(ref, dirs.shape)).tolist()
+        return np.asarray(density(np.array([math.acos(c) for c in cosines])))
 
     lhs = 0.5 * dens_to(sym.directions[0]) + 0.5 * dens_to(sym.directions[1])
     rhs = p * dens_to(std.directions[0]) + (1.0 - p) * dens_to(std.directions[1])

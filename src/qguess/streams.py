@@ -33,27 +33,8 @@ MAX_SEED = 2**64 - 1
 
 # Version of the reproducibility contract: the bytes a fixed call or command
 # line gives. Every report states it, and a change to any report's bytes
-# bumps it; README "Determinism" says what each contract moved.
-# - 1: sin(phi) of each azimuth from np.sin.
-# - 2: sin(phi) derived from cos(phi).
-# - 3: spherical frames (`bloch.orthonormal_frames`), cos^4 by exact
-#   products and merged tabulation nodes.
-# - 4: block-major draws (`map_blocks`); the discrimination's angle path
-#   draws azimuths only for the rows it leaves to the exact z.
-# - 5: azimuths drawn as half-turns h in [-1, 1), phi = pi*h, with cos(phi)
-#   taken as sin(pi*(1/2 - |h|)) (`bloch._cos_sin`); `monte_carlo_fidelity`
-#   sums its scores per row block.
-# - 6: the discrimination's angle path draws one word per row for the
-#   member and its polar uniform (`nosignal._recycled_uniforms`), over the
-#   members merged by what the count reads of them, in blocks of 2^16 rows.
-# - 7: a block of the discrimination's angle path draws its rows' counts
-#   of sure hits, window words and sure misses as one multinomial, then a
-#   word and a half-turn for each of its k window rows alone: a
-#   multinomial and 2k words, where it drew n + k words
-#   (`nosignal._u_block_hits`).
-# - 8: `qguess density`'s chi2_threshold_999 from the stdlib quantile
-#   `estimator.chi2_threshold_999`, not scipy's; no draw moved.
-STREAM_CONTRACT = 8
+# bumps it; README "Determinism" has a table of what each contract moved.
+STREAM_CONTRACT = 9
 
 # Rows per block of the drivers' `map_blocks` arms: a block's draws and
 # temporaries stay cache-sized, and a worker in flight holds one block of

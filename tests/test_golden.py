@@ -100,13 +100,6 @@ import test_golden as g
 print(json.dumps({"cli": {c: g.cli_digest(c) for c in g.GOLDEN["cli"]}, "kernels": g.kernel_digests()}))
 """
 
-# digests known to differ at the AVX2 level, with the cause
-ARCCOS = "rms_residual goes through np.arccos in constraint_residual, whose bytes follow the SIMD level"
-AVX2_DIFFERS = {
-    "nosignal --trials 5000 --p 0.8 --seed 7": ARCCOS,
-    "nosignal --strategy cos4 --trials 5000 --p 0.8 --seed 7": ARCCOS,
-}
-
 
 @pytest.fixture(scope="module")
 def avx2_digests():
@@ -119,8 +112,6 @@ def avx2_digests():
 
 
 @pytest.mark.parametrize("section, name", [
-    pytest.param(section, name, id=name,
-                 marks=[pytest.mark.xfail(strict=True, reason=AVX2_DIFFERS[name])] if name in AVX2_DIFFERS else [])
-    for section in ("cli", "kernels") for name in sorted(GOLDEN[section])])
+    pytest.param(section, name, id=name) for section in ("cli", "kernels") for name in sorted(GOLDEN[section])])
 def test_golden_digest_holds_at_avx2(avx2_digests, section, name):
     assert avx2_digests[section][name] == GOLDEN[section][name]
