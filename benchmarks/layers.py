@@ -8,26 +8,18 @@ Each kernel is timed on 2^19 rows, handed to it one block of 2^14 rows at
 a time as the drivers do, and each driver at the benchmark's sizes with
 workers 1 and 2. The `cos_sin` arm is the (cos, sin) pair of an azimuth
 column of half-turns as the direction kernels take it (`bloch._cos_sin`).
-The discrimination's block function, from
-`nosignal._cap_hits`, is timed on 2^19 rows per strategy (MP, AB with
-a_frac = 0.5, cos4) and arm, set-up included, through `streams.map_blocks`
-with one worker, in blocks of the rows `_cap_hits` gives with it (2^16 on
-the angle path, 2^14 for MP). The arms
-are the standard and symmetric decompositions at the benchmark's weight and
-cap, and the generic arm, the symmetric pair turned 1 rad about z. An
-angle-path block draws its rows' counts of sure hits, window words and
-sure misses as one multinomial, then a word and an azimuth for each of
-its k window rows: a multinomial and 2k words, where one word per row
-took n + k. The standard arm's members are poles, whose words lie in
-their u windows but for about 3e-6 of them, so most of its blocks draw
-their counts alone; the tilted members' window rows go to the azimuth
-step, which decides most of them from their drawn azimuth against the
-thresholds of their word's cell, one table of 2^12 cells per arm. The z
-coordinate of a row it leaves to the exact step takes cos(phi), and no z
-coordinate takes sin(phi). The `cap_setup` arms time `_cap_hits` alone
-for the same strategies and arms: the set-up each discrimination call
-makes per arm, with the u windows, the word classes and the azimuth
-step's table, which the pole arm gets without working out a cell.
+The discrimination's block function, from `nosignal._cap_hits`, is timed
+on 2^19 rows per strategy (MP, AB with a_frac = 0.5, cos4) and arm, set-up
+included, through `streams.map_blocks` with one worker, in blocks of the
+rows `_cap_hits` gives with it (2^16 on the angle path, 2^14 for MP). The
+arms are the standard and symmetric decompositions at the benchmark's
+weight and cap, and the generic arm, the symmetric pair turned 1 rad about
+z. The `nosignal` module docstring describes the angle path. The
+`cap_setup` arms time `_cap_hits` alone for the same strategies and arms:
+the set-up each discrimination call makes per arm in one pass, with one
+`polar_uniform` and one `polar_cos` call for the u windows, the word
+classes in word indices, and the azimuth table, which calls `polar_cos`
+once more only where a member off the poles has a window.
 
 Before anything is timed, the library's own allocator step runs
 (`streams._prime_heap`, which `streams.map_blocks` runs once per
@@ -194,8 +186,10 @@ def cap_hits() -> dict:
 
 def cap_setup() -> dict:
     """The set-up of each `_cap_hits` arm alone, which every discrimination
-    call makes once per arm: the member frames, the u windows and, on the
-    angle path, the azimuth step's table."""
+    call makes once per arm: on the angle path, the merged members, the u
+    windows (one `polar_uniform` and one `polar_cos` call), the word classes
+    and the azimuth step's table (one more `polar_cos` call for the tilted
+    and generic arms)."""
     cap_cos = math.cos(SIGNAL_CAP)
     return {f"cap_setup.{name}": lambda s=strategy, d=decomposition: nosignal._cap_hits(s, d, cap_cos)
             for name, strategy, decomposition in cap_arms()}

@@ -2,8 +2,10 @@
 namespaces their callers resolve them from, and `sample_batch` in the body of
 each strategy class. A refactor that drops one of those names, or moves a
 `sample_batch` into a base class, breaks only traced benchmark runs; these
-tests catch it in the ordinary suite."""
+tests catch it in the ordinary suite. Likewise `benchmarks/layers.py` calls
+private helpers of the library, so its cap arms run here too."""
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -17,6 +19,7 @@ from qguess.nosignal import cos4_strategy
 from qguess.streams import ROW_BLOCK
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+LAYERS = Path(__file__).resolve().parent.parent / "benchmarks" / "layers.py"
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +125,21 @@ def test_traced_discrimination_builds_frames_once_per_arm(tracing):
     assert agg["streams.worker_batches.batches"] == 2
     assert agg["streams.substream.calls"] == 2
     assert not [key for key in agg if key.startswith(("estimator.sample_batch.", "bloch.directions_at_angle."))]
+
+
+def test_layers_script_runs_its_cap_set_up_and_a_cos4_cap_count():
+    # every private name the script reads off a qguess module resolves, each
+    # `cap_setup` arm builds its arm once, and one cos4 `cap_hits` arm counts
+    spec = importlib.util.spec_from_file_location("benchmarks_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    private = {(node.value.id, node.attr) for node in ast.walk(ast.parse(LAYERS.read_text()))
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in ("bloch", "estimator", "nosignal", "streams") and node.attr.startswith("_")}
+    assert {("nosignal", "_cap_hits"), ("streams", "_prime_heap")} <= private
+    assert all(hasattr(getattr(layers, module), name) for module, name in private)
+    setups = layers.cap_setup()
+    assert len(setups) == 9
+    for build in setups.values():
+        build()
+    assert layers.cap_hits()["cap_hits.cos4.symmetric"]() > 0
