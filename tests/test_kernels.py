@@ -573,13 +573,14 @@ LATTICE = 2 ** 53
 
 def least_word(lo, hi, before):
     """The least word index k in [lo, hi) at which before(k / 2^53) is
-    false, or hi if there is none; `before` must hold on a prefix of them."""
-    while lo < hi:
+    false, or hi if there is none, by bisection, entry by entry over
+    arrays of lo and hi; `before` takes an array of words and must hold on
+    a prefix of each entry's words."""
+    lo, hi = (np.array(x, dtype=np.int64) for x in np.broadcast_arrays(lo, hi))
+    while np.any(lo < hi):
         mid = (lo + hi) // 2
-        if before(mid / LATTICE):
-            lo = mid + 1
-        else:
-            hi = mid
+        live, ahead = lo < hi, before(mid / LATTICE)
+        lo, hi = np.where(live & ahead, mid + 1, lo), np.where(live & ~ahead, mid, hi)
     return lo
 
 
@@ -590,18 +591,12 @@ def member_words(strategy, decomposition, cap_cos):
     first whose u is beyond u_high (`_u_windows`)."""
     weights, _, _, alpha = angle_path_members(decomposition)
     u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
-
-    def member_and_u(w):
-        idx, u = recycled_words(weights, np.array([w]))
-        return idx[0], u[0]
-
-    words = []
-    for j in range(len(weights)):
-        start = least_word(0, LATTICE, lambda w: member_and_u(w)[0] < j)
-        end = least_word(start, LATTICE, lambda w: member_and_u(w)[0] <= j)
-        a = least_word(start, end, lambda w: member_and_u(w)[1] < u_low[j])
-        words.append((start, a, least_word(a, end, lambda w: member_and_u(w)[1] <= u_high[j]), end))
-    return words
+    members = np.arange(len(weights))
+    start = least_word(0, np.full(len(weights), LATTICE), lambda w: recycled_words(weights, w)[0] < members)
+    end = least_word(start, LATTICE, lambda w: recycled_words(weights, w)[0] <= members)
+    a = least_word(start, end, lambda w: recycled_words(weights, w)[1] < u_low)
+    b = least_word(a, end, lambda w: recycled_words(weights, w)[1] <= u_high)
+    return list(zip(*(x.tolist() for x in (start, a, b, end))))
 
 
 def lattice_classes(strategy, decomposition, cap_cos):

@@ -18,6 +18,7 @@ from test_kernels import (
     block_major_cap_hits,
     constant_azimuths,
     interp_inverse_cdf,
+    least_word,
     mapped_hits,
     normalized_tabulated,
 )
@@ -170,18 +171,6 @@ def test_recycled_polar_uniforms_lie_in_the_unit_interval(weights, scale, keys):
     assert np.all((u >= 0.0) & (u < 1.0))
 
 
-def least_words(lo, hi, before):
-    """test_kernels.least_word entry by entry: the least word index k in
-    [lo, hi) at which before(k / 2^53) is false, or hi, for arrays lo and
-    hi and a `before` that works on arrays and holds on a prefix."""
-    lo, hi = (np.array(x, dtype=np.int64) for x in np.broadcast_arrays(lo, hi))
-    while np.any(lo < hi):
-        mid = (lo + hi) // 2
-        live, ahead = lo < hi, before(mid / LATTICE)
-        lo, hi = np.where(live & ahead, mid + 1, lo), np.where(live & ~ahead, mid, hi)
-    return lo
-
-
 @PROPERTY
 @given(weights=member_weights, scale=sum_scales, thresholds=unit_keys)
 def test_word_edges_are_the_least_words_past_each_bound(weights, scale, thresholds):
@@ -192,8 +181,8 @@ def test_word_edges_are_the_least_words_past_each_bound(weights, scale, threshol
     t = np.array(thresholds + [0.0, 1.0, np.nextafter(1.0, 2.0)])[:, None]
     start, low, high, end = _word_edges(lower, factor, t, t)
     members = np.arange(len(cum))
-    first = least_words(0, np.full(len(cum), LATTICE), lambda w: _member_index(cum, w) < members)
+    first = least_word(0, np.full(len(cum), LATTICE), lambda w: _member_index(cum, w) < members)
     assert start.tolist() == first.tolist()
-    assert end.tolist() == least_words(first, LATTICE, lambda w: _member_index(cum, w) <= members).tolist()
-    assert low.tolist() == least_words(start, end, lambda w: _recycled(w, lower, factor) < t).tolist()
-    assert high.tolist() == least_words(low, end, lambda w: _recycled(w, lower, factor) <= t).tolist()
+    assert end.tolist() == least_word(first, LATTICE, lambda w: _member_index(cum, w) <= members).tolist()
+    assert low.tolist() == least_word(start, end, lambda w: _recycled(w, lower, factor) < t).tolist()
+    assert high.tolist() == least_word(low, end, lambda w: _recycled(w, lower, factor) <= t).tolist()
