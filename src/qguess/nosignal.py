@@ -552,7 +552,6 @@ def _u_block_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposit
             return hits
         word = _window_words(rng.integers(0, window_words, size=k), windows)
         h = uniform_azimuths(rng, k)
-        w = np.multiply(word, 1.0 / _LATTICE)
         cell = word // _CELL_WORDS
         turn = np.abs(h)
         sure = turn >= h_hit.take(cell)
@@ -560,7 +559,7 @@ def _u_block_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposit
         rows = np.flatnonzero((turn >= h_miss.take(cell)) ^ sure)
         if not rows.size:
             return int(hits)
-        w, h = w.take(rows), h.take(rows)
+        w, h = np.multiply(word.take(rows), 1.0 / _LATTICE), h.take(rows)
         idx = _member_index(cum, w)
         u = _recycled(w, lower.take(idx), scale.take(idx))
         z = bloch.z_at_angle(a_z.take(idx), e1_z.take(idx), strategy.polar_cos(u), h)
