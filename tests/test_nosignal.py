@@ -213,6 +213,26 @@ def test_cos4_is_detectable_at_the_derived_trial_count():
     assert abs((rep.freq_standard - rep.freq_symmetric) - (f_std - f_sym)) < 5.0 * spread
 
 
+def test_cos4_cap_counts_pooled_over_seeds_have_the_tabulated_law():
+    # seeds 0-199, the first 200, at the criterion-5 trial count: each arm's
+    # hits pooled over 1.1e8 trials, whose SE (1.5e-5) is a fourteenth of
+    # one run's, against the quadrature of the density actually sampled.
+    # That quadrature agrees with cos4_density's within 1e-8, a bound on its
+    # error and on the tabulation's far below the pooled SE.
+    strategy = cos4_strategy()
+    n = required_trials(cos4_density, 0.9, 0.2)
+    want = expected_cap_frequencies(strategy.density, 0.9, 0.2)
+    assert np.allclose(want, expected_cap_frequencies(cos4_density, 0.9, 0.2), rtol=0.0, atol=1e-8)
+    seeds = range(200)
+    hits = np.zeros(2)
+    for seed in seeds:
+        rep = run_discrimination_experiment(strategy, 0.9, cap_half_angle=0.2, trials=n, seed=seed)
+        hits += [round(rep.freq_standard * n), round(rep.freq_symmetric * n)]
+    pooled = len(seeds) * n
+    z = (hits / pooled - want) / np.sqrt(np.multiply(want, np.subtract(1.0, want)) / pooled)
+    assert np.all(np.abs(z) <= 4.0), z
+
+
 @pytest.mark.parametrize("cap", [0.001, 3.14159])
 def test_zero_spread_is_indeterminate(cap):
     # two trials per arm all miss the tiny cap, or all land in the near-full one
