@@ -7,7 +7,9 @@ Run from anywhere, against the checkout this file sits in:
 Each kernel is timed on 2^19 rows, handed to it one block of 2^14 rows at
 a time as the drivers do, and each driver at the benchmark's sizes with
 workers 1 and 2. The `cos_sin` arm is the (cos, sin) pair of an azimuth
-column of half-turns as the direction kernels take it (`bloch._cos_sin`).
+column of half-turns as the direction kernels take it (`bloch._cos_sin`),
+and the `inverse_cdf.cos4` arm the cos t of a column of polar uniforms as
+cos4's `sample_batch` draws it (`TabulatedStrategy.polar_cos`).
 The discrimination's block function, from `nosignal._cap_hits`, is timed
 on 2^19 rows per strategy (MP, AB with a_frac = 0.5, cos4) and arm, set-up
 included, through `streams.map_blocks` with one worker, in blocks of the
@@ -129,7 +131,7 @@ def kernels() -> tuple[dict, dict]:
         "orthonormal_frames": lambda r: bloch.orthonormal_frames(axes[r]),
         "dots": lambda r: bloch.dots(axes[r], other[r]),
         "directions_at_angle": lambda r: bloch.directions_at_angle(axes[r], cos_t[r], h[r]),
-        "inverse_cdf.cos4": lambda r: cos4.inverse_cdf(u[r]),
+        "inverse_cdf.cos4": lambda r: cos4.polar_cos(u[r]),
         "sample_batch.mp": lambda r: mp.sample_batch(axes[r], rng),
         "sample_batch.ab": lambda r: ab.sample_batch(axes[r], rng),
         "sample_batch.cos4": lambda r: cos4.sample_batch(axes[r], rng),

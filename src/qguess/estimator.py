@@ -9,9 +9,9 @@ the angle t between guess and input. The two-parameter family
 
 covers the random-axis measurement strategy (A = 1/2pi, B = 0) and the
 uniform guesser (A = B = 1/4pi). Tabulated strategies carry an arbitrary
-nonnegative density over t, interpolated linearly, and are sampled by
-numerical CDF inversion. Sampling for the two-parameter family inverts the
-closed-form CDF, which is quadratic in cos t.
+non-negative density on a grid of t, linear in cos t between the nodes.
+Both are sampled by inverting their CDF in cos t exactly: it is quadratic
+in cos t, over the sphere or within each grid cell.
 
 Histogram bins are equal width in t (not equal solid angle) so the
 cos^2-versus-cos^4 shapes stay resolved near the poles; densities are
@@ -245,23 +245,21 @@ class MassarPopescuStrategy(ABFormStrategy):
 
 
 class TabulatedStrategy(EstimatorStrategy):
-    """Density tabulated on a theta grid, interpolated linearly.
+    """Density tabulated on a theta grid, linear in c = cos t within each cell.
 
     The grid must span [0, pi]; values must be non-negative and the sphere
-    integral of the interpolant must be 1 within 1e-6. Within each grid cell
-    the interpolant is linear in theta, so cell integrals of f(t) sin t have
-    a closed antiderivative; the CDF used for sampling is exact at the nodes
-    of an internal refinement. It is inverted piecewise linearly, with the
-    cell found through a guide table (Chen & Asau 1974; Devroye 1986,
-    sec. III.2) and the same bracket and slope as `np.interp` on that CDF, so
-    the angles are byte-identical to `np.interp`'s.
+    integral of the interpolant, the trapezoid rule in c, must be 1 within
+    1e-6; it is renormalized to 1. A two-parameter form, linear in c, is
+    exact on any grid. Within a cell the CDF is quadratic in c
+    (`polar_uniform`), and `polar_cos` inverts it exactly: the cell from a
+    guide table (Chen & Asau 1974; Devroye 1986, sec. III.2), checked
+    against the CDF, then the root of the quadratic in the form that does
+    not cancel.
     """
 
-    REFINEMENT = 8193  # internal CDF nodes before merging the user grid
-    # a user node this close to a refinement node, in refinement steps, is
-    # that node up to rounding, and is merged into it
-    NODE_MERGE = 1e-9
     GUIDE_PER_NODE = 2  # guide-table cells per CDF node
+    # below this many rows a binary search of every row beats the guide table
+    GUIDE_MIN_ROWS = 256
 
     def __init__(self, thetas, values):
         thetas = np.asarray(thetas, dtype=float)
@@ -274,100 +272,72 @@ class TabulatedStrategy(EstimatorStrategy):
             raise InvalidFormError("tabulated densities must be finite and non-negative")
         self.thetas = thetas
         self.values = values
-
-        refinement = np.linspace(0.0, math.pi, self.REFINEMENT)
-        step = math.pi / (self.REFINEMENT - 1)
-        nearest = refinement[np.rint(thetas / step).astype(np.intp)]
-        nodes = np.union1d(refinement, thetas[np.abs(thetas - nearest) > self.NODE_MERGE * step])
-        dens = np.interp(nodes, thetas, values)
-        self._nodes = nodes
-        self._node_density = dens
-        self._cdf = np.concatenate([[0.0], np.cumsum(_linear_cells_sphere_mass(nodes, dens))])
-        self.sphere_integral = float(self._cdf[-1])
+        # nodes whose cosines round equal bound a cell of no width and no mass
+        c = np.minimum.accumulate(np.cos(thetas))
+        width = c[:-1] - c[1:]
+        cdf = np.concatenate([[0.0], np.cumsum(math.pi * width * (values[:-1] + values[1:]))])
+        self.sphere_integral = float(cdf[-1])
         if not abs(self.sphere_integral - 1.0) <= TABULATED_NORM_TOL:
             raise InvalidFormError(
                 f"tabulated density must integrate to 1 over the sphere, got {self.sphere_integral}"
             )
-        self._xp = self._cdf / self.sphere_integral
-        # np.interp's per-cell slope; a flat cell gets inf, but no bracket selects it
-        with np.errstate(divide="ignore"):
-            self._slope = np.diff(nodes) / np.diff(self._xp)
-        k = self.GUIDE_PER_NODE * len(nodes)
-        # guide[i]: cell of the CDF value i/k; k + 1 entries so that u*k rounding up to k is covered
-        self._guide = np.minimum(
-            np.searchsorted(self._xp, np.arange(k + 1) / k, side="right") - 1, len(nodes) - 2
-        )
+        self._neg_cos = -c  # increasing, for np.interp and np.searchsorted
+        self._xp = cdf / self.sphere_integral
+        # in cell j the CDF is u = xp + d (2h + k d) at d = c_top - c, 2h its
+        # slope at the top; h is floored at the least normal double, so that
+        # u = xp at h = 0 inverts to d = 0, not 0/0
+        v = values * (TWO_PI / self.sphere_integral)
+        h = np.maximum(v[:-1] / 2.0, np.finfo(float).tiny)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.where(width > 0.0, (v[1:] - v[:-1]) / (2.0 * width), 0.0)
+        self._cells = np.stack([self._xp[:-1], c[:-1], h, h * h, k, c[1:]])
+        # guide[i]: cell of the CDF value i/n; n + 1 entries so that u*n rounding up to n is covered
+        n = self.GUIDE_PER_NODE * len(thetas)
+        self._guide = np.minimum(np.searchsorted(self._xp, np.arange(n + 1) / n, "right") - 1, len(c) - 2)
 
     def density(self, theta):
-        out = np.interp(np.asarray(theta, dtype=float), self.thetas, self.values)
+        out = np.interp(-np.cos(np.asarray(theta, dtype=float)), self._neg_cos, self.values)
         return float(out) if np.isscalar(theta) else out
 
-    def cdf(self, theta) -> np.ndarray:
-        """Outcome-angle CDF (normalized), exact for the interpolated density."""
-        q = np.atleast_1d(np.asarray(theta, dtype=float))
-        idx = np.clip(np.searchsorted(self._nodes, q, side="right") - 1, 0, len(self._nodes) - 2)
-        t0, t1 = self._nodes[idx], self._nodes[idx + 1]
-        f0, f1 = self._node_density[idx], self._node_density[idx + 1]
-        partial = _linear_segment_sphere_mass(t0, f0, t1, f1, np.clip(q, t0, t1))
-        return (self._cdf[idx] + partial) / self.sphere_integral
-
-    def _cdf_cell(self, u: np.ndarray) -> np.ndarray:
-        """Cell j with xp[j] <= u < xp[j+1] for each u in [0, 1) (xp the
-        normalized CDF): the bracket of `np.interp` and of
-        `np.searchsorted(xp, u, "right") - 1`.
-
-        Start at the guide entry of u's guide cell, take at most two steps
-        up, then check every bracket; rows that still miss it (more than two
-        nodes in one guide cell where the density is small, rounding at
-        guide-cell edges) fall back to a binary search.
-        """
-        xp = self._xp
-        j = self._guide.take((u * (len(self._guide) - 1)).astype(np.intp))
-        hi = xp.take(j + 1)
-        up = np.flatnonzero(hi <= u)
-        if up.size:
-            j_up, u_up = j[up], u[up]
-            for _ in range(2):
-                j_up += xp.take(j_up + 1) <= u_up
-            j[up] = j_up
-            hi[up] = xp.take(j_up + 1)
-        miss = np.flatnonzero((u < xp.take(j)) | (u >= hi))
-        if miss.size:
-            j[miss] = np.searchsorted(xp, u[miss], side="right") - 1
-        return j
-
-    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
-        """Angles at which the normalized CDF takes the values u (1-d, in [0, 1)),
-        linear between refinement nodes: slope * (u - xp) + node of each
-        row's cell, built in one array."""
-        u = np.asarray(u, dtype=float)
-        j = self._cdf_cell(u)
-        theta = self._xp.take(j)
-        np.subtract(u, theta, out=theta)
-        theta *= self._slope.take(j)
-        theta += self._nodes.take(j)
-        return theta
-
     def polar_cos(self, u: np.ndarray) -> np.ndarray:
-        """t is what is drawn (`inverse_cdf`), and np.cos of it works element by element."""
-        return np.cos(self.inverse_cdf(u))
+        """cos t at which the CDF takes the values u (1-d, in [0, 1)): in the
+        cell j with xp[j] <= u < xp[j+1], c_top - r / (h + sqrt(h^2 + k r)),
+        r = u - xp[j], kept in the cell. From GUIDE_MIN_ROWS rows on, j
+        starts at the guide entry of u's guide cell, one step up, and rows
+        outside their cell (more than one node in a guide cell, rounding at
+        guide-cell edges) take the binary search that fewer rows all take."""
+        xp, inner = self._xp, self._xp[1:-1]
+        if len(u) < self.GUIDE_MIN_ROWS:
+            j = np.searchsorted(inner, u, side="right")
+        else:
+            j = self._guide.take((u * (len(self._guide) - 1)).astype(np.intp))
+            j += xp.take(j + 1) <= u
+            miss = ((u < xp.take(j)) | (u >= xp.take(j + 1))).nonzero()[0]
+            j[miss] = np.searchsorted(inner, u.take(miss), side="right")
+        r, top, h, h2, k, bottom = self._cells.take(j, axis=1)
+        r = np.subtract(u, r, out=r)
+        d = np.sqrt(np.maximum(r * k + h2, 0.0))
+        d += h
+        return np.maximum(top - r / d, bottom)
 
     def polar_uniform(self, theta) -> np.ndarray:
-        """The piecewise linear CDF that `inverse_cdf` inverts, at theta: increasing."""
-        return np.interp(theta, self._nodes, self._xp)
+        """The CDF that `polar_cos` inverts, at theta: increasing, 0 at 0 and 1 at pi."""
+        c = np.cos(np.asarray(theta, dtype=float))
+        x, top, h, _, k, _ = self._cells.take(np.searchsorted(self._neg_cos[1:-1], -c, side="right"), axis=1)
+        d = top - c
+        return x + d * (k * d + 2.0 * h)
 
     def sample_batch(self, inputs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         n = len(inputs)
         return directions_at_angle(inputs, self.polar_cos(rng.random(n)), uniform_azimuths(rng, n))
 
     def bin_probabilities(self, theta_edges: np.ndarray) -> np.ndarray:
-        return np.diff(self.cdf(np.asarray(theta_edges, dtype=float)))
+        return np.diff(self.polar_uniform(theta_edges))
 
     def sphere_expectation(self, score) -> float:
         """Sphere average of a vectorized angle score under the sampled
-        (renormalized) density, by 5-point Gauss-Legendre per refinement cell
-        (the density is linear within a cell, so only the score limits accuracy)."""
-        theta, weights = composite_gauss_legendre(self._nodes, 5)
+        (renormalized) density, by 5-point Gauss-Legendre per grid cell."""
+        theta, weights = composite_gauss_legendre(self.thetas, 5)
         y = self.density(theta) * score(theta) * np.sin(theta)
         return TWO_PI * float(np.sum(y * weights)) / self.sphere_integral
 
@@ -389,25 +359,6 @@ def composite_gauss_legendre(edges, order: int) -> tuple[np.ndarray, np.ndarray]
     mid = (edges[:-1] + edges[1:]) / 2.0
     half = (edges[1:] - edges[:-1]) / 2.0
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
-
-
-def _linear_cells_sphere_mass(nodes: np.ndarray, dens: np.ndarray) -> np.ndarray:
-    """Sphere mass 2pi * integral of f(t) sin t over each consecutive node cell."""
-    return _linear_segment_sphere_mass(nodes[:-1], dens[:-1], nodes[1:], dens[1:], nodes[1:])
-
-
-def _linear_segment_sphere_mass(t0, f0, t1, f1, t):
-    """2pi * integral_{t0}^{t} f(s) sin s ds with f linear through (t0,f0),(t1,f1).
-
-    Antiderivative of (a + b s) sin s is -(a + b s) cos s + b sin s.
-    """
-    b = (f1 - f0) / (t1 - t0)
-    a = f0 - b * t0
-
-    def anti(s):
-        return -(a + b * s) * np.cos(s) + b * np.sin(s)
-
-    return TWO_PI * (anti(t) - anti(t0))
 
 
 # ---------------------------------------------------------------------------

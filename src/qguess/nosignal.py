@@ -474,7 +474,7 @@ def _azimuth_table(strategy: EstimatorStrategy, a_z: np.ndarray, e1_z: np.ndarra
     e1_z lies within r of z at m. So a row is a sure hit where z at m is
     cap_cos + CAP_Z_MARGIN + r or more, cos(pi h) <= c_hit as e1_z < 0,
     and a sure miss where it is below cap_cos - CAP_Z_MARGIN - r, cos(pi h)
-    > c_miss. The margin covers polar_cos's fallback and the rounding.
+    > c_miss. The margin covers the rounding.
     """
     h_hit, h_miss = np.full(CAP_CELLS, 2.0), np.zeros(CAP_CELLS)
     window = np.zeros(CAP_CELLS, dtype=bool)

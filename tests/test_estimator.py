@@ -18,7 +18,6 @@ from qguess.estimator import (
     MassarPopescuStrategy,
     TabulatedStrategy,
     _ab_inverse_cdf,
-    _linear_cells_sphere_mass,
     ab_bin_probabilities,
     cap_probability,
     chi2_threshold_999,
@@ -29,6 +28,7 @@ from qguess.estimator import (
 )
 from qguess.merit import MonotoneTabulatedMerit
 from qguess.nosignal import constraint_residual, cos4_density, cos4_strategy
+from qguess.streams import substream
 
 TWO_PI = 2.0 * math.pi
 A_GRID = np.linspace(0.0, 1.0, 11)
@@ -156,8 +156,43 @@ def test_tabulated_uniform_matches_closed_form():
     edges = np.linspace(0.0, math.pi, 51)
     closed = ab_bin_probabilities(UNIFORM, edges)
     assert np.max(np.abs(tab.bin_probabilities(edges) - closed)) <= 1e-12
-    assert tab.cdf(0.0) == pytest.approx(0.0, abs=1e-15)
-    assert tab.cdf(math.pi) == pytest.approx(1.0, abs=1e-12)
+    assert tab.polar_uniform(0.0) == pytest.approx(0.0, abs=1e-15)
+    assert tab.polar_uniform(math.pi) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("thetas", [[0.0, 1.0, math.pi], np.linspace(0.0, math.pi, 7)], ids=["3-node", "7-node"])
+@pytest.mark.parametrize("a_frac", [0.0, 0.3, 1.0])
+def test_tabulated_two_parameter_form_is_exact_on_any_grid(thetas, a_frac):
+    # linear in cos t, the form is its own interpolant: density, bin masses
+    # and CDF are the closed form's, and polar_cos is its inverse CDF
+    form = GuessingForm.from_a_fraction(a_frac)
+    thetas = np.asarray(thetas)
+    tab = TabulatedStrategy(thetas, guessing_density(form, thetas))
+    ab = ABFormStrategy(form)
+    theta = np.linspace(0.0, math.pi, 1001)
+    assert np.max(np.abs(tab.density(theta) - guessing_density(form, theta))) <= 1e-12
+    assert np.max(np.abs(tab.bin_probabilities(theta) - ab_bin_probabilities(form, theta))) <= 1e-12
+    assert np.max(np.abs(tab.polar_uniform(theta) - (1.0 - ab.polar_uniform(theta)))) <= 1e-12
+    u = substream(3).random(1 << 12)
+    assert np.max(np.abs(tab.polar_cos(u) - ab.polar_cos(1.0 - u))) <= 1e-12
+
+
+@pytest.mark.parametrize("bins", [25, 50])
+def test_cos4_bin_probabilities_are_a_distribution(bins):
+    probs = cos4_strategy().bin_probabilities(np.linspace(0.0, math.pi, bins + 1))
+    assert probs.min() >= 0.0
+    assert float(probs.sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cos4_polar_cos_has_the_cos4_law():
+    # cos t of cos^4(t/2) has the CDF ((1 + c)/2)^3; the Kolmogorov-Smirnov
+    # distance of 2^22 draws stays below its 0.999 quantile, 1.95 / sqrt(n)
+    n = 1 << 22
+    u = substream(5).random(n)
+    c = np.sort(np.concatenate([cos4_strategy().polar_cos(part) for part in np.split(u, 16)]))
+    law = ((1.0 + c) / 2.0) ** 3
+    distance = max(np.max(np.arange(1, n + 1) / n - law), np.max(law - np.arange(n) / n))
+    assert distance < 1.95 / math.sqrt(n)
 
 
 def test_tabulated_sphere_expectation():
@@ -167,20 +202,21 @@ def test_tabulated_sphere_expectation():
     assert tab.sphere_expectation(score) == pytest.approx(0.5, abs=1e-9)
 
 
-def test_tabulation_merges_nodes_that_differ_by_rounding():
-    # the cos4 grid of 4001 nodes meets the 8193-node refinement at every
-    # 125th of its nodes, up to rounding: merged, no two nodes are closer
-    # than the merge tolerance, every cell of positive density has positive
-    # mass, and that mass raises the sampled CDF unless it is below the
-    # resolution of the CDF's running sum (the tail, where cos^4 is ~1e-15)
-    s = cos4_strategy()
-    step = math.pi / (TabulatedStrategy.REFINEMENT - 1)
-    assert np.min(np.diff(s._nodes)) >= TabulatedStrategy.NODE_MERGE * step
-    positive = (s._node_density[:-1] > 0.0) | (s._node_density[1:] > 0.0)
-    mass = _linear_cells_sphere_mass(s._nodes, s._node_density)[positive]
-    assert np.all(mass > 0.0)
-    rises = (np.diff(s._xp) > 0.0)[positive]
-    assert np.all(rises | (mass < 2.0 * np.spacing(s._xp[1:][positive])))
+def test_tabulation_keeps_its_maps_finite_where_node_cosines_round_equal():
+    # cos(1e-9) and cos(2e-9) round to 1: the first two cells have no width
+    # in cos t, so no mass, and the density, the CDF and its inverse stay
+    # finite and in range on them and on either side
+    thetas = np.concatenate([[0.0, 1e-9, 2e-9], np.linspace(0.5, math.pi, 5)])
+    assert np.cos(thetas[2]) == 1.0
+    s = TabulatedStrategy(thetas, np.full(len(thetas), 1.0 / (4.0 * math.pi)))
+    theta = np.array([0.0, 5e-10, 1e-9, 1.5e-9, 2e-9, 0.25, math.pi])
+    for values in (s.density(theta), s.polar_uniform(theta)):
+        assert np.all(np.isfinite(values))
+    assert np.array_equal(s.polar_uniform(theta[:5]), np.zeros(5))
+    u = np.concatenate([[0.0, 1e-300, 0.5], substream(6).random(200)])
+    c = s.polar_cos(u)
+    assert np.all(np.isfinite(c)) and c.min() >= -1.0 and c.max() <= 1.0
+    assert c[0] == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Byte identity of the batch kernels against plain-numpy constructions on
 whole rows: the frame against the spherical frame written with `np.where`,
-the tabulated inverse CDF against `np.interp` over the normalized CDF, the
+the tabulated `polar_cos` against its root on cells found by
+`np.searchsorted` over the normalized CDF, the
 kernels against their whole-batch forms at the block edges, the
 discrimination's member pick and z coordinate against `np.searchsorted` and
 column 2 of the full guess, its word classes and azimuth step against
@@ -43,7 +44,6 @@ from qguess.estimator import (
     MassarPopescuStrategy,
     TabulatedStrategy,
     _ab_inverse_cdf,
-    _linear_cells_sphere_mass,
     collect_histogram,
 )
 from qguess.ensembles import standard_decomposition, symmetric_decomposition
@@ -114,15 +114,23 @@ def where_mp_sample_batch(inputs, rng):
     return np.where(keep[:, None], axes, -axes)
 
 
-def interp_inverse_cdf(strategy, u):
-    return np.interp(u, strategy._cdf / strategy.sphere_integral, strategy._nodes)
+def searchsorted_polar_cos(strategy, u):
+    """A tabulated strategy's cos t on whole columns: each u's cell by
+    `np.searchsorted` over the normalized CDF, then the root
+    c_top - r / (h + sqrt(h^2 + k r)) of its cell, kept above c_bottom."""
+    j = np.searchsorted(strategy._xp, u, side="right") - 1
+    x, top, h, h2, k, bottom = strategy._cells[:, j]
+    r = u - x
+    return np.maximum(top - r / (h + np.sqrt(np.maximum(r * k + h2, 0.0))), bottom)
 
 
 def normalized_tabulated(thetas, values):
-    """TabulatedStrategy with `values` rescaled to unit sphere integral."""
+    """TabulatedStrategy with `values` rescaled to unit sphere integral, the
+    trapezoid rule in cos t."""
     thetas = np.asarray(thetas, dtype=float)
     values = np.asarray(values, dtype=float)
-    mass = float(np.sum(_linear_cells_sphere_mass(thetas, values)))
+    c = np.cos(thetas)
+    mass = math.pi * float(np.sum((c[:-1] - c[1:]) * (values[:-1] + values[1:])))
     return TabulatedStrategy(thetas, values / mass)
 
 
@@ -185,13 +193,13 @@ def test_directions_at_angle_is_byte_identical_and_c_contiguous():
 
 
 # ---------------------------------------------------------------------------
-# inverse CDF
+# tabulated polar_cos
 
 def inverse_cdf_keys(strategy):
     """Every CDF node value with its two neighbours, u = 0, and a sweep of
     the last 64 cells below the saturated tail (the run of nodes where the
     CDF already equals 1); all inside [0, 1)."""
-    xp = strategy._cdf / strategy.sphere_integral
+    xp = strategy._xp
     tail = int(np.flatnonzero(xp == xp[-1])[0])
     sweep = np.linspace(xp[max(tail - 64, 0)], 1.0, 4097)[:-1]
     keys = np.concatenate([xp, np.nextafter(xp, -1.0), np.nextafter(xp, 2.0), [0.0], sweep])
@@ -205,12 +213,15 @@ STRATEGIES = {
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
-def test_inverse_cdf_is_byte_identical_to_interp(name):
+def test_polar_cos_is_byte_identical_to_the_whole_column_root(name):
+    # on the guide table's rows and, below GUIDE_MIN_ROWS, the binary search's
     strategy = STRATEGIES[name]()
     keys = inverse_cdf_keys(strategy)
-    assert_same_bytes(strategy.inverse_cdf(keys), interp_inverse_cdf(strategy, keys))
+    assert_same_bytes(strategy.polar_cos(keys), searchsorted_polar_cos(strategy, keys))
     u = substream(13).random(1 << 16)
-    assert_same_bytes(strategy.inverse_cdf(u), interp_inverse_cdf(strategy, u))
+    assert_same_bytes(strategy.polar_cos(u), searchsorted_polar_cos(strategy, u))
+    for n in (1, TabulatedStrategy.GUIDE_MIN_ROWS - 1, TabulatedStrategy.GUIDE_MIN_ROWS):
+        assert_same_bytes(strategy.polar_cos(keys[-n:]), searchsorted_polar_cos(strategy, keys[-n:]))
 
 
 @pytest.mark.parametrize("shift", [-40, -3, 3, 40])
@@ -220,27 +231,24 @@ def test_bracket_check_repairs_a_wrong_guide(shift):
     last = len(strategy._xp) - 2
     strategy._guide = np.clip(strategy._guide + shift, 0, last)
     keys = inverse_cdf_keys(strategy)
-    want = np.searchsorted(strategy._xp, keys, side="right") - 1
-    assert np.array_equal(strategy._cdf_cell(keys), want)
+    assert_same_bytes(strategy.polar_cos(keys), searchsorted_polar_cos(strategy, keys))
 
 
 def test_cos4_cdf_has_flat_cells_and_a_saturated_tail():
-    # every flat cell is in the tail, where a cell's mass (below 1e-17)
-    # no longer moves the running sum: the 19 cells among the 20 nodes at 1,
-    # and the one before them
-    xp = cos4_strategy()._cdf
-    xp = xp / xp[-1]
-    assert np.count_nonzero(np.diff(xp) == 0.0) == 20
-    assert np.count_nonzero(xp == 1.0) == 20
+    # every flat cell is in the tail, where a cell's mass (below 1e-16) no
+    # longer moves the running sum: the 5 cells among the 6 nodes at 1
+    xp = cos4_strategy()._xp
+    assert np.count_nonzero(np.diff(xp) == 0.0) == 5
+    assert np.count_nonzero(xp == 1.0) == 6
 
 
-def test_tabulated_sample_batch_matches_interp_path():
+def test_tabulated_sample_batch_matches_the_whole_column_root():
     strategy = cos4_strategy()
     inputs = random_directions(substream(14), 2048)
     rng = substream(15)
     u = rng.random(len(inputs))
     h = rng.uniform(-1.0, 1.0, size=len(inputs))
-    want = broadcast_directions_at_angle(inputs, np.cos(interp_inverse_cdf(strategy, u)), h)
+    want = broadcast_directions_at_angle(inputs, searchsorted_polar_cos(strategy, u), h)
     assert_same_bytes(strategy.sample_batch(inputs, substream(15)), want)
 
 
@@ -401,7 +409,7 @@ def cos4_sample_batch(strategy):
     def sample(inputs, rng):
         u = rng.random(len(inputs))
         h = rng.uniform(-1.0, 1.0, size=len(inputs))
-        return broadcast_directions_at_angle(inputs, np.cos(interp_inverse_cdf(strategy, u)), h)
+        return broadcast_directions_at_angle(inputs, searchsorted_polar_cos(strategy, u), h)
 
     return sample
 
@@ -1186,7 +1194,7 @@ def planted_words(weights, idx, u):
 def polar_cos_of(strategy, u):
     """cos t of the polar uniforms u by the strategy's whole-column forms."""
     if isinstance(strategy, TabulatedStrategy):
-        return np.cos(interp_inverse_cdf(strategy, u))
+        return searchsorted_polar_cos(strategy, u)
     return _ab_inverse_cdf(strategy.form, u)
 
 
@@ -1532,19 +1540,19 @@ def test_arm_set_up_maps_the_windows_once_and_checks_them_once(strategies, monke
 
 def test_u_step_leaves_few_rows_to_the_inverse_map(strategies, monkeypatch):
     # cos4 at p = 0.9 and a cap of 0.2, 2^19 rows per arm: the pole arm
-    # hands at most 1e-4 of its rows to the inverse CDF, the tilted arm 30%;
-    # a block calls it at most once, and never on no row
+    # hands at most 1e-4 of its rows to polar_cos, the tilted arm 30%; a
+    # block calls it at most once, and never on no row
     strategy = strategies["cos4"]
-    real_inverse_cdf = strategy.inverse_cdf
+    real_polar_cos = strategy.polar_cos
     for decomposition, share in ((standard_decomposition(0.9), 1e-4), (symmetric_decomposition(0.9), 0.3)):
         arm = _cap_hits(strategy, decomposition, math.cos(0.2))
         rows = []
 
         def record(u, rows=rows):
             rows.append(len(u))
-            return real_inverse_cdf(u)
+            return real_polar_cos(u)
 
-        monkeypatch.setattr(strategy, "inverse_cdf", record)
+        monkeypatch.setattr(strategy, "polar_cos", record)
         m = 32 * ROW_BLOCK
         serial_hits(arm, substream(33), m)
         monkeypatch.undo()

@@ -1,5 +1,5 @@
 """Property tests (hypothesis, derandomized) for trial splitting, row
-blocks, the closed-form samplers, the tabulated inverse CDF's guide-table bracket,
+blocks, the closed-form samplers, the tabulated polar_cos's guide-table bracket,
 the discrimination's recycled polar uniforms and their edges in word
 indices, and its cap counts over arbitrary decompositions."""
 
@@ -10,17 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qguess.bloch import BlochVector, EnsembleDecomposition
-from qguess.estimator import ABFormStrategy, GuessingForm, _ab_inverse_cdf, cap_probability
+from qguess.estimator import (
+    ABFormStrategy,
+    GuessingForm,
+    TabulatedStrategy,
+    _ab_inverse_cdf,
+    ab_bin_probabilities,
+    cap_probability,
+    guessing_density,
+)
 from qguess.nosignal import _member_index, _recycled, _recycled_uniforms, _word_edges, cos4_strategy
 from qguess.streams import ROW_BLOCK, map_blocks, split_trials
 from test_kernels import (
     LATTICE,
     block_major_cap_hits,
     constant_azimuths,
-    interp_inverse_cdf,
     least_word,
     mapped_hits,
     normalized_tabulated,
+    searchsorted_polar_cos,
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -93,12 +101,26 @@ def tabulated_strategies(draw):
 @PROPERTY
 @given(strategy=tabulated_strategies(), keys=unit_keys)
 def test_guide_table_bracket_matches_binary_search(strategy, keys):
-    xp = strategy._cdf / strategy.sphere_integral
+    # the keys, the CDF's nodes and 0, repeated to GUIDE_MIN_ROWS rows so
+    # that the guide table, not the binary search of fewer rows, finds the cells
+    xp = strategy._xp
     assert np.all(np.diff(xp) >= 0.0)
     u = np.concatenate([keys, xp[xp < 1.0], [0.0]])
-    want = np.searchsorted(xp, u, side="right") - 1
-    assert np.array_equal(strategy._cdf_cell(u), want)
-    assert strategy.inverse_cdf(u).tobytes() == interp_inverse_cdf(strategy, u).tobytes()
+    u = np.resize(u, max(len(u), TabulatedStrategy.GUIDE_MIN_ROWS))
+    assert strategy.polar_cos(u).tobytes() == searchsorted_polar_cos(strategy, u).tobytes()
+
+
+@PROPERTY
+@given(a_frac=a_fractions, inner=st.lists(st.floats(1e-3, math.pi - 1e-3), max_size=12, unique=True))
+def test_tabulated_two_parameter_form_is_exact_on_any_grid(a_frac, inner):
+    form = GuessingForm.from_a_fraction(a_frac)
+    thetas = np.array([0.0, *sorted(inner), math.pi])
+    tab = TabulatedStrategy(thetas, guessing_density(form, thetas))
+    ab = ABFormStrategy(form)
+    theta = np.linspace(0.0, math.pi, 257)
+    assert np.max(np.abs(tab.density(theta) - guessing_density(form, theta))) <= 1e-12
+    assert np.max(np.abs(tab.bin_probabilities(theta) - ab_bin_probabilities(form, theta))) <= 1e-12
+    assert np.max(np.abs(tab.polar_uniform(theta) - (1.0 - ab.polar_uniform(theta)))) <= 1e-12
 
 
 COS4 = cos4_strategy()
