@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from qguess.bloch import DensityOperator, QubitKet
 from qguess.ensembles import (
+    AliceBasis,
+    BipartiteState,
     build_psi,
     rotated_alice_basis,
     standard_decomposition,
@@ -18,13 +21,14 @@ from qguess.estimator import (
     DensityHistogram,
     GuessingForm,
     MassarPopescuStrategy,
+    TabulatedStrategy,
     cap_probability,
     chi2_threshold_999,
     collect_histogram,
     histogram_chi2,
     histogram_csv,
 )
-from qguess.merit import FidelityMerit, average_merit, monte_carlo_fidelity
+from qguess.merit import FidelityMerit, MonotoneTabulatedMerit, average_merit, monte_carlo_fidelity
 from qguess.nosignal import (
     cap_frequency,
     constraint_residual,
@@ -36,6 +40,7 @@ from qguess.nosignal import (
 from qguess.streams import split_trials, substream
 
 EDGES = np.linspace(0.0, math.pi, 3)
+KET = QubitKet.from_amplitudes(1.0, 0.0)
 
 
 def nan_density(theta):
@@ -115,6 +120,20 @@ SITES = {
     "GuessingForm.from_a_fraction('0.5')": lambda: GuessingForm.from_a_fraction("0.5"),
     "cap_frequency(axis_angle=True)": lambda: cap_frequency(cos4_density, True, 0.2),
     "cap_frequency(axis_angle='0.5')": lambda: cap_frequency(cos4_density, "0.5", 0.2),
+    "run_discrimination_experiment(cap_half_angle=0.0)": lambda: run_discrimination_experiment(
+        MassarPopescuStrategy(), 0.8, cap_half_angle=0.0, trials=100),
+    "run_discrimination_experiment(cap_half_angle=4.0)": lambda: run_discrimination_experiment(
+        MassarPopescuStrategy(), 0.8, cap_half_angle=4.0, trials=100),
+    "run_discrimination_experiment(cap_half_angle=nan)": lambda: run_discrimination_experiment(
+        MassarPopescuStrategy(), 0.8, cap_half_angle=math.nan, trials=100),
+    "constraint_residual(2-vectors)": lambda: constraint_residual(cos4_density, 0.8, [[1.0, 0.0]]),
+    "constraint_residual(no directions)": lambda: constraint_residual(cos4_density, 0.8, np.empty((0, 3))),
+    "TabulatedStrategy(3 thetas, 2 values)": lambda: TabulatedStrategy(EDGES, [0.1, 0.1]),
+    "MonotoneTabulatedMerit(3 thetas, 2 scores)": lambda: MonotoneTabulatedMerit(EDGES, [1.0, 0.5]),
+    "QubitKet.from_amplitudes(0, 0)": lambda: QubitKet.from_amplitudes(0, 0),
+    "DensityOperator(3x3)": lambda: DensityOperator(np.eye(3) / 3),
+    "BipartiteState(3x3)": lambda: BipartiteState(np.eye(3)),
+    "AliceBasis(k, k)": lambda: AliceBasis(KET, KET),
 }
 
 
