@@ -3,7 +3,9 @@ namespaces their callers resolve them from, and `sample_batch` in the body of
 each strategy class. A refactor that drops one of those names, or moves a
 `sample_batch` into a base class, breaks only traced benchmark runs; these
 tests catch it in the ordinary suite. Likewise `benchmarks/layers.py` calls
-private helpers of the library, so its cap arms run here too."""
+private helpers of the library, so its kernels and cap arms run here too,
+and so do the first calls of the benchmark's signal-detect workload
+(`perfbench/workloads.py`) with the checks the benchmark holds them to."""
 
 import ast
 import importlib
@@ -18,17 +20,24 @@ from qguess.estimator import ABFormStrategy, GuessingForm, MassarPopescuStrategy
 from qguess.nosignal import cos4_strategy
 from qguess.streams import ROW_BLOCK
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-LAYERS = Path(__file__).resolve().parent.parent / "benchmarks" / "layers.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+LAYERS = ROOT / "benchmarks" / "layers.py"
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(path: Path, name: str):
+    """The script at `path`, imported as module `name`."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses resolve annotations there
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return load(TRACING, "perfbench_tracing")
 
 
 def hook_points(tracing) -> dict:
@@ -127,17 +136,26 @@ def test_traced_discrimination_builds_frames_once_per_arm(tracing):
     assert not [key for key in agg if key.startswith(("estimator.sample_batch.", "bloch.directions_at_angle."))]
 
 
-def test_layers_script_runs_its_cap_set_up_and_a_cos4_cap_count():
-    # every private name the script reads off a qguess module resolves, each
-    # `cap_setup` arm builds its arm once, and one cos4 `cap_hits` arm counts
-    spec = importlib.util.spec_from_file_location("benchmarks_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+def test_signal_detect_workload_passes_its_checks():
+    # the benchmark's own check of its first 32 signal-detect calls: the
+    # report's fields, each arm's cap frequency within 6 SE of the
+    # quadrature oracle, and z >= 4
+    detect = load(WORKLOADS, "perfbench_workloads").SignalDetect(0, {})
+    errors = {r: op.error for r in range(32) if (op := detect.discriminate(r)).error is not None}
+    assert errors == {}
+
+
+def test_layers_script_runs_its_kernels_cap_set_up_and_a_cos4_cap_count():
+    # every private name the script reads off a qguess module resolves,
+    # every kernel runs on one block, each `cap_setup` arm builds its arm
+    # once, and one cos4 `cap_hits` arm counts
+    layers = load(LAYERS, "benchmarks_layers")
     private = {(node.value.id, node.attr) for node in ast.walk(ast.parse(LAYERS.read_text()))
                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                and node.value.id in ("bloch", "estimator", "nosignal", "streams") and node.attr.startswith("_")}
     assert {("nosignal", "_cap_hits"), ("streams", "_prime_heap")} <= private
     assert all(hasattr(getattr(layers, module), name) for module, name in private)
+    assert "inverse_cdf.cos4" in layers.kernels()[1]
     setups = layers.cap_setup()
     assert len(setups) == 9
     for build in setups.values():
