@@ -272,7 +272,8 @@ class TabulatedStrategy(EstimatorStrategy):
             raise InvalidFormError("tabulated densities must be finite and non-negative")
         self.thetas = thetas
         self.values = values
-        # nodes whose cosines round equal bound a cell of no width and no mass
+        # cosines kept non-increasing; nodes whose cosines round equal bound a
+        # cell of no width and no mass, which no u selects
         c = np.minimum.accumulate(np.cos(thetas))
         width = c[:-1] - c[1:]
         cdf = np.concatenate([[0.0], np.cumsum(math.pi * width * (values[:-1] + values[1:]))])
