@@ -258,8 +258,9 @@ class TabulatedStrategy(EstimatorStrategy):
     """
 
     GUIDE_PER_NODE = 2  # guide-table cells per CDF node
-    # below this many rows a binary search of every row beats the guide table
-    GUIDE_MIN_ROWS = 256
+    # below this many rows a binary search of every row beats the guide table's
+    # fixed numpy calls; on cos4's 4001 nodes the two meet near 512 rows
+    GUIDE_MIN_ROWS = 512
 
     def __init__(self, thetas, values):
         thetas = np.asarray(thetas, dtype=float)

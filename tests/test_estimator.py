@@ -160,23 +160,6 @@ def test_tabulated_uniform_matches_closed_form():
     assert tab.polar_uniform(math.pi) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("a_frac", [0.0, 0.3, 1.0])
-def test_tabulated_two_parameter_form_is_exact_on_three_nodes(a_frac):
-    # linear in cos t, the form is its own interpolant: density, bin masses
-    # and CDF are the closed form's, and polar_cos is its inverse CDF (any
-    # grid: tests/test_properties.py)
-    form = GuessingForm.from_a_fraction(a_frac)
-    thetas = np.array([0.0, 1.0, math.pi])
-    tab = TabulatedStrategy(thetas, guessing_density(form, thetas))
-    ab = ABFormStrategy(form)
-    theta = np.linspace(0.0, math.pi, 1001)
-    assert np.max(np.abs(tab.density(theta) - guessing_density(form, theta))) <= 1e-12
-    assert np.max(np.abs(tab.bin_probabilities(theta) - ab_bin_probabilities(form, theta))) <= 1e-12
-    assert np.max(np.abs(tab.polar_uniform(theta) - (1.0 - ab.polar_uniform(theta)))) <= 1e-12
-    u = substream(3).random(1 << 12)
-    assert np.max(np.abs(tab.polar_cos(u) - ab.polar_cos(1.0 - u))) <= 1e-12
-
-
 @pytest.mark.parametrize("bins", [25, 50])
 def test_cos4_bin_probabilities_are_a_distribution(bins):
     probs = cos4_strategy().bin_probabilities(np.linspace(0.0, math.pi, bins + 1))

@@ -6,7 +6,7 @@ indices, and its cap counts over arbitrary decompositions."""
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qguess.bloch import BlochVector, EnsembleDecomposition
@@ -20,7 +20,7 @@ from qguess.estimator import (
     guessing_density,
 )
 from qguess.nosignal import _member_index, _recycled, _recycled_uniforms, _word_edges, cos4_strategy
-from qguess.streams import ROW_BLOCK, map_blocks, split_trials
+from qguess.streams import ROW_BLOCK, map_blocks, split_trials, substream
 from test_kernels import (
     LATTICE,
     block_major_cap_hits,
@@ -112,7 +112,12 @@ def test_guide_table_bracket_matches_binary_search(strategy, keys):
 
 @PROPERTY
 @given(a_frac=a_fractions, inner=st.lists(st.floats(1e-3, math.pi - 1e-3), max_size=12, unique=True))
+@example(a_frac=0.0, inner=[1.0])
+@example(a_frac=0.3, inner=[1.0])
+@example(a_frac=1.0, inner=[1.0])
 def test_tabulated_two_parameter_form_is_exact_on_any_grid(a_frac, inner):
+    # linear in cos t, the form is its own interpolant: density, bin masses
+    # and CDF are the closed form's, and polar_cos is its inverse CDF
     form = GuessingForm.from_a_fraction(a_frac)
     thetas = np.array([0.0, *sorted(inner), math.pi])
     tab = TabulatedStrategy(thetas, guessing_density(form, thetas))
@@ -121,6 +126,8 @@ def test_tabulated_two_parameter_form_is_exact_on_any_grid(a_frac, inner):
     assert np.max(np.abs(tab.density(theta) - guessing_density(form, theta))) <= 1e-12
     assert np.max(np.abs(tab.bin_probabilities(theta) - ab_bin_probabilities(form, theta))) <= 1e-12
     assert np.max(np.abs(tab.polar_uniform(theta) - (1.0 - ab.polar_uniform(theta)))) <= 1e-12
+    u = substream(3).random(1 << 12)
+    assert np.max(np.abs(tab.polar_cos(u) - ab.polar_cos(1.0 - u))) <= 1e-12
 
 
 COS4 = cos4_strategy()
