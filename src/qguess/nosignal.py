@@ -458,6 +458,12 @@ def _u_windows(strategy: EstimatorStrategy, alpha: np.ndarray, cap_cos: float):
     return bound[0], bound[1], hits[0], hits[1]
 
 
+def _acos(x) -> np.ndarray:
+    """arccos of each of x clipped to [-1, 1], by math.acos, whose bytes,
+    unlike np.arccos's, do not follow numpy's SIMD level."""
+    return np.array([math.acos(c) for c in np.clip(x, -1.0, 1.0).tolist()])
+
+
 def _azimuth_table(strategy: EstimatorStrategy, a_z: np.ndarray, e1_z: np.ndarray, cum: np.ndarray,
                    lower: np.ndarray, scale: np.ndarray, low: list, high: list,
                    cap_cos: float) -> tuple[np.ndarray, np.ndarray]:
@@ -490,7 +496,7 @@ def _azimuth_table(strategy: EstimatorStrategy, a_z: np.ndarray, e1_z: np.ndarra
     decided = np.flatnonzero(member == _member_index(cum, ends[1]))
     cell, member = cell.take(decided), member.take(decided)
     u = _recycled(ends.take(decided, axis=1), lower.take(member), scale.take(member))
-    start, stop = np.arccos(np.clip(strategy.polar_cos(u.ravel()), -1.0, 1.0)).reshape(u.shape)
+    start, stop = _acos(strategy.polar_cos(u.ravel())).reshape(u.shape)
     middle, half = (start + stop) / 2.0, np.abs(stop - start) / 2.0
     z_mid = np.cos(middle) * a_z.take(member)
     spread = np.sin(middle) * -e1_z.take(member)
@@ -498,8 +504,8 @@ def _azimuth_table(strategy: EstimatorStrategy, a_z: np.ndarray, e1_z: np.ndarra
         c_hit = (z_mid - (cap_cos + CAP_Z_MARGIN + half)) / spread
         c_miss = (z_mid - (cap_cos - CAP_Z_MARGIN - half)) / spread
     # a NaN (z at m on the threshold, at a spread of 0) decides no row
-    hit = np.where(c_hit >= -1.0, np.arccos(np.clip(c_hit, -1.0, 1.0)) / math.pi, 2.0)
-    miss = np.where(c_miss <= 1.0, np.arccos(np.clip(c_miss, -1.0, 1.0)) / math.pi, 0.0)
+    hit = np.where(c_hit >= -1.0, _acos(c_hit) / math.pi, 2.0)
+    miss = np.where(c_miss <= 1.0, _acos(c_miss) / math.pi, 0.0)
     miss[c_miss < -1.0] = 2.0
     h_hit[cell], h_miss[cell] = hit, np.minimum(miss, hit)
     return h_hit, h_miss

@@ -1424,20 +1424,25 @@ def test_azimuth_step_leaves_a_cell_of_two_members_words_to_the_exact_z(strategi
 
 # numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so each SIMD level
 # runs in its own child process. The script prints a digest of the word
-# classes and the class probabilities, the bytes that set a block's draws,
-# of the cos4 and AB (a_frac 0.5) tilted arms at p = i/101, i = 1..100, and
-# a cap of 0.2
+# classes, the azimuth step's thresholds and the class probabilities, the
+# bytes that set a block's draws, of the cos4 and AB (a_frac 0.5) tilted
+# arms at p = i/101, i = 1..100, and a cap of 0.2
 WORD_CLASSES = """
 import hashlib, math
 import numpy as np
 from qguess import nosignal
 from qguess.ensembles import symmetric_decomposition
 from qguess.estimator import ABFormStrategy, GuessingForm
-drawn, real = [], nosignal._word_classes
+drawn, real_classes, real_table = [], nosignal._word_classes, nosignal._azimuth_table
 
 def record(*args):
-    drawn.append(repr(real(*args)).encode())
-    return real(*args)
+    drawn.append(repr(real_classes(*args)).encode())
+    return real_classes(*args)
+
+def record_table(*args):
+    table = real_table(*args)
+    drawn.extend(t.tobytes() for t in table)
+    return table
 
 class Counts:
     def multinomial(self, n, pvals):
@@ -1445,6 +1450,7 @@ class Counts:
         return np.array([n, 0, 0])
 
 nosignal._word_classes = record
+nosignal._azimuth_table = record_table
 for strategy in (nosignal.cos4_strategy(), ABFormStrategy(GuessingForm.from_a_fraction(0.5))):
     for i in range(1, 101):
         block_hits, _ = nosignal._cap_hits(strategy, symmetric_decomposition(i / 101), math.cos(0.2))
@@ -1456,7 +1462,9 @@ print(hashlib.sha256(b"".join(drawn)).hexdigest())
 def test_window_edges_keep_their_bytes_at_avx2():
     # the members' polar angles, and so the windows and word classes made
     # from them, do not follow numpy's SIMD level: np.arctan2 gives other
-    # bytes at AVX-512 than at AVX2 for some of these tilts
+    # bytes at AVX-512 than at AVX2 for some of these tilts. Nor do the
+    # azimuth step's thresholds, which take math.acos: np.arccos gives
+    # other bytes at the two levels
     src = str(Path(nosignal.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     digests = [subprocess.run([sys.executable, "-c", WORD_CLASSES], env=level, capture_output=True, text=True,
