@@ -213,6 +213,17 @@ def test_cos4_is_detectable_at_the_derived_trial_count():
     assert abs((rep.freq_standard - rep.freq_symmetric) - (f_std - f_sym)) < 5.0 * spread
 
 
+def pooled_cap_z(strategy, want, seeds, n):
+    """Each arm's z of its hits pooled over runs of n trials at these seeds
+    (p 0.9, cap 0.2) against the cap frequencies `want`."""
+    hits = np.zeros(2)
+    for seed in seeds:
+        rep = run_discrimination_experiment(strategy, 0.9, cap_half_angle=0.2, trials=n, seed=seed)
+        hits += [round(rep.freq_standard * n), round(rep.freq_symmetric * n)]
+    pooled = len(seeds) * n
+    return (hits / pooled - want) / np.sqrt(np.multiply(want, np.subtract(1.0, want)) / pooled)
+
+
 def test_cos4_cap_counts_pooled_over_seeds_have_the_tabulated_law():
     # seeds 0-199, the first 200, at the criterion-5 trial count: each arm's
     # hits pooled over 1.1e8 trials, whose SE (1.5e-5) is a fourteenth of
@@ -223,13 +234,23 @@ def test_cos4_cap_counts_pooled_over_seeds_have_the_tabulated_law():
     n = required_trials(cos4_density, 0.9, 0.2)
     want = expected_cap_frequencies(strategy.density, 0.9, 0.2)
     assert np.allclose(want, expected_cap_frequencies(cos4_density, 0.9, 0.2), rtol=0.0, atol=1e-8)
-    seeds = range(200)
-    hits = np.zeros(2)
-    for seed in seeds:
-        rep = run_discrimination_experiment(strategy, 0.9, cap_half_angle=0.2, trials=n, seed=seed)
-        hits += [round(rep.freq_standard * n), round(rep.freq_symmetric * n)]
-    pooled = len(seeds) * n
-    z = (hits / pooled - want) / np.sqrt(np.multiply(want, np.subtract(1.0, want)) / pooled)
+    z = pooled_cap_z(strategy, want, range(200), n)
+    assert np.all(np.abs(z) <= 4.0), z
+
+
+def test_ab_cap_counts_pooled_over_seeds_have_the_closed_form_law():
+    # a_frac 0.5, seeds 0-199 at the criterion-5 trial count, as for cos4:
+    # each arm's pooled SE is 9.3e-6, and the quadrature agrees within
+    # 1e-12 with the closed form alpha 2 pi (1 - cos cap) + beta pi
+    # sin^2(cap) (2p - 1), the same for both arms, as the two decompositions
+    # share their mean z
+    strategy = ABFormStrategy(GuessingForm.from_a_fraction(0.5))
+    n = required_trials(cos4_density, 0.9, 0.2)
+    want = expected_cap_frequencies(strategy.density, 0.9, 0.2)
+    form = strategy.form
+    closed = form.alpha * TWO_PI * (1.0 - math.cos(0.2)) + form.beta * math.pi * math.sin(0.2) ** 2 * 0.8
+    assert np.allclose(want, closed, rtol=0.0, atol=1e-12)
+    z = pooled_cap_z(strategy, want, range(200), n)
     assert np.all(np.abs(z) <= 4.0), z
 
 
