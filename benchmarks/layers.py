@@ -13,10 +13,11 @@ cos4's `sample_batch` draws it (`TabulatedStrategy.polar_cos`).
 The discrimination's block function, from `nosignal._cap_hits`, is timed
 on 2^19 rows per strategy (MP, AB with a_frac = 0.5, cos4) and arm, set-up
 included, through `streams.map_blocks` with one worker, in blocks of the
-rows `_cap_hits` gives with it (2^16 on the angle path, 2^14 for MP). The
-arms are the standard and symmetric decompositions at the benchmark's
-weight and cap, and the generic arm, the symmetric pair turned 1 rad about
-z. The `nosignal` module docstring describes the angle path. The
+rows `_cap_hits` gives with it (2^20 on the angle path, so one block,
+and 2^14 for MP). The arms are the standard and symmetric decompositions
+at the benchmark's weight and cap, and the generic arm, the symmetric pair
+turned 1 rad about z. The `nosignal` module docstring describes the angle
+path. The
 `cap_setup` arms time `_cap_hits` alone for the same strategies and arms:
 the set-up each discrimination call makes per arm in one pass, with one
 `polar_uniform` and one `polar_cos` call for the u windows, the word

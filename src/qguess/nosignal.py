@@ -33,16 +33,22 @@ step leaves no row:
   misses (`_u_windows`). u never decreases with w within a member, so the
   windows and sure hits are intervals of the word indices k of the words
   k / 2^53 that numpy draws (`_word_edges`, `_word_classes`).
-- Draws. A block's n words are iid uniform, so its counts of sure hits,
-  window words and sure misses are one multinomial at the classes' word
-  counts over 2^53, exact doubles, and given the counts its k window words
-  are iid uniform on the windows (Devroye 1986, ch. XI). So a block draws
-  the multinomial, then a word index (`_window_words`) and a half-turn h
-  per window row, and its hit count has the law of one word per row.
-- Azimuth step. The cell of a window row's word gives two thresholds on
-  |h|, a sure hit and a sure miss (`_azimuth_table`).
-- Exact step. The rows left form their member, u, cos t (`polar_cos`) and
-  z (`bloch.z_at_angle`, column 2 of `sample_batch`).
+- Azimuth step. The windows are cut at the edges of CAP_CELLS equal cells
+  of the words into segments (`_segments`). A cell gives two thresholds
+  on a row's half-turn |h|, a sure hit and a sure miss (`_azimuth_table`),
+  and `uniform(-1, 1)` makes h = j 2^-52 - 1 of a j uniform on [0, 2^53),
+  so each segment's sure-hit, undecided and sure-miss half-turns are exact
+  intervals of j (`_half_turn_bands`).
+- Draws. A row is an iid (word, half-turn) pair, so a block's counts in
+  these classes are multinomials at their exact counts over 2^53, and
+  given the counts its rows are iid uniform within their classes (Devroye
+  1986, ch. XI). A block draws its counts of sure hits, of each segment's
+  words and of sure misses; then in one 2-D multinomial each segment's
+  counts of its three bands; then, for each undecided row alone, a word
+  of its segment and a j of its band. Its hit count has the law of one
+  word and one half-turn per row.
+- Exact step. The undecided rows form their member, u, cos t
+  (`polar_cos`) and z (`bloch.z_at_angle`, column 2 of `sample_batch`).
 """
 
 from __future__ import annotations
@@ -64,7 +70,6 @@ from .estimator import (
     TWO_PI,
     composite_gauss_legendre,
     guessing_density,
-    uniform_azimuths,
 )
 
 DEFAULT_P_GRID = (0.5, 0.6, 0.7, 0.8, 0.9)
@@ -83,11 +88,12 @@ VERDICT_NOT_DETECTABLE = "not detectable"
 VERDICT_DETECTABLE = "detectable"
 VERDICT_INDETERMINATE = "indeterminate"
 
-# Rows per block of the angle path. A block's memory follows its window
-# rows, about 1.8 arrays of its rows in the cos4 tilted arm at p = 0.9 and
-# a cap of 0.2. Like streams.ROW_BLOCK, it is part of the reproducibility
-# contract.
-CAP_ROW_BLOCK = 4 * streams.ROW_BLOCK
+# Rows per block of the angle path. A block's memory follows its undecided
+# rows and its segments, not its rows, and each block draws two
+# multinomials over its segments, so blocks are large: the criterion-5 arms
+# (568 954 trials) take one block per worker. Like streams.ROW_BLOCK, it is
+# part of the reproducibility contract.
+CAP_ROW_BLOCK = 2 ** 20
 
 # Margin on a guess's z coordinate by which the u step's bounds
 # (`_polar_bounds`) and the azimuth step's thresholds (`_azimuth_table`)
@@ -102,11 +108,13 @@ CAP_THETA_MARGIN = 1e-9
 
 # Equal cells of the drawn words in the azimuth step (`_azimuth_table`). A
 # power of two, so a word's cell is exact. More cells leave fewer rows to
-# the exact z and cost more set-up per arm.
-CAP_CELLS = 2 ** 12
+# the exact z, but cost more set-up per arm and more categories in both of
+# a block's multinomials, about 85 ns each.
+CAP_CELLS = 2 ** 10
 
 # numpy draws a double in [0, 1) as a word k / 2^53, k uniform on [0, 2^53)
 _LATTICE = 2 ** 53
+_HALF = _LATTICE // 2
 _CELL_WORDS = _LATTICE // CAP_CELLS
 
 
@@ -469,7 +477,9 @@ def _azimuth_table(strategy: EstimatorStrategy, a_z: np.ndarray, e1_z: np.ndarra
                    cap_cos: float) -> tuple[np.ndarray, np.ndarray]:
     """(h_hit, h_miss), CAP_CELLS half-turn thresholds each: a window row
     whose word index lies in cell c, [c, c + 1) * _CELL_WORDS, is a sure
-    hit at |h| >= h_hit[c] and a sure miss at |h| < h_miss[c].
+    hit at |h| >= h_hit[c] and a sure miss at |h| < h_miss[c], and 0 <=
+    h_miss[c] <= h_hit[c] <= 2. They set the segments' band counts
+    (`_half_turn_bands`), so their arccos are `_acos`'s.
 
     Only cells holding words of the windows [low, high) of members off the
     poles (e1_z != 0), all of whose words are one member's, are worked out;
@@ -524,21 +534,47 @@ def _word_classes(start, low, high, end, hits_low, hits_high) -> tuple[list, lis
     return hits, windows
 
 
-def _window_words(index: np.ndarray, windows: list) -> np.ndarray:
-    """The words the indices name, in place: index i is the i-th word of
-    the `_word_classes` windows taken in order. Past the first window's
-    first word, each word at or past the end of a window skips the gap to
-    the next one."""
-    index += windows[0][0]
-    for (_, end), (start, _) in zip(windows, windows[1:]):
-        index[index >= end] += start - end
-    return index
+def _segments(windows: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(start, words, cell): the `_word_classes` windows cut at the cell
+    edges, in word order, each piece within one cell: its first word index,
+    its count of words and its cell."""
+    a, b = np.array(windows, dtype=np.int64).reshape(-1, 2).T
+    first = a // _CELL_WORDS
+    span = -(-b // _CELL_WORDS) - first
+    window = np.repeat(np.arange(len(a)), span)
+    cell = first.take(window) + np.arange(span.sum()) - (np.cumsum(span) - span).take(window)
+    start = np.maximum(cell * _CELL_WORDS, a.take(window))
+    return start, np.minimum((cell + 1) * _CELL_WORDS, b.take(window)) - start, cell
+
+
+def _half_turn_bands(h_hit, h_miss) -> tuple[np.ndarray, ...]:
+    """(a, b, c, d), int64 arrays, of thresholds 0 <= h_miss <= h_hit <= 2:
+    the half-turn h = j 2^-52 - 1 of a j on [0, 2^53) has |h| >= h_hit
+    where j lies outside [a, d) and |h| < h_miss where it lies in [b, c),
+    so [a, b) and [c, d) are the undecided j, and a <= b <= c <= d. For
+    0 < t <= 1, |h| >= t exactly where j < 2^52 - ceil(t 2^52) + 1 or
+    j >= 2^52 + ceil(t 2^52), and t 2^52 and its ceiling are exact."""
+
+    def outside(t):
+        width = np.ceil(np.multiply(t, 2.0 ** 52)).astype(np.int64)
+        low = np.clip(_HALF - width + 1, 0, _LATTICE)
+        return low, np.maximum(np.clip(_HALF + width, 0, _LATTICE), low)  # at t = 0, every j
+
+    (a, d), (b, c) = outside(h_hit), outside(h_miss)
+    return a, b, c, d
 
 
 def _u_block_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposition, cap_cos: float):
     """Block function of `_cap_hits` on the angle path (see the module
     docstring), with the arm's set-up made once: merged members, u
-    windows, word classes and azimuth table."""
+    windows, word classes, azimuth table, segments and their half-turn
+    bands. A block draws `rng.multinomial` of its rows over [sure-hit
+    words, each segment's words, the rest] / 2^53, then one 2-D
+    `rng.multinomial` of its segments with rows over their [sure-hit,
+    undecided, sure-miss] half-turn counts / 2^53, then `rng.integers` of
+    a word on each undecided row's segment, and of a j on its band, [a, b)
+    then [c, d), whose h = j 2^-52 - 1 is the double `uniform(-1, 1)`
+    gives of that j."""
     a_z, e1_z, weights = _merged_members(decomposition)
     # -e1_z is a member's distance from the z axis (`bloch.orthonormal_frames`);
     # math.atan2's bytes, unlike np.arctan2's, do not follow numpy's SIMD level
@@ -547,25 +583,29 @@ def _u_block_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposit
     cum, lower, scale = _recycled_uniforms(weights)
     start, low, high, end = (k.tolist() for k in _word_edges(lower, scale, u_low, u_high))
     sure_hits, windows = _word_classes(start, low, high, end, hits_low, hits_high)
-    hit_words = sum(b - a for a, b in sure_hits)
-    window_words = sum(b - a for a, b in windows)
-    pvals = np.array([hit_words, window_words, _LATTICE - hit_words - window_words]) / _LATTICE
     h_hit, h_miss = _azimuth_table(strategy, a_z, e1_z, cum, lower, scale, low, high, cap_cos)
+    first, words, cell = _segments(windows)
+    a, b, c, d = _half_turn_bands(h_hit.take(cell), h_miss.take(cell))
+    undecided, split, gap = b - a + d - c, b - a, c - b
+    bands = np.stack([a + _LATTICE - d, undecided, gap], axis=1) / _LATTICE
+    hit_words = sum(y - x for x, y in sure_hits)
+    pvals = np.concatenate([[hit_words], words, [_LATTICE - hit_words - words.sum()]]) / _LATTICE
 
     def block_hits(rng, lo, hi):
-        hits, k, _ = rng.multinomial(hi - lo, pvals).tolist()
-        if not k:
+        counts = rng.multinomial(hi - lo, pvals)
+        live = np.flatnonzero(counts[1:-1])
+        if not live.size:
+            return int(counts[0])
+        band = rng.multinomial(counts.take(live + 1), bands.take(live, axis=0))
+        hits = int(counts[0] + band[:, 0].sum())
+        seg = live.repeat(band[:, 1])
+        if not seg.size:
             return hits
-        word = _window_words(rng.integers(0, window_words, size=k), windows)
-        h = uniform_azimuths(rng, k)
-        cell = word // _CELL_WORDS
-        turn = np.abs(h)
-        sure = turn >= h_hit.take(cell)
-        hits += np.count_nonzero(sure)
-        rows = np.flatnonzero((turn >= h_miss.take(cell)) ^ sure)
-        if not rows.size:
-            return int(hits)
-        w, h = np.multiply(word.take(rows), 1.0 / _LATTICE), h.take(rows)
+        w = np.multiply(first.take(seg) + rng.integers(0, words.take(seg)), 1.0 / _LATTICE)
+        j = rng.integers(0, undecided.take(seg))
+        j += a.take(seg) + np.where(j >= split.take(seg), gap.take(seg), 0)
+        h = np.multiply(j, 2.0 ** -52)
+        h -= 1.0
         idx = _member_index(cum, w)
         u = _recycled(w, lower.take(idx), scale.take(idx))
         z = bloch.z_at_angle(a_z.take(idx), e1_z.take(idx), strategy.polar_cos(u), h)

@@ -34,7 +34,7 @@ MAX_SEED = 2**64 - 1
 # Version of the reproducibility contract: the bytes a fixed call or command
 # line gives. Every report states it, and a change to any report's bytes
 # bumps it; README "Determinism" has a table of what each contract moved.
-STREAM_CONTRACT = 10
+STREAM_CONTRACT = 11
 
 # Rows per block of the drivers' `map_blocks` arms: a block's draws and
 # temporaries stay cache-sized, and a worker in flight holds one block of

@@ -8,14 +8,14 @@ column 2 of the full guess, its word classes and azimuth step against
 that z at the steps' edges, and the drivers, which draw each batch one row
 block at a time, against block-major references that draw each block
 whole; the discrimination's angle path against one that finds the word
-classes by bisection and draws a block's class counts, then its window
-rows' words and azimuths, and against the binomial law of one word per
-row. Equality is on
+classes and the half-turn bands by bisection and draws a block's class
+counts, its segments' band counts, then its undecided rows' words and
+half-turns, and against the binomial law of one word per row. Equality is
+on
 `tobytes()`, so a last-ulp or signed-zero difference fails. The whole-batch
 forms take the azimuth pair of a half-turn as stream contract 5 does
 (`contract5_cos_sin`, written out here rather than imported)."""
 
-import contextlib
 import math
 import os
 import subprocess
@@ -577,6 +577,10 @@ def recycled_words(weights, w):
 
 # numpy's doubles in [0, 1) are the words k / 2^53; a word index is such a k
 LATTICE = 2 ** 53
+HALF = LATTICE // 2
+
+# the words of one cell of the azimuth step
+CELL_WORDS = LATTICE // nosignal.CAP_CELLS
 
 
 def least_word(lo, hi, before):
@@ -661,39 +665,125 @@ def assert_word_classes_hold(strategy, decomposition, cap_cos, classes, words):
     assert np.array_equal(z >= cap_cos, np.repeat(hit[:, None], h.shape[1], axis=1))
 
 
-def class_probabilities(classes):
-    """[sure hits, window words, sure misses] over 2^53: the classes' word counts."""
-    hit_words, window_words = (sum(b - a for a, b in intervals) for intervals in classes)
-    return np.array([hit_words, window_words, LATTICE - hit_words - window_words]) / LATTICE
+def lattice_segments(windows):
+    """(start, words, cell), int64 arrays: the windows cut at every multiple
+    of CELL_WORDS, in word order, stepping from one cell edge to the next."""
+    pieces = []
+    for a, b in windows:
+        while a < b:
+            end = min(b, (a // CELL_WORDS + 1) * CELL_WORDS)
+            pieces.append((a, end - a, a // CELL_WORDS))
+            a = end
+    return tuple(np.array(pieces, dtype=np.int64).reshape(-1, 3).T)
+
+
+def turn_edges(t):
+    """(low, high) per threshold t: the j on [0, 2^53) whose half-turn
+    h = 2 (j / 2^53) - 1, the double `uniform(-1, 1)` makes of j, has
+    |h| >= t are [0, low) and [high, 2^53), found by bisection with that
+    float test; high is at least low."""
+    t = np.asarray(t, dtype=float)
+    low = least_word(np.zeros(t.shape, np.int64), HALF + 1, lambda w: np.abs(2.0 * w - 1.0) >= t)
+    high = least_word(np.full(t.shape, HALF), LATTICE, lambda w: np.abs(2.0 * w - 1.0) < t)
+    return low, np.maximum(high, low)
+
+
+def half_turn(j):
+    """The half-turn `uniform(-1, 1)` makes of the words j / 2^53."""
+    return -1.0 + 2.0 * (np.asarray(j) / LATTICE)
+
+
+class AngleArm:
+    """One arm of the angle path as the oracle builds it: the word classes
+    of `lattice_classes`, the azimuth table the arm's set-up makes, the
+    windows' `lattice_segments` and, per segment, its cell's `turn_edges`
+    (hit_low, miss_low, miss_high, hit_high): its undecided j are
+    [hit_low, miss_low) and [miss_high, hit_high). `pvals` are the class
+    probabilities [sure hits, each segment's words, sure misses] / 2^53,
+    and `bands` each segment's [sure-hit, undecided, sure-miss] j / 2^53.
+    The word classes and bands are checked against the z coordinate first."""
+
+    def __init__(self, strategy, decomposition, cap_cos):
+        self.classes = lattice_classes(strategy, decomposition, cap_cos)
+        assert_word_classes_hold(strategy, decomposition, cap_cos, self.classes, class_words(self.classes, 4096))
+        self.table = built("_azimuth_table", strategy, decomposition, cap_cos)
+        self.start, self.words, self.cell = lattice_segments(self.classes[1])
+        h_hit, h_miss = (t.take(self.cell) for t in self.table)
+        (hit_low, hit_high), (miss_low, miss_high) = turn_edges(h_hit), turn_edges(h_miss)
+        self.edges = np.stack([hit_low, miss_low, miss_high, hit_high], axis=1)
+        self.counts = np.stack([hit_low + LATTICE - hit_high, miss_low - hit_low + hit_high - miss_high,
+                                miss_high - miss_low], axis=1)
+        hit_words = sum(b - a for a, b in self.classes[0])
+        self.pvals = np.concatenate([[hit_words], self.words, [LATTICE - hit_words - self.words.sum()]]) / LATTICE
+        self.bands = self.counts / LATTICE
+        assert_bands_hold(strategy, decomposition, cap_cos, self)
+
+    def classify(self, seg, j):
+        """0, 1 or 2 for a sure hit, an undecided j or a sure miss of each
+        row in segment seg at j."""
+        hit_low, miss_low, miss_high, hit_high = self.edges[seg].T
+        return np.where((j < hit_low) | (j >= hit_high), 0, np.where((j >= miss_low) & (j < miss_high), 2, 1))
+
+    def band_j(self, seg, i):
+        """The j of band index i in each row's segment: its undecided j in order."""
+        hit_low, miss_low, miss_high, _ = self.edges[seg].T
+        return np.where(i < miss_low - hit_low, hit_low + i, miss_high + i - (miss_low - hit_low))
+
+    def band_index(self, seg, j):
+        """The band index of each undecided row's j in its segment."""
+        hit_low, miss_low, miss_high, _ = self.edges[seg].T
+        return np.where(j < miss_low, j - hit_low, j - miss_high + (miss_low - hit_low))
+
+
+def assert_bands_hold(strategy, decomposition, cap_cos, arm):
+    """At the first two, middle and last two words of each segment, and at
+    the j on and two either side of each of its band edges and those of
+    the frame's axes (AZIMUTHS), each row of a sure-hit j is a hit and each
+    of a sure-miss j a miss, as `sample_batch`'s z >= cap_cos classes it."""
+    if not arm.words.size:
+        return
+    offsets = np.stack([np.zeros_like(arm.words), np.ones_like(arm.words), arm.words // 2, arm.words - 2,
+                        arm.words - 1], axis=1)
+    axes = np.round((np.array(AZIMUTHS) + 1.0) * 2.0 ** 52).astype(np.int64)
+    j = np.concatenate([(arm.edges[:, :, None] + np.arange(-2, 3)).reshape(len(arm.words), -1),
+                        np.broadcast_to(axes, (len(arm.words), len(axes)))], axis=1)
+    seg, offset, j = (a.ravel() for a in np.broadcast_arrays(np.arange(len(arm.words))[:, None, None],
+                                                              offsets[:, :, None], j[:, None, :]))
+    keep = (offset >= 0) & (offset < arm.words[seg]) & (j >= 0) & (j < LATTICE)
+    seg, words, j = seg[keep], arm.start[seg[keep]] + offset[keep], j[keep]
+    band = arm.classify(seg, j)
+    decided = band != 1
+    z = word_z(strategy, decomposition, words[decided], half_turn(j[decided]))
+    assert np.array_equal(z >= cap_cos, band[decided] == 0)
 
 
 def angle_block_oracle(strategy, decomposition, cap_cos):
     """block(rng, n): the cap hits of n rows of an angle strategy's block,
-    with the draws the angle path makes. The classes of `lattice_classes`,
-    checked first against the z coordinate on their ends and drawn words
-    (`assert_word_classes_hold`), give the block's class counts, one
-    rng.multinomial over their word counts; the k window rows then draw
-    indices uniform on the windows' words, placed on them by
-    np.searchsorted, and their azimuths, and count by the z column of
-    `directions_at_angle` at the strategy's polar_cos."""
+    with the draws the angle path makes, on the oracle's `AngleArm`: the
+    class counts, one rng.multinomial over `pvals`; the band counts of each
+    segment with rows, one 2-D rng.multinomial over its `bands`; then, for
+    each undecided row, a word index uniform on its segment's words and a
+    band index uniform on its undecided j, placed on the two intervals,
+    each counted by the z column of `directions_at_angle` at the
+    strategy's polar_cos."""
     dirs, weights = merged_members(decomposition)
-    classes = lattice_classes(strategy, decomposition, cap_cos)
-    assert_word_classes_hold(strategy, decomposition, cap_cos, classes, class_words(classes, 4096))
-    pvals = class_probabilities(classes)
-    windows = np.array(classes[1], dtype=np.int64).reshape(-1, 2)
-    sizes = windows[:, 1] - windows[:, 0]
-    offsets = np.cumsum(sizes) - sizes
-    window_words = int(sizes.sum())
+    arm = AngleArm(strategy, decomposition, cap_cos)
 
     def block(rng, n):
-        sure, k, _ = rng.multinomial(n, pvals).tolist()
-        if not k:
-            return sure
-        index = rng.integers(0, window_words, size=k)
-        j = np.searchsorted(offsets, index, side="right") - 1
-        idx, u = recycled_words(weights, (windows[j, 0] + index - offsets[j]) / LATTICE)
-        z = directions_at_angle(dirs[idx], strategy.polar_cos(u), estimator.uniform_azimuths(rng, k))[:, 2]
-        return sure + np.count_nonzero(z >= cap_cos)
+        counts = rng.multinomial(n, arm.pvals)
+        live = np.flatnonzero(counts[1:-1])
+        if not live.size:
+            return counts[0]
+        bands = rng.multinomial(counts[1:-1][live], arm.bands[live])
+        seg = np.repeat(live, bands[:, 1])
+        hits = counts[0] + bands[:, 0].sum()
+        if not seg.size:
+            return hits
+        words = arm.start[seg] + rng.integers(0, arm.words[seg])
+        h = half_turn(arm.band_j(seg, rng.integers(0, arm.counts[seg, 1])))
+        idx, u = recycled_words(weights, words / LATTICE)
+        z = directions_at_angle(dirs[idx], strategy.polar_cos(u), h)[:, 2]
+        return hits + np.count_nonzero(z >= cap_cos)
 
     return block
 
@@ -706,9 +796,9 @@ def block_major_cap_hits(strategy, decomposition, trials, seed, workers, block=0
 
     MP picks each row's member by np.searchsorted and takes the strategy's
     whole guesses for the block. An angle strategy's block is
-    `angle_block_oracle`'s: its rows' class counts, then words and
-    azimuths for its window rows alone, each counted by the z column of
-    `directions_at_angle`."""
+    `angle_block_oracle`'s: its rows' class counts, its segments' band
+    counts, then words and half-turns for its undecided rows alone, each
+    counted by the z column of `directions_at_angle`."""
 
     def arm_hits(cap):
         cap_cos = math.cos(cap)
@@ -728,19 +818,8 @@ def block_major_cap_hits(strategy, decomposition, trials, seed, workers, block=0
     return [int(arm_hits(cap)) for cap in caps]
 
 
-@contextlib.contextmanager
-def constant_azimuths(h0):
-    """Every azimuth an angle strategy's guesses and the angle path take is
-    the half-turn h0, drawn from no generator."""
-    with pytest.MonkeyPatch.context() as patch:
-        for module in (estimator, nosignal):
-            patch.setattr(module, "uniform_azimuths", lambda rng, n: np.full(n, h0))
-        yield
-
-
 # azimuths on and between the frame's axes, and a generic one (2 rad), as half-turns
 AZIMUTHS = [0.0, 0.5, -1.0, -0.5, 2.0 / math.pi]
-GENERIC_AZIMUTH = AZIMUTHS[-1]
 
 DRIVER_TRIALS = [2, ROW_BLOCK - 1, ROW_BLOCK + 1, 32 * ROW_BLOCK + 44666, 64 * ROW_BLOCK + 7]
 
@@ -751,10 +830,9 @@ def strategies():
 
 
 def assert_discrimination_matches_block_major(strategy, trials, workers, p=0.8):
-    with constant_azimuths(GENERIC_AZIMUTH):
-        disc = run_discrimination_experiment(strategy, p, trials=trials, seed=23, workers=workers)
-        [std], [sym] = (block_major_cap_hits(strategy, decomposition, trials, 23, workers, block=block)
-                        for block, decomposition in enumerate([standard_decomposition(p), symmetric_decomposition(p)]))
+    disc = run_discrimination_experiment(strategy, p, trials=trials, seed=23, workers=workers)
+    [std], [sym] = (block_major_cap_hits(strategy, decomposition, trials, 23, workers, block=block)
+                    for block, decomposition in enumerate([standard_decomposition(p), symmetric_decomposition(p)]))
     assert (disc.freq_standard, disc.freq_symmetric) == (std / trials, sym / trials)
 
 
@@ -796,35 +874,29 @@ def test_mp_discrimination_never_takes_the_angle_path(strategies, monkeypatch):
 CAPS = (0.2, math.pi / 2.0, 2.5)
 
 
-@pytest.mark.parametrize("h0", AZIMUTHS)
+@pytest.mark.parametrize("seed", [27, 28, 29, 30, 31])
 @pytest.mark.parametrize("name", sorted(member_sets()))
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
-def test_cap_hits_match_the_block_major_oracle_for_every_member_set(strategies, tag, name, h0):
+def test_cap_hits_match_the_block_major_oracle_for_every_member_set(strategies, tag, name, seed):
+    # the oracle's arm checks its bands at the frame's axes (AZIMUTHS) and
+    # at its band edges; each seed draws other undecided rows
     strategy, decomposition = strategies[tag], member_sets()[name]
     trials = 32 * ROW_BLOCK + 44666
-    with constant_azimuths(h0):
-        got = [mapped_hits(strategy, decomposition, math.cos(cap), 27, trials) for cap in CAPS]
-        assert got == block_major_cap_hits(strategy, decomposition, trials, 27, 1, caps=CAPS)
+    got = [mapped_hits(strategy, decomposition, math.cos(cap), seed, trials) for cap in CAPS]
+    assert got == block_major_cap_hits(strategy, decomposition, trials, seed, 1, caps=CAPS)
 
 
-def record_window_and_exact_rows(strategy, monkeypatch):
-    """([k], [j]): the rows of each block's `uniform_azimuths` draw, which
-    are the k rows in its members' u windows, and the rows of each block's
-    `polar_cos` call, which the azimuth step leaves to the exact z."""
-    window_rows, exact_rows = [], []
-    real_azimuths, real_polar_cos = nosignal.uniform_azimuths, strategy.polar_cos
-
-    def azimuths(rng, n):
-        window_rows.append(n)
-        return real_azimuths(rng, n)
+def record_exact_rows(strategy, monkeypatch):
+    """[j]: the rows of each block's `polar_cos` call, the undecided rows
+    that the azimuth step leaves to the exact z."""
+    exact_rows, real_polar_cos = [], strategy.polar_cos
 
     def polar_cos(u_rows):
         exact_rows.append(len(u_rows))
         return real_polar_cos(u_rows)
 
-    monkeypatch.setattr(nosignal, "uniform_azimuths", azimuths)
     monkeypatch.setattr(strategy, "polar_cos", polar_cos)
-    return window_rows, exact_rows
+    return exact_rows
 
 
 class CountedDraws:
@@ -849,27 +921,36 @@ class CountedDraws:
     def multinomial(self, n, pvals):
         return self._note("multinomial", n, pvals)
 
-    def integers(self, low, high, size):
-        return self._note("integers", low, high, size)
+    def integers(self, low, high):
+        return self._note("integers", low, high)
 
 
 def block_draws(calls):
-    """[n, k] per angle-path block of a CountedDraws record, its rows and
-    its window rows, after checking that the block drew its class counts,
-    one multinomial over its n rows, then, when k > 0, k word indices on
-    the windows and k half-turns on [-1, 1), and nothing else."""
+    """[n, k, r] per angle-path block of a CountedDraws record, its rows,
+    window rows and undecided rows, after checking that the block drew its
+    class counts, one multinomial over its n rows; then, when k > 0, one
+    2-D multinomial over the segments with rows, at their counts; then,
+    when r > 0, r word indices and r band indices, each below its bound;
+    and nothing else."""
     blocks, pending = [], []
     for kind, args, result in calls:
-        if kind == "multinomial":
+        if kind == "multinomial" and np.ndim(args[1]) == 1:
             assert not pending
-            n, k = args[0], int(result[1])
+            n, segments = args[0], result[1:-1]
             assert int(result.sum()) == n
-            blocks.append([n, k])
-            pending = [("integers", k), ("uniform", k)] if k else []
+            blocks.append([n, int(segments.sum()), 0])
+            pending = ["bands"] if blocks[-1][1] else []
+        elif kind == "multinomial":
+            assert pending.pop(0) == "bands"
+            assert_same_bytes(args[0], segments[segments > 0])
+            assert np.array_equal(result.sum(axis=1), args[0]) and args[1].shape == (len(args[0]), 3)
+            blocks[-1][2] = r = int(result[:, 1].sum())
+            pending = ["words", "turns"] if r else []
         else:
-            assert pending and (kind, args[-1]) == pending.pop(0)
-            low, high = args[:2]
-            assert (low, high) == ((0, high) if kind == "integers" else (-1.0, 1.0))
+            assert kind == "integers" and pending.pop(0) in ("words", "turns")
+            low, high = args
+            assert low == 0 and len(high) == len(result) == blocks[-1][2]
+            assert np.all((result >= 0) & (result < high))
     assert not pending
     return blocks
 
@@ -883,36 +964,39 @@ def replay(rng, calls):
 @pytest.mark.parametrize("arm", ["poles", "tilted"])
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
 def test_angle_path_block_draws_its_class_counts_then_its_window_rows(strategies, monkeypatch, tag, arm):
-    # a block of n rows draws its class counts, then a word index and a
-    # half-turn for each of its k window rows, and the generator moves by
-    # those draws alone. The pole arm's windows hold 1e-6 (AB) and 2.6e-6
-    # (cos4) of the words, so its 2^21 rows have a few window rows or none,
-    # and every tilted block has some. The azimuth step leaves under 1% of
-    # the tilted arm's window rows to polar_cos and the exact z
+    # a block of n rows draws its class counts, its segments' band counts,
+    # then a word index and a band index for each of its r undecided rows,
+    # and the generator moves by those draws alone; its polar_cos call has
+    # those r rows. The pole arm's windows hold 1e-6 (AB) and 2.6e-6 (cos4)
+    # of the words, so its 2^21 rows have a few window rows or none, and
+    # every tilted block has some. The azimuth step leaves under 2% of the
+    # tilted arm's window rows to polar_cos and the exact z (0.6% for cos4
+    # and 1.3% for AB at 2^10 cells; the share grows with the cells' width)
     strategy = strategies[tag]
     decomposition = {"poles": standard_decomposition, "tilted": symmetric_decomposition}[arm](0.9)
     arm_hits = _cap_hits(strategy, decomposition, math.cos(0.2))
-    window_rows, exact_rows = record_window_and_exact_rows(strategy, monkeypatch)
+    exact_rows = record_exact_rows(strategy, monkeypatch)
     draws, ref = CountedDraws(substream(37)), substream(37)
     m = 128 * ROW_BLOCK
     serial_hits(arm_hits, draws, m)
     blocks = block_draws(draws.calls)
-    assert [k for _, k in blocks if k] == window_rows
+    assert [r for _, _, r in blocks if r] == exact_rows
     replay(ref, draws.calls)
     assert draws.rng.random() == ref.random()
     if arm == "tilted":
-        assert len(window_rows) == len(blocks) == m // CAP_ROW_BLOCK
-        assert sum(exact_rows) < 0.01 * sum(window_rows)
+        assert all(k for _, k, _ in blocks) and len(blocks) == -(-m // CAP_ROW_BLOCK)
+        assert sum(exact_rows) < 0.02 * sum(k for _, k, _ in blocks)
 
 
 @pytest.mark.parametrize("m", [CAP_ROW_BLOCK - 1, 2 * CAP_ROW_BLOCK + 3])
 @pytest.mark.parametrize("name", sorted(member_sets()))
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
-def test_angle_path_blocks_of_any_member_set_draw_a_multinomial_and_2k_words(strategies, tag, name, m):
+def test_angle_path_blocks_of_any_member_set_draw_class_counts_band_counts_and_2r_words(strategies, tag, name, m):
     # every block, the ragged last one included, draws its class counts at
-    # the classes' word counts over 2^53, then the word indices and
-    # half-turns of its k window rows when k > 0, from a generator already
-    # part used
+    # the classes' and segments' word counts over 2^53, then the band counts
+    # of its segments with rows at their exact j counts over 2^53, then the
+    # word and band indices of its r undecided rows when r > 0, on their
+    # segments' words and bands, from a generator already part used
     strategy, decomposition, cap_cos = strategies[tag], member_sets()[name], math.cos(0.2)
     arm = _cap_hits(strategy, decomposition, cap_cos)
     rng, ref = substream(38, 1), substream(38, 1)
@@ -921,14 +1005,19 @@ def test_angle_path_blocks_of_any_member_set_draw_a_multinomial_and_2k_words(str
     draws = CountedDraws(rng)
     serial_hits(arm, draws, m)
     blocks = block_draws(draws.calls)
-    assert [n for n, _ in blocks] == [min(CAP_ROW_BLOCK, m - lo) for lo in range(0, m, CAP_ROW_BLOCK)]
-    classes = lattice_classes(strategy, decomposition, cap_cos)
-    window_words = sum(b - a for a, b in classes[1])
-    for kind, args, _ in draws.calls:
-        if kind == "multinomial":
-            assert_same_bytes(args[1], class_probabilities(classes))
-        elif kind == "integers":
-            assert args[1] == window_words
+    assert [n for n, _, _ in blocks] == [min(CAP_ROW_BLOCK, m - lo) for lo in range(0, m, CAP_ROW_BLOCK)]
+    oracle = AngleArm(strategy, decomposition, cap_cos)
+    for kind, args, result in draws.calls:
+        if kind == "multinomial" and np.ndim(args[1]) == 1:
+            assert_same_bytes(args[1], oracle.pvals)
+            live = np.flatnonzero(result[1:-1])
+        elif kind == "multinomial":
+            assert_same_bytes(args[1], oracle.bands[live])
+            seg = np.repeat(live, result[:, 1])
+            words = True
+        else:
+            assert_same_bytes(args[1], (oracle.words if words else oracle.counts[:, 1])[seg])
+            words = False
     replay(ref, draws.calls)
     assert rng.random() == ref.random()
 
@@ -954,10 +1043,10 @@ def test_angle_path_counts_in_cap_row_blocks_and_mp_in_row_blocks(strategies, mo
             serial_hits(arm, draws, m)
             assert picks == [min(ROW_BLOCK, m - lo) for lo in range(0, m, ROW_BLOCK)]
         else:
-            _, exact_rows = record_window_and_exact_rows(strategies[tag], monkeypatch)
+            exact_rows = record_exact_rows(strategies[tag], monkeypatch)
             serial_hits(arm, draws, m)
             assert picks == exact_rows and sum(picks) > 0
-            assert [n for n, _ in block_draws(draws.calls)] == [CAP_ROW_BLOCK, ROW_BLOCK + 1]
+            assert [n for n, _, _ in block_draws(draws.calls)] == [CAP_ROW_BLOCK, ROW_BLOCK + 1]
         monkeypatch.undo()
 
 
@@ -990,41 +1079,14 @@ def test_a_member_without_words_leaves_no_window_to_draw(strategies, tag):
         strategy, decomposition, trials, 46, 1)
 
 
-@pytest.mark.parametrize("windows", [
-    [(0, 3), (5, 6), (6, 9), (LATTICE - 2, LATTICE)],  # a gap of 0, windows of one word, both ends
-    [(7, 8)],
-    [(2, 5), (6, 7), (9, 12)],
-])
-def test_window_words_run_over_the_windows_in_order(windows):
-    # every index names its word: index i is the i-th word of the windows
-    want = np.concatenate([np.arange(a, b, dtype=np.int64) for a, b in windows])
-    got = nosignal._window_words(np.arange(len(want)), windows)
-    assert_same_bytes(got, want)
-
-
-@pytest.mark.parametrize("name", sorted(member_sets()))
-@pytest.mark.parametrize("tag", ["ab", "cos4"])
-def test_window_words_of_every_member_set_land_on_and_around_each_window_end(strategies, tag, name):
-    # the indices on and either side of each window's first and last word
-    # name the words on and either side of those ends within the windows
-    windows = lattice_classes(strategies[tag], member_sets()[name], math.cos(0.2))[1]
-    sizes = [b - a for a, b in windows]
-    firsts = np.cumsum([0] + sizes[:-1])
-    index = np.unique(np.clip((np.concatenate([firsts, firsts + sizes])[:, None] + [-2, -1, 0, 1]).ravel(),
-                              0, sum(sizes) - 1))
-    j = np.searchsorted(firsts, index, side="right") - 1
-    starts = np.array([a for a, _ in windows], dtype=np.int64)
-    assert_same_bytes(nosignal._window_words(index.copy(), windows), starts[j] + index - firsts[j])
-
-
 @pytest.mark.parametrize("cap", CAPS)
 @pytest.mark.parametrize("name", sorted(member_sets()))
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
 def test_class_probabilities_are_the_exact_word_measures_of_the_classes(strategies, tag, name, cap):
     # the arm's classes are the bisected ones, disjoint and in word order,
-    # and a block draws its counts at each class's count of words over
-    # 2^53, which is exact: the three counts come back from the doubles and
-    # add up to 2^53
+    # and a block draws its counts at the sure hits' count of words, each
+    # segment's and the sure misses' over 2^53, which is exact: the counts
+    # come back from the doubles and add up to 2^53
     strategy, decomposition, cap_cos = strategies[tag], member_sets()[name], math.cos(cap)
     classes = lattice_classes(strategy, decomposition, cap_cos)
     assert built("_word_classes", strategy, decomposition, cap_cos) == classes
@@ -1033,12 +1095,65 @@ def test_class_probabilities_are_the_exact_word_measures_of_the_classes(strategi
     block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
     draws = CountedDraws(substream(43))
     block_hits(draws, 0, 5)
-    [pvals] = [args[1] for kind, args, _ in draws.calls if kind == "multinomial"]
+    pvals = draws.calls[0][1][1]
     hit_words, window_words = (sum(b - a for a, b in intervals) for intervals in classes)
-    counts = [hit_words, window_words, LATTICE - hit_words - window_words]
+    counts = [hit_words, *lattice_segments(classes[1])[1].tolist(), LATTICE - hit_words - window_words]
     assert pvals.tolist() == [c / LATTICE for c in counts]
     assert [int(pval * LATTICE) for pval in pvals.tolist()] == counts
     assert sum(counts) == LATTICE
+
+
+@pytest.mark.parametrize("name", sorted(member_sets()))
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_segments_tile_the_windows_one_cell_each(strategies, tag, name):
+    # at caps inside, at and beyond the equator, and on windows that share
+    # a cell, fill one, end on a cell edge and cross several: each segment
+    # lies in one cell, the segments run over the windows' words in order,
+    # and they are the oracle's
+    windows = [lattice_classes(strategies[tag], member_sets()[name], math.cos(cap))[1] for cap in CAPS]
+    windows.append([(1, 2), (3, CELL_WORDS), (CELL_WORDS, 2 * CELL_WORDS), (5 * CELL_WORDS - 1, 9 * CELL_WORDS + 1),
+                    (LATTICE - 2, LATTICE)])
+    for intervals in windows:
+        start, words, cell = nosignal._segments(intervals)
+        for got, want in zip((start, words, cell), lattice_segments(intervals)):
+            assert_same_bytes(got, want)
+        assert np.all(start // CELL_WORDS == cell) and np.all((start + words - 1) // CELL_WORDS == cell)
+        assert np.all(words > 0) and int(words.sum()) == sum(b - a for a, b in intervals)
+
+
+# half-turn thresholds at their ends and either side of the lattice points
+# next to them, and those of the arms' azimuth tables
+EDGE_THRESHOLDS = [0.0, 2.0 ** -53, 2.0 ** -52, 3.0 * 2.0 ** -53, 0.5, np.nextafter(1.0, 0.0), 1.0,
+                   np.nextafter(1.0, 2.0), 2.0]
+
+
+@pytest.mark.parametrize("name", sorted(member_sets()))
+@pytest.mark.parametrize("tag", ["ab", "cos4"])
+def test_half_turn_bands_are_the_exact_j_counts_of_the_float_tests(strategies, tag, name):
+    # for every threshold pair of the arms' azimuth tables at CAPS, and of
+    # EDGE_THRESHOLDS, the bands hold j exactly where the float tests
+    # |h| >= h_hit (sure hit) and |h| < h_miss (sure miss) of its half-turn
+    # put it, at each band edge and two either side, and at 4096 drawn j;
+    # their counts are the bisected ones
+    pairs = [np.stack(built("_azimuth_table", strategies[tag], member_sets()[name], math.cos(cap)), axis=1)
+             for cap in CAPS]
+    edge = np.array(EDGE_THRESHOLDS)
+    pairs.append(np.stack(np.broadcast_arrays(edge[:, None], edge[None, :]), axis=2).reshape(-1, 2))
+    h_hit, h_miss = np.unique(np.concatenate(pairs), axis=0).T
+    h_hit, h_miss = np.maximum(h_hit, h_miss), np.minimum(h_hit, h_miss)
+    a, b, c, d = nosignal._half_turn_bands(h_hit, h_miss)
+    assert np.all((0 <= a) & (a <= b) & (b <= c) & (c <= d) & (d <= LATTICE))
+    drawn = substream(44).integers(0, LATTICE, size=4096)
+    j = np.concatenate([(np.stack([a, b, c, d], axis=1)[:, :, None] + np.arange(-2, 3)).reshape(len(a), -1),
+                        np.broadcast_to(drawn, (len(a), len(drawn)))], axis=1)
+    j = np.clip(j, 0, LATTICE - 1)
+    turn = np.abs(half_turn(j))
+    assert np.array_equal((j < a[:, None]) | (j >= d[:, None]), turn >= h_hit[:, None])
+    assert np.array_equal((j >= b[:, None]) & (j < c[:, None]), turn < h_miss[:, None])
+    (hit_low, hit_high), (miss_low, miss_high) = turn_edges(h_hit), turn_edges(h_miss)
+    assert_same_bytes(np.stack([a + LATTICE - d, b - a + d - c, c - b]),
+                      np.stack([hit_low + LATTICE - hit_high, miss_low - hit_low + hit_high - miss_high,
+                                miss_high - miss_low]))
 
 
 def hit_probability(strategy, decomposition, cap_cos, points=1 << 14):
@@ -1089,10 +1204,11 @@ def test_block_hit_count_has_the_law_of_one_word_per_row(strategies, tag, arm):
 
 
 @pytest.mark.parametrize("p", [0.5, 0.9])
-def test_angle_path_block_holds_three_arrays_of_its_rows(strategies, p):
-    # at most three float64 arrays of a block's rows are alive at once: a
-    # block holds arrays of its window rows alone. The peak is about 1.8
-    # arrays in the tilted arm and next to none in the pole arm
+def test_angle_path_block_memory_does_not_grow_with_its_rows(strategies, p):
+    # a block holds arrays of its segments and of its undecided rows alone,
+    # about 0.2% of its rows in the tilted arm: its peak traced allocation
+    # (264 kB, half of it in polar_cos) stays within four float64 arrays of
+    # streams.ROW_BLOCK rows, a sixteenth of one array of its own rows
     for decomposition in (standard_decomposition(p), symmetric_decomposition(p)):
         block_hits, rows = _cap_hits(strategies["cos4"], decomposition, math.cos(0.2))
         assert rows == CAP_ROW_BLOCK
@@ -1103,7 +1219,7 @@ def test_angle_path_block_holds_three_arrays_of_its_rows(strategies, p):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 8 * CAP_ROW_BLOCK
+        assert peak <= 4 * 8 * ROW_BLOCK, peak
 
 
 @pytest.mark.parametrize("driver", [monte_carlo_fidelity, collect_histogram], ids=["fidelity", "histogram"])
@@ -1127,47 +1243,63 @@ def test_driver_peak_does_not_grow_with_the_trials(strategies, tag, driver):
 
 class PlantedDraws:
     """The generator of one angle-path row block whose rows are the given
-    word indices and half-turns h: `multinomial` hands out the words'
-    counts in the classes (sure hits, window words, sure misses), and when
-    some are window words, `integers` their indices on the windows' words
-    and `uniform` their h, in that order. Each draw is checked against what
-    the block asks for, the class probabilities included; a draw beyond
-    these fails."""
+    word indices and half-turns h, each h = j 2^-52 - 1 of a j on [0,
+    2^53): `multinomial` hands out the rows' class counts (sure hits, each
+    segment's words, sure misses) of the oracle's `AngleArm`, then, when
+    some are window rows, each segment with rows its counts of sure-hit,
+    undecided and sure-miss j, and `integers`, when some are undecided,
+    their word indices on their segments and then their band indices, in
+    segment order. Each draw is checked against what the block asks for,
+    the probabilities included; a draw beyond these fails, and `drawn`
+    names the draws made."""
 
-    def __init__(self, classes, words, h):
-        hits, windows = classes
-        window = in_intervals(words, windows)
-        index = np.zeros(np.count_nonzero(window), dtype=np.int64)
-        offset = 0
-        for a, b in windows:
-            inside = (words[window] >= a) & (words[window] < b)
-            index[inside] = words[window][inside] - a + offset
-            offset += b - a
-        self.pvals, self.window_words = class_probabilities(classes), offset
-        k, hit = len(index), np.count_nonzero(in_intervals(words, hits))
-        self._draws = [("multinomial", np.array([hit, k, len(words) - hit - k]))]
-        if k:
-            self._draws += [("integers", index), ("uniform", h[window])]
+    def __init__(self, arm, words, h):
+        self.arm, self.drawn = arm, []
+        hit, seg = in_intervals(words, arm.classes[0]), np.searchsorted(arm.start, words, side="right") - 1
+        window = in_intervals(words, arm.classes[1])
+        seg = seg[window]
+        assert np.all(words[window] - arm.start[seg] < arm.words[seg])
+        segments = np.bincount(seg, minlength=len(arm.words))
+        self._draws = [("multinomial", np.concatenate([[np.count_nonzero(hit)], segments,
+                                                       [len(words) - np.count_nonzero(hit) - len(seg)]]))]
+        if not len(seg):
+            return
+        j = np.round((h[window] + 1.0) * 2.0 ** 52).astype(np.int64)
+        assert_same_bytes(half_turn(j), h[window])
+        band = arm.classify(seg, j)
+        live = np.flatnonzero(segments)
+        self._draws.append(("multinomial", np.stack([np.bincount(seg[band == b], minlength=len(segments))[live]
+                                                     for b in range(3)], axis=1)))
+        order = np.argsort(seg, kind="stable")
+        order = order[band[order] == 1]
+        if order.size:
+            self._draws += [("integers", words[window][order] - arm.start[seg[order]]),
+                            ("integers", arm.band_index(seg[order], j[order]))]
+            self._highs = [arm.words[seg[order]], arm.counts[seg[order], 1]]
+        self._live = live
 
-    def _next(self, kind, size):
+    def _next(self, kind):
         assert self._draws, "the block drew beyond the planted draws"
         planted, column = self._draws.pop(0)
-        assert planted == kind and len(column) == size
+        assert planted == kind
+        self.drawn.append(kind)
         return column.copy()
 
     def multinomial(self, n, pvals):
-        assert_same_bytes(pvals, self.pvals)
-        counts = self._next("multinomial", 3)
-        assert counts.sum() == n
+        if np.ndim(pvals) == 1:
+            assert_same_bytes(pvals, self.arm.pvals)
+            counts = self._next("multinomial")
+            assert counts.sum() == n
+        else:
+            assert_same_bytes(pvals, self.arm.bands[self._live])
+            counts = self._next("multinomial")
+            assert np.array_equal(counts.sum(axis=1), n)
         return counts
 
-    def integers(self, low, high, size):
-        assert (low, high) == (0, self.window_words)
-        return self._next("integers", size)
-
-    def uniform(self, low, high, size):
-        assert (low, high) == (-1.0, 1.0)
-        return self._next("uniform", size)
+    def integers(self, low, high):
+        assert low == 0
+        assert_same_bytes(high, self._highs.pop(0))
+        return self._next("integers")
 
 
 def angle_path_members(decomposition):
@@ -1237,8 +1369,8 @@ def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, mon
     # words, once for each member: the member alone (its words are its u),
     # then with its antipode (each member has its own classes). The arm's
     # classes must be the bisected ones, the count the z coordinate's over
-    # all rows, and the block must draw words and azimuths for the rows in
-    # its members' u windows alone
+    # all rows, and the block must draw band counts for the rows in its
+    # members' u windows alone
     direction = PLANTED_MEMBERS[member] or (math.sin(cap), 0.0, math.cos(cap))
     antipode = tuple(-c for c in direction)
     strategy, cap_cos = strategies[tag], math.cos(cap)
@@ -1253,20 +1385,19 @@ def test_polar_step_counts_planted_edge_rows_as_the_z_coordinate(strategies, mon
         m = len(words)
         h = substream(32).uniform(-1.0, 1.0, size=m)
         block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
-        window_rows, _ = record_window_and_exact_rows(strategy, monkeypatch)
-        got = block_hits(PlantedDraws(classes, words, h), 0, m)
-        monkeypatch.undo()
+        draws = PlantedDraws(AngleArm(strategy, decomposition, cap_cos), words, h)
+        got = block_hits(draws, 0, m)
         assert got == np.count_nonzero(word_z(strategy, decomposition, words, h) >= cap_cos)
         # the u step decided some rows itself, and a block that it leaves no
-        # window row draws no word and no azimuth
+        # window row draws no band count, word or half-turn
         k = np.count_nonzero(in_intervals(words, classes[1]))
-        assert window_rows == ([k] if k else []) and k < m
+        assert not draws._draws and (len(draws.drawn) > 1) == (k > 0) and k < m
 
 
 def built(name, strategy, decomposition, cap_cos):
     """What the set-up step `nosignal.<name>` returns when `_cap_hits`
     builds the arm: "_azimuth_table" gives the azimuth step's (h_hit,
-    h_miss), "_word_classes" the (hits, windows) word classes."""
+    h_miss) per cell, "_word_classes" the (hits, windows) word classes."""
     results, real = [], getattr(nosignal, name)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nosignal, name, lambda *args: results.append(real(*args)) or results[-1])
@@ -1280,45 +1411,38 @@ def decided_cells(h_hit, h_miss):
     return np.flatnonzero((h_hit <= 1.0) | (h_miss > 0.0))
 
 
-# the words of one cell of the azimuth step
-CELL_WORDS = LATTICE // nosignal.CAP_CELLS
-
-
 def planted_cell_rows(strategy, decomposition, cap_cos):
-    """(classes, words, h), rows of the merged members that take the
-    azimuth step: word indices on each edge of the cells that decide rows
-    (the first word of a cell, c * CELL_WORDS) and on each end of the u
-    windows (`lattice_classes`), and two either side, each with h on the two
-    thresholds of its own cell and of the cells either side of it and two
-    doubles either side of them; every other row's h is negated. Only the
-    rows whose word is in a window are kept. None when no cell decides a
-    row."""
+    """(arm, words, h), rows of the merged members that take the azimuth
+    step: word indices on each edge of the cells that decide rows (the
+    first word of a cell, c * CELL_WORDS) and on each end of the u windows
+    (`lattice_classes`), and two either side, each with the half-turns of
+    the j on the band edges of its own segment and of the segments either
+    side of it, and two either side of them. Only the rows whose word is in
+    a window are kept. None when no cell decides a row."""
     h_hit, h_miss = built("_azimuth_table", strategy, decomposition, cap_cos)
     cells = decided_cells(h_hit, h_miss)
     if not cells.size:
         return None
-    classes = lattice_classes(strategy, decomposition, cap_cos)
-    ends = np.array(classes[1], dtype=np.int64).ravel()
+    arm = AngleArm(strategy, decomposition, cap_cos)
+    ends = np.array(arm.classes[1], dtype=np.int64).ravel()
     words = (np.concatenate([np.union1d(cells, cells + 1) * CELL_WORDS, ends])[:, None] + np.arange(-2, 3)).ravel()
-    words = words[(words >= 0) & (words < LATTICE)]
-    near = np.clip((words // CELL_WORDS)[:, None] + [-1, 0, 1], 0, nosignal.CAP_CELLS - 1)
-    h = doubles_around(np.concatenate([h_hit[near], h_miss[near]], axis=1).ravel()).reshape(len(words), 30)
-    words, h = np.broadcast_arrays(words[:, None], h)
-    words, h = words.ravel(), h.ravel().copy()
-    h[::2] *= -1.0
-    keep = (h >= -1.0) & (h < 1.0)
-    words, h = words[keep], h[keep]
-    inside = in_intervals(words, classes[1])
-    return classes, words[inside], h[inside]
+    words = np.unique(words[in_intervals(words, arm.classes[1])])
+    seg = np.searchsorted(arm.start, words, side="right") - 1
+    near = np.clip(seg[:, None] + [-1, 0, 1], 0, len(arm.words) - 1)
+    j = (arm.edges[near][:, :, :, None] + np.arange(-2, 3)).reshape(len(words), -1)
+    words, j = (a.ravel() for a in np.broadcast_arrays(words[:, None], j))
+    keep = (j >= 0) & (j < LATTICE)
+    return arm, words[keep], half_turn(j[keep])
 
 
 @pytest.mark.parametrize("cap", [1e-4, 0.2, math.pi - 1e-9])
 @pytest.mark.parametrize("member", sorted(PLANTED_MEMBERS))
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
 def test_azimuth_step_counts_planted_cell_rows_as_the_z_coordinate(strategies, monkeypatch, tag, member, cap):
-    # the block's window words and h column hold the planted rows, for the
-    # member alone and with its antipode (each word takes its own member); every row is
-    # in its member's u window, and the count must be the z coordinate's.
+    # the block's window words and half-turns hold the planted rows, for
+    # the member alone and with its antipode (each word takes its own
+    # member); every row is in its member's u window, and the count must be
+    # the z coordinate's.
     # A pole member's cells decide no row, and nor do those of a member and
     # a cap both within 1e-4 of a pole: there z moves by 1e-8 with the
     # azimuth, below CAP_Z_MARGIN
@@ -1330,15 +1454,15 @@ def test_azimuth_step_counts_planted_cell_rows_as_the_z_coordinate(strategies, m
         if planted is None:
             assert member in ("+z", "-z") or (member == "cap" and cap != 0.2)
             continue
-        classes, words, h = planted
+        arm, words, h = planted
         m = len(words)
         block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
-        window_rows, exact_rows = record_window_and_exact_rows(strategy, monkeypatch)
-        got = block_hits(PlantedDraws(classes, words, h), 0, m)
+        exact_rows = record_exact_rows(strategy, monkeypatch)
+        got = block_hits(PlantedDraws(arm, words, h), 0, m)
         monkeypatch.undo()
         assert got == np.count_nonzero(word_z(strategy, decomposition, words, h) >= cap_cos)
         # the azimuth step decided some rows itself
-        assert window_rows == [m] and sum(exact_rows) < m
+        assert sum(exact_rows) < m
 
 
 def cell_words(cells, lower, upper):
@@ -1386,7 +1510,7 @@ def test_cell_thresholds_hold_for_every_word_of_the_cell(strategies, tag, member
 
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
 def test_azimuth_step_leaves_a_cell_of_two_members_words_to_the_exact_z(strategies, monkeypatch, tag):
-    # two members whose boundary lies 2^-20 into cell 1228, so the cell
+    # two members whose boundary lies 2^-20 into cell 307, so the cell
     # holds the first member's last words and the second's first, and a cap
     # of 1 rad. The second member is at the cap's edge, or its antipode is,
     # so its words in the cell, whose u is near 0, are in its u window; the
@@ -1394,9 +1518,9 @@ def test_azimuth_step_leaves_a_cell_of_two_members_words_to_the_exact_z(strategi
     # are not (cos4's polar uniform grows with theta, AB's falls). The
     # cell decides no row, though the first member's thresholds would call
     # every row a miss and the next cell decides rows, so every window row
-    # of the cell, with h on and around the next cell's thresholds, goes on
+    # of the cell, with h on and around the next cell's band edges, goes on
     # to the exact z and counts as the z coordinate does
-    strategy, cap_cos, shared = strategies[tag], math.cos(1.0), 1228
+    strategy, cap_cos, shared = strategies[tag], math.cos(1.0), 307
     at = {angle: (math.sin(angle), 0.0, math.cos(angle)) for angle in (0.5, 1.0, 2.5, math.pi - 1.0)}
     pair = (at[0.5], at[1.0]) if tag == "cos4" else (at[2.5], at[math.pi - 1.0])
     boundary = shared / nosignal.CAP_CELLS + 2.0 ** -20
@@ -1411,22 +1535,23 @@ def test_azimuth_step_leaves_a_cell_of_two_members_words_to_the_exact_z(strategi
     u_low, u_high, _, _ = _u_windows(strategy, alpha, cap_cos)
     window = (u >= u_low[idx]) & (u <= u_high[idx])
     assert idx.tolist() == [0, 0, 1, 1, 1] and window.tolist() == [False, False, True, True, True]
-    h = doubles_around(np.array([h_hit[shared + 1], h_miss[shared + 1]])).ravel()
-    words, h = (a.ravel() for a in np.broadcast_arrays(words[window][:, None], np.concatenate([h, -h])[None, :]))
+    j = (np.concatenate(turn_edges([h_hit[shared + 1], h_miss[shared + 1]]))[:, None] + np.arange(-2, 3)).ravel()
+    words, h = (a.ravel() for a in np.broadcast_arrays(words[window][:, None], half_turn(j)[None, :]))
     block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
-    draws = PlantedDraws(lattice_classes(strategy, decomposition, cap_cos), words, h)
-    window_rows, exact_rows = record_window_and_exact_rows(strategy, monkeypatch)
+    draws = PlantedDraws(AngleArm(strategy, decomposition, cap_cos), words, h)
+    exact_rows = record_exact_rows(strategy, monkeypatch)
     got = block_hits(draws, 0, len(words))
     monkeypatch.undo()
-    assert window_rows == [len(words)] and exact_rows == [len(words)]
+    assert exact_rows == [len(words)]
     assert got == np.count_nonzero(word_z(strategy, decomposition, words, h) >= cap_cos)
 
 
 # numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so each SIMD level
 # runs in its own child process. The script prints a digest of the word
-# classes, the azimuth step's thresholds and the class probabilities, the
-# bytes that set a block's draws, of the cos4 and AB (a_frac 0.5) tilted
-# arms at p = i/101, i = 1..100, and a cap of 0.2
+# classes, the azimuth step's thresholds, and the class and band
+# probabilities of a block with a row in each segment, the bytes that set a
+# block's draws, of the cos4 and AB (a_frac 0.5) tilted arms at p = i/101,
+# i = 1..100, and a cap of 0.2
 WORD_CLASSES = """
 import hashlib, math
 import numpy as np
@@ -1447,14 +1572,16 @@ def record_table(*args):
 class Counts:
     def multinomial(self, n, pvals):
         drawn.append(pvals.tobytes())
-        return np.array([n, 0, 0])
+        if np.ndim(pvals) == 2:
+            return np.stack([n, 0 * n, 0 * n], axis=1)
+        return np.concatenate([[0], np.ones(len(pvals) - 2, dtype=np.int64), [n - len(pvals) + 2]])
 
 nosignal._word_classes = record
 nosignal._azimuth_table = record_table
 for strategy in (nosignal.cos4_strategy(), ABFormStrategy(GuessingForm.from_a_fraction(0.5))):
     for i in range(1, 101):
         block_hits, _ = nosignal._cap_hits(strategy, symmetric_decomposition(i / 101), math.cos(0.2))
-        block_hits(Counts(), 0, 1)
+        block_hits(Counts(), 0, nosignal.CAP_ROW_BLOCK)
 print(hashlib.sha256(b"".join(drawn)).hexdigest())
 """
 
@@ -1463,8 +1590,8 @@ def test_window_edges_keep_their_bytes_at_avx2():
     # the members' polar angles, and so the windows and word classes made
     # from them, do not follow numpy's SIMD level: np.arctan2 gives other
     # bytes at AVX-512 than at AVX2 for some of these tilts. Nor do the
-    # azimuth step's thresholds, which take math.acos: np.arccos gives
-    # other bytes at the two levels
+    # azimuth step's thresholds, which take math.acos (np.arccos gives
+    # other bytes at the two levels), or the band counts made from them
     src = str(Path(nosignal.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     digests = [subprocess.run([sys.executable, "-c", WORD_CLASSES], env=level, capture_output=True, text=True,
@@ -1496,13 +1623,11 @@ def test_polar_step_counts_planted_rows_at_a_given_up_bound_as_the_z_coordinate(
     words = np.array([0, bound // 2, 2 * bound, *range(bound - 2, bound + 3)])
     m = len(words)
     h = substream(36).uniform(-1.0, 1.0, size=m)
-    draws = PlantedDraws(lattice_classes(strategy, decomposition, cap_cos), words, h)
-    window_rows, _ = record_window_and_exact_rows(strategy, monkeypatch)
+    draws = PlantedDraws(AngleArm(strategy, decomposition, cap_cos), words, h)
     got = block_hits(draws, 0, m)
-    monkeypatch.undo()
     z = z_at_angle(np.full(m, a_z[0]), np.full(m, e1_z[0]), _ab_inverse_cdf(strategy.form, words / LATTICE), h)
     assert got == np.count_nonzero(z >= cap_cos)
-    assert window_rows == [m]
+    assert not draws._draws and in_intervals(words, draws.arm.classes[1]).all()
 
 
 @pytest.mark.parametrize("tag", ["ab", "cos4"])
@@ -1514,9 +1639,8 @@ def test_u_windows_check_their_bounds_with_the_polar_map(strategies, monkeypatch
     real_polar_uniform = strategy.polar_uniform
     monkeypatch.setattr(strategy, "polar_uniform", lambda theta: real_polar_uniform(theta) + 0.01)
     for decomposition in (standard_decomposition(0.9), symmetric_decomposition(0.9)):
-        with constant_azimuths(GENERIC_AZIMUTH):
-            got = mapped_hits(strategy, decomposition, math.cos(0.2), 35, CAP_ROW_BLOCK)
-            assert [got] == block_major_cap_hits(strategy, decomposition, CAP_ROW_BLOCK, 35, 1)
+        got = mapped_hits(strategy, decomposition, math.cos(0.2), 35, CAP_ROW_BLOCK)
+        assert [got] == block_major_cap_hits(strategy, decomposition, CAP_ROW_BLOCK, 35, 1)
 
 
 # the polar_cos calls of each member set's set-up, where they are known
@@ -1564,7 +1688,7 @@ def test_u_step_leaves_few_rows_to_the_inverse_map(strategies, monkeypatch):
         m = 32 * ROW_BLOCK
         serial_hits(arm, substream(33), m)
         monkeypatch.undo()
-        assert len(rows) <= m // CAP_ROW_BLOCK and all(rows)
+        assert len(rows) <= -(-m // CAP_ROW_BLOCK) and all(rows)
         assert sum(rows) <= share * m
 
 
@@ -1575,18 +1699,18 @@ def test_pole_block_without_window_rows_draws_no_azimuth_and_takes_no_exact_step
     # for no word or azimuth, and calls neither polar_cos nor z_at_angle
     strategy, cap_cos = strategies[tag], math.cos(0.2)
     decomposition = standard_decomposition(0.9)
-    block_hits, rows = _cap_hits(strategy, decomposition, cap_cos)
-    classes = lattice_classes(strategy, decomposition, cap_cos)
-    words = substream(39).integers(0, LATTICE, size=rows)
-    words = words[~in_intervals(words, classes[1])]
-    assert len(words) > 0.99 * rows and len(angle_path_members(decomposition)[0]) == 2
+    block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
+    arm = AngleArm(strategy, decomposition, cap_cos)
+    words = substream(39).integers(0, LATTICE, size=1 << 16)
+    words = words[~in_intervals(words, arm.classes[1])]
+    assert len(words) > 0.99 * (1 << 16) and len(angle_path_members(decomposition)[0]) == 2
 
     def refuse(*args):
         raise AssertionError("a block with no window row took the exact step")
 
     monkeypatch.setattr(strategy, "polar_cos", refuse)
     monkeypatch.setattr(bloch, "z_at_angle", refuse)
-    got = block_hits(PlantedDraws(classes, words, None), 0, len(words))
+    got = block_hits(PlantedDraws(arm, words, None), 0, len(words))
     monkeypatch.undo()
     h = substream(40).uniform(-1.0, 1.0, size=len(words))
     assert got == np.count_nonzero(word_z(strategy, decomposition, words, h) >= cap_cos)
@@ -1660,7 +1784,7 @@ def test_cap_hits_take_trig_within_a_quarter_turn_and_no_sin_phi(strategies, mon
     # cos(phi). A block that leaves no row to the exact z takes no trig.
     # MP's whole guesses take random_directions
     arm = _cap_hits(strategies[tag], member_sets()[name], math.cos(0.2))
-    _, exact_rows = record_window_and_exact_rows(strategies[tag], monkeypatch)
+    exact_rows = record_exact_rows(strategies[tag], monkeypatch)
     recorder = TrigRecorder()
     monkeypatch.setattr(bloch, "np", recorder)
     serial_hits(arm, substream(28), CAP_ROW_BLOCK + 1)

@@ -225,16 +225,17 @@ def pooled_cap_z(strategy, want, seeds, n):
 
 
 def test_cos4_cap_counts_pooled_over_seeds_have_the_tabulated_law():
-    # seeds 0-199, the first 200, at the criterion-5 trial count: each arm's
-    # hits pooled over 1.1e8 trials, whose SE (1.5e-5) is a fourteenth of
-    # one run's, against the quadrature of the density actually sampled.
-    # That quadrature agrees with cos4_density's within 1e-8, a bound on its
-    # error and on the tabulation's far below the pooled SE.
+    # seeds 0-3599, the first 3600, at the criterion-5 trial count: each
+    # arm's hits pooled over 2.0e9 trials, whose SE (3.6e-6) is a sixtieth
+    # of one run's, against the quadrature of the density actually sampled,
+    # so a bias of a tenth of one run's SE moves z by 6. That quadrature
+    # agrees with cos4_density's within 1e-8, a bound on its error and on
+    # the tabulation's far below the pooled SE.
     strategy = cos4_strategy()
     n = required_trials(cos4_density, 0.9, 0.2)
     want = expected_cap_frequencies(strategy.density, 0.9, 0.2)
     assert np.allclose(want, expected_cap_frequencies(cos4_density, 0.9, 0.2), rtol=0.0, atol=1e-8)
-    z = pooled_cap_z(strategy, want, range(200), n)
+    z = pooled_cap_z(strategy, want, range(3600), n)
     assert np.all(np.abs(z) <= 4.0), z
 
 

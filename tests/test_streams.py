@@ -14,6 +14,7 @@ from qguess.estimator import MassarPopescuStrategy, collect_histogram
 from qguess.merit import monte_carlo_fidelity
 from qguess.nosignal import CAP_ROW_BLOCK, cos4_strategy, run_discrimination_experiment
 from qguess.streams import (
+    ROW_BLOCK,
     map_blocks,
     split_trials,
     substream,
@@ -159,15 +160,17 @@ def test_map_blocks_raises_a_block_error():
 
 
 # several row blocks per worker at 5 workers, so the block order inside a
-# worker counts too (the cap counts' blocks are the larger)
-DRIVER_TRIALS = 5 * CAP_ROW_BLOCK + 17
+# worker counts too: 4 of streams.ROW_BLOCK for the MP drivers, and 3 of
+# CAP_ROW_BLOCK for the cap counts, each with a ragged one
+DRIVER_TRIALS = 5 * 4 * ROW_BLOCK + 17
+CAP_TRIALS = 5 * 3 * CAP_ROW_BLOCK + 17
 DRIVERS = {
     "monte_carlo_fidelity": lambda workers: monte_carlo_fidelity(
         MassarPopescuStrategy(), trials=DRIVER_TRIALS, seed=3, workers=workers),
     "collect_histogram": lambda workers: collect_histogram(
         MassarPopescuStrategy(), trials=DRIVER_TRIALS, seed=3, workers=workers).counts.tobytes(),
     "cap_hits": lambda workers: run_discrimination_experiment(
-        cos4_strategy(), 0.8, trials=DRIVER_TRIALS, seed=3, workers=workers).as_dict(),
+        cos4_strategy(), 0.8, trials=CAP_TRIALS, seed=3, workers=workers).as_dict(),
 }
 
 
