@@ -139,6 +139,12 @@ def _direction_array(m_grid) -> np.ndarray:
     return dirs
 
 
+def _acos(x) -> np.ndarray:
+    """arccos of each of x clipped to [-1, 1], by math.acos, whose bytes,
+    unlike np.arccos's, do not follow numpy's SIMD level."""
+    return np.array([math.acos(c) for c in np.clip(x, -1.0, 1.0).tolist()])
+
+
 @dataclass(frozen=True)
 class ConstraintResidual:
     """Pointwise violation of the two-decomposition identity at one weight p."""
@@ -157,16 +163,15 @@ def constraint_residual(density, p: float, m_grid) -> ConstraintResidual:
     `density` must map an ndarray of angles to densities (vectorized). The
     four reference directions come from the two decompositions at weight p.
     A density that gives a non-finite residual raises QGuessError. The
-    angles take `bloch.dots` and `math.acos`, whose bytes, unlike those of
-    `@` and `np.arccos`, do not follow numpy's SIMD level.
+    angles take `bloch.dots` and `_acos`, whose bytes, unlike those of `@`
+    and `np.arccos`, do not follow numpy's SIMD level.
     """
     dirs = _direction_array(m_grid)
     std = standard_decomposition(p)
     sym = symmetric_decomposition(p)
 
     def dens_to(ref: np.ndarray) -> np.ndarray:
-        cosines = bloch.dots(dirs, np.broadcast_to(ref, dirs.shape)).tolist()
-        return np.asarray(density(np.array([math.acos(c) for c in cosines])))
+        return np.asarray(density(_acos(bloch.dots(dirs, np.broadcast_to(ref, dirs.shape)))))
 
     lhs = 0.5 * dens_to(sym.directions[0]) + 0.5 * dens_to(sym.directions[1])
     rhs = p * dens_to(std.directions[0]) + (1.0 - p) * dens_to(std.directions[1])
@@ -464,12 +469,6 @@ def _u_windows(strategy: EstimatorStrategy, alpha: np.ndarray, cap_cos: float):
     gap[drawn] = strategy.polar_cos(first[drawn]) - cos_edge[drawn]
     bound = np.where(drawn & (side * gap <= 0.0), [[0.0], [1.0]], bound)
     return bound[0], bound[1], hits[0], hits[1]
-
-
-def _acos(x) -> np.ndarray:
-    """arccos of each of x clipped to [-1, 1], by math.acos, whose bytes,
-    unlike np.arccos's, do not follow numpy's SIMD level."""
-    return np.array([math.acos(c) for c in np.clip(x, -1.0, 1.0).tolist()])
 
 
 def _azimuth_table(strategy: EstimatorStrategy, a_z: np.ndarray, e1_z: np.ndarray, cum: np.ndarray,
