@@ -11,8 +11,7 @@ whole; the discrimination's angle path against one that finds the word
 classes and the half-turn bands by bisection and draws a block's class
 counts, its segments' band counts, then its undecided rows' words and
 half-turns, and against the binomial law of one word per row. Equality is
-on
-`tobytes()`, so a last-ulp or signed-zero difference fails. The whole-batch
+on `tobytes()`, so a last-ulp or signed-zero difference fails. The whole-batch
 forms take the azimuth pair of a half-turn as stream contract 5 does
 (`contract5_cos_sin`, written out here rather than imported)."""
 
