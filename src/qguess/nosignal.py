@@ -567,13 +567,9 @@ def _u_block_hits(strategy: EstimatorStrategy, decomposition: EnsembleDecomposit
     """Block function of `_cap_hits` on the angle path (see the module
     docstring), with the arm's set-up made once: merged members, u
     windows, word classes, azimuth table, segments and their half-turn
-    bands. A block draws `rng.multinomial` of its rows over [sure-hit
-    words, each segment's words, the rest] / 2^53, then one 2-D
-    `rng.multinomial` of its segments with rows over their [sure-hit,
-    undecided, sure-miss] half-turn counts / 2^53, then `rng.integers` of
-    a word on each undecided row's segment, and of a j on its band, [a, b)
-    then [c, d), whose h = j 2^-52 - 1 is the double `uniform(-1, 1)`
-    gives of that j."""
+    bands. An undecided row's band index counts the j of [a, b), then of
+    [c, d), of its segment's `_half_turn_bands`, and h = j 2^-52 - 1 is
+    the double `uniform(-1, 1)` gives of that j."""
     a_z, e1_z, weights = _merged_members(decomposition)
     # -e1_z is a member's distance from the z axis (`bloch.orthonormal_frames`);
     # math.atan2's bytes, unlike np.arctan2's, do not follow numpy's SIMD level
