@@ -1143,12 +1143,14 @@ def test_half_turn_bands_are_the_exact_j_counts_of_the_float_tests(strategies, t
     a, b, c, d = nosignal._half_turn_bands(h_hit, h_miss)
     assert np.all((0 <= a) & (a <= b) & (b <= c) & (c <= d) & (d <= LATTICE))
     drawn = substream(44).integers(0, LATTICE, size=4096)
-    j = np.concatenate([(np.stack([a, b, c, d], axis=1)[:, :, None] + np.arange(-2, 3)).reshape(len(a), -1),
-                        np.broadcast_to(drawn, (len(a), len(drawn)))], axis=1)
-    j = np.clip(j, 0, LATTICE - 1)
-    turn = np.abs(half_turn(j))
-    assert np.array_equal((j < a[:, None]) | (j >= d[:, None]), turn >= h_hit[:, None])
-    assert np.array_equal((j >= b[:, None]) & (j < c[:, None]), turn < h_miss[:, None])
+    for pair in np.array_split(np.arange(len(a)), -(-len(a) // 128)):  # 128 pairs at a time
+        ends = np.stack([a, b, c, d], axis=1)[pair]
+        j = np.concatenate([(ends[:, :, None] + np.arange(-2, 3)).reshape(len(pair), -1),
+                            np.broadcast_to(drawn, (len(pair), len(drawn)))], axis=1)
+        j = np.clip(j, 0, LATTICE - 1)
+        turn = np.abs(half_turn(j))
+        assert np.array_equal((j < a[pair, None]) | (j >= d[pair, None]), turn >= h_hit[pair, None])
+        assert np.array_equal((j >= b[pair, None]) & (j < c[pair, None]), turn < h_miss[pair, None])
     (hit_low, hit_high), (miss_low, miss_high) = turn_edges(h_hit), turn_edges(h_miss)
     assert_same_bytes(np.stack([a + LATTICE - d, b - a + d - c, c - b]),
                       np.stack([hit_low + LATTICE - hit_high, miss_low - hit_low + hit_high - miss_high,
@@ -1250,7 +1252,8 @@ class PlantedDraws:
     their word indices on their segments and then their band indices, in
     segment order. Each draw is checked against what the block asks for,
     the probabilities included; a draw beyond these fails, and `drawn`
-    names the draws made."""
+    names the draws made. `undecided` holds the undecided rows' (words,
+    h) in the order the block draws them."""
 
     def __init__(self, arm, words, h):
         self.arm, self.drawn = arm, []
@@ -1271,6 +1274,7 @@ class PlantedDraws:
                                                      for b in range(3)], axis=1)))
         order = np.argsort(seg, kind="stable")
         order = order[band[order] == 1]
+        self.undecided = words[window][order], h[window][order]
         if order.size:
             self._draws += [("integers", words[window][order] - arm.start[seg[order]]),
                             ("integers", arm.band_index(seg[order], j[order]))]
@@ -1457,11 +1461,20 @@ def test_azimuth_step_counts_planted_cell_rows_as_the_z_coordinate(strategies, m
         m = len(words)
         block_hits, _ = _cap_hits(strategy, decomposition, cap_cos)
         exact_rows = record_exact_rows(strategy, monkeypatch)
-        got = block_hits(PlantedDraws(arm, words, h), 0, m)
+        exact, real_z = [], bloch.z_at_angle
+        monkeypatch.setattr(bloch, "z_at_angle", lambda *args: exact.append(args[2:]) or real_z(*args))
+        draws = PlantedDraws(arm, words, h)
+        got = block_hits(draws, 0, m)
         monkeypatch.undo()
         assert got == np.count_nonzero(word_z(strategy, decomposition, words, h) >= cap_cos)
-        # the azimuth step decided some rows itself
-        assert sum(exact_rows) < m
+        # the azimuth step decided some rows itself, and the undecided rows
+        # reach the exact z with the cos t of their words and their own h
+        assert 0 < sum(exact_rows) < m
+        [(cos_t, turns)] = exact
+        undecided_words, undecided_h = draws.undecided
+        assert_same_bytes(turns, undecided_h)
+        assert_same_bytes(cos_t, polar_cos_of(strategy, recycled_words(merged_members(decomposition)[1],
+                                                                       undecided_words / LATTICE)[1]))
 
 
 def cell_words(cells, lower, upper):
