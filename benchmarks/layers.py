@@ -23,6 +23,10 @@ the set-up each discrimination call makes per arm in one pass, with one
 `polar_uniform` and one `polar_cos` call for the u windows, the word
 classes in word indices, and the azimuth table, which calls `polar_cos`
 once more only where a member off the poles has a window.
+The `cap_frequencies` arms time the set-up `required_trials` and
+`expected_cap_frequencies` make for cos4 at the benchmark's weight and cap
+(the trial count of the signal-detect workload), each also run once under
+tracemalloc for its peak allocation. No gate reads them.
 
 Before anything is timed, the library's own allocator step runs
 (`streams._prime_heap`, which `streams.map_blocks` runs once per
@@ -198,6 +202,17 @@ def cap_setup() -> dict:
             for name, strategy, decomposition in cap_arms()}
 
 
+def cap_frequencies() -> tuple[dict, dict]:
+    """({name: timed call}, {name: peak MB of one call}) of the cos4 cap
+    frequencies and the trial count sized from them."""
+    calls = {
+        "required_trials.cos4": lambda: nosignal.required_trials(nosignal.cos4_density, SIGNAL_P, SIGNAL_CAP),
+        "expected_cap_frequencies.cos4": lambda: nosignal.expected_cap_frequencies(
+            nosignal.cos4_density, SIGNAL_P, SIGNAL_CAP),
+    }
+    return calls, {name: peak_mb(fn) for name, fn in calls.items()}
+
+
 def drivers() -> dict:
     mp = estimator.MassarPopescuStrategy()
     ab = estimator.ABFormStrategy(estimator.GuessingForm.from_a_fraction(0.5))
@@ -254,13 +269,17 @@ def main(argv=None) -> int:
     record.setdefault("driver_trials", DRIVER_TRIALS)
     record.setdefault("repeats", REPEATS)
     kernel_calls, kernel_peaks = kernels()
-    layers = {"kernels": kernel_calls, "cap_hits": cap_hits(), "cap_setup": cap_setup(), "drivers": drivers()}
+    cap_frequency_calls, cap_frequency_peaks = cap_frequencies()
+    layers = {"kernels": kernel_calls, "cap_hits": cap_hits(), "cap_setup": cap_setup(),
+              "cap_frequencies": cap_frequency_calls, "drivers": drivers()}
     times = round_robin({name: fn for calls in layers.values() for name, fn in calls.items()})
     run = {"machine": machine(), "reference": times[REFERENCE]}
     for layer, calls in layers.items():
         run[layer] = {name: times[name] for name in calls}
     for name, mb in kernel_peaks.items():
         run["kernels"][name]["peak_mb"] = mb
+    for name, mb in cap_frequency_peaks.items():
+        run["cap_frequencies"][name]["peak_mb"] = mb
     run["batch_peaks"] = batch_peaks()
     record.setdefault("runs", {})[args.label] = run
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -102,19 +102,6 @@ def guessing_density(form: GuessingForm, theta):
     return float(out) if np.isscalar(theta) else out
 
 
-def cap_probability(form: GuessingForm, cap_half_angle: float) -> float:
-    """Closed-form integral of the density over a cap of given half-angle.
-
-    The integrand is linear in cos t, so the antiderivative is quadratic in
-    cos t; for the full sphere and a normalized form this returns 1.
-    """
-    streams.require_real("cap half-angle", cap_half_angle)
-    if not 0.0 < cap_half_angle <= math.pi:
-        raise InvalidFormError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")
-    c = math.cos(cap_half_angle)
-    return TWO_PI * (1.0 - c) * (form.alpha + form.beta * (1.0 + c) / 2.0)
-
-
 def ab_bin_probabilities(form: GuessingForm, theta_edges: np.ndarray) -> np.ndarray:
     """Exact per-bin probabilities of the form over a theta grid."""
     t = np.cos(np.asarray(theta_edges, dtype=float))
@@ -249,7 +236,9 @@ class TabulatedStrategy(EstimatorStrategy):
 
     The grid must span [0, pi]; values must be non-negative and the sphere
     integral of the interpolant, the trapezoid rule in c, must be 1 within
-    1e-6; it is renormalized to 1. A two-parameter form, linear in c, is
+    1e-6; it is renormalized to 1, so the law sampled has the density
+    values / sphere_integral, linear in c between the node cosines
+    `cosines` (non-increasing). A two-parameter form, linear in c, is
     exact on any grid. Within a cell the CDF is quadratic in c
     (`polar_uniform`), and `polar_cos` inverts it exactly: the cell from a
     guide table (Chen & Asau 1974; Devroye 1986, sec. III.2), checked
@@ -271,7 +260,6 @@ class TabulatedStrategy(EstimatorStrategy):
             raise InvalidFormError("theta grid must increase strictly from 0 to pi")
         if not np.all(np.isfinite(values)) or values.min() < 0.0:
             raise InvalidFormError("tabulated densities must be finite and non-negative")
-        self.thetas = thetas
         self.values = values
         # cosines kept non-increasing; nodes whose cosines round equal bound a
         # cell of no width and no mass, which no u selects
@@ -283,6 +271,7 @@ class TabulatedStrategy(EstimatorStrategy):
             raise InvalidFormError(
                 f"tabulated density must integrate to 1 over the sphere, got {self.sphere_integral}"
             )
+        self.cosines = c
         self._neg_cos = -c  # increasing, for np.interp and np.searchsorted
         self._xp = cdf / self.sphere_integral
         # in cell j the CDF is u = xp + d (2h + k d) at d = c_top - c, 2h its
@@ -335,13 +324,6 @@ class TabulatedStrategy(EstimatorStrategy):
 
     def bin_probabilities(self, theta_edges: np.ndarray) -> np.ndarray:
         return np.diff(self.polar_uniform(theta_edges))
-
-    def sphere_expectation(self, score) -> float:
-        """Sphere average of a vectorized angle score under the sampled
-        (renormalized) density, by 5-point Gauss-Legendre per grid cell."""
-        theta, weights = composite_gauss_legendre(self.thetas, 5)
-        y = self.density(theta) * score(theta) * np.sin(theta)
-        return TWO_PI * float(np.sum(y * weights)) / self.sphere_integral
 
 
 @functools.lru_cache(maxsize=None)

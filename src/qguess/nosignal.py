@@ -68,7 +68,6 @@ from .estimator import (
     GuessingForm,
     TabulatedStrategy,
     TWO_PI,
-    composite_gauss_legendre,
     guessing_density,
 )
 
@@ -83,6 +82,12 @@ Z_DETECTABLE = 5.0
 # required_trials: chance of clearing Z_DETECTABLE, and the margin on the count
 DETECTION_POWER = 0.999
 TRIAL_SAFETY = 1.2
+# required_trials: a frequency gap of no more than this share of the larger
+# frequency is rounding. The two-parameter forms' gaps, all rounding, read
+# at most 1.4e-14 of their frequencies over caps from 1e-6 to pi; cos4's
+# relative gap is about 0.1, and a real gap of 1e-12 of a frequency f
+# would need some 1e26 / f trials.
+GAP_ROUNDING = 1e-12
 
 VERDICT_NOT_DETECTABLE = "not detectable"
 VERDICT_DETECTABLE = "detectable"
@@ -140,9 +145,14 @@ def _direction_array(m_grid) -> np.ndarray:
 
 
 def _acos(x) -> np.ndarray:
-    """arccos of each of x clipped to [-1, 1], by math.acos, whose bytes,
-    unlike np.arccos's, do not follow numpy's SIMD level."""
+    """math.acos of each of x clipped to [-1, 1]: its bytes, unlike those of
+    numpy's inverse cosine, do not follow numpy's SIMD level."""
     return np.array([math.acos(c) for c in np.clip(x, -1.0, 1.0).tolist()])
+
+
+def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """math.atan2 of each pair of y and x, of one shape, for the same reason."""
+    return np.reshape(list(map(math.atan2, y.ravel().tolist(), x.ravel().tolist())), y.shape)
 
 
 @dataclass(frozen=True)
@@ -164,7 +174,7 @@ def constraint_residual(density, p: float, m_grid) -> ConstraintResidual:
     four reference directions come from the two decompositions at weight p.
     A density that gives a non-finite residual raises QGuessError. The
     angles take `bloch.dots` and `_acos`, whose bytes, unlike those of `@`
-    and `np.arccos`, do not follow numpy's SIMD level.
+    and numpy's inverse cosine, do not follow numpy's SIMD level.
     """
     dirs = _direction_array(m_grid)
     std = standard_decomposition(p)
@@ -218,81 +228,146 @@ def derive_ab_form(density) -> AbDerivation:
 # ---------------------------------------------------------------------------
 # counterexample density with curvature in cos t
 
+# Equally spaced angles on [0, pi] of the tables that `cos4_strategy` samples
+# and the cap frequencies integrate (`_tabulated`): fine enough that cos4's
+# renormalizes within the tabulation tolerance.
+TABLE_NODES = 4001
+
+
 def cos4_density(theta):
     """(3/4pi) cos^4(t/2): normalized, but quadratic in cos t. The fourth
     power is two exact products, c2 = c*c and c2*c2, whose bytes, unlike
-    those of `** 4`, do not depend on the SIMD kernels numpy dispatches.
-    They are taken in place: the quadrature of `required_trials` evaluates
-    the density on 393 216 angles at once."""
-    out = np.cos(np.asarray(theta) / 2.0)
-    out *= out
-    out *= out
-    out *= 3.0 / (2.0 * TWO_PI)
+    those of `** 4`, do not depend on the SIMD kernels numpy dispatches."""
+    c = np.cos(np.asarray(theta) / 2.0)
+    c2 = c * c
+    out = c2 * c2 * (3.0 / (2.0 * TWO_PI))
     return float(out) if np.isscalar(theta) else out
 
 
+def _tabulated(density) -> TabulatedStrategy:
+    """The density tabulated on TABLE_NODES equally spaced angles."""
+    grid = np.linspace(0.0, math.pi, TABLE_NODES)
+    return TabulatedStrategy(grid, density(grid))
+
+
 def cos4_strategy() -> TabulatedStrategy:
-    """Tabulated sampler of the cos^4 density on 4001 equally spaced angles
-    (fine enough to renormalize within the tabulation tolerance)."""
-    grid = np.linspace(0.0, math.pi, 4001)
-    return TabulatedStrategy(grid, cos4_density(grid))
+    """Tabulated sampler of the cos^4 density on TABLE_NODES angles."""
+    return _tabulated(cos4_density)
 
 
 # ---------------------------------------------------------------------------
-# expected cap frequencies (quadrature oracle for the counting experiment)
+# expected cap frequencies (exact integrals of the tabulated law)
+
+def _require_cap(cap_half_angle: float) -> None:
+    streams.require_real("cap half-angle", cap_half_angle)
+    if not 0.0 < cap_half_angle <= math.pi:
+        raise QGuessError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")
+
+
+def _lens(c: np.ndarray, beta: float, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """(area, moment) at each c: the area of the lens {m.a >= c} within the
+    cap {m.z >= k}, of half-angle gamma = acos(k), for an axis a at angle
+    beta in [0, pi] from +z, and the integral of m.a over it. The cap is
+    read from k alone, as the experiment counts z >= k, so that the lenses
+    of every axis share one cap to rounding.
+
+    Where the two circles cross, c strictly between cos(min(beta + gamma,
+    2pi - beta - gamma)) and cos|beta - gamma|, a, +z and a crossing point
+    span a triangle of sides t = acos(c), beta and gamma, whose angles psi at
+    a, phi at +z and omega at the crossing point follow from the half-angle
+    formulas, tan(psi/2) = sqrt(sin(s - t) sin(s - beta) / (sin s sin(s -
+    gamma))) at s = (t + beta + gamma)/2, and alike for phi and omega. As
+    the angles of one triangle even where rounding moves its sides, they
+    keep the lens continuous to rounding where it thins out at the circles'
+    tangencies.
+    By Gauss-Bonnet the area is 2pi - 2 c psi - 2 k phi - 2 omega (do Carmo
+    1976, *Differential Geometry of Curves and Surfaces*, sec. 4-5), and by
+    Stokes the moment is the vector area (1/2) of the integral of m x dm
+    around the lens, dotted with a: sin^2(t) psi + sin^2(gamma) cos(beta)
+    phi - k sin(gamma) sin(beta) sin(phi). Above the c where they cross the
+    cap about a lies within the cap (beta < gamma) or off it; below them it
+    holds the cap (beta + gamma <= pi), or the two cover the sphere.
+    """
+    gamma, sin_gamma = math.acos(k), math.sqrt((1.0 - k) * (1.0 + k))
+    m_own, m_cap = math.pi * (1.0 - c) * (1.0 + c), math.pi * sin_gamma * sin_gamma * math.cos(beta)
+    top, bottom = math.cos(abs(beta - gamma)), math.cos(min(beta + gamma, TWO_PI - beta - gamma))
+    above = (TWO_PI * (1.0 - c), m_own) if beta < gamma else (0.0, 0.0)
+    # covering: the area 2pi (1 - c) + 2pi (1 - k) - 4pi as -2pi (c + k), exact where c is near -k
+    below = (TWO_PI * (1.0 - k), m_cap) if beta + gamma <= math.pi else (-TWO_PI * (c + k), m_own + m_cap)
+    area, moment = (np.where(c <= bottom, low, high) for low, high in zip(below, above))
+    cross = np.flatnonzero((c > bottom) & (c < top))
+    x = c.take(cross)
+    t = _acos(x)
+    s = (t + beta + gamma) / 2.0
+    # sin s, sin(s - t), sin(s - beta), sin(s - gamma)
+    s0, st, sb, sg = np.maximum(np.sin([s, s - t, s - beta, s - gamma]), 0.0)
+    psi, phi, omega = 2.0 * _atan2(np.sqrt([st * sb, sg * sb, st * sg]), np.sqrt([s0 * sg, s0 * st, s0 * sb]))
+    area[cross] = TWO_PI - 2.0 * (x * psi + k * phi + omega)
+    moment[cross] = (1.0 - x) * (1.0 + x) * psi + sin_gamma * (
+        sin_gamma * math.cos(beta) * phi - k * math.sin(beta) * np.sin(phi))
+    return area, moment
+
+
+def _cap_integral(table: TabulatedStrategy, axis_angle: float, cap_half_angle: float) -> float:
+    """The probability of the table's law in the cap about +z for an input
+    at `axis_angle` from +z. On the cell between nodes c0 > c1 the density
+    is g = g0 + q (c - c0), so the cell adds g0 dA + q (dM - c0 dA), dA and
+    dM the growth of the lens's area and moment from c0 to c1 (`_lens`);
+    the cells of a `_tabulated` table all have width. Their sum is taken
+    over the sphere's, pi (c0 - c1)(g0 + g1) summed over the cells, so the
+    law is normalized as the sampler's CDF is, which ends at 1."""
+    _require_cap(cap_half_angle)
+    c, g = table.cosines, table.values
+    beta = math.fmod(abs(axis_angle), TWO_PI)
+    area, moment = _lens(c, min(beta, TWO_PI - beta), math.cos(cap_half_angle))
+    d_area, d_moment, width = np.diff(area), np.diff(moment), c[:-1] - c[1:]
+    slope = (g[:-1] - g[1:]) / width
+    cap = float(np.sum(g[:-1] * d_area + slope * (d_moment - c[:-1] * d_area)))
+    return cap / (math.pi * float(np.sum(width * (g[:-1] + g[1:]))))
+
 
 def cap_frequency(density, axis_angle: float, cap_half_angle: float) -> float:
     """Probability that a guess lands in the cap about +z when the input
     direction makes `axis_angle` with +z, for an isotropic outcome density.
 
-    Quadrature over the cap: polar angle by composite Gauss-Legendre,
-    azimuth by the midpoint rule (periodic, so spectrally accurate). A
-    non-finite axis angle, a cap half-angle outside (0, pi], or a density
-    that makes the frequency non-finite raises QGuessError.
+    The density is read as its table on TABLE_NODES angles, linear in cos t
+    between them (`TabulatedStrategy`): the law that `cos4_strategy`
+    samples, and exact for a two-parameter form. Its cap integral is exact
+    (`_cap_integral`). A non-finite axis angle, a cap half-angle outside
+    (0, pi], or a density whose table is not finite, non-negative and of
+    sphere integral 1 within 1e-6 raises QGuessError.
     """
     streams.require_real("axis angle", axis_angle)
     if not math.isfinite(axis_angle):
         raise QGuessError(f"axis angle must be finite, got {axis_angle}")
-    streams.require_real("cap half-angle", cap_half_angle)
-    if not 0.0 < cap_half_angle <= math.pi:
-        raise QGuessError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")
-    u, wu = composite_gauss_legendre(np.linspace(0.0, cap_half_angle, 17), 24)
-    n_v = 1024
-    v = (np.arange(n_v) + 0.5) * (TWO_PI / n_v)
-    cos_t = np.cos(u)[:, None] * math.cos(axis_angle) + np.sin(u)[:, None] * math.sin(
-        axis_angle
-    ) * np.cos(v)[None, :]
-    vals = np.asarray(density(np.arccos(np.clip(cos_t, -1.0, 1.0))))
-    frequency = float(np.sum(wu * np.sin(u) * vals.sum(axis=1)) * (TWO_PI / n_v))
-    if not math.isfinite(frequency):
-        raise QGuessError(f"cap frequency must be finite, got {frequency}")
-    return frequency
+    return _cap_integral(_tabulated(density), axis_angle, cap_half_angle)
 
 
 def expected_cap_frequencies(density, p: float, cap_half_angle: float) -> tuple[float, float]:
-    """(standard, symmetric) cap frequencies for the two decompositions at weight p.
+    """(standard, symmetric) cap frequencies for the two decompositions at
+    weight p, from one table of the density (`cap_frequency`).
 
     Both members of the symmetric pair make the same angle with +z, so its
-    frequency needs a single kernel evaluation.
+    frequency needs a single integral.
     """
-    f_std = p * cap_frequency(density, 0.0, cap_half_angle) + (1.0 - p) * cap_frequency(
-        density, math.pi, cap_half_angle
-    )
-    f_sym = cap_frequency(density, tilt_angle(p), cap_half_angle)
-    return f_std, f_sym
+    table = _tabulated(density)
+    f_pole, f_antipode, f_sym = (_cap_integral(table, axis, cap_half_angle) for axis in (0.0, math.pi, tilt_angle(p)))
+    return p * f_pole + (1.0 - p) * f_antipode, f_sym
 
 
 def required_trials(density, p: float, cap_half_angle: float = DEFAULT_CAP_HALF_ANGLE) -> int:
     """Trials per decomposition so the experiment flags a frequency gap with
     probability DETECTION_POWER at the Z_DETECTABLE threshold.
 
-    Sized from the quadrature frequencies: z grows like gap * sqrt(N / (v1+v2))
+    Sized from the exact frequencies: z grows like gap * sqrt(N / (v1+v2))
     with v = f(1-f), so N = TRIAL_SAFETY * ((Z_DETECTABLE + z_power) / gap)^2 * (v1+v2),
-    z_power the standard normal quantile at DETECTION_POWER.
+    z_power the standard normal quantile at DETECTION_POWER. A gap of no
+    more than GAP_ROUNDING of the larger frequency is taken for rounding,
+    and raises QGuessError.
     """
     f_std, f_sym = expected_cap_frequencies(density, p, cap_half_angle)
     gap = abs(f_std - f_sym)
-    if gap == 0.0:
+    if not gap > GAP_ROUNDING * max(f_std, f_sym):
         raise QGuessError("decompositions have identical cap frequencies; no finite trial count separates them")
     z_power = statistics.NormalDist().inv_cdf(DETECTION_POWER)
     variance = f_std * (1.0 - f_std) + f_sym * (1.0 - f_sym)
@@ -478,13 +553,13 @@ def _azimuth_table(strategy: EstimatorStrategy, a_z: np.ndarray, e1_z: np.ndarra
     whose word index lies in cell c, [c, c + 1) * _CELL_WORDS, is a sure
     hit at |h| >= h_hit[c] and a sure miss at |h| < h_miss[c], and 0 <=
     h_miss[c] <= h_hit[c] <= 2. They set the segments' band counts
-    (`_half_turn_bands`), so their arccos are `_acos`'s.
+    (`_half_turn_bands`), so their inverse cosines are `_acos`'s.
 
     Only cells holding words of the windows [low, high) of members off the
     poles (e1_z != 0), all of whose words are one member's, are worked out;
     every other cell has h_hit 2 and h_miss 0, and without such a window
     `polar_cos` is not called. A cell's polar angles run between
-    arccos(polar_cos) at the u of its first and last double, half-width r
+    acos(polar_cos) at the u of its first and last double, half-width r
     about their middle m, and z = cos(theta) a_z + sin(theta) cos(pi h)
     e1_z lies within r of z at m. So a row is a sure hit where z at m is
     cap_cos + CAP_Z_MARGIN + r or more, cos(pi h) <= c_hit as e1_z < 0,
@@ -628,9 +703,7 @@ def run_discrimination_experiment(
     gap as a two-sample z statistic with binomial standard errors; with
     both errors zero the run carries no information and is indeterminate.
     """
-    streams.require_real("cap half-angle", cap_half_angle)
-    if not 0.0 < cap_half_angle <= math.pi:
-        raise QGuessError(f"cap half-angle must lie in (0, pi], got {cap_half_angle}")
+    _require_cap(cap_half_angle)
     streams.require_integer("trials", trials)
     if trials < 2:
         raise QGuessError(f"need at least 2 trials, got {trials}")

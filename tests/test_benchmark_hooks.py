@@ -162,3 +162,12 @@ def test_layers_script_runs_its_kernels_cap_set_up_and_a_cos4_cap_count():
     for build in setups.values():
         build()
     assert layers.cap_hits()["cap_hits.cos4.symmetric"]() > 0
+
+
+def test_layers_script_times_the_cos4_cap_frequencies():
+    # the `cap_frequencies` arms run, and their trial count is the
+    # signal-detect workload's
+    calls, peaks = load(LAYERS, "benchmarks_layers").cap_frequencies()
+    assert sorted(calls) == sorted(peaks) == ["expected_cap_frequencies.cos4", "required_trials.cos4"]
+    assert calls["required_trials.cos4"]() == 568_954
+    assert all(mb > 0.0 for mb in peaks.values())

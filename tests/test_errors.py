@@ -22,7 +22,6 @@ from qguess.estimator import (
     GuessingForm,
     MassarPopescuStrategy,
     TabulatedStrategy,
-    cap_probability,
     chi2_threshold_999,
     collect_histogram,
     histogram_chi2,
@@ -34,6 +33,7 @@ from qguess.nosignal import (
     constraint_residual,
     cos4_density,
     derive_ab_form,
+    expected_cap_frequencies,
     fibonacci_directions,
     run_discrimination_experiment,
 )
@@ -115,7 +115,7 @@ SITES = {
         MassarPopescuStrategy(), 0.8, cap_half_angle=True, trials=100),
     "cap_frequency(cap_half_angle=True)": lambda: cap_frequency(cos4_density, 0.0, True),
     "cap_frequency(cap_half_angle='0.2')": lambda: cap_frequency(cos4_density, 0.0, "0.2"),
-    "cap_probability(cap_half_angle=True)": lambda: cap_probability(GuessingForm.from_a_fraction(1.0), True),
+    "expected_cap_frequencies(cap_half_angle=True)": lambda: expected_cap_frequencies(cos4_density, 0.9, True),
     "GuessingForm.from_a_fraction(True)": lambda: GuessingForm.from_a_fraction(True),
     "GuessingForm.from_a_fraction('0.5')": lambda: GuessingForm.from_a_fraction("0.5"),
     "cap_frequency(axis_angle=True)": lambda: cap_frequency(cos4_density, True, 0.2),

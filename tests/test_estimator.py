@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.stats import chi2 as chi2_dist
 
 from qguess.bloch import BlochVector, EnsembleDecomposition, QubitKet, Z_AXIS
@@ -19,7 +18,6 @@ from qguess.estimator import (
     TabulatedStrategy,
     _ab_inverse_cdf,
     ab_bin_probabilities,
-    cap_probability,
     chi2_threshold_999,
     collect_histogram,
     guessing_density,
@@ -99,25 +97,6 @@ def test_density_endpoints_and_affine_form():
     assert np.max(np.abs(guessing_density(form, t) - affine)) <= 1e-12
 
 
-def test_cap_probability_closed_form_matches_quadrature():
-    for form in (MASSAR_POPESCU_FORM, UNIFORM, GuessingForm(0.03, 0.21)):
-        for cap in (0.2, 1.0, math.pi / 2.0, math.pi):
-            ref, _ = quad(
-                lambda t: guessing_density(form, t) * TWO_PI * math.sin(t), 0.0, cap,
-                epsabs=1e-13, epsrel=1e-13,
-            )
-            assert cap_probability(form, cap) == pytest.approx(ref, abs=1e-10)
-
-
-def test_cap_probability_full_sphere_is_one_for_normalized_forms():
-    for a in A_GRID:
-        assert cap_probability(GuessingForm.from_a_fraction(a), math.pi) == pytest.approx(
-            1.0, abs=1e-12
-        )
-    with pytest.raises(InvalidFormError):
-        cap_probability(MASSAR_POPESCU_FORM, 0.0)
-
-
 def test_bin_probabilities_sum_to_one():
     edges = np.linspace(0.0, math.pi, 51)
     for a in A_GRID:
@@ -176,13 +155,6 @@ def test_cos4_polar_cos_has_the_cos4_law():
     law = ((1.0 + c) / 2.0) ** 3
     distance = max(np.max(np.arange(1, n + 1) / n - law), np.max(law - np.arange(n) / n))
     assert distance < 1.95 / math.sqrt(n)
-
-
-def test_tabulated_sphere_expectation():
-    grid = np.linspace(0.0, math.pi, 2001)
-    tab = TabulatedStrategy(grid, np.full(2001, 1.0 / (4.0 * math.pi)))
-    score = lambda t: (1.0 + np.cos(t)) / 2.0
-    assert tab.sphere_expectation(score) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_tabulation_keeps_its_maps_finite_where_node_cosines_round_equal():

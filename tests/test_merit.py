@@ -1,6 +1,7 @@
 """Merit averages, the affine scan, and Monte Carlo fidelity."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from qguess.estimator import (
     GuessingForm,
     MASSAR_POPESCU_FORM,
     MassarPopescuStrategy,
+    TabulatedStrategy,
+    guessing_density,
 )
 from qguess.merit import (
     FidelityMerit,
@@ -131,6 +134,24 @@ def test_expected_fidelity_per_strategy():
     ab = ABFormStrategy(GuessingForm.from_a_fraction(0.5))
     assert expected_fidelity(ab) == pytest.approx(0.5, abs=1e-12)
     assert expected_fidelity(cos4_strategy()) == pytest.approx(0.75, abs=1e-6)
+
+
+def test_expected_fidelity_of_a_table_is_exact_on_its_cells():
+    # the uniform and MP densities are linear in cos t, so exact on any table
+    grid = np.linspace(0.0, math.pi, 2001)
+    uniform = TabulatedStrategy(grid, np.full(2001, 1.0 / (4.0 * math.pi)))
+    assert expected_fidelity(uniform) == pytest.approx(0.5, abs=1e-15)
+    mp = TabulatedStrategy(grid, guessing_density(MASSAR_POPESCU_FORM, grid))
+    assert expected_fidelity(mp) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    # cos4's table, against its cell moments in exact rational arithmetic
+    table = cos4_strategy()
+    c = [Fraction(x) for x in table.cosines.tolist()]
+    g = [Fraction(x) for x in table.values.tolist()]
+    mass = sum((c0 - c1) * (g0 + g1) / 2 for c0, c1, g0, g1 in zip(c, c[1:], g, g[1:]))
+    first = sum((c0 - c1) * (c0 * (2 * g0 + g1) + c1 * (g0 + 2 * g1)) / 6
+                for c0, c1, g0, g1 in zip(c, c[1:], g, g[1:]))
+    exact = (1 + first / mass) / 2
+    assert abs(Fraction(expected_fidelity(table)) - exact) <= Fraction(2.0 ** -53)
 
 
 def test_monte_carlo_fidelity_matches_analytic_values():

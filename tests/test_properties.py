@@ -16,10 +16,9 @@ from qguess.estimator import (
     TabulatedStrategy,
     _ab_inverse_cdf,
     ab_bin_probabilities,
-    cap_probability,
     guessing_density,
 )
-from qguess.nosignal import _member_index, _recycled, _recycled_uniforms, _word_edges, cos4_strategy
+from qguess.nosignal import _member_index, _recycled, _recycled_uniforms, _word_edges, cap_frequency, cos4_strategy
 from qguess.streams import ROW_BLOCK, map_blocks, split_trials, substream
 from test_kernels import (
     LATTICE,
@@ -75,9 +74,10 @@ def test_ab_inverse_cdf_is_monotone_within_bounds(a_frac, keys):
 
 
 @PROPERTY
-@given(a_frac=a_fractions)
-def test_full_cap_holds_all_probability(a_frac):
-    assert abs(cap_probability(GuessingForm.from_a_fraction(a_frac), math.pi) - 1.0) <= 1e-12
+@given(a_frac=a_fractions, axis_angle=st.floats(-100.0, 100.0))
+def test_full_cap_holds_all_probability(a_frac, axis_angle):
+    form = GuessingForm.from_a_fraction(a_frac)
+    assert abs(cap_frequency(lambda t: guessing_density(form, t), axis_angle, math.pi) - 1.0) <= 1e-15
 
 
 GRID = np.linspace(0.0, math.pi, 64)
